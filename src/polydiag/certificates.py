@@ -209,10 +209,6 @@ def diag_certificate_failures(a, cert):
     return failures
 
 
-def verify_diag_certificate(a, cert):
-    return not diag_certificate_failures(a, cert)
-
-
 def bundle_certificate_failures(a, bundle):
     """Broken identities across all branches, tagged with branch numbers."""
     if a.rows != bundle.subject_dim or a.cols != bundle.subject_dim:
@@ -223,10 +219,6 @@ def bundle_certificate_failures(a, bundle):
     for k, (cert, _trace) in enumerate(bundle.branches, start=1):
         failures.extend(f"branch {k}: {f}" for f in diag_certificate_failures(a, cert))
     return failures
-
-
-def verify_diag_bundle(a, bundle):
-    return not bundle_certificate_failures(a, bundle)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +260,6 @@ def equiv_witness_failures(a1, a2, wit):
     if wit.s1 * a1 != wit.s2 * (wit.x_plus @ a2 @ wit.x_plus.transpose()):
         failures.append("s1*a1 = s2*x_plus*a2*x_plus^t")
     return failures
-
-
-def verify_equiv_witness(a1, a2, wit):
-    return not equiv_witness_failures(a1, a2, wit)
 
 
 def symmetrize_witness(a1, a2, wit):
@@ -377,10 +365,6 @@ def sos_matrix_failures(a, cert):
     return failures
 
 
-def verify_sos_matrix(a, cert):
-    return not sos_matrix_failures(a, cert)
-
-
 # ---------------------------------------------------------------------------
 # preordering generated by commuting diagonal matrices
 
@@ -482,10 +466,6 @@ def membership_failures(element, generators, cert):
     if acc != element:
         return ["element = sum(y^t*G_idx*y)"]
     return []
-
-
-def verify_tmodule_membership(element, generators, cert):
-    return not membership_failures(element, generators, cert)
 
 
 def knk_element(k, n, a_list, x_list, nvars=1):

@@ -46,7 +46,7 @@ from .errors import (
     ZeroMatrix,
 )
 from .polymat import format_matrix, parse_matrix
-from .positivity import GridSpec, check_bundle_equivalence, psd_on_grid
+from .positivity import GridSpec, _compare_on_grid, psd_on_grid
 
 
 class _UsageError(Exception):
@@ -261,7 +261,8 @@ def _cmd_equiv_check(args):
         for f in failures:
             print(f"identity failed: {f}")
         return 3
-    report = check_bundle_equivalence(a, payload, _grid_spec(args, a.nvars))
+    # verified just above; the grid comparison does not verify again
+    report = _compare_on_grid(a, payload, _grid_spec(args, a.nvars))
     for point, oracle, bundle_flag in report.disagreements:
         print(f"{_format_point(point)}; oracle={int(oracle)}; bundle={int(bundle_flag)}")
     print(

@@ -1,7 +1,8 @@
 """Exact congruence diagonalization of symmetric polynomial matrices.
 
-Three routes, all producing certificates whose identities are verified
-before being returned:
+Three routes.  Each checks every certificate it returns exactly once,
+against its subject, with diag_certificate_failures; the block steps inside
+the pivot recursion are not checked on their own:
 
 - standard_form_diagonalize: one closed-form certificate from leading
   principal minors, for matrices in standard form (rank r with
@@ -80,8 +81,9 @@ def standard_form_diagonalize(a):
     entries m * det(A[(1..j-1,i), (1..j)]) / M_j, where m is the product
     of the leading minors M_1..M_min(r, n-1) (exactly the denominators the
     columns carry).  X_minus is the lower-triangular solution of
-    X_minus*X_plus = m^2*I, D is X_minus*A*X_minus^t with diagonal entries
-    m^2*M_p/M_(p-1), and w = m^2.
+    X_minus*X_plus = m^2*I, w = m^2, and D = diag(w*M_p/M_(p-1) for
+    p <= r, then zeros); the final check compares that D with
+    X_minus*A*X_minus^t.
     """
     data = standard_form_check(a)
     n = a.rows
@@ -128,21 +130,19 @@ def standard_form_diagonalize(a):
                     f"inverse entry ({i + 1},{j + 1}) is not polynomial"
                 ) from None
 
+    d_entries = [zero] * n
+    prev = one
+    for p in range(rank):
+        d_entries[p] = (w * data.minors[p]).exact_div(prev)
+        prev = data.minors[p]
     xp = PolyMatrix.from_rows(x_plus)
     xm = PolyMatrix.from_rows(x_minus)
-    d = xm @ a @ xm.transpose()
-    cert = DiagCertificate(n, xp, xm, d, w)
+    return _checked(a, DiagCertificate(n, xp, xm, PolyMatrix.diagonal(d_entries), w))
 
+
+def _checked(a, cert):
+    """cert, once diag_certificate_failures finds no broken identity."""
     failures = diag_certificate_failures(a, cert)
-    prev = one
-    for p in range(1, n + 1):
-        if p <= rank:
-            expected = (w * data.minors[p - 1]).exact_div(prev)
-            prev = data.minors[p - 1]
-        else:
-            expected = zero
-        if d[p - 1, p - 1] != expected:
-            failures.append(f"D entry {p} = w*M_{p}/M_{p - 1}")
     if failures:
         raise InternalIdentityFailure("certificate identities broke: " + "; ".join(failures))
     return cert
@@ -154,14 +154,32 @@ def block_step(a):
     Returns (Atilde, X_plus, X_minus, alpha) with X_plus*X_minus = alpha^2*I,
     Atilde = X_minus*A*X_minus^t and alpha^4*A = X_plus*Atilde*X_plus^t,
     where alpha is the corner entry, beta the rest of the first row, and C
-    the trailing block.  All three identities are checked before returning.
+    the trailing block.  All three identities are checked here, before
+    returning.  The producers call the unchecked step instead and check
+    each finished certificate once, against its subject.
     """
     _require_symmetric(a)
     n = a.rows
     if n < 2:
         raise ValueError("block step needs dimension at least 2")
-    nvars = a.nvars
-    zero = Polynomial.zero(nvars)
+    at, xp, xm, alpha = _block_step(a)
+    a2 = alpha * alpha
+    failures = []
+    if xp @ xm != PolyMatrix.identity(n, a.nvars) * a2:
+        failures.append("X_plus*X_minus = alpha^2*I")
+    if at != xm @ a @ xm.transpose():
+        failures.append("Atilde = X_minus*A*X_minus^t")
+    if (a2 * a2) * a != xp @ at @ xp.transpose():
+        failures.append("alpha^4*A = X_plus*Atilde*X_plus^t")
+    if failures:
+        raise InternalIdentityFailure("block step identities broke: " + "; ".join(failures))
+    return at, xp, xm, alpha
+
+
+def _block_step(a):
+    """block_step without its checks, for a symmetric a of dimension >= 2."""
+    n = a.rows
+    zero = Polynomial.zero(a.nvars)
     alpha = a[0, 0]
     beta = [a[0, k] for k in range(1, n)]
 
@@ -179,21 +197,7 @@ def block_step(a):
             rows[p][p] = alpha
         return PolyMatrix.from_rows(rows)
 
-    at = PolyMatrix.from_rows(atilde)
-    xp = corner(+1)
-    xm = corner(-1)
-
-    a2 = alpha * alpha
-    failures = []
-    if xp @ xm != PolyMatrix.identity(n, nvars) * a2:
-        failures.append("X_plus*X_minus = alpha^2*I")
-    if at != xm @ a @ xm.transpose():
-        failures.append("Atilde = X_minus*A*X_minus^t")
-    if (a2 * a2) * a != xp @ at @ xp.transpose():
-        failures.append("alpha^4*A = X_plus*Atilde*X_plus^t")
-    if failures:
-        raise InternalIdentityFailure("block step identities broke: " + "; ".join(failures))
-    return at, xp, xm, alpha
+    return PolyMatrix.from_rows(atilde), corner(+1), corner(-1), alpha
 
 
 def _pivot(a, i, j):
@@ -278,45 +282,9 @@ def single_path_diagonalize(a):
     _require_symmetric(a)
     if a.is_zero():
         raise ZeroMatrix("matrix is identically zero")
-    d, xp, xm, w = _single_rec(a)
-    cert = DiagCertificate(a.rows, xp, xm, d, w)
-    failures = diag_certificate_failures(a, cert)
-    if failures:
-        raise InternalIdentityFailure("certificate identities broke: " + "; ".join(failures))
-    return cert
-
-
-def _single_rec(m):
-    n = m.rows
-    nvars = m.nvars
-    one = Polynomial.one(nvars)
-    if m.is_zero() or n == 1:
-        ident = PolyMatrix.identity(n, nvars)
-        return m, ident, ident, one
-
-    pivot = None
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            if not _averaged_pivot(m, i, j).is_zero():
-                pivot = (i, j)
-                break
-        if pivot:
-            break
-    # all averaged pivots zero forces m = 0: diagonal entries are the
-    # averaged (i,i) values and 2*a_ij = 2*avg_ij - a_ii - a_jj
-    assert pivot is not None, "nonzero matrix with all averaged pivots zero"
-
-    i, j = pivot
-    a_piv, v, v_inv, _scale = _pivot(m, i, j)
-    at, xp, xm, alpha = block_step(a_piv)
-    trailing = at.submatrix(tuple(range(2, n + 1)), tuple(range(2, n + 1)))
-    d_b, xp_b, xm_b, w_b = _single_rec(trailing)
-
-    d_full = _embed_corner(at[0, 0], d_b)
-    xm_full = _embed_corner(one, xm_b) @ xm @ v
-    xp_full = v_inv @ xp @ _embed_corner(w_b, xp_b)
-    w_full = alpha * alpha * w_b
-    return d_full, xp_full, xm_full, w_full
+    # one pivot per level gives exactly one branch, so a cap of 1 never trips
+    ((d, xp, xm, w, _pivots, _scales),) = _branches(a, bundle=False, cap=1, counter=[0])
+    return _checked(a, DiagCertificate(a.rows, xp, xm, d, w))
 
 
 def diagonalization_bundle(a, cap_branches=10_000):
@@ -332,11 +300,11 @@ def diagonalization_bundle(a, cap_branches=10_000):
         raise ZeroMatrix("matrix is identically zero")
     if cap_branches < 1:
         raise ValueError("branch cap must be positive")
-    counter = [0]
-    raw = _bundle_rec(a, cap_branches, counter)
     branches = []
     failures = []
-    for k, (d, xp, xm, w, pivots, scales) in enumerate(raw, start=1):
+    for k, (d, xp, xm, w, pivots, scales) in enumerate(
+        _branches(a, bundle=True, cap=cap_branches, counter=[0]), start=1
+    ):
         cert = DiagCertificate(a.rows, xp, xm, d, w)
         failures.extend(f"branch {k}: {f}" for f in diag_certificate_failures(a, cert))
         branches.append((cert, PivotTrace(pivots, scales)))
@@ -345,8 +313,15 @@ def diagonalization_bundle(a, cap_branches=10_000):
     return DiagBundle(a.rows, tuple(branches))
 
 
-def _bundle_rec(m, cap, counter):
-    """All branch tuples (D, X_plus, X_minus, w, pivots, scales) for m."""
+def _branches(m, bundle, cap, counter):
+    """Branch tuples (D, X_plus, X_minus, w, pivots, scales) for m.
+
+    The bundle route pivots on every (i, j) and compacts zero rows and
+    columns of a nonzero trailing block away before recursing.  The single
+    path pivots only on the first (i, j) whose averaged pivot value is not
+    identically zero and keeps the trailing block whole, so it yields one
+    branch.  counter[0] counts finished branches; past cap, BundleTooLarge.
+    """
     n = m.rows
     nvars = m.nvars
     one = Polynomial.one(nvars)
@@ -357,43 +332,36 @@ def _bundle_rec(m, cap, counter):
         ident = PolyMatrix.identity(n, nvars)
         return [(m, ident, ident, one, (), ())]
 
+    pivots = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    if not bundle:
+        # a nonzero m has a usable pivot: its diagonal entries are the
+        # averaged (i,i) values and 2*a_ij = 2*avg_ij - a_ii - a_jj
+        pivots = [next(p for p in pivots if not _averaged_pivot(m, *p).is_zero())]
+    size = n - 1
     out = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            a_piv, v, v_inv, scale = _pivot(m, i, j)
-            at, xp, xm, alpha = block_step(a_piv)
-            trailing = at.submatrix(tuple(range(2, n + 1)), tuple(range(2, n + 1)))
-            if trailing.is_zero():
-                counter[0] += 1
-                if counter[0] > cap:
-                    raise BundleTooLarge(f"branch count exceeds cap {cap}")
-                out.append((at, v_inv @ xp, xm @ v, alpha * alpha, ((i, j),), (scale,)))
-                continue
-            kept = [
-                k
-                for k in range(trailing.rows)
-                if any(not trailing[k, q].is_zero() for q in range(trailing.cols))
-            ]
-            if len(kept) == trailing.rows:
-                compacted = trailing
-            else:
-                idx = tuple(k + 1 for k in kept)
-                compacted = trailing.submatrix(idx, idx)
-            for d_hat, xp_hat, xm_hat, w_hat, pivots, scales in _bundle_rec(
-                compacted, cap, counter
-            ):
-                if len(kept) == trailing.rows:
-                    d_b, xp_b, xm_b = d_hat, xp_hat, xm_hat
-                else:
-                    size = trailing.rows
-                    d_b = _embed_kept(d_hat, size, kept, Polynomial.zero(nvars))
-                    xm_b = _embed_kept(xm_hat, size, kept, one)
-                    xp_b = _embed_kept(xp_hat, size, kept, w_hat)
-                d_full = _embed_corner(at[0, 0], d_b)
-                xm_full = _embed_corner(one, xm_b) @ xm @ v
-                xp_full = v_inv @ xp @ _embed_corner(w_hat, xp_b)
-                w_full = alpha * alpha * w_hat
-                out.append(
-                    (d_full, xp_full, xm_full, w_full, ((i, j),) + pivots, (scale,) + scales)
+    for i, j in pivots:
+        a_piv, v, v_inv, scale = _pivot(m, i, j)
+        at, xp, xm, alpha = _block_step(a_piv)
+        trailing = at.submatrix(tuple(range(2, n + 1)), tuple(range(2, n + 1)))
+        kept = list(range(size))
+        if bundle and not trailing.is_zero():
+            kept = [k for k in kept if any(not trailing[k, q].is_zero() for q in range(size))]
+        if len(kept) < size:
+            idx = tuple(k + 1 for k in kept)
+            trailing = trailing.submatrix(idx, idx)
+        for d_b, xp_b, xm_b, w_b, pivots_b, scales_b in _branches(trailing, bundle, cap, counter):
+            if len(kept) < size:
+                d_b = _embed_kept(d_b, size, kept, Polynomial.zero(nvars))
+                xm_b = _embed_kept(xm_b, size, kept, one)
+                xp_b = _embed_kept(xp_b, size, kept, w_b)
+            out.append(
+                (
+                    _embed_corner(at[0, 0], d_b),
+                    v_inv @ xp @ _embed_corner(w_b, xp_b),
+                    _embed_corner(one, xm_b) @ xm @ v,
+                    alpha * alpha * w_b,
+                    ((i, j),) + pivots_b,
+                    (scale,) + scales_b,
                 )
+            )
     return out

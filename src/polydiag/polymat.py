@@ -5,11 +5,10 @@ immutable; entry access A[i, j] is 0-based, while the index tuples taken by
 minor(), leading_principal_minor(), submatrix() and permutation_matrix() are
 1-based to match the usual determinant notation.
 
-Determinants use fraction-free (Bareiss) elimination: every division along
-the way is an exact polynomial division, so no rational functions appear.
-The generic rank is the largest p with some p x p minor that is not the
-identically-zero polynomial, computed by fully pivoted fraction-free
-elimination.
+Determinants and the generic rank share one fully pivoted fraction-free
+(Bareiss) elimination: every division along the way is an exact polynomial
+division, so no rational functions appear.  The generic rank is the largest
+p with some p x p minor that is not the identically-zero polynomial.
 
 Matrix file format: a header line ``rows cols nvars`` followed by
 rows*cols polynomial lines in row-major order.  Lines starting with ``#``
@@ -238,63 +237,54 @@ class PolyMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 1:
-            return self.entries[0]
-        m = [list(self.row(i)) for i in range(n)]
-        sign = 1
-        prev = Polynomial.one(self.nvars)
-        for k in range(n - 1):
-            if m[k][k].is_zero():
-                for i in range(k + 1, n):
-                    if not m[i][k].is_zero():
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return Polynomial.zero(self.nvars)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # Sylvester's identity guarantees this division is exact
-                    m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
-            prev = m[k][k]
-        det = m[n - 1][n - 1]
-        return -det if sign < 0 else det
+        rank, sign, last = self._eliminate()
+        if rank < self.rows:
+            return Polynomial.zero(self.nvars)
+        return -last if sign < 0 else last
 
     def generic_rank(self):
         """Rank over the rational-function field.
 
-        Fully pivoted fraction-free elimination; a pivot is any entry that is
-        not the identically-zero polynomial, so the result does not depend on
-        evaluation points.
+        A pivot is any entry that is not the identically-zero polynomial, so
+        the result does not depend on evaluation points.
+        """
+        return self._eliminate()[0]
+
+    def _eliminate(self):
+        """Fully pivoted fraction-free elimination: (rank, sign, last pivot).
+
+        sign is the parity of the row and column swaps.  For a square
+        matrix of full rank, sign * last pivot is the determinant.
         """
         m = [list(self.row(i)) for i in range(self.rows)]
-        steps = min(self.rows, self.cols)
         prev = Polynomial.one(self.nvars)
-        rank = 0
-        for k in range(steps):
-            pivot = None
-            for i in range(k, self.rows):
-                for j in range(k, self.cols):
-                    if not m[i][j].is_zero():
-                        pivot = (i, j)
-                        break
-                if pivot:
-                    break
+        sign = 1
+        for k in range(min(self.rows, self.cols)):
+            pivot = next(
+                (
+                    (i, j)
+                    for i in range(k, self.rows)
+                    for j in range(k, self.cols)
+                    if not m[i][j].is_zero()
+                ),
+                None,
+            )
             if pivot is None:
-                return rank
+                return k, sign, prev
             pi, pj = pivot
             if pi != k:
                 m[k], m[pi] = m[pi], m[k]
+                sign = -sign
             if pj != k:
                 for row in m:
                     row[k], row[pj] = row[pj], row[k]
+                sign = -sign
             for i in range(k + 1, self.rows):
                 for j in range(k + 1, self.cols):
+                    # Sylvester's identity guarantees this division is exact
                     m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
             prev = m[k][k]
-            rank += 1
-        return rank
+        return min(self.rows, self.cols), sign, prev
 
 
 def permutation_matrix(n, l, nvars):

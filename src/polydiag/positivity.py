@@ -213,6 +213,11 @@ def check_bundle_equivalence(a, bundle, spec):
         raise ValueError(f"grid has {spec.nvars} axes, matrix has {a.nvars} variables")
     if bundle_certificate_failures(a, bundle):
         raise ValueError("bundle does not verify against the subject matrix")
+    return _compare_on_grid(a, bundle, spec)
+
+
+def _compare_on_grid(a, bundle, spec):
+    """check_bundle_equivalence for a bundle already verified against a."""
     diag_polys = [
         cert.D[k, k] for cert, _trace in bundle.branches for k in range(cert.D.rows)
     ]

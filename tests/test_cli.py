@@ -4,7 +4,7 @@ Each test drives main() with an argv list and checks the exit code plus
 the captured output, the same way a shell user would see it.
 """
 
-from polydiag import __version__
+from polydiag import __version__, certificates, cli, diagonal, positivity
 from polydiag.arith import parse_polynomial
 from polydiag.certificates import SosMatrixCertificate, format_sos_certificate
 from polydiag.cli import main
@@ -300,3 +300,40 @@ def test_usage_errors(tmp_path, capsys):
     path = put(tmp_path, "a.mat", SUBJECT)
     assert main(["diagonalize", path, "--mode", "sideways"]) == 1
     assert main(["diagonalize"]) == 1
+
+
+# -- verification counts ---------------------------------------------------------
+
+
+def count_calls(monkeypatch, name, modules):
+    """Count calls to the function ``name`` wherever ``modules`` look it up."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls
+
+
+def test_bundle_checked_once_per_branch(tmp_path, monkeypatch, capsys):
+    mat = put(tmp_path, "a.mat", SUBJECT)
+    cert = tmp_path / "a.bundle"
+    modules = (certificates, diagonal, positivity, cli)
+    checks = count_calls(monkeypatch, "diag_certificate_failures", modules)
+    assert main(["diagonalize", "--mode", "bundle", mat, "--out", str(cert)]) == 0
+    assert len(checks) == 3  # the README matrix has three branches
+    checks.clear()
+    assert main(["equiv-check", mat, str(cert)]) == 0
+    assert len(checks) == 3
+
+
+def test_producers_skip_checked_block_step(tmp_path, monkeypatch):
+    steps = count_calls(monkeypatch, "block_step", (diagonal,))
+    mat = put(tmp_path, "a.mat", TRIDIAG)
+    for mode in ("standard", "single", "bundle"):
+        assert main(["diagonalize", "--mode", mode, mat]) == 0
+    assert steps == []
