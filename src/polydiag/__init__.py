@@ -13,6 +13,7 @@ from .arith import Polynomial, parse_polynomial
 from .errors import (
     BundleTooLarge,
     DimensionCap,
+    ExponentOverflow,
     InternalIdentityFailure,
     NotStandardForm,
     NotSymmetric,
@@ -35,5 +36,6 @@ __all__ = [
     "NotStandardForm",
     "BundleTooLarge",
     "DimensionCap",
+    "ExponentOverflow",
     "InternalIdentityFailure",
 ]

@@ -7,12 +7,25 @@ coefficients, so the representation is canonical: two polynomials are equal
 iff their term dicts are equal, and the zero polynomial stores no terms.
 All arithmetic is exact.
 
+Products and exact divisions run on integers.  Each polynomial lazily
+caches an integer form: one common denominator plus (packed monomial key,
+integer numerator) pairs.  A key packs the exponents into fixed 32-bit
+fields, t1 highest and td lowest, under one more field holding the total
+degree (omitted for one variable, where the exponent is the degree).  Adding
+two keys multiplies two monomials, and comparing two keys as integers is the
+graded lexicographic order.  Every exponent in a packed key is below 2^30,
+so a field never carries into the next; a product whose exponents would
+outgrow that raises ExponentOverflow.  sum_of_products accumulates a whole
+sum of products on plain integers over one common denominator and makes one
+Fraction per output term; a single product is its one-pair case.
+
 The text syntax (used by the file formats and the CLI) is a sum of terms
 separated by + or -, where a term is an optional rational coefficient
 (``3``, ``-1/2``), an optional ``*``, and ``*``-separated variable factors
 ``t<i>`` or ``t<i>^<e>``.  Example: ``3/2*t1^2*t2 - t2 + 1``.  Whitespace is
-insignificant.  Printing uses graded lexicographic order with t1 > t2 > ...,
-highest degree first, and round-trips through the parser.
+insignificant.  The parser refuses a term in which one variable's exponent
+exceeds MAX_EXPONENT.  Printing uses graded lexicographic order with
+t1 > t2 > ..., highest degree first, and round-trips through the parser.
 """
 
 from __future__ import annotations
@@ -20,13 +33,53 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import ParseError
+from .errors import ExponentOverflow, ParseError
+
+# Largest exponent of one variable in one term that the parser accepts.
+MAX_EXPONENT = 4096
+
+_FIELD_BITS = 32
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+# exponents in a packed key stay below this, so a sum of two never carries
+_EXP_LIMIT = 1 << 30
+# set in a field iff its exponent is >= 2^30
+_OVERFLOW_BITS = _FIELD_MASK ^ (_EXP_LIMIT - 1)
+# top bit of a field, free while exponents stay below 2^31
+_GUARD_BIT = 1 << (_FIELD_BITS - 1)
 
 
 def _order_key(exps):
     # graded lex: compare total degree first, then the exponent tuple itself
     return (sum(exps), exps)
+
+
+def _pack(exps):
+    """Packed key of an exponent tuple: [degree,] t1, ..., td, td lowest."""
+    if max(exps) >= _EXP_LIMIT:
+        raise ExponentOverflow(f"exponent in {exps} is not below 2^30")
+    key = sum(exps) if len(exps) > 1 else 0
+    for e in exps:
+        key = (key << _FIELD_BITS) | e
+    return key
+
+
+@lru_cache(maxsize=64)
+def _unpacker(nvars):
+    """Function from a packed key back to its exponent tuple."""
+    if nvars == 1:
+        return lambda key: (key,)
+    if nvars == 2:
+        return lambda key: ((key >> _FIELD_BITS) & _FIELD_MASK, key & _FIELD_MASK)
+    shifts = tuple(_FIELD_BITS * k for k in reversed(range(nvars)))
+    return lambda key: tuple((key >> s) & _FIELD_MASK for s in shifts)
+
+
+@lru_cache(maxsize=64)
+def _field_bits(nvars, bits):
+    """The given bits repeated in every exponent field of a packed key."""
+    return sum(bits << (_FIELD_BITS * k) for k in range(nvars))
 
 
 class Polynomial:
@@ -36,7 +89,7 @@ class Polynomial:
     Instances are treated as immutable; the terms dict must not be mutated.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_ints")
 
     def __init__(self, nvars, terms=None):
         if nvars < 1:
@@ -46,13 +99,23 @@ class Polynomial:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has length {len(exps)}, expected {nvars}")
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in exps):
                 raise ValueError(f"exponents must be nonnegative integers, got {exps}")
             coeff = Fraction(coeff)
             if coeff:
                 clean[exps] = coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        _set_nvars(self, nvars)
+        _set_terms(self, clean)
+        _set_ints(self, None)
+
+    @classmethod
+    def _new(cls, nvars, clean_terms):
+        """Polynomial over terms that are already valid; no checks, no copy."""
+        p = _object_new(cls)
+        _set_nvars(p, nvars)
+        _set_terms(p, clean_terms)
+        _set_ints(p, None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -78,6 +141,18 @@ class Polynomial:
         exps = [0] * nvars
         exps[i - 1] = 1
         return cls(nvars, {tuple(exps): Fraction(1)})
+
+    def _int_form(self):
+        """(den, [(packed key, numerator), ...]): den is the lcm of the
+        coefficient denominators and each coefficient is numerator / den."""
+        form = self._ints
+        if form is None:
+            terms = self.terms
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            pairs = [(_pack(e), c.numerator * (den // c.denominator)) for e, c in terms.items()]
+            form = (den, pairs)
+            _set_ints(self, form)
+        return form
 
     # -- queries ---------------------------------------------------------
 
@@ -126,17 +201,25 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            val = out.get(exps, Fraction(0)) + coeff
+            val = out.get(exps)
+            if val is None:
+                out[exps] = coeff
+                continue
+            val += coeff
             if val:
                 out[exps] = val
             else:
-                out.pop(exps, None)
-        return Polynomial(self.nvars, out)
+                del out[exps]
+        return _new(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        neg = _new(self.nvars, {e: -c for e, c in self.terms.items()})
+        if self._ints is not None:
+            den, pairs = self._ints
+            _set_ints(neg, (den, [(k, -c) for k, c in pairs]))
+        return neg
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -154,21 +237,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # clear denominators so the convolution runs on plain integers;
-        # one Fraction per output term instead of one per term pair
-        den1 = math.lcm(*(c.denominator for c in self.terms.values())) if self.terms else 1
-        den2 = math.lcm(*(c.denominator for c in other.terms.values())) if other.terms else 1
-        left = [(e, int(c * den1)) for e, c in self.terms.items()]
-        right = [(e, int(c * den2)) for e, c in other.terms.items()]
-        out = {}
-        for e1, c1 in left:
-            for e2, c2 in right:
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                out[exps] = out.get(exps, 0) + c1 * c2
-        den = den1 * den2
-        return Polynomial(
-            self.nvars, {e: Fraction(c, den) for e, c in out.items() if c}
-        )
+        return sum_of_products(self.nvars, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -192,10 +261,12 @@ class Polynomial:
     def exact_div(self, divisor):
         """Exact quotient self / divisor; raises ValueError if not divisible.
 
-        Single-divisor long division: each step cancels the graded-lex
-        leading term of the remainder and only introduces strictly smaller
-        monomials, so the loop terminates.  A step whose monomial quotient
-        has a negative exponent proves non-divisibility.
+        Single-divisor long division on the integer forms: each step cancels
+        the graded-lex leading term of the remainder and only introduces
+        strictly smaller monomials, so the loop terminates.  A step whose
+        monomial quotient has a negative exponent proves non-divisibility.
+        The remainder is kept as integers R over a scale s; a step whose
+        leading coefficient the divisor's does not divide scales R up.
         """
         divisor = self._coerce(divisor)
         if divisor is None or not isinstance(divisor, Polynomial):
@@ -204,25 +275,44 @@ class Polynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return Polynomial.zero(self.nvars)
-        dexps, dcoeff = divisor.leading()
-        rem = dict(self.terms)
-        quot = {}
+        nvars = self.nvars
+        num_den, num_pairs = self._int_form()
+        div_den, div_pairs = divisor._int_form()
+        lead_key, lead = max(div_pairs)
+        high = _field_bits(nvars, _OVERFLOW_BITS)
+        guard = _field_bits(nvars, _GUARD_BIT)
+        # self / divisor = (div_den / num_den) * (N / M) on the numerators
+        rem = dict(num_pairs)
+        scale = 1
+        quot = []
         while rem:
-            lexps = max(rem, key=_order_key)
-            lcoeff = rem[lexps]
-            qexps = tuple(a - b for a, b in zip(lexps, dexps))
-            if any(e < 0 for e in qexps):
+            key = max(rem)
+            r = rem[key]
+            if key & high:
+                exps = _unpacker(nvars)(key)
+                raise ExponentOverflow(f"remainder exponent {exps} is not below 2^30")
+            # borrow-free monomial division: a cleared guard bit is a negative exponent
+            shifted = (key | guard) - lead_key
+            if shifted & guard != guard:
                 raise ValueError(f"({divisor}) does not divide ({self})")
-            qcoeff = lcoeff / dcoeff
-            quot[qexps] = qcoeff
-            for e2, c2 in divisor.terms.items():
-                exps = tuple(a + b for a, b in zip(qexps, e2))
-                val = rem.get(exps, Fraction(0)) - qcoeff * c2
-                if val:
-                    rem[exps] = val
+            qkey = shifted ^ guard
+            quot.append((qkey, r * div_den, scale * lead * num_den))
+            g = math.gcd(r, lead)
+            up = lead // g
+            if up != 1:
+                rem = {k: c * up for k, c in rem.items()}
+                scale *= up
+            r //= g
+            get = rem.get
+            for k2, c2 in div_pairs:
+                k = qkey + k2
+                c = get(k, 0) - r * c2
+                if c:
+                    rem[k] = c
                 else:
-                    rem.pop(exps, None)
-        return Polynomial(self.nvars, quot)
+                    del rem[k]
+        unpack = _unpacker(nvars)
+        return _new(nvars, {unpack(k): Fraction(n, d) for k, n, d in quot})
 
     def evaluate(self, point):
         """Exact value at a rational point (sequence of length nvars)."""
@@ -271,6 +361,63 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.nvars}, '{self}')"
+
+
+_object_new = object.__new__
+_set_nvars = Polynomial.nvars.__set__
+_set_terms = Polynomial.terms.__set__
+_set_ints = Polynomial._ints.__set__
+_new = Polynomial._new
+
+
+def sum_of_products(nvars, pairs):
+    """Exact sum of a*b over the (a, b) pairs of Polynomials, as one Polynomial.
+
+    Every product runs on the operands' integer forms against one common
+    denominator (the lcm of the pairs' denominator products), so the sum is
+    accumulated on plain integers and one Fraction is made per output term.
+    Pairs with a zero factor are skipped.
+    """
+    forms = []
+    den = 1
+    for a, b in pairs:
+        if a.nvars != nvars or b.nvars != nvars:
+            raise ValueError(f"variable-count mismatch: {a.nvars} vs {b.nvars}, expected {nvars}")
+        if a.terms and b.terms:
+            da, left = a._int_form()
+            db, right = b._int_form()
+            d = da * db
+            if d != 1:
+                den = math.lcm(den, d)
+            forms.append((d, left, right))
+    acc = {}
+    get = acc.get
+    for d, left, right in forms:
+        scale = den // d
+        for k1, c1 in left:
+            if scale != 1:
+                c1 *= scale
+            for k2, c2 in right:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
+    high = _field_bits(nvars, _OVERFLOW_BITS)
+    unpack = _unpacker(nvars)
+    pairs_out = []
+    terms = {}
+    if den != 1:
+        g = math.gcd(den, *acc.values())
+        if g != 1:
+            den //= g
+            acc = {k: c // g for k, c in acc.items()}
+    for k, c in acc.items():
+        if c:
+            if k & high:
+                raise ExponentOverflow(f"product exponent {unpack(k)} is not below 2^30")
+            pairs_out.append((k, c))
+            terms[unpack(k)] = Fraction(c) if den == 1 else Fraction(c, den)
+    out = _new(nvars, terms)
+    _set_ints(out, (den, pairs_out))
+    return out
 
 
 _TOKEN_RE = re.compile(r"(\d+)|t(\d+)|([+\-*/^])|(\S)")
@@ -322,15 +469,17 @@ def parse_polynomial(text, nvars):
                 raise ParseError(f"column {col2}: expected an integer exponent")
             exp = val2
         exps[val - 1] += exp
+        if exps[val - 1] > MAX_EXPONENT:
+            raise ParseError(f"column {col}: exponent of t{val} exceeds the maximum {MAX_EXPONENT}")
 
     def parse_term(sign):
-        coeff = Fraction(1)
+        num, den = sign, 1
         exps = [0] * nvars
         kind, val, col = peek()
         have_any = False
         if kind == "int":
             take()
-            coeff = Fraction(val)
+            num *= val
             have_any = True
             if peek()[0] == "op" and peek()[1] == "/":
                 take()
@@ -339,7 +488,7 @@ def parse_polynomial(text, nvars):
                     raise ParseError(f"column {col2}: expected a denominator")
                 if val2 == 0:
                     raise ParseError(f"column {col2}: zero denominator")
-                coeff /= val2
+                den = val2
             if peek()[0] == "op" and peek()[1] == "*":
                 take()
                 parse_factor(exps)
@@ -354,17 +503,19 @@ def parse_polynomial(text, nvars):
             kind, val, col = peek()
             raise ParseError(f"column {col}: expected a term")
         key = tuple(exps)
-        terms[key] = terms.get(key, Fraction(0)) + sign * coeff
+        coeff = Fraction(num) if den == 1 else Fraction(num, den)
+        before = terms.get(key)
+        terms[key] = coeff if before is None else before + coeff
 
-    sign = Fraction(1)
+    sign = 1
     kind, val, col = peek()
     if kind == "op" and val in "+-":
         take()
-        sign = Fraction(-1) if val == "-" else Fraction(1)
+        sign = -1 if val == "-" else 1
     parse_term(sign)
     while pos < len(tokens):
         kind, val, col = take()
         if kind != "op" or val not in "+-":
             raise ParseError(f"column {col}: expected '+' or '-' between terms")
-        parse_term(Fraction(-1) if val == "-" else Fraction(1))
-    return Polynomial(nvars, terms)
+        parse_term(-1 if val == "-" else 1)
+    return _new(nvars, {e: c for e, c in terms.items() if c})

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .arith import Polynomial, parse_polynomial
+from .arith import Polynomial, parse_polynomial, sum_of_products
 from .errors import InternalIdentityFailure, NotSymmetric, ParseError
 from .polymat import PolyMatrix, format_matrix, parse_matrix
 
@@ -196,15 +196,18 @@ def diag_certificate_failures(a, cert):
         raise NotSymmetric("subject matrix is not symmetric")
     w_id = PolyMatrix.identity(n, a.nvars) * cert.w
     failures = []
-    if cert.X_plus @ cert.X_minus != w_id:
+    plus_minus = cert.X_plus @ cert.X_minus == w_id
+    if not plus_minus:
         failures.append("X_plus*X_minus = w*I")
-    if cert.X_minus @ cert.X_plus != w_id:
+    # X_plus*X_minus = w*I with w nonzero makes X_plus invertible over the
+    # rational functions, X_minus = w*X_plus^-1, so X_minus*X_plus = w*I too
+    if (not plus_minus or cert.w.is_zero()) and cert.X_minus @ cert.X_plus != w_id:
         failures.append("X_minus*X_plus = w*I")
     if not cert.D.is_diagonal():
         failures.append("D is diagonal")
-    if cert.D != cert.X_minus @ a @ cert.X_minus.transpose():
+    if cert.D != cert.X_minus.congruence(a):
         failures.append("D = X_minus*A*X_minus^t")
-    if (cert.w * cert.w) * a != cert.X_plus @ cert.D @ cert.X_plus.transpose():
+    if (cert.w * cert.w) * a != cert.X_plus.congruence(cert.D):
         failures.append("w^2*A = X_plus*D*X_plus^t")
     return failures
 
@@ -226,10 +229,7 @@ def bundle_certificate_failures(a, bundle):
 
 
 def _sum_of_squares(squares, nvars):
-    acc = Polynomial.zero(nvars)
-    for f in squares:
-        acc = acc + f * f
-    return acc
+    return sum_of_products(nvars, ((f, f) for f in squares))
 
 
 def equiv_witness_failures(a1, a2, wit):
@@ -253,11 +253,13 @@ def equiv_witness_failures(a1, a2, wit):
     if wit.s2.is_zero():
         failures.append("s2 is nonzero")
     z_id = PolyMatrix.identity(n, a1.nvars) * wit.z
-    if wit.x_minus @ wit.x_plus != z_id:
+    minus_plus = wit.x_minus @ wit.x_plus == z_id
+    if not minus_plus:
         failures.append("x_minus*x_plus = z*I")
-    if wit.x_plus @ wit.x_minus != z_id:
+    # with z nonzero the first product already implies the reverse one
+    if (not minus_plus or wit.z.is_zero()) and wit.x_plus @ wit.x_minus != z_id:
         failures.append("x_plus*x_minus = z*I")
-    if wit.s1 * a1 != wit.s2 * (wit.x_plus @ a2 @ wit.x_plus.transpose()):
+    if wit.s1 * a1 != wit.s2 * wit.x_plus.congruence(a2):
         failures.append("s1*a1 = s2*x_plus*a2*x_plus^t")
     return failures
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Polynomial
+from .arith import Polynomial, sum_of_products
 from .certificates import DiagBundle, DiagCertificate, PivotTrace, diag_certificate_failures
 from .errors import (
     BundleTooLarge,
@@ -120,9 +120,8 @@ def standard_form_diagonalize(a):
     for i in range(n):
         x_minus[i][i] = m
         for j in range(i - 1, -1, -1):
-            acc = zero
-            for k in range(j + 1, i + 1):
-                acc = acc + x_minus[i][k] * x_plus[k][j]
+            pairs = ((x_minus[i][k], x_plus[k][j]) for k in range(j + 1, i + 1))
+            acc = sum_of_products(nvars, pairs)
             try:
                 x_minus[i][j] = (-acc).exact_div(m)
             except ValueError:
@@ -167,9 +166,9 @@ def block_step(a):
     failures = []
     if xp @ xm != PolyMatrix.identity(n, a.nvars) * a2:
         failures.append("X_plus*X_minus = alpha^2*I")
-    if at != xm @ a @ xm.transpose():
+    if at != xm.congruence(a):
         failures.append("Atilde = X_minus*A*X_minus^t")
-    if (a2 * a2) * a != xp @ at @ xp.transpose():
+    if (a2 * a2) * a != xp.congruence(at):
         failures.append("alpha^4*A = X_plus*Atilde*X_plus^t")
     if failures:
         raise InternalIdentityFailure("block step identities broke: " + "; ".join(failures))
@@ -179,15 +178,19 @@ def block_step(a):
 def _block_step(a):
     """block_step without its checks, for a symmetric a of dimension >= 2."""
     n = a.rows
-    zero = Polynomial.zero(a.nvars)
+    nvars = a.nvars
+    zero = Polynomial.zero(nvars)
     alpha = a[0, 0]
     beta = [a[0, k] for k in range(1, n)]
 
     atilde = [[zero] * n for _ in range(n)]
     atilde[0][0] = alpha * alpha * alpha
-    for p in range(n - 1):
-        for q in range(n - 1):
-            atilde[p + 1][q + 1] = alpha * (alpha * a[p + 1, q + 1] - beta[p] * beta[q])
+    # the trailing block alpha*(alpha*C - beta^t*beta) is symmetric with a
+    for p in range(1, n):
+        neg_beta = -beta[p - 1]
+        for q in range(p, n):
+            inner = sum_of_products(nvars, ((alpha, a[p, q]), (neg_beta, beta[q - 1])))
+            atilde[p][q] = atilde[q][p] = alpha * inner
 
     def corner(sign):
         rows = [[zero] * n for _ in range(n)]
@@ -224,7 +227,7 @@ def _pivot(a, i, j):
         v = p_i @ w_add
         v_inv = w_inv @ p_i
         scale = Fraction(2)
-    return v @ a @ v.transpose(), v, v_inv, scale
+    return v.congruence(a), v, v_inv, scale
 
 
 def pivot_congruence(a, i, j):

@@ -37,3 +37,7 @@ class InternalIdentityFailure(RuntimeError):
 
     This is never a property of the input; it signals an implementation bug.
     """
+
+
+class ExponentOverflow(ValueError):
+    """An exponent reached 2^30, the limit of a packed monomial field."""

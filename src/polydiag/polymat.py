@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import Polynomial, parse_polynomial
+from .arith import Polynomial, parse_polynomial, sum_of_products
 from .errors import ParseError
 
 
@@ -143,18 +143,38 @@ class PolyMatrix:
             )
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch in matrix product")
-        zero = Polynomial.zero(self.nvars)
+        nvars = self.nvars
+        inner = self.cols
+        cols = other.cols
         out = []
         for i in range(self.rows):
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i * self.cols + k]
-                    b = other.entries[k * other.cols + j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                out.append(acc)
-        return PolyMatrix(self.rows, other.cols, out)
+            row = self.entries[i * inner : (i + 1) * inner]
+            for j in range(cols):
+                out.append(sum_of_products(nvars, zip(row, other.entries[j::cols])))
+        return PolyMatrix(self.rows, cols, out)
+
+    def congruence(self, m):
+        """X*M*X^t for X = self.
+
+        When M is symmetric, so is X*M*X^t: only its upper triangle is
+        multiplied, as rows of X*M against rows of X, and then mirrored.  A
+        non-symmetric M takes the plain product.
+        """
+        if not m.is_symmetric():
+            return self @ m @ self.transpose()
+        xm = self @ m
+        nvars = self.nvars
+        n = self.rows
+        k = self.cols
+        x = self.entries
+        out = [None] * (n * n)
+        for i in range(n):
+            row = xm.entries[i * k : (i + 1) * k]
+            for j in range(i, n):
+                out[i * n + j] = out[j * n + i] = sum_of_products(
+                    nvars, zip(row, x[j * k : (j + 1) * k])
+                )
+        return PolyMatrix(n, n, out)
 
     def transpose(self):
         return PolyMatrix(
@@ -279,10 +299,15 @@ class PolyMatrix:
                 for row in m:
                     row[k], row[pj] = row[pj], row[k]
                 sign = -sign
+            pivot_row = m[k]
             for i in range(k + 1, self.rows):
+                row = m[i]
+                lead = -row[k]
                 for j in range(k + 1, self.cols):
                     # Sylvester's identity guarantees this division is exact
-                    m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
+                    row[j] = sum_of_products(
+                        self.nvars, ((pivot_row[k], row[j]), (lead, pivot_row[j]))
+                    ).exact_div(prev)
             prev = m[k][k]
         return min(self.rows, self.cols), sign, prev
 

@@ -1,0 +1,246 @@
+"""Tests for the integer product kernel, the congruence product and the
+exponent budget.
+
+Property tests use hypothesis with derandomized, bounded examples, so every
+run sees the same cases.
+"""
+
+import random
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polydiag.arith import (
+    MAX_EXPONENT,
+    Polynomial,
+    _pack,
+    _unpacker,
+    parse_polynomial,
+    sum_of_products,
+)
+from polydiag.certificates import (
+    DiagCertificate,
+    EquivWitness,
+    diag_certificate_failures,
+    equiv_witness_failures,
+)
+from polydiag.cli import main
+from polydiag.diagonal import single_path_diagonalize
+from polydiag.errors import ExponentOverflow, ParseError
+from polydiag.polymat import PolyMatrix
+
+from helpers import const_matrix
+
+BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+NVARS = 2
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+monomials = st.tuples(*[st.integers(0, 3)] * NVARS)
+polys = st.dictionaries(monomials, coefficients, max_size=4).map(
+    lambda terms: Polynomial(NVARS, terms)
+)
+
+
+def naive_product(p, q):
+    """Exponent-tuple convolution on Fractions, independent of the kernel."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return Polynomial(p.nvars, out)
+
+
+def matrices(rows, cols, symmetric=False):
+    def build(entries):
+        if symmetric:
+            grid = [[None] * cols for _ in range(rows)]
+            it = iter(entries)
+            for i in range(rows):
+                for j in range(i, cols):
+                    grid[i][j] = grid[j][i] = next(it)
+            return PolyMatrix.from_rows(grid)
+        return PolyMatrix(rows, cols, entries)
+
+    count = rows * (rows + 1) // 2 if symmetric else rows * cols
+    return st.lists(polys, min_size=count, max_size=count).map(build)
+
+
+@BOUNDED
+@given(st.lists(st.tuples(polys, polys), max_size=5))
+def test_sum_of_products_equals_fold(pairs):
+    fold = Polynomial.zero(NVARS)
+    naive = Polynomial.zero(NVARS)
+    for a, b in pairs:
+        fold = fold + a * b
+        naive = naive + naive_product(a, b)
+    got = sum_of_products(NVARS, pairs)
+    assert got == fold == naive
+    assert all(isinstance(c, Fraction) and c for c in got.terms.values())
+
+
+@BOUNDED
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(matrices(n, n, symmetric=True), matrices(2, n))
+))
+def test_congruence_symmetric_matches_plain_product(case):
+    m, x = case
+    assert x.congruence(m) == x @ m @ x.transpose()
+
+
+@BOUNDED
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(matrices(n, n), matrices(n, n))))
+def test_congruence_general_matches_plain_product(case):
+    m, x = case
+    assert x.congruence(m) == x @ m @ x.transpose()
+
+
+def test_packed_keys_round_trip_at_field_edge():
+    edge = (1 << 30) - 1
+    for exps in ((edge,), (edge, 0), (0, edge), (edge, edge, edge), (edge, 1, 0, edge)):
+        assert _unpacker(len(exps))(_pack(exps)) == exps
+    with pytest.raises(ExponentOverflow):
+        _pack((0, 1 << 30))
+
+
+def test_product_at_field_edge_is_exact():
+    half = 1 << 29
+    t = Polynomial.variable(2, 1)
+    s = Polynomial.variable(2, 2)
+    p = Polynomial(2, {(half, half - 1): 3})
+    q = Polynomial(2, {(half - 1, half): Fraction(1, 2)})
+    assert (p * q).terms == {((1 << 30) - 1, (1 << 30) - 1): Fraction(3, 2)}
+    assert ((p + t) * (q + s)) == sum_of_products(2, [(p, q), (p, s), (t, q), (t, s)])
+
+
+def test_exponent_overflow_is_a_value_error():
+    half = Polynomial(1, {(1 << 29,): 1})
+    with pytest.raises(ExponentOverflow):
+        half * half
+    big = Polynomial(1, {(1 << 30,): 1})
+    with pytest.raises(ValueError):
+        big * Polynomial.one(1)
+
+
+def test_sympy_differential_products():
+    sympy = pytest.importorskip("sympy")
+
+    def expr(p):
+        return sympy.sympify(str(p).replace("^", "**"))
+
+    rng = random.Random(7)
+    for _ in range(40):
+        p, q, r = (
+            Polynomial(2, {
+                (rng.randint(0, 4), rng.randint(0, 4)):
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                for _ in range(rng.randint(0, 5))
+            })
+            for _ in range(3)
+        )
+        got = sum_of_products(2, [(p, q), (q, r)])
+        assert sympy.expand(expr(got) - expr(p) * expr(q) - expr(q) * expr(r)) == 0
+
+
+# -- validation and the exponent budget ---------------------------------------
+
+
+def test_constructor_rejects_string_exponent():
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Polynomial(1, {("2",): 1})
+
+
+def test_constructor_rejects_bool_exponent():
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Polynomial(1, {(True,): 1})
+
+
+def test_parse_exponent_budget():
+    assert parse_polynomial(f"t1^{MAX_EXPONENT}", 1).degree() == MAX_EXPONENT
+    for bad in (f"t1^{MAX_EXPONENT + 1}", f"t1^{MAX_EXPONENT}*t1", "t2^10000000"):
+        with pytest.raises(ParseError, match="exceeds the maximum"):
+            parse_polynomial(bad, 2)
+
+
+def test_cli_refuses_huge_exponent_fast(tmp_path, capsys):
+    path = tmp_path / "huge.mat"
+    path.write_text("1 1 1\nt1^10000000\n")
+    start = time.perf_counter()
+    assert main(["psd-grid", "--grid-count", "3", str(path)]) == 1
+    assert main(["diagonalize", str(path)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the maximum" in capsys.readouterr().err
+
+
+# -- the implied reverse products ----------------------------------------------
+
+
+def test_vacuous_certificate_still_checks_reverse_product():
+    zero2 = const_matrix([[0, 0], [0, 0]])
+    cert = DiagCertificate(
+        2,
+        const_matrix([[0, 1], [0, 0]]),
+        const_matrix([[1, 0], [0, 0]]),
+        zero2,
+        Polynomial.zero(1),
+    )
+    assert diag_certificate_failures(zero2, cert) == ["X_minus*X_plus = w*I"]
+
+
+def test_zero_z_witness_still_checks_reverse_product():
+    zero2 = const_matrix([[0, 0], [0, 0]])
+    one = Polynomial.one(1)
+    wit = EquivWitness(
+        one, (one,), one, (one,), Polynomial.zero(1),
+        const_matrix([[1, 0], [0, 0]]),
+        const_matrix([[0, 1], [0, 0]]),
+    )
+    assert equiv_witness_failures(zero2, zero2, wit) == ["x_plus*x_minus = z*I"]
+
+
+def all_identity_failures(a, cert):
+    """Every diag identity checked with plain products, none skipped."""
+    w_id = PolyMatrix.identity(a.rows, a.nvars) * cert.w
+    out = []
+    if cert.X_plus @ cert.X_minus != w_id:
+        out.append("X_plus*X_minus = w*I")
+    if cert.X_minus @ cert.X_plus != w_id:
+        out.append("X_minus*X_plus = w*I")
+    if not cert.D.is_diagonal():
+        out.append("D is diagonal")
+    if cert.D != cert.X_minus @ a @ cert.X_minus.transpose():
+        out.append("D = X_minus*A*X_minus^t")
+    if (cert.w * cert.w) * a != cert.X_plus @ cert.D @ cert.X_plus.transpose():
+        out.append("w^2*A = X_plus*D*X_plus^t")
+    return out
+
+
+SUBJECT = PolyMatrix.from_rows(
+    [
+        [parse_polynomial(s, 1) for s in row]
+        for row in (("t1", "1", "0"), ("1", "t1^2", "t1"), ("0", "t1", "2"))
+    ]
+)
+GOOD = single_path_diagonalize(SUBJECT)
+
+
+@BOUNDED
+@given(
+    st.sampled_from(("X_plus", "X_minus", "D", "w")),
+    st.integers(0, 8),
+    st.sampled_from(("1", "t1", "-1/2*t1^2", "0")),
+)
+def test_failure_lists_match_full_check(part, index, delta_text):
+    delta = parse_polynomial(delta_text, 1)
+    fields = {"X_plus": GOOD.X_plus, "X_minus": GOOD.X_minus, "D": GOOD.D, "w": GOOD.w}
+    if part == "w":
+        fields["w"] = fields["w"] + delta
+    else:
+        entries = list(fields[part].entries)
+        entries[index] = entries[index] + delta
+        fields[part] = PolyMatrix(3, 3, entries)
+    cert = DiagCertificate(3, fields["X_plus"], fields["X_minus"], fields["D"], fields["w"])
+    assert diag_certificate_failures(SUBJECT, cert) == all_identity_failures(SUBJECT, cert)
