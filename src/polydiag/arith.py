@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -423,14 +424,24 @@ def sum_of_products(nvars, pairs):
 _TOKEN_RE = re.compile(r"(\d+)|t(\d+)|([+\-*/^])|(\S)")
 
 
+def _int_literal(digits, unit, pos):
+    """int(digits); a literal past Python's int-string limit is a ParseError
+    at ``unit pos`` (e.g. column 5), not the ValueError int() raises."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{unit} {pos}: integer with more than {limit} digits") from None
+
+
 def _tokenize(text):
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         col = m.start() + 1
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), col))
+            tokens.append(("int", _int_literal(m.group(1), "column", col), col))
         elif m.group(2) is not None:
-            tokens.append(("var", int(m.group(2)), col))
+            tokens.append(("var", _int_literal(m.group(2), "column", col), col))
         elif m.group(3) is not None:
             tokens.append(("op", m.group(3), col))
         else:

@@ -34,7 +34,9 @@ lines (kind, dim, nvars, plus per-kind counts), then `[matrix <name>]`
 sections in the matrix file format, `[poly <name>]` sections holding one
 polynomial, `[trace <k>]` sections with `i j num/den` pivot lines, and
 `[indexset <j>]` sections with one ascending index line (`-` when empty).
-Files are byte-deterministic for fixed inputs.
+Each kind's section order is stated once, by a layout function that both
+formats and parses it (see _KINDS).  Files are byte-deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -43,9 +45,10 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .arith import Polynomial, parse_polynomial, sum_of_products
+from .arith import Polynomial, _int_literal, parse_polynomial, sum_of_products
 from .errors import InternalIdentityFailure, NotSymmetric, ParseError
 from .polymat import PolyMatrix, format_matrix, parse_matrix
 
@@ -535,128 +538,328 @@ _HEADER = f"# generated-by polydiag {__version__}"
 _SECTION_RE = re.compile(r"^\[([a-z]+)(?:[ \t]+(.+?))?\]$")
 _SCALE_RE = re.compile(r"^(-?\d+)/(\d+)$")
 
-CERT_KINDS = ("diag", "bundle", "equiv", "sos", "membership")
+
+# Each kind's sections are stated once, by its layout function below, which
+# runs twice.  With a _Writer it emits the sections of the payload it is
+# given; with a _Reader and no payload it parses the same sections in the
+# same order and builds the payload.  A layout hands each section
+# `p and p.part`: the part to write, or None when reading.  items(key, values)
+# walks a run counted by the meta key `key`; check(ok, message) is a parse
+# check that the writer skips.
 
 
-def _matrix_section(name, mat):
-    return [f"[matrix {name}]"] + format_matrix(mat).rstrip("\n").split("\n")
+class _Writer:
+    """Emits each section a layout names from the payload's parts."""
+
+    def __init__(self):
+        self.lines = []
+        self.counts = {}
+
+    def items(self, key, values):
+        self.counts[key] = len(values)
+        return values
+
+    def matrix(self, name, mat, rows=None, cols=None):
+        self.lines.append(f"[matrix {name}]")
+        self.lines += format_matrix(mat).rstrip("\n").split("\n")
+        return mat
+
+    def matrices(self, prefix, mats, rows, cols):
+        for l, mat in enumerate(mats, start=1):
+            self.matrix(f"{prefix}_{l}", mat)
+        return mats
+
+    def poly(self, name, poly):
+        self.lines += [f"[poly {name}]", str(poly)]
+        return poly
+
+    def trace(self, name, trace):
+        self.lines.append(f"[trace {name}]")
+        for (i, j), s in zip(trace.pivots, trace.scales):
+            self.lines.append(f"{i} {j} {s.numerator}/{s.denominator}")
+        return trace
+
+    def indexset(self, name, idx):
+        self.lines += [f"[indexset {name}]", " ".join(str(k) for k in idx) if idx else "-"]
+        return idx
+
+    def check(self, ok, message):
+        pass
 
 
-def _poly_section(name, poly):
-    return [f"[poly {name}]", str(poly)]
+class _Reader:
+    """Parses each section a layout names, in file order, with its checks."""
+
+    def __init__(self, sections):
+        self.sections = sections
+        self.pos = 0
+        self.nvars = None
+        self.counts = {}
+
+    def expect(self, tag, name):
+        if self.pos >= len(self.sections):
+            raise ParseError(f"missing section [{tag} {name}]".replace(" ]", "]"))
+        got_tag, got_name, body, lineno = self.sections[self.pos]
+        if got_tag != tag or got_name != name:
+            want = f"[{tag} {name}]" if name else f"[{tag}]"
+            raise ParseError(
+                f"line {lineno}: expected section {want}, found [{got_tag} {got_name}]"
+            )
+        self.pos += 1
+        return body, lineno
+
+    def done(self):
+        if self.pos != len(self.sections):
+            _tag, _name, _body, lineno = self.sections[self.pos]
+            raise ParseError(f"line {lineno}: unexpected extra section [{_tag} {_name}]")
+
+    def items(self, key, _values):
+        return itertools.repeat(None, self.counts[key])
+
+    def matrix(self, name, _mat, rows=None, cols=None):
+        body, lineno = self.expect("matrix", name)
+        text = "\n".join(line for _ln, line in body)
+        try:
+            mat = parse_matrix(text)
+        except ParseError as exc:
+            raise ParseError(f"section [matrix {name}] near line {lineno}: {exc}") from None
+        if mat.nvars != self.nvars:
+            raise ParseError(
+                f"section [matrix {name}]: expected nvars {self.nvars}, got {mat.nvars}"
+            )
+        if rows is not None and (mat.rows, mat.cols) != (rows, cols):
+            raise ParseError(
+                f"section [matrix {name}]: expected {rows}x{cols}, got {mat.rows}x{mat.cols}"
+            )
+        return mat
+
+    def matrices(self, prefix, _mats, rows, cols):
+        """The run of sections [matrix <prefix>_1], [matrix <prefix>_2], ..."""
+        mats = []
+        while self.pos < len(self.sections) and self.sections[self.pos][:2] == (
+            "matrix",
+            f"{prefix}_{len(mats) + 1}",
+        ):
+            mats.append(self.matrix(f"{prefix}_{len(mats) + 1}", None, rows, cols))
+        return tuple(mats)
+
+    def poly(self, name, _poly):
+        body, lineno = self.expect("poly", name)
+        if len(body) != 1:
+            raise ParseError(f"section [poly {name}] near line {lineno} must hold exactly one line")
+        ln, line = body[0]
+        try:
+            return parse_polynomial(line, self.nvars)
+        except ParseError as exc:
+            raise ParseError(f"line {ln}: {exc}") from None
+
+    def trace(self, name, _trace):
+        body, _lineno = self.expect("trace", name)
+        pivots = []
+        scales = []
+        for ln, line in body:
+            fields = line.split()
+            if len(fields) != 3:
+                raise ParseError(f"line {ln}: trace lines are 'i j num/den', got {line!r}")
+            try:
+                i, j = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ParseError(f"line {ln}: bad pivot indices in {line!r}") from None
+            m = _SCALE_RE.match(fields[2])
+            if not m:
+                raise ParseError(f"line {ln}: bad scale {fields[2]!r}, expected num/den")
+            num, den = (_int_literal(g, "line", ln) for g in m.groups())
+            if den == 0:
+                raise ParseError(f"line {ln}: zero denominator in scale")
+            if not 1 <= i <= j:
+                raise ParseError(f"line {ln}: pivot pair ({i},{j}) must satisfy 1 <= i <= j")
+            if num <= 0:
+                raise ParseError(f"line {ln}: pivot scale must be positive")
+            pivots.append((i, j))
+            scales.append(Fraction(num, den))
+        return PivotTrace(tuple(pivots), tuple(scales))
+
+    def indexset(self, name, _idx):
+        body, lineno = self.expect("indexset", name)
+        if len(body) != 1:
+            raise ParseError(
+                f"section [indexset {name}] near line {lineno} must hold exactly one line"
+            )
+        ln, line = body[0]
+        if line == "-":
+            return ()
+        try:
+            idx = tuple(int(f) for f in line.split())
+        except ValueError:
+            raise ParseError(f"line {ln}: bad index set {line!r}") from None
+        if any(k < 1 for k in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ParseError(f"line {ln}: index set must be ascending positive integers")
+        return idx
+
+    def check(self, ok, message):
+        if not ok:
+            raise ParseError(message)
 
 
-def _meta_section(pairs):
-    lines = ["[meta]"]
-    lines.extend(f"{k} {v}" for k, v in pairs)
-    return lines
+def _diag_layout(io, dim, cert):
+    x_plus = io.matrix("X_plus", cert and cert.X_plus, dim, dim)
+    x_minus = io.matrix("X_minus", cert and cert.X_minus, dim, dim)
+    d = io.matrix("D", cert and cert.D, dim, dim)
+    return DiagCertificate(dim, x_plus, x_minus, d, io.poly("w", cert and cert.w))
+
+
+def _bundle_layout(io, dim, bundle):
+    branches = []
+    for k, branch in enumerate(io.items("branches", bundle and bundle.branches), start=1):
+        cert, trace = branch or (None, None)
+        d = io.matrix(f"D_{k}", cert and cert.D, dim, dim)
+        x_plus = io.matrix(f"X_plus_{k}", cert and cert.X_plus, dim, dim)
+        x_minus = io.matrix(f"X_minus_{k}", cert and cert.X_minus, dim, dim)
+        w = io.poly(f"w_{k}", cert and cert.w)
+        branches.append((DiagCertificate(dim, x_plus, x_minus, d, w), io.trace(str(k), trace)))
+    return DiagBundle(dim, tuple(branches))
+
+
+def _equiv_layout(io, dim, pkg):
+    wit = pkg and pkg.witness
+    subject_b = io.matrix("subject_b", pkg and pkg.subject_b, dim, dim)
+    s1 = io.poly("s1", wit and wit.s1)
+    s1_squares = tuple(
+        io.poly(f"s1_sq_{k}", f)
+        for k, f in enumerate(io.items("s1_squares", wit and wit.s1_squares), start=1)
+    )
+    s2 = io.poly("s2", wit and wit.s2)
+    s2_squares = tuple(
+        io.poly(f"s2_sq_{k}", f)
+        for k, f in enumerate(io.items("s2_squares", wit and wit.s2_squares), start=1)
+    )
+    z = io.poly("z", wit and wit.z)
+    x_plus = io.matrix("x_plus", wit and wit.x_plus, dim, dim)
+    x_minus = io.matrix("x_minus", wit and wit.x_minus, dim, dim)
+    wit = EquivWitness(s1, s1_squares, s2, s2_squares, z, x_plus, x_minus)
+    return EquivCertificatePackage(wit, subject_b)
+
+
+def _sos_layout(io, dim, cert):
+    c = io.poly("c", cert and cert.c)
+    factors = []
+    for k, q in enumerate(io.items("factors", cert and cert.factors), start=1):
+        q = io.matrix(f"Q_{k}", q)
+        io.check(q.cols == dim, f"section [matrix Q_{k}]: expected {dim} columns, got {q.cols}")
+        factors.append(q)
+    return SosMatrixCertificate(c, tuple(factors))
+
+
+def _membership_layout(io, dim, pkg):
+    gens = []
+    for k, g in enumerate(io.items("generators", pkg and pkg.generators), start=1):
+        g = io.matrix(f"generator_{k}", g)
+        where = f"section [matrix generator_{k}]"
+        io.check(g.rows == g.cols, f"{where}: generators must be square")
+        io.check(not gens or g.rows == gens[0].rows, f"{where}: generators must share dimension")
+        gens.append(g)
+    cert = pkg and pkg.certificate
+    terms = cert and tuple(zip(cert.generator_index_sets, cert.coefficients))
+    index_sets = []
+    coefficients = []
+    for j, term in enumerate(io.items("terms", terms), start=1):
+        idx, ys = term or (None, None)
+        idx = io.indexset(str(j), idx)
+        io.check(
+            all(k <= len(gens) for k in idx),
+            f"section [indexset {j}]: index exceeds generator count {len(gens)}",
+        )
+        ys = io.matrices(f"coeff_{j}", ys, gens[0].rows, dim)
+        io.check(ys, f"term {j} has no coefficient matrices")
+        index_sets.append(idx)
+        coefficients.append(tuple(ys))
+    cert = ModuleMembershipCertificate(tuple(index_sets), tuple(coefficients))
+    return MembershipCertificatePackage(cert, tuple(gens))
+
+
+class _Kind(NamedTuple):
+    layout: Callable  # (io, dim, payload or None) -> payload
+    counts: tuple  # meta keys counting the layout's items, in file order
+    shape: Callable  # payload -> (subject dimension, nvars)
+    failures: Callable  # (subject, payload) -> broken identities
+
+
+# The verifiers are looked up when called, so a caller that replaces one
+# (a tracer, a test counting calls) sees it used here too.
+_KINDS = {
+    "diag": _Kind(
+        _diag_layout,
+        (),
+        lambda p: (p.subject_dim, p.w.nvars),
+        lambda a, p: diag_certificate_failures(a, p),
+    ),
+    "bundle": _Kind(
+        _bundle_layout,
+        ("branches",),
+        lambda p: (p.subject_dim, p.branches[0][0].w.nvars),
+        lambda a, p: bundle_certificate_failures(a, p),
+    ),
+    "equiv": _Kind(
+        _equiv_layout,
+        ("s1_squares", "s2_squares"),
+        lambda p: (p.witness.x_plus.rows, p.witness.z.nvars),
+        lambda a, p: equiv_witness_failures(a, p.subject_b, p.witness),
+    ),
+    "sos": _Kind(
+        _sos_layout,
+        ("factors",),
+        lambda p: (p.factors[0].cols, p.c.nvars),
+        lambda a, p: sos_matrix_failures(a, p),
+    ),
+    "membership": _Kind(
+        _membership_layout,
+        ("generators", "terms"),
+        lambda p: (p.certificate.coefficients[0][0].cols, p.generators[0].nvars),
+        lambda a, p: membership_failures(a, p.generators, p.certificate),
+    ),
+}
+
+CERT_KINDS = tuple(_KINDS)
+
+
+def _format(kind, payload):
+    spec = _KINDS[kind]
+    dim, nvars = spec.shape(payload)
+    out = _Writer()
+    spec.layout(out, dim, payload)
+    meta = [("kind", kind), ("dim", dim), ("nvars", nvars)]
+    meta += [(key, out.counts[key]) for key in spec.counts]
+    return "\n".join([_HEADER, "[meta]", *(f"{k} {v}" for k, v in meta), *out.lines]) + "\n"
 
 
 def format_diag_certificate(cert):
-    lines = [_HEADER]
-    lines += _meta_section(
-        [("kind", "diag"), ("dim", cert.subject_dim), ("nvars", cert.w.nvars)]
-    )
-    lines += _matrix_section("X_plus", cert.X_plus)
-    lines += _matrix_section("X_minus", cert.X_minus)
-    lines += _matrix_section("D", cert.D)
-    lines += _poly_section("w", cert.w)
-    return "\n".join(lines) + "\n"
+    return _format("diag", cert)
 
 
 def format_bundle_certificate(bundle):
-    nvars = bundle.branches[0][0].w.nvars
-    lines = [_HEADER]
-    lines += _meta_section(
-        [
-            ("kind", "bundle"),
-            ("dim", bundle.subject_dim),
-            ("nvars", nvars),
-            ("branches", len(bundle.branches)),
-        ]
-    )
-    for k, (cert, trace) in enumerate(bundle.branches, start=1):
-        lines += _matrix_section(f"D_{k}", cert.D)
-        lines += _matrix_section(f"X_plus_{k}", cert.X_plus)
-        lines += _matrix_section(f"X_minus_{k}", cert.X_minus)
-        lines += _poly_section(f"w_{k}", cert.w)
-        lines.append(f"[trace {k}]")
-        for (i, j), s in zip(trace.pivots, trace.scales):
-            lines.append(f"{i} {j} {s.numerator}/{s.denominator}")
-    return "\n".join(lines) + "\n"
+    return _format("bundle", bundle)
 
 
 def format_equiv_certificate(pkg):
     wit = pkg.witness
     if not wit.s1_squares or not wit.s2_squares:
         raise ValueError("cannot serialize a witness without square decompositions")
-    lines = [_HEADER]
-    lines += _meta_section(
-        [
-            ("kind", "equiv"),
-            ("dim", wit.x_plus.rows),
-            ("nvars", wit.z.nvars),
-            ("s1_squares", len(wit.s1_squares)),
-            ("s2_squares", len(wit.s2_squares)),
-        ]
-    )
-    lines += _matrix_section("subject_b", pkg.subject_b)
-    lines += _poly_section("s1", wit.s1)
-    for k, f in enumerate(wit.s1_squares, start=1):
-        lines += _poly_section(f"s1_sq_{k}", f)
-    lines += _poly_section("s2", wit.s2)
-    for k, f in enumerate(wit.s2_squares, start=1):
-        lines += _poly_section(f"s2_sq_{k}", f)
-    lines += _poly_section("z", wit.z)
-    lines += _matrix_section("x_plus", wit.x_plus)
-    lines += _matrix_section("x_minus", wit.x_minus)
-    return "\n".join(lines) + "\n"
+    return _format("equiv", pkg)
 
 
 def format_sos_certificate(cert):
     if not cert.factors:
         raise ValueError("cannot serialize an SOS certificate without factors")
-    lines = [_HEADER]
-    lines += _meta_section(
-        [
-            ("kind", "sos"),
-            ("dim", cert.factors[0].cols),
-            ("nvars", cert.c.nvars),
-            ("factors", len(cert.factors)),
-        ]
-    )
-    lines += _poly_section("c", cert.c)
-    for k, q in enumerate(cert.factors, start=1):
-        lines += _matrix_section(f"Q_{k}", q)
-    return "\n".join(lines) + "\n"
+    return _format("sos", cert)
 
 
 def format_membership_certificate(pkg):
     cert = pkg.certificate
-    gens = pkg.generators
-    if not gens:
+    if not pkg.generators:
         raise ValueError("cannot serialize a membership certificate without generators")
     if not cert.coefficients or not all(cert.coefficients):
         raise ValueError("cannot serialize a membership certificate without coefficients")
-    dim = cert.coefficients[0][0].cols
-    lines = [_HEADER]
-    lines += _meta_section(
-        [
-            ("kind", "membership"),
-            ("dim", dim),
-            ("nvars", gens[0].nvars),
-            ("generators", len(gens)),
-            ("terms", len(cert.generator_index_sets)),
-        ]
-    )
-    for k, g in enumerate(gens, start=1):
-        lines += _matrix_section(f"generator_{k}", g)
-    for j, (idx, ys) in enumerate(zip(cert.generator_index_sets, cert.coefficients), start=1):
-        lines.append(f"[indexset {j}]")
-        lines.append(" ".join(str(k) for k in idx) if idx else "-")
-        for l, y in enumerate(ys, start=1):
-            lines += _matrix_section(f"coeff_{j}_{l}", y)
-    return "\n".join(lines) + "\n"
+    return _format("membership", pkg)
 
 
 def _split_sections(text):
@@ -676,27 +879,6 @@ def _split_sections(text):
                 raise ParseError(f"line {lineno}: data before the first section header")
             current[2].append((lineno, line))
     return sections
-
-
-class _SectionReader:
-    def __init__(self, sections):
-        self.sections = sections
-        self.pos = 0
-
-    def expect(self, tag, name):
-        if self.pos >= len(self.sections):
-            raise ParseError(f"missing section [{tag} {name}]".replace(" ]", "]"))
-        got_tag, got_name, body, lineno = self.sections[self.pos]
-        if got_tag != tag or got_name != name:
-            want = f"[{tag} {name}]" if name else f"[{tag}]"
-            raise ParseError(f"line {lineno}: expected section {want}, found [{got_tag} {got_name}]")
-        self.pos += 1
-        return body, lineno
-
-    def done(self):
-        if self.pos != len(self.sections):
-            _tag, _name, _body, lineno = self.sections[self.pos]
-            raise ParseError(f"line {lineno}: unexpected extra section [{_tag} {_name}]")
 
 
 def _parse_meta(body, lineno, required, optional=()):
@@ -728,76 +910,6 @@ def _meta_int(seen, key, minimum=1):
     return n
 
 
-def _read_matrix_section(reader, name, nvars, rows=None, cols=None):
-    body, lineno = reader.expect("matrix", name)
-    text = "\n".join(line for _ln, line in body)
-    try:
-        mat = parse_matrix(text)
-    except ParseError as exc:
-        raise ParseError(f"section [matrix {name}] near line {lineno}: {exc}") from None
-    if mat.nvars != nvars:
-        raise ParseError(f"section [matrix {name}]: expected nvars {nvars}, got {mat.nvars}")
-    if rows is not None and (mat.rows, mat.cols) != (rows, cols):
-        raise ParseError(
-            f"section [matrix {name}]: expected {rows}x{cols}, got {mat.rows}x{mat.cols}"
-        )
-    return mat
-
-
-def _read_poly_section(reader, name, nvars):
-    body, lineno = reader.expect("poly", name)
-    if len(body) != 1:
-        raise ParseError(f"section [poly {name}] near line {lineno} must hold exactly one line")
-    ln, line = body[0]
-    try:
-        return parse_polynomial(line, nvars)
-    except ParseError as exc:
-        raise ParseError(f"line {ln}: {exc}") from None
-
-
-def _read_trace_section(reader, name):
-    body, _lineno = reader.expect("trace", name)
-    pivots = []
-    scales = []
-    for ln, line in body:
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError(f"line {ln}: trace lines are 'i j num/den', got {line!r}")
-        try:
-            i, j = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"line {ln}: bad pivot indices in {line!r}") from None
-        m = _SCALE_RE.match(fields[2])
-        if not m:
-            raise ParseError(f"line {ln}: bad scale {fields[2]!r}, expected num/den")
-        num, den = int(m.group(1)), int(m.group(2))
-        if den == 0:
-            raise ParseError(f"line {ln}: zero denominator in scale")
-        if not 1 <= i <= j:
-            raise ParseError(f"line {ln}: pivot pair ({i},{j}) must satisfy 1 <= i <= j")
-        if num <= 0:
-            raise ParseError(f"line {ln}: pivot scale must be positive")
-        pivots.append((i, j))
-        scales.append(Fraction(num, den))
-    return PivotTrace(tuple(pivots), tuple(scales))
-
-
-def _read_indexset_section(reader, name):
-    body, lineno = reader.expect("indexset", name)
-    if len(body) != 1:
-        raise ParseError(f"section [indexset {name}] near line {lineno} must hold exactly one line")
-    ln, line = body[0]
-    if line == "-":
-        return ()
-    try:
-        idx = tuple(int(f) for f in line.split())
-    except ValueError:
-        raise ParseError(f"line {ln}: bad index set {line!r}") from None
-    if any(k < 1 for k in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
-        raise ParseError(f"line {ln}: index set must be ascending positive integers")
-    return idx
-
-
 def parse_certificate(text):
     """Parse a certificate file; returns (kind, payload).
 
@@ -808,109 +920,24 @@ def parse_certificate(text):
     sections = _split_sections(text)
     if not sections:
         raise ParseError("empty certificate file")
-    reader = _SectionReader(sections)
+    reader = _Reader(sections)
     body, lineno = reader.expect("meta", "")
-    kind_meta = _parse_meta(
+    meta = _parse_meta(
         body,
         lineno,
         required=("kind", "dim", "nvars"),
-        optional=("branches", "s1_squares", "s2_squares", "factors", "generators", "terms"),
+        optional=[key for spec in _KINDS.values() for key in spec.counts],
     )
-    _ln, kind = kind_meta["kind"]
-    if kind not in CERT_KINDS:
-        raise ParseError(f"line {_ln}: unknown certificate kind {kind!r}")
-    dim = _meta_int(kind_meta, "dim")
-    nvars = _meta_int(kind_meta, "nvars")
-
-    def need(key):
-        if key not in kind_meta:
+    ln, kind = meta["kind"]
+    if kind not in _KINDS:
+        raise ParseError(f"line {ln}: unknown certificate kind {kind!r}")
+    dim = _meta_int(meta, "dim")
+    reader.nvars = _meta_int(meta, "nvars")
+    spec = _KINDS[kind]
+    for key in spec.counts:
+        if key not in meta:
             raise ParseError(f"meta section is missing key {key!r} for kind {kind!r}")
-        return _meta_int(kind_meta, key)
-
-    if kind == "diag":
-        x_plus = _read_matrix_section(reader, "X_plus", nvars, dim, dim)
-        x_minus = _read_matrix_section(reader, "X_minus", nvars, dim, dim)
-        d = _read_matrix_section(reader, "D", nvars, dim, dim)
-        w = _read_poly_section(reader, "w", nvars)
-        reader.done()
-        return kind, DiagCertificate(dim, x_plus, x_minus, d, w)
-
-    if kind == "bundle":
-        count = need("branches")
-        branches = []
-        for k in range(1, count + 1):
-            d = _read_matrix_section(reader, f"D_{k}", nvars, dim, dim)
-            x_plus = _read_matrix_section(reader, f"X_plus_{k}", nvars, dim, dim)
-            x_minus = _read_matrix_section(reader, f"X_minus_{k}", nvars, dim, dim)
-            w = _read_poly_section(reader, f"w_{k}", nvars)
-            trace = _read_trace_section(reader, str(k))
-            branches.append((DiagCertificate(dim, x_plus, x_minus, d, w), trace))
-        reader.done()
-        return kind, DiagBundle(dim, tuple(branches))
-
-    if kind == "equiv":
-        n1 = need("s1_squares")
-        n2 = need("s2_squares")
-        subject_b = _read_matrix_section(reader, "subject_b", nvars, dim, dim)
-        s1 = _read_poly_section(reader, "s1", nvars)
-        s1_squares = tuple(
-            _read_poly_section(reader, f"s1_sq_{k}", nvars) for k in range(1, n1 + 1)
-        )
-        s2 = _read_poly_section(reader, "s2", nvars)
-        s2_squares = tuple(
-            _read_poly_section(reader, f"s2_sq_{k}", nvars) for k in range(1, n2 + 1)
-        )
-        z = _read_poly_section(reader, "z", nvars)
-        x_plus = _read_matrix_section(reader, "x_plus", nvars, dim, dim)
-        x_minus = _read_matrix_section(reader, "x_minus", nvars, dim, dim)
-        reader.done()
-        wit = EquivWitness(s1, s1_squares, s2, s2_squares, z, x_plus, x_minus)
-        return kind, EquivCertificatePackage(wit, subject_b)
-
-    if kind == "sos":
-        count = need("factors")
-        c = _read_poly_section(reader, "c", nvars)
-        factors = []
-        for k in range(1, count + 1):
-            q = _read_matrix_section(reader, f"Q_{k}", nvars)
-            if q.cols != dim:
-                raise ParseError(f"section [matrix Q_{k}]: expected {dim} columns, got {q.cols}")
-            factors.append(q)
-        reader.done()
-        return kind, SosMatrixCertificate(c, tuple(factors))
-
-    count = need("generators")
-    terms = need("terms")
-    gens = []
-    gdim = None
-    for k in range(1, count + 1):
-        g = _read_matrix_section(reader, f"generator_{k}", nvars)
-        if g.rows != g.cols:
-            raise ParseError(f"section [matrix generator_{k}]: generators must be square")
-        if gdim is None:
-            gdim = g.rows
-        elif g.rows != gdim:
-            raise ParseError(f"section [matrix generator_{k}]: generators must share dimension")
-        gens.append(g)
-    index_sets = []
-    coefficients = []
-    for j in range(1, terms + 1):
-        idx = _read_indexset_section(reader, str(j))
-        if any(k > count for k in idx):
-            raise ParseError(f"section [indexset {j}]: index exceeds generator count {count}")
-        ys = []
-        l = 1
-        while (
-            reader.pos < len(reader.sections)
-            and reader.sections[reader.pos][0] == "matrix"
-            and reader.sections[reader.pos][1] == f"coeff_{j}_{l}"
-        ):
-            ys.append(_read_matrix_section(reader, f"coeff_{j}_{l}", nvars, gdim, dim))
-            l += 1
-        if not ys:
-            raise ParseError(f"term {j} has no coefficient matrices")
-        index_sets.append(idx)
-        coefficients.append(tuple(ys))
+        reader.counts[key] = _meta_int(meta, key)
+    payload = spec.layout(reader, dim, None)
     reader.done()
-    cert = ModuleMembershipCertificate(tuple(index_sets), tuple(coefficients))
-    return kind, MembershipCertificatePackage(cert, tuple(gens))
+    return kind, payload

@@ -20,14 +20,10 @@ from fractions import Fraction
 
 from . import __version__
 from .certificates import (
-    bundle_certificate_failures,
-    diag_certificate_failures,
-    equiv_witness_failures,
+    _KINDS,
     format_bundle_certificate,
     format_diag_certificate,
-    membership_failures,
     parse_certificate,
-    sos_matrix_failures,
     tmodule_generators,
     tmodule_index_sets,
 )
@@ -36,15 +32,7 @@ from .diagonal import (
     single_path_diagonalize,
     standard_form_diagonalize,
 )
-from .errors import (
-    BundleTooLarge,
-    DimensionCap,
-    InternalIdentityFailure,
-    NotStandardForm,
-    NotSymmetric,
-    ParseError,
-    ZeroMatrix,
-)
+from .errors import BundleTooLarge, InternalIdentityFailure, ParseError
 from .polymat import format_matrix, parse_matrix
 from .positivity import GridSpec, _compare_on_grid, psd_on_grid
 
@@ -200,36 +188,24 @@ def _cmd_diagonalize(args):
     return 0
 
 
-def _cmd_verify(args):
+def _checked_certificate(args, only=None):
+    """(subject, kind, payload, failures) for the matrix and certificate files
+    of ``args``; each failed identity is printed."""
     a = _read_matrix(args.matrix_file)
     kind, payload = parse_certificate(_read_text(args.certificate_file))
-    if kind == "diag":
-        if payload.subject_dim != a.rows or payload.w.nvars != a.nvars:
-            raise _UsageError("certificate dimensions do not match the subject matrix")
-        failures = diag_certificate_failures(a, payload)
-    elif kind == "bundle":
-        if payload.subject_dim != a.rows or payload.branches[0][0].w.nvars != a.nvars:
-            raise _UsageError("certificate dimensions do not match the subject matrix")
-        failures = bundle_certificate_failures(a, payload)
-    elif kind == "equiv":
-        wit = payload.witness
-        if wit.x_plus.rows != a.rows or wit.z.nvars != a.nvars:
-            raise _UsageError("certificate dimensions do not match the subject matrix")
-        failures = equiv_witness_failures(a, payload.subject_b, wit)
-    elif kind == "sos":
-        if payload.factors and payload.factors[0].cols != a.rows:
-            raise _UsageError("certificate dimensions do not match the subject matrix")
-        if payload.c.nvars != a.nvars:
-            raise _UsageError("certificate dimensions do not match the subject matrix")
-        failures = sos_matrix_failures(a, payload)
-    else:
-        gens = payload.generators
-        if gens[0].nvars != a.nvars:
-            raise _UsageError("certificate dimensions do not match the subject matrix")
-        failures = membership_failures(a, gens, payload.certificate)
+    if only and kind != only:
+        raise _UsageError(f"{args.command} needs a {only} certificate, got kind {kind!r}")
+    if _KINDS[kind].shape(payload) != (a.rows, a.nvars):
+        raise _UsageError("certificate dimensions do not match the subject matrix")
+    failures = _KINDS[kind].failures(a, payload)
+    for f in failures:
+        print(f"identity failed: {f}")
+    return a, kind, payload, failures
+
+
+def _cmd_verify(args):
+    _a, kind, _payload, failures = _checked_certificate(args)
     if failures:
-        for f in failures:
-            print(f"identity failed: {f}")
         return 3
     print(f"ok: {kind} certificate verifies")
     return 0
@@ -250,19 +226,11 @@ def _cmd_psd_grid(args):
 
 
 def _cmd_equiv_check(args):
-    a = _read_matrix(args.matrix_file)
-    kind, payload = parse_certificate(_read_text(args.certificate_file))
-    if kind != "bundle":
-        raise _UsageError(f"equiv-check needs a bundle certificate, got kind {kind!r}")
-    if payload.subject_dim != a.rows or payload.branches[0][0].w.nvars != a.nvars:
-        raise _UsageError("certificate dimensions do not match the subject matrix")
-    failures = bundle_certificate_failures(a, payload)
+    a, _kind, bundle, failures = _checked_certificate(args, only="bundle")
     if failures:
-        for f in failures:
-            print(f"identity failed: {f}")
         return 3
     # verified just above; the grid comparison does not verify again
-    report = _compare_on_grid(a, payload, _grid_spec(args, a.nvars))
+    report = _compare_on_grid(a, bundle, _grid_spec(args, a.nvars))
     for point, oracle, bundle_flag in report.disagreements:
         print(f"{_format_point(point)}; oracle={int(oracle)}; bundle={int(bundle_flag)}")
     print(
@@ -285,34 +253,25 @@ def _cmd_gens(args):
     return 0
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (_UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (
-        NotSymmetric,
-        ZeroMatrix,
-        NotStandardForm,
-        BundleTooLarge,
-        DimensionCap,
-        InternalIdentityFailure,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, BundleTooLarge, InternalIdentityFailure) as exc:
+        # ValueError covers NotSymmetric, ZeroMatrix, NotStandardForm,
+        # DimensionCap and ExponentOverflow
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

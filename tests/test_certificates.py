@@ -4,6 +4,7 @@ certificate file format."""
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -568,3 +569,107 @@ def test_parse_rejects_wrong_factor_columns():
     bad = good.replace("[matrix Q_1]\n1 2 1\nt1\n1", "[matrix Q_1]\n1 1 1\nt1")
     with pytest.raises(ParseError, match="expected 2 columns"):
         parse_certificate(bad)
+
+
+# Every ParseError raise site of the certificate and matrix file formats,
+# reached by one edit of a golden certificate: (golden file, old text, new
+# text, the full error message).  The first occurrence of old is replaced.
+GOLDEN = Path(__file__).parent / "golden"
+
+MALFORMED = [
+    ('diag-single.out', '# generated', 'stray\n# generated',
+     'line 1: data before the first section header'),
+    ('diag-single.out', '[poly w]\nt1^2\n', '',
+     'missing section [poly w]'),
+    ('diag-single.out', '[matrix X_plus]', '[matrix X_minus]',
+     'line 6: expected section [matrix X_plus], found [matrix X_minus]'),
+    ('diag-single.out', '[meta]\n', '[poly w]\n1\n[meta]\n',
+     'line 2: expected section [meta], found [poly w]'),
+    ('diag-single.out', 't1^2\n', 't1^2\n[poly extra]\n1\n',
+     'line 26: unexpected extra section [poly extra]'),
+    ('diag-single.out', 'kind diag\n', 'kind diag\nflavor\n',
+     "line 4: meta lines are 'key value', got 'flavor'"),
+    ('diag-single.out', 'kind diag\n', 'kind diag\nkind diag\n',
+     "line 4: duplicate meta key 'kind'"),
+    ('diag-single.out', 'kind diag\n', 'kind diag\nflavor salt\n',
+     "line 4: unknown meta key 'flavor'"),
+    ('diag-single.out', 'dim 2\n', '',
+     "meta section at line 2 is missing key 'dim'"),
+    ('diag-single.out', 'dim 2\n', 'dim two\n',
+     "line 4: meta key 'dim' must be an integer, got 'two'"),
+    ('diag-single.out', 'dim 2\n', 'dim 0\n',
+     "line 4: meta key 'dim' must be >= 1, got 0"),
+    ('diag-single.out', 'nvars 1\n', 'nvars -1\n',
+     "line 5: meta key 'nvars' must be >= 1, got -1"),
+    ('diag-single.out', '[matrix D]\n2 2 1\nt1^3\n0\n0\nt1^3 - t1\n', '[matrix D]\n',
+     'section [matrix D] near line 18: empty matrix file'),
+    ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2\n',
+     "section [matrix D] near line 18: line 1: header must be 'rows cols nvars', got '2 2'"),
+    ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 one\n',
+     "section [matrix D] near line 18: line 1: header must hold three integers, got '2 2 one'"),
+    ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 0 1\n',
+     "section [matrix D] near line 18: line 1: header values must be positive, got '2 0 1'"),
+    ('diag-single.out', '[matrix D]\n2 2 1\nt1^3\n0\n0\nt1^3 - t1\n', '[matrix D]\n2 2 1\nt1^3\n0\n0\n',
+     'section [matrix D] near line 18: expected 4 entries, file ends after 3'),
+    ('diag-single.out', '[matrix D]\n2 2 1\nt1^3\n0\n0\nt1^3 - t1\n', '[matrix D]\n2 2 1\nt1^3\n0\n0\nt1^3 - t1\n0\n',
+     'section [matrix D] near line 18: line 6: trailing data past 4 entries'),
+    ('diag-single.out', 't1^3 - t1\n', 't1^3 - t2\n',
+     'section [matrix D] near line 18: line 5: column 8: unknown variable t2 (nvars=1)'),
+    ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 2\n',
+     'section [matrix D]: expected nvars 1, got 2'),
+    ('diag-single.out', '[matrix D]\n2 2 1\nt1^3\n0\n0\nt1^3 - t1\n', '[matrix D]\n1 1 1\nt1^3\n',
+     'section [matrix D]: expected 2x2, got 1x1'),
+    ('diag-single.out', '[poly w]\nt1^2\n', '[poly w]\nt1^2\n1\n',
+     'section [poly w] near line 24 must hold exactly one line'),
+    ('diag-single.out', '[poly w]\nt1^2\n', '[poly w]\nt1^\n',
+     'line 25: column 4: expected an integer exponent'),
+    ('diag-bundle.out', 'branches 3\n', 'branches 1000000000000\n',
+     'missing section [matrix D_4]'),
+    ('diag-bundle.out', '1 1 1/1\n', '1 1\n',
+     "line 28: trace lines are 'i j num/den', got '1 1'"),
+    ('diag-bundle.out', '1 1 1/1\n', 'one 1 1/1\n',
+     "line 28: bad pivot indices in 'one 1 1/1'"),
+    ('diag-bundle.out', '1 1 1/1\n', '1 1 one\n',
+     "line 28: bad scale 'one', expected num/den"),
+    ('diag-bundle.out', '1 1 1/1\n', '1 1 1/0\n',
+     'line 28: zero denominator in scale'),
+    ('diag-bundle.out', '1 2 2/1\n', '2 1 2/1\n',
+     'line 50: pivot pair (2,1) must satisfy 1 <= i <= j'),
+    ('diag-bundle.out', '1 1 1/1\n', '1 1 -1/1\n',
+     'line 28: pivot scale must be positive'),
+    ('membership.cert', '[indexset 2]\n1\n', '[indexset 2]\n1\n2\n',
+     'section [indexset 2] near line 28 must hold exactly one line'),
+    ('membership.cert', '[indexset 2]\n1\n', '[indexset 2]\none\n',
+     "line 29: bad index set 'one'"),
+    ('membership.cert', '[indexset 3]\n1 2\n', '[indexset 3]\n2 1\n',
+     'line 43: index set must be ascending positive integers'),
+    ('membership.cert', '[indexset 3]\n1 2\n', '[indexset 3]\n1 3\n',
+     'section [indexset 3]: index exceeds generator count 2'),
+    ('membership.cert', '[matrix generator_1]\n2 2 1\nt1\n0\n0\n1\n', '[matrix generator_1]\n1 2 1\nt1\n0\n',
+     'section [matrix generator_1]: generators must be square'),
+    ('membership.cert', '[matrix generator_2]\n2 2 1\n1\n0\n0\n-t1 + 1\n', '[matrix generator_2]\n1 1 1\n1\n',
+     'section [matrix generator_2]: generators must share dimension'),
+    ('membership.cert', '[matrix coeff_2_1]', '[matrix coeff_2_2]',
+     'term 2 has no coefficient matrices'),
+    ('membership.cert', 'terms 3\n', '',
+     "meta section is missing key 'terms' for kind 'membership'"),
+    ('diag-single.out', 'kind diag', 'kind wurst',
+     "line 3: unknown certificate kind 'wurst'"),
+    ('sos.cert', '[matrix Q_2]\n2 2 1\n1\nt1\n0\n1/2\n', '[matrix Q_2]\n1 1 1\n1\n',
+     'section [matrix Q_2]: expected 2 columns, got 1'),
+]
+
+
+@pytest.mark.parametrize("name,old,new,message", MALFORMED)
+def test_parse_error_messages(name, old, new, message):
+    text = (GOLDEN / name).read_text()
+    assert old in text
+    with pytest.raises(ParseError) as info:
+        parse_certificate(text.replace(old, new, 1))
+    assert str(info.value) == message
+
+
+def test_parse_error_message_empty_file():
+    with pytest.raises(ParseError) as info:
+        parse_certificate("# comment only\n\n")
+    assert str(info.value) == "empty certificate file"

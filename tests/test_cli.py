@@ -4,6 +4,11 @@ Each test drives main() with an argv list and checks the exit code plus
 the captured output, the same way a shell user would see it.
 """
 
+import sys
+from pathlib import Path
+
+import pytest
+
 from polydiag import __version__, certificates, cli, diagonal, positivity
 from polydiag.arith import parse_polynomial
 from polydiag.certificates import SosMatrixCertificate, format_sos_certificate
@@ -14,6 +19,7 @@ SUBJECT = "2 2 1\nt1\n1\n1\nt1\n"
 VANISHING_MINORS = "3 3 1\n1\n-1\n1\n-1\n1\n1\n1\n1\n1\n"
 TRIDIAG = "3 3 1\nt1\n1\n0\n1\nt1\n1\n0\n1\nt1\n"
 IDENTITY2 = "2 2 1\n1\n0\n0\n1\n"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def put(tmp_path, name, text):
@@ -147,6 +153,55 @@ def test_verify_dimension_mismatch(tmp_path, capsys):
     assert main(["diagonalize", mat, "--out", str(cert)]) == 0
     assert main(["verify", big, str(cert)]) == 1
     assert "do not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cert",
+    ["diag-single.out", "diag-bundle.out", "equiv.cert", "sos.cert", "membership.cert"],
+)
+def test_verify_size_mismatch_every_kind(cert, monkeypatch, capsys):
+    # a 3x3 subject against a certificate of dimension 2
+    monkeypatch.chdir(GOLDEN)
+    assert main(["verify", "a3.mat", cert]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: certificate dimensions do not match the subject matrix\n"
+
+
+BIG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        (f"1 1 1\n{BIG}\n", "line 2: column 1"),
+        (f"1 1 1\nt1^{BIG}\n", "line 2: column 4"),
+        (f"1 1 1\nt{BIG}\n", "line 2: column 1"),
+    ],
+    ids=["coefficient", "exponent", "variable"],
+)
+def test_matrix_file_oversized_integer(tmp_path, capsys, text, where):
+    path = put(tmp_path, "big.mat", text)
+    assert main(["psd-grid", path]) == 1
+    limit = sys.get_int_max_str_digits()
+    err = capsys.readouterr().err
+    assert err == f"parse error: {path}: {where}: integer with more than {limit} digits\n"
+
+
+@pytest.mark.parametrize(
+    "cert,old,new,where",
+    [
+        ("diag-single.out", "[poly w]\nt1^2\n", f"[poly w]\n{BIG}*t1^2\n", "line 25: column 1"),
+        ("diag-bundle.out", "1 1 1/1\n", f"1 1 1/{BIG}\n", "line 28"),
+    ],
+    ids=["poly", "trace-scale"],
+)
+def test_certificate_oversized_integer(tmp_path, capsys, cert, old, new, where):
+    text = (GOLDEN / cert).read_text()
+    assert old in text
+    path = put(tmp_path, "big.cert", text.replace(old, new, 1))
+    assert main(["verify", str(GOLDEN / "a.mat"), path]) == 1
+    limit = sys.get_int_max_str_digits()
+    assert capsys.readouterr().err == f"parse error: {where}: integer with more than {limit} digits\n"
 
 
 def test_verify_garbage_certificate(tmp_path, capsys):

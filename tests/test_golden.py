@@ -17,7 +17,23 @@ from pathlib import Path
 
 import pytest
 
+from polydiag.arith import parse_polynomial
+from polydiag.certificates import (
+    EquivCertificatePackage,
+    MembershipCertificatePackage,
+    ModuleMembershipCertificate,
+    SosMatrixCertificate,
+    format_bundle_certificate,
+    format_diag_certificate,
+    format_equiv_certificate,
+    format_membership_certificate,
+    format_sos_certificate,
+    parse_certificate,
+    witness_from_diag_certificate,
+)
 from polydiag.cli import main
+from polydiag.diagonal import single_path_diagonalize
+from polydiag.polymat import PolyMatrix, format_matrix, parse_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,3 +62,88 @@ def test_golden_output(name, argv, code, monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)
     assert main(argv) == code
     assert capsys.readouterr().out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# -- certificate files ------------------------------------------------------------
+#
+# One golden certificate per kind pins the file format: each parses and
+# re-formats to the same bytes, verifies against its subject, and the
+# equiv, sos and membership goldens are what the payloads below format to.
+
+FORMATS = {
+    "diag": format_diag_certificate,
+    "bundle": format_bundle_certificate,
+    "equiv": format_equiv_certificate,
+    "sos": format_sos_certificate,
+    "membership": format_membership_certificate,
+}
+
+CERTS = [
+    ("diag-single.out", "diag", "a.mat"),
+    ("diag-standard.out", "diag", "a.mat"),
+    ("diag101-single.out", "diag", "diag101.mat"),
+    ("diag-bundle.out", "bundle", "a.mat"),
+    ("a3-bundle.out", "bundle", "a3.mat"),
+    ("equiv.cert", "equiv", "a.mat"),
+    ("sos.cert", "sos", "sos.mat"),
+    ("membership.cert", "membership", "membership.mat"),
+]
+
+
+def golden_payloads():
+    """(certificate, subject) payloads of equiv.cert, sos.cert and membership.cert."""
+    p = lambda s: parse_polynomial(s, 1)
+    m = lambda rows: PolyMatrix.from_rows([[p(s) for s in row] for row in rows])
+    cert = single_path_diagonalize(parse_matrix((GOLDEN / "a.mat").read_text()))
+    equiv = EquivCertificatePackage(witness_from_diag_certificate(cert), cert.D)
+
+    c = p("2")
+    factors = (m([["t1", "1"]]), m([["1", "t1"], ["0", "1/2"]]))
+    gram = PolyMatrix.zeros(2, 2, 1)
+    for q in factors:
+        gram = gram + q.transpose() @ q
+    sos = SosMatrixCertificate(c, factors)
+    sos_subject = gram * p("1/4")
+
+    gens = (PolyMatrix.diagonal([p("t1"), p("1")]), PolyMatrix.diagonal([p("1"), p("-t1 + 1")]))
+    index_sets = ((), (1,), (1, 2))
+    coefficients = (
+        (m([["1", "t1"], ["0", "1"]]),),
+        (m([["1", "0"], ["0", "0"]]), m([["0", "1"], ["t1", "0"]])),
+        (m([["1", "1"], ["0", "1"]]),),
+    )
+    element = PolyMatrix.zeros(2, 2, 1)
+    for idx, ys in zip(index_sets, coefficients):
+        g = PolyMatrix.identity(2, 1)
+        for k in idx:
+            g = g @ gens[k - 1]
+        for y in ys:
+            element = element + y.transpose() @ g @ y
+    membership = MembershipCertificatePackage(
+        ModuleMembershipCertificate(index_sets, coefficients), gens
+    )
+    return {
+        "equiv.cert": ("equiv", equiv, None),
+        "sos.cert": ("sos", sos, sos_subject),
+        "membership.cert": ("membership", membership, element),
+    }
+
+
+@pytest.mark.parametrize("name,kind,subject", CERTS, ids=[c[0] for c in CERTS])
+def test_golden_certificate_round_trip(name, kind, subject, monkeypatch, capsys):
+    text = (GOLDEN / name).read_bytes().decode("utf-8")
+    parsed_kind, payload = parse_certificate(text)
+    assert parsed_kind == kind
+    assert FORMATS[kind](payload) == text
+    monkeypatch.chdir(GOLDEN)
+    assert main(["verify", subject, name]) == 0
+    assert capsys.readouterr().out == f"ok: {kind} certificate verifies\n"
+
+
+@pytest.mark.parametrize("name", ["equiv.cert", "sos.cert", "membership.cert"])
+def test_golden_certificate_from_payload(name):
+    kind, payload, subject = golden_payloads()[name]
+    assert FORMATS[kind](payload).encode("utf-8") == (GOLDEN / name).read_bytes()
+    if subject is not None:
+        subject_file = GOLDEN / f"{kind}.mat"
+        assert format_matrix(subject).encode("utf-8") == subject_file.read_bytes()
