@@ -723,6 +723,7 @@ def _bundle_layout(io, dim, bundle):
 def _equiv_layout(io, dim, pkg):
     wit = pkg and pkg.witness
     subject_b = io.matrix("subject_b", pkg and pkg.subject_b, dim, dim)
+    io.check(subject_b.is_symmetric(), "section [matrix subject_b]: second subject is not symmetric")
     s1 = io.poly("s1", wit and wit.s1)
     s1_squares = tuple(
         io.poly(f"s1_sq_{k}", f)
@@ -931,9 +932,12 @@ def parse_certificate(text):
     ln, kind = meta["kind"]
     if kind not in _KINDS:
         raise ParseError(f"line {ln}: unknown certificate kind {kind!r}")
+    spec = _KINDS[kind]
+    for key, (ln, _value) in meta.items():
+        if key not in ("kind", "dim", "nvars") and key not in spec.counts:
+            raise ParseError(f"line {ln}: meta key {key!r} does not belong to kind {kind!r}")
     dim = _meta_int(meta, "dim")
     reader.nvars = _meta_int(meta, "nvars")
-    spec = _KINDS[kind]
     for key in spec.counts:
         if key not in meta:
             raise ParseError(f"meta section is missing key {key!r} for kind {kind!r}")

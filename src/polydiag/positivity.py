@@ -1,30 +1,39 @@
 """Exact pointwise positivity checks for polynomial matrices.
 
-A rational symmetric matrix is PSD exactly when all of its principal
-minors (every index subset, rows = columns) are nonnegative.  That
-criterion is decidable over the rationals with no rounding, so it serves
-as the independent oracle everything else is measured against.  The cost
-is 2^n determinants, capped at n = 12.
+A real symmetric n x n matrix A is PSD exactly when every coefficient of
+det(xI + A) = sum_k E_k x^(n-k) is nonnegative, where E_k is the sum of
+the k x k principal minors of A (E_k is the k-th elementary symmetric
+function of the eigenvalues).  Berkowitz's division-free recursion
+(Inf. Process. Lett. 18, 1984) gives those coefficients from the
+characteristic polynomial det(xI - A) in O(n^4) integer operations, so
+the criterion is decided exactly, with no rounding, on integer matrices;
+it serves as the independent oracle everything else is measured against.
+The oracle is capped at n = 12.
 
 Grids are finite tensor products of equally spaced rational points, a
 stand-in for "every point of R^d" at desk scale: psd_on_grid reports
 where a polynomial matrix fails to be PSD, and check_bundle_equivalence
 compares the oracle verdict on A(s) against the diagonal-entry sign
 condition of a diagonalization bundle at every grid point.  A correct
-bundle produces zero disagreements.
+bundle produces zero disagreements.  The grid sweeps evaluate every entry
+as an integer: A(s) times one positive scalar per point, which changes
+neither the PSD verdict nor any sign.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import _unpacker
 from .certificates import bundle_certificate_failures
 from .errors import DimensionCap, NotSymmetric
 
 _PSD_DIMENSION_CAP = 12
 _DEFAULT_GRID_CAP = 100_000
+_NOT_SYMMETRIC = "PSD oracle needs a symmetric matrix"
 
 
 @dataclass(frozen=True)
@@ -130,52 +139,54 @@ def eval_matrix(a, point):
     return RationalMatrix(a.rows, tuple(p.evaluate(point) for p in a.entries))
 
 
-def _det_rational(rows):
-    """Exact determinant of a list-of-lists of Fractions, by elimination."""
+def _psd_int(rows):
+    """True iff the symmetric integer matrix ``rows`` (a list of rows) is PSD.
+
+    A negative diagonal entry rejects at once.  Otherwise Berkowitz's
+    recursion builds det(xI - A_k) for the leading blocks A_1, ..., A_n:
+    with A_(k+1) = [[A_k, c], [c^t, a]], its coefficient vector is the
+    lower-triangular Toeplitz matrix with first column
+    (1, -a, -c^t c, -c^t A_k c, ..., -c^t A_k^(k-1) c) times that of A_k.
+    Coefficient i of det(xI - A_k) is (-1)^i E_i(A_k), and every principal
+    block of a PSD matrix is PSD, so a block with a wrong sign rejects.
+    """
     n = len(rows)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = None
-        for i in range(k, n):
-            if m[i][k] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = Fraction(1) / m[k][k]
-        for i in range(k + 1, n):
-            factor = m[i][k] * inv
-            if factor:
-                for j in range(k + 1, n):
-                    m[i][j] -= factor * m[k][j]
-    return det
-
-
-def psd_rational(m):
-    """True iff every principal minor of a symmetric rational matrix is >= 0."""
-    if not m.is_symmetric():
-        raise NotSymmetric("PSD oracle needs a symmetric matrix")
-    if m.n > _PSD_DIMENSION_CAP:
-        raise DimensionCap(f"PSD oracle is capped at dimension {_PSD_DIMENSION_CAP}, got {m.n}")
-    for size in range(1, m.n + 1):
-        for idx in itertools.combinations(range(m.n), size):
-            sub = [[m[i, j] for j in idx] for i in idx]
-            if _det_rational(sub) < 0:
+    if n > _PSD_DIMENSION_CAP:
+        raise DimensionCap(f"PSD oracle is capped at dimension {_PSD_DIMENSION_CAP}, got {n}")
+    for i in range(n):
+        if rows[i][i] < 0:
+            return False
+    poly = [1, -rows[0][0]]
+    for k in range(1, n):
+        row = rows[k]
+        # zip stops at len(v) == k: row[:k] is c^t, and rows[i][:k] rows of A_k
+        toeplitz = [1, -row[k]]
+        v = row[:k]
+        for step in range(k):
+            toeplitz.append(-sum([x * y for x, y in zip(row, v)]))
+            if step + 1 < k:
+                v = [sum([x * y for x, y in zip(rows[i], v)]) for i in range(k)]
+        poly = [
+            sum([toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1)])
+            for i in range(k + 2)
+        ]
+        for i in range(2, k + 2):
+            if poly[i] < 0 if i % 2 == 0 else poly[i] > 0:
                 return False
     return True
 
 
-def generate_grid(spec):
-    """All grid points in tensor order, as tuples of Fractions.
+def psd_rational(m):
+    """True iff the symmetric rational matrix m is positive semidefinite."""
+    if not m.is_symmetric():
+        raise NotSymmetric(_NOT_SYMMETRIC)
+    den = math.lcm(*(e.denominator for e in m.entries))
+    ints = [e.numerator * (den // e.denominator) for e in m.entries]
+    return _psd_int([ints[i * m.n : (i + 1) * m.n] for i in range(m.n)])
 
-    Axis values are low + k*(high - low)/(count - 1); a one-point axis
-    yields its low endpoint.  Raises when the total exceeds the cap.
-    """
+
+def _axis_values(spec):
+    """Per-axis value lists of the grid; raises when the total exceeds the cap."""
     total = spec.total_points()
     if total > spec.max_points:
         raise ValueError(f"grid has {total} points, exceeding the cap {spec.max_points}")
@@ -186,19 +197,78 @@ def generate_grid(spec):
         else:
             step = (high - low) / (count - 1)
             axis_values.append([low + k * step for k in range(count)])
-    return tuple(itertools.product(*axis_values))
+    return axis_values
+
+
+def generate_grid(spec):
+    """All grid points in tensor order, as tuples of Fractions.
+
+    Axis values are low + k*(high - low)/(count - 1); a one-point axis
+    yields its low endpoint.  Raises when the total exceeds the cap.
+    """
+    return tuple(itertools.product(*_axis_values(spec)))
+
+
+def _grid_sweep(a, extra, spec):
+    """Yield (point, psd, extra_ok) at every grid point, in generate_grid order.
+
+    psd is the oracle verdict on A(point) and extra_ok says whether every
+    polynomial of ``extra`` is >= 0 at the point.  Raises NotSymmetric at
+    the first point where A(point) is not symmetric.
+
+    No Fraction is made per point.  With den the lcm of the denominators of
+    every polynomial's integer form, top_v the highest exponent of t_v and
+    the coordinates num_v/q_v in lowest terms, each polynomial p is
+    evaluated as den * prod_v q_v^top_v * p(point), the integer
+    sum over terms of c * prod_v num_v^e_v * q_v^(top_v - e_v): a positive
+    multiple of p(point), the same multiple for every polynomial.
+    """
+    if spec.nvars != a.nvars:
+        raise ValueError(f"grid has {spec.nvars} axes, matrix has {a.nvars} variables")
+    axis_values = _axis_values(spec)
+    if not a.is_square():
+        raise ValueError("evaluation target must be square")
+    n = a.rows
+    forms = [p._int_form() for p in (*a.entries, *extra)]
+    den = math.lcm(*(d for d, _pairs in forms))
+    unpack = _unpacker(a.nvars)
+    monos = {}
+    sums = []
+    for d, pairs in forms:
+        scale = den // d
+        sums.append([(c * scale, monos.setdefault(unpack(k), len(monos))) for k, c in pairs])
+    entries, extra_sums = sums[: n * n], sums[n * n :]
+    # per axis value x = num/q: the factor num^e * q^(top - e) it puts in each monomial
+    axes = []
+    for v, values in enumerate(axis_values):
+        exps = [m[v] for m in monos]
+        top = max(exps, default=0)
+        axis = []
+        for x in values:
+            num, q = x.numerator, x.denominator
+            factor = {e: num**e * q ** (top - e) for e in set(exps)}
+            axis.append((x, [factor[e] for e in exps]))
+        axes.append(axis)
+    for combo in itertools.product(*axes):
+        mvals = combo[0][1]
+        for _x, col in combo[1:]:
+            mvals = [f * g for f, g in zip(mvals, col)]
+        vals = [sum([c * mvals[m] for c, m in terms]) for terms in entries]
+        rows = [vals[i * n : (i + 1) * n] for i in range(n)]
+        for i in range(n):
+            for j in range(i):
+                if rows[i][j] != rows[j][i]:
+                    raise NotSymmetric(_NOT_SYMMETRIC)
+        psd = _psd_int(rows)
+        extra_ok = all(sum([c * mvals[m] for c, m in terms]) >= 0 for terms in extra_sums)
+        yield tuple(x for x, _col in combo), psd, extra_ok
 
 
 def psd_on_grid(a, spec):
     """PSD verdicts for a symmetric polynomial matrix at every grid point."""
-    if spec.nvars != a.nvars:
-        raise ValueError(f"grid has {spec.nvars} axes, matrix has {a.nvars} variables")
-    points = generate_grid(spec)
-    non_psd = []
-    for s in points:
-        if not psd_rational(eval_matrix(a, s)):
-            non_psd.append(s)
-    return GridPositivityReport(len(points), len(points) - len(non_psd), tuple(non_psd))
+    sweep = list(_grid_sweep(a, (), spec))
+    non_psd = tuple(point for point, psd, _extra_ok in sweep if not psd)
+    return GridPositivityReport(len(sweep), len(sweep) - len(non_psd), non_psd)
 
 
 def check_bundle_equivalence(a, bundle, spec):
@@ -221,14 +291,6 @@ def _compare_on_grid(a, bundle, spec):
     diag_polys = [
         cert.D[k, k] for cert, _trace in bundle.branches for k in range(cert.D.rows)
     ]
-    points = generate_grid(spec)
-    agreements = 0
-    disagreements = []
-    for s in points:
-        oracle = psd_rational(eval_matrix(a, s))
-        bundle_flag = all(p.evaluate(s) >= 0 for p in diag_polys)
-        if oracle == bundle_flag:
-            agreements += 1
-        else:
-            disagreements.append((s, oracle, bundle_flag))
-    return EquivalenceReport(len(points), agreements, tuple(disagreements))
+    sweep = list(_grid_sweep(a, diag_polys, spec))
+    disagreements = tuple(row for row in sweep if row[1] != row[2])
+    return EquivalenceReport(len(sweep), len(sweep) - len(disagreements), disagreements)

@@ -3,9 +3,11 @@
 The oracles here are deliberately written with different algorithms than
 the library code they check: determinants by Laplace cofactor expansion
 instead of fraction-free elimination, and semidefiniteness by a pivoted
-rational LDL^t factorization instead of the principal-minor criterion.
+rational LDL^t factorization and by the sign of every principal minor
+instead of the characteristic-polynomial criterion.
 """
 
+import itertools
 from fractions import Fraction
 
 from polydiag.arith import Polynomial
@@ -150,4 +152,40 @@ def psd_ldlt(a):
         for i in idx:
             for j in idx:
                 work[i][j] -= work[i][pivot] * work[pivot][j] / d
+    return True
+
+
+def _det_rational(rows):
+    """Exact determinant of a list-of-lists of Fractions, by elimination."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = None
+        for i in range(k, n):
+            if m[i][k] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            det = -det
+        det *= m[k][k]
+        inv = Fraction(1) / m[k][k]
+        for i in range(k + 1, n):
+            factor = m[i][k] * inv
+            if factor:
+                for j in range(k + 1, n):
+                    m[i][j] -= factor * m[k][j]
+    return det
+
+
+def psd_principal_minors(a):
+    """True iff every principal minor (all 2^n - 1 index subsets) of the
+    rational symmetric matrix a is >= 0, the definition of PSD-ness."""
+    for size in range(1, a.n + 1):
+        for idx in itertools.combinations(range(a.n), size):
+            if _det_rational([[a[i, j] for j in idx] for i in idx]) < 0:
+                return False
     return True

@@ -593,6 +593,8 @@ MALFORMED = [
      "line 4: duplicate meta key 'kind'"),
     ('diag-single.out', 'kind diag\n', 'kind diag\nflavor salt\n',
      "line 4: unknown meta key 'flavor'"),
+    ('diag-single.out', 'nvars 1\n', 'nvars 1\nterms 5\n',
+     "line 6: meta key 'terms' does not belong to kind 'diag'"),
     ('diag-single.out', 'dim 2\n', '',
      "meta section at line 2 is missing key 'dim'"),
     ('diag-single.out', 'dim 2\n', 'dim two\n',
@@ -655,6 +657,8 @@ MALFORMED = [
      "meta section is missing key 'terms' for kind 'membership'"),
     ('diag-single.out', 'kind diag', 'kind wurst',
      "line 3: unknown certificate kind 'wurst'"),
+    ('equiv.cert', 't1^3\n0\n0\n', 't1^3\n0\n1\n',
+     'section [matrix subject_b]: second subject is not symmetric'),
     ('sos.cert', '[matrix Q_2]\n2 2 1\n1\nt1\n0\n1/2\n', '[matrix Q_2]\n1 1 1\n1\n',
      'section [matrix Q_2]: expected 2 columns, got 1'),
 ]

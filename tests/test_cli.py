@@ -167,6 +167,19 @@ def test_verify_size_mismatch_every_kind(cert, monkeypatch, capsys):
     assert err == "error: certificate dimensions do not match the subject matrix\n"
 
 
+def test_verify_equiv_asymmetric_second_subject(tmp_path, capsys):
+    # a fault in the certificate file is a parse error (exit 1), not a
+    # precondition of the subject (exit 2)
+    text = (GOLDEN / "equiv.cert").read_text()
+    old = "[matrix subject_b]\n2 2 1\nt1^3\n0\n0\n"
+    assert old in text
+    cert = put(tmp_path, "equiv.cert", text.replace(old, "[matrix subject_b]\n2 2 1\nt1^3\n0\n1\n"))
+    assert main(["verify", str(GOLDEN / "a.mat"), cert]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parse error: section [matrix subject_b]: second subject is not symmetric\n"
+
+
 BIG = "9" * 5000
 
 

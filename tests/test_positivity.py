@@ -1,17 +1,25 @@
-"""Tests for the exact PSD oracle, grid sampling, and bundle equivalence."""
+"""Tests for the exact PSD oracle, grid sampling, and bundle equivalence.
+
+Property tests use hypothesis with derandomized, bounded examples, so every
+run sees the same cases.
+"""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polydiag.arith import parse_polynomial
+from polydiag.arith import Polynomial, parse_polynomial
 from polydiag.diagonal import diagonalization_bundle
 from polydiag.errors import DimensionCap, NotSymmetric
 from polydiag.polymat import PolyMatrix
 from polydiag.positivity import (
     GridSpec,
     RationalMatrix,
+    _compare_on_grid,
     check_bundle_equivalence,
     eval_matrix,
     generate_grid,
@@ -19,7 +27,9 @@ from polydiag.positivity import (
     psd_rational,
 )
 
-from helpers import psd_ldlt, rand_fraction, rand_rational_symmetric
+from helpers import psd_ldlt, psd_principal_minors, rand_fraction, rand_rational_symmetric
+
+BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
 
 def P(text, nvars=1):
@@ -71,6 +81,35 @@ def test_psd_agrees_with_ldlt_oracle():
         n = rng.randint(1, 5)
         a = rand_rational_symmetric(rng, n)
         assert psd_rational(a) == psd_ldlt(a)
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def singular_symmetric(draw):
+    """A rank-deficient Gram matrix, maybe with one diagonal entry nudged
+    down and maybe with one row and column set to zero."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n - 1))
+    row = st.lists(small_fractions, min_size=n, max_size=n)
+    g = draw(st.lists(row, min_size=k, max_size=k))
+    a = [[sum((g[l][i] * g[l][j] for l in range(k)), Fraction(0)) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        a[i][i] -= draw(st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=100))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        for j in range(n):
+            a[i][j] = a[j][i] = Fraction(0)
+    return RationalMatrix(n, [v for r in a for v in r])
+
+
+@BOUNDED
+@given(singular_symmetric())
+def test_psd_equals_principal_minor_definition(a):
+    expected = psd_principal_minors(a)
+    assert psd_rational(a) == expected == psd_ldlt(a)
 
 
 def test_psd_permutation_invariant():
@@ -209,6 +248,98 @@ def test_psd_on_grid_gram_square():
 def test_psd_on_grid_nvars_mismatch():
     with pytest.raises(ValueError):
         psd_on_grid(M([["t1"]]), GridSpec.uniform(2))
+    with pytest.raises(ValueError, match="square"):
+        psd_on_grid(M([["t1", "1"]]), GridSpec.uniform(1))
+
+
+@st.composite
+def grid_cases(draw):
+    """(matrix, spec, diagonal polynomials): a 1-2 variable symmetric matrix,
+    a Gram matrix G^t G or one with a polynomial added to its corner entry,
+    over a grid whose steps are 3/5 or 1/6 and whose coordinates may be
+    negative."""
+    nvars = draw(st.integers(1, 2))
+    polys = st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * nvars),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+        min_size=1,
+        max_size=3,
+    ).map(lambda terms: Polynomial(nvars, terms))
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["symmetric", "gram", "shifted gram"]))
+    if kind == "symmetric":
+        rows = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(polys)
+        a = PolyMatrix.from_rows(rows)
+    else:
+        g = PolyMatrix.from_rows(
+            [[draw(polys) for _ in range(n)] for _ in range(draw(st.integers(1, n)))]
+        )
+        a = g.transpose() @ g
+        if kind == "shifted gram":
+            corner = PolyMatrix.zeros(n, n, nvars).entries[1:]
+            a = a + PolyMatrix(n, n, (draw(polys),) + corner)
+    axes = []
+    for _ in range(nvars):
+        step = draw(st.sampled_from([Fraction(3, 5), Fraction(1, 6)]))
+        low = Fraction(draw(st.integers(-8, 2)), draw(st.sampled_from([1, 2, 5])))
+        count = draw(st.integers(1, 8 if nvars == 1 else 5))
+        axes.append((low, low + (count - 1) * step, count))
+    diag = draw(st.lists(polys, min_size=1, max_size=3))
+    return a, GridSpec(tuple(axes)), diag
+
+
+@BOUNDED
+@given(grid_cases())
+def test_grid_sweeps_equal_pointwise_oracle(case):
+    a, spec, diag = case
+    points = generate_grid(spec)
+    oracle = {s: psd_rational(eval_matrix(a, s)) for s in points}
+    report = psd_on_grid(a, spec)
+    assert report.total_points == len(points)
+    assert report.non_psd_points == tuple(s for s in points if not oracle[s])
+    bundle = SimpleNamespace(branches=[(SimpleNamespace(D=PolyMatrix.diagonal(diag)), None)])
+    flags = {s: all(p.evaluate(s) >= 0 for p in diag) for s in points}
+    equiv = _compare_on_grid(a, bundle, spec)
+    assert equiv.total_points == len(points)
+    assert equiv.disagreements == tuple(
+        (s, oracle[s], flags[s]) for s in points if oracle[s] != flags[s]
+    )
+
+
+def _sweeps(a, spec):
+    bundle = SimpleNamespace(branches=[(SimpleNamespace(D=PolyMatrix.identity(1, a.nvars)), None)])
+    return (lambda: psd_on_grid(a, spec), lambda: _compare_on_grid(a, bundle, spec))
+
+
+def test_grid_error_order():
+    eye13 = PolyMatrix.identity(13, 1)
+    # eye13 with a first row of 1 + t1: not symmetric at any point t1 >= 0
+    lopsided13 = PolyMatrix(13, 13, (P("1 + t1"),) * 13 + eye13.entries[13:])
+    # the grid cap comes before everything else
+    for sweep in _sweeps(lopsided13, GridSpec(((0, 1, 5),), max_points=4)):
+        with pytest.raises(ValueError, match="exceeding the cap"):
+            sweep()
+    # then symmetry, at the first point where A(s) is not symmetric
+    for sweep in _sweeps(lopsided13, GridSpec(((0, 1, 3),))):
+        with pytest.raises(NotSymmetric):
+            sweep()
+    # then the dimension cap
+    for sweep in _sweeps(eye13, GridSpec(((0, 0, 1),))):
+        with pytest.raises(DimensionCap, match="capped at dimension 12, got 13"):
+            sweep()
+
+
+def test_grid_symmetric_at_some_points_only():
+    # A(t) = [[1, t], [t^2, 1]] is symmetric at t = 0 and t = 1 only
+    a = M([["1", "t1"], ["t1^2", "1"]])
+    for sweep in _sweeps(a, GridSpec(((0, 1, 2),))):
+        assert sweep().total_points == 2
+    for sweep in _sweeps(a, GridSpec(((0, 2, 3),))):
+        with pytest.raises(NotSymmetric):
+            sweep()
 
 
 # -- check_bundle_equivalence --------------------------------------------------------
