@@ -40,6 +40,9 @@ from .errors import ExponentOverflow, ParseError
 
 # Largest exponent of one variable in one term that the parser accepts.
 MAX_EXPONENT = 4096
+# Largest variable count a matrix or certificate file may state; a packed
+# key grows by one field per variable, so packing costs O(nvars^2).
+MAX_NVARS = 64
 
 _FIELD_BITS = 32
 _FIELD_MASK = (1 << _FIELD_BITS) - 1

@@ -30,7 +30,7 @@ identities (empty means the certificate verifies), so callers can report
 exactly what failed.
 
 Certificate files are sectioned text: a `[meta]` section with `key value`
-lines (kind, dim, nvars, plus per-kind counts), then `[matrix <name>]`
+lines (kind, dim, nvars <= MAX_NVARS, per-kind counts), `[matrix <name>]`
 sections in the matrix file format, `[poly <name>]` sections holding one
 polynomial, `[trace <k>]` sections with `i j num/den` pivot lines, and
 `[indexset <j>]` sections with one ascending index line (`-` when empty).
@@ -48,7 +48,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .arith import Polynomial, _int_literal, parse_polynomial, sum_of_products
+from .arith import MAX_NVARS, Polynomial, _int_literal, parse_polynomial, sum_of_products
 from .errors import InternalIdentityFailure, NotSymmetric, ParseError
 from .polymat import PolyMatrix, format_matrix, parse_matrix
 
@@ -900,7 +900,7 @@ def _parse_meta(body, lineno, required, optional=()):
     return seen
 
 
-def _meta_int(seen, key, minimum=1):
+def _meta_int(seen, key, minimum=1, maximum=None):
     ln, value = seen[key]
     try:
         n = int(value)
@@ -908,6 +908,8 @@ def _meta_int(seen, key, minimum=1):
         raise ParseError(f"line {ln}: meta key {key!r} must be an integer, got {value!r}") from None
     if n < minimum:
         raise ParseError(f"line {ln}: meta key {key!r} must be >= {minimum}, got {n}")
+    if maximum is not None and n > maximum:
+        raise ParseError(f"line {ln}: meta key {key!r} must be <= {maximum}, got {n}")
     return n
 
 
@@ -937,7 +939,7 @@ def parse_certificate(text):
         if key not in ("kind", "dim", "nvars") and key not in spec.counts:
             raise ParseError(f"line {ln}: meta key {key!r} does not belong to kind {kind!r}")
     dim = _meta_int(meta, "dim")
-    reader.nvars = _meta_int(meta, "nvars")
+    reader.nvars = _meta_int(meta, "nvars", maximum=MAX_NVARS)
     for key in spec.counts:
         if key not in meta:
             raise ParseError(f"meta section is missing key {key!r} for kind {kind!r}")

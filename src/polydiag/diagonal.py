@@ -24,6 +24,7 @@ inverse, so certificates stay polynomial.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,70 +58,63 @@ def _require_symmetric(a):
         raise NotSymmetric("matrix must be symmetric")
 
 
-def standard_form_check(a):
-    """Rank and leading minors, or NotStandardForm naming the first zero minor."""
+def _standard_form(a):
+    """(StandardFormData, working matrix of PolyMatrix._eliminate) for a."""
     _require_symmetric(a)
     if a.rows < 2:
         raise ValueError("standard form needs dimension at least 2")
-    if a.is_zero():
+    rank, _sign, work, off = a._eliminate()
+    if rank == 0:
         raise ZeroMatrix("matrix is identically zero")
-    rank = a.generic_rank()
-    minors = []
-    for p in range(1, rank + 1):
-        m_p = a.leading_principal_minor(p)
-        if m_p.is_zero():
-            raise NotStandardForm(p)
-        minors.append(m_p)
-    return StandardFormData(rank, tuple(minors))
+    if off is not None:
+        # steps before off pivoted on the nonzero M_1..M_off, so M_(off+1)
+        # is the first zero leading minor
+        raise NotStandardForm(off + 1)
+    return StandardFormData(rank, [work[p][p] for p in range(rank)]), work
+
+
+def standard_form_check(a):
+    """Rank and leading minors, or NotStandardForm naming the first zero minor."""
+    return _standard_form(a)[0]
 
 
 def standard_form_diagonalize(a):
     """Closed-form certificate from minors, for standard-form matrices.
 
-    X_plus is lower triangular with m on the diagonal and below-diagonal
-    entries m * det(A[(1..j-1,i), (1..j)]) / M_j, where m is the product
-    of the leading minors M_1..M_min(r, n-1) (exactly the denominators the
-    columns carry).  X_minus is the lower-triangular solution of
-    X_minus*X_plus = m^2*I, w = m^2, and D = diag(w*M_p/M_(p-1) for
-    p <= r, then zeros); the final check compares that D with
-    X_minus*A*X_minus^t.
+    Let m be the product of the leading minors M_1..M_k, k = min(r, n-1)
+    (exactly the denominators the columns carry), and m/M_j the product of
+    the other k-1.  X_plus is lower triangular with m on the diagonal and
+    below-diagonal entries (m/M_j) * det(A[(1..j-1,i), (1..j)]) in its
+    first k columns.  X_minus is the lower-triangular solution of
+    X_minus*X_plus = m^2*I, w = m^2, and D = diag(w*M_p/M_(p-1) =
+    m*(m/M_(p-1))*M_p for p <= r, then zeros); the final check compares
+    that D with X_minus*A*X_minus^t.  All minors come from one elimination,
+    and X_plus and D need no division.
     """
-    data = standard_form_check(a)
+    data, work = _standard_form(a)
     n = a.rows
     nvars = a.nvars
-    rank = data.rank
+    minors = data.minors
     zero = Polynomial.zero(nvars)
+    k = min(data.rank, n - 1)
+    # others[j] = m / M_(j+1), the product of the other k-1 leading minors
     one = Polynomial.one(nvars)
-
-    m = one
-    for p in range(min(rank, n - 1)):
-        m = m * data.minors[p]
+    others = [math.prod(minors[:j] + minors[j + 1 : k], start=one) for j in range(k)]
+    m = others[0] * minors[0]
     w = m * m
 
     x_plus = [[zero] * n for _ in range(n)]
     for i in range(n):
         x_plus[i][i] = m
-    for j in range(1, n):  # 1-based column
-        if j > rank:
-            continue
-        lead = tuple(range(1, j))
-        m_j = data.minors[j - 1]
-        cols = tuple(range(1, j + 1))
-        for i in range(j + 1, n + 1):  # 1-based row
-            num = a.minor(lead + (i,), cols)
-            try:
-                x_plus[i - 1][j - 1] = (m * num).exact_div(m_j)
-            except ValueError:
-                raise InternalIdentityFailure(
-                    f"minor scaling for entry ({i},{j}) is not polynomial"
-                ) from None
+        for j in range(min(i, k)):
+            x_plus[i][j] = others[j] * work[i][j]
 
     # forward substitution on X_minus * X_plus = m^2 * I, row by row
     x_minus = [[zero] * n for _ in range(n)]
     for i in range(n):
         x_minus[i][i] = m
         for j in range(i - 1, -1, -1):
-            pairs = ((x_minus[i][k], x_plus[k][j]) for k in range(j + 1, i + 1))
+            pairs = ((x_minus[i][q], x_plus[q][j]) for q in range(j + 1, i + 1))
             acc = sum_of_products(nvars, pairs)
             try:
                 x_minus[i][j] = (-acc).exact_div(m)
@@ -129,11 +123,9 @@ def standard_form_diagonalize(a):
                     f"inverse entry ({i + 1},{j + 1}) is not polynomial"
                 ) from None
 
-    d_entries = [zero] * n
-    prev = one
-    for p in range(rank):
-        d_entries[p] = (w * data.minors[p]).exact_div(prev)
-        prev = data.minors[p]
+    # w*M_p/M_(p-1) = m * (m/M_(p-1)) * M_p, with m/M_0 = m
+    d_entries = [m * (f * m_p) for f, m_p in zip([m] + others, minors)]
+    d_entries += [zero] * (n - data.rank)
     xp = PolyMatrix.from_rows(x_plus)
     xm = PolyMatrix.from_rows(x_minus)
     return _checked(a, DiagCertificate(n, xp, xm, PolyMatrix.diagonal(d_entries), w))
@@ -247,19 +239,6 @@ def _averaged_pivot(a, i, j):
     return a[i - 1, j - 1] + Fraction(1, 2) * (a[i - 1, i - 1] + a[j - 1, j - 1])
 
 
-def _embed_corner(top_left, trailing):
-    """Block diagonal of a scalar polynomial and a square matrix."""
-    k = trailing.rows
-    nvars = top_left.nvars
-    zero = Polynomial.zero(nvars)
-    rows = [[zero] * (k + 1) for _ in range(k + 1)]
-    rows[0][0] = top_left
-    for p in range(k):
-        for q in range(k):
-            rows[p + 1][q + 1] = trailing[p, q]
-    return PolyMatrix.from_rows(rows)
-
-
 def _embed_kept(small, size, kept, fill_diag):
     """Place a matrix on the kept indices; fill dropped diagonal slots."""
     nvars = small.nvars
@@ -341,6 +320,7 @@ def _branches(m, bundle, cap, counter):
         # averaged (i,i) values and 2*a_ij = 2*avg_ij - a_ii - a_jj
         pivots = [next(p for p in pivots if not _averaged_pivot(m, *p).is_zero())]
     size = n - 1
+    corner_free = range(1, n)  # every index but the corner's
     out = []
     for i, j in pivots:
         a_piv, v, v_inv, scale = _pivot(m, i, j)
@@ -359,9 +339,9 @@ def _branches(m, bundle, cap, counter):
                 xp_b = _embed_kept(xp_b, size, kept, w_b)
             out.append(
                 (
-                    _embed_corner(at[0, 0], d_b),
-                    v_inv @ xp @ _embed_corner(w_b, xp_b),
-                    _embed_corner(one, xm_b) @ xm @ v,
+                    _embed_kept(d_b, n, corner_free, at[0, 0]),
+                    v_inv @ xp @ _embed_kept(xp_b, n, corner_free, w_b),
+                    _embed_kept(xm_b, n, corner_free, one) @ xm @ v,
                     alpha * alpha * w_b,
                     ((i, j),) + pivots_b,
                     (scale,) + scales_b,

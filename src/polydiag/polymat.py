@@ -5,21 +5,24 @@ immutable; entry access A[i, j] is 0-based, while the index tuples taken by
 minor(), leading_principal_minor(), submatrix() and permutation_matrix() are
 1-based to match the usual determinant notation.
 
-Determinants and the generic rank share one fully pivoted fraction-free
-(Bareiss) elimination: every division along the way is an exact polynomial
-division, so no rational functions appear.  The generic rank is the largest
-p with some p x p minor that is not the identically-zero polynomial.
+Determinants, the generic rank and the diagonal module's standard form
+share one fully pivoted fraction-free (Bareiss) elimination: every division
+along the way is exact, so no rational functions appear.  The generic rank
+is the largest p with some p x p minor that is not identically zero.  While
+the pivots stay on the diagonal, the working matrix holds minors of the
+input (Sylvester's identity), and the standard form reads its leading
+minors and triangular-factor numerators off that one pass.
 
-Matrix file format: a header line ``rows cols nvars`` followed by
-rows*cols polynomial lines in row-major order.  Lines starting with ``#``
-and blank lines are ignored.
+Matrix file format: a header line ``rows cols nvars`` (nvars at most
+MAX_NVARS) followed by rows*cols polynomial lines in row-major order.
+Lines starting with ``#`` and blank lines are ignored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import Polynomial, parse_polynomial, sum_of_products
+from .arith import MAX_NVARS, Polynomial, parse_polynomial, sum_of_products
 from .errors import ParseError
 
 
@@ -257,10 +260,10 @@ class PolyMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        rank, sign, last = self._eliminate()
+        rank, sign, work, _off = self._eliminate()
         if rank < self.rows:
             return Polynomial.zero(self.nvars)
-        return -last if sign < 0 else last
+        return -work[-1][-1] if sign < 0 else work[-1][-1]
 
     def generic_rank(self):
         """Rank over the rational-function field.
@@ -271,14 +274,19 @@ class PolyMatrix:
         return self._eliminate()[0]
 
     def _eliminate(self):
-        """Fully pivoted fraction-free elimination: (rank, sign, last pivot).
+        """Fully pivoted fraction-free elimination: (rank, sign, work, off).
 
-        sign is the parity of the row and column swaps.  For a square
-        matrix of full rank, sign * last pivot is the determinant.
+        sign is the parity of the swaps; for a square matrix of full rank,
+        sign * work[n-1][n-1] is the determinant.  work is the working
+        matrix (rows of entries); off is the first step whose pivot is not
+        on the diagonal, or None.  If off is None, step k < rank pivoted on
+        work[k][k] = M_(k+1) and left below it work[i][k] =
+        det A[(1..k, i+1), (1..k+1)] (1-based), by Sylvester's identity.
         """
         m = [list(self.row(i)) for i in range(self.rows)]
         prev = Polynomial.one(self.nvars)
         sign = 1
+        off = None
         for k in range(min(self.rows, self.cols)):
             pivot = next(
                 (
@@ -290,8 +298,10 @@ class PolyMatrix:
                 None,
             )
             if pivot is None:
-                return k, sign, prev
+                return k, sign, m, off
             pi, pj = pivot
+            if (pi, pj) != (k, k) and off is None:
+                off = k
             if pi != k:
                 m[k], m[pi] = m[pi], m[k]
                 sign = -sign
@@ -309,7 +319,7 @@ class PolyMatrix:
                         self.nvars, ((pivot_row[k], row[j]), (lead, pivot_row[j]))
                     ).exact_div(prev)
             prev = m[k][k]
-        return min(self.rows, self.cols), sign, prev
+        return min(self.rows, self.cols), sign, m, off
 
 
 def permutation_matrix(n, l, nvars):
@@ -353,6 +363,8 @@ def parse_matrix(text):
         raise ParseError(f"line {lineno}: header must hold three integers, got {header!r}") from None
     if rows < 1 or cols < 1 or nvars < 1:
         raise ParseError(f"line {lineno}: header values must be positive, got {header!r}")
+    if nvars > MAX_NVARS:
+        raise ParseError(f"line {lineno}: nvars {nvars} exceeds the maximum {MAX_NVARS}")
     body = lines[1:]
     if len(body) < rows * cols:
         raise ParseError(f"expected {rows * cols} entries, file ends after {len(body)}")

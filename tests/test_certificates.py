@@ -603,6 +603,10 @@ MALFORMED = [
      "line 4: meta key 'dim' must be >= 1, got 0"),
     ('diag-single.out', 'nvars 1\n', 'nvars -1\n',
      "line 5: meta key 'nvars' must be >= 1, got -1"),
+    ('diag-single.out', 'nvars 1\n', 'nvars 100000\n',
+     "line 5: meta key 'nvars' must be <= 64, got 100000"),
+    ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 65\n',
+     "section [matrix D] near line 18: line 1: nvars 65 exceeds the maximum 64"),
     ('diag-single.out', '[matrix D]\n2 2 1\nt1^3\n0\n0\nt1^3 - t1\n', '[matrix D]\n',
      'section [matrix D] near line 18: empty matrix file'),
     ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2\n',

@@ -5,6 +5,7 @@ the captured output, the same way a shell user would see it.
 """
 
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -405,3 +406,38 @@ def test_producers_skip_checked_block_step(tmp_path, monkeypatch):
     for mode in ("standard", "single", "bundle"):
         assert main(["diagonalize", "--mode", mode, mat]) == 0
     assert steps == []
+
+
+def test_standard_form_eliminates_once(tmp_path, monkeypatch):
+    names = ("_eliminate", "determinant", "minor", "leading_principal_minor")
+    calls = {name: count_calls(monkeypatch, name, (PolyMatrix,)) for name in names}
+    # full rank, then a vanishing M_2 (exit 2)
+    for text, code in ((TRIDIAG, 0), (VANISHING_MINORS, 2)):
+        for counted in calls.values():
+            counted.clear()
+        assert main(["diagonalize", "--mode", "standard", put(tmp_path, "a.mat", text)]) == code
+        assert {name: len(c) for name, c in calls.items()} == {
+            "_eliminate": 1,
+            "determinant": 0,
+            "minor": 0,
+            "leading_principal_minor": 0,
+        }
+
+
+def test_huge_nvars_refused_fast(tmp_path, capsys):
+    huge = put(tmp_path, "huge.mat", "1 1 100000\n1 + t1\n")
+    subject = str(GOLDEN / "a.mat")
+    cert_text = (GOLDEN / "diag-single.out").read_text()
+    cert = put(tmp_path, "huge.cert", cert_text.replace("nvars 1\n", "nvars 100000\n"))
+    matrix_error = f"parse error: {huge}: line 1: nvars 100000 exceeds the maximum 64\n"
+    cert_error = "parse error: line 5: meta key 'nvars' must be <= 64, got 100000\n"
+    for argv, err in (
+        (["diagonalize", huge], matrix_error),
+        (["psd-grid", huge], matrix_error),
+        (["verify", huge, str(GOLDEN / "diag-single.out")], matrix_error),
+        (["verify", subject, cert], cert_error),
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == err

@@ -1,9 +1,12 @@
 """Tests for the three congruence diagonalization routes."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydiag.arith import Polynomial, parse_polynomial
 from polydiag.diagonal import (
@@ -22,7 +25,9 @@ from polydiag.errors import (
 )
 from polydiag.polymat import PolyMatrix
 
-from helpers import const_matrix, rand_symmetric, rand_symmetric_total_deg
+from helpers import const_matrix, det_cofactor, rand_matrix, rand_symmetric, rand_symmetric_total_deg
+
+BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
 
 def P(text, nvars=1):
@@ -86,6 +91,60 @@ def test_standard_form_check_rejections():
         standard_form_check(PolyMatrix.zeros(2, 2, 1))
     with pytest.raises(ValueError):
         standard_form_check(M([["t1"]]))
+
+
+def _elimination_subject(seed, n, nvars, shape):
+    rng = random.Random(seed)
+    if shape == "gram":  # G^t*G of rank at most the row count of G
+        g = rand_matrix(rng, rng.randint(1, n - 1), n, nvars, max_deg=1)
+        return g.transpose() @ g
+    a = rand_symmetric(rng, n, nvars)
+    rows = [list(a.row(i)) for i in range(n)]
+    if shape == "zero corner":  # M_1 = 0, not in standard form unless zero
+        rows[0][0] = Polynomial.zero(nvars)
+    return PolyMatrix.from_rows(rows)
+
+
+@BOUNDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    nvars=st.integers(1, 2),
+    shape=st.sampled_from(("random", "gram", "zero corner")),
+)
+def test_one_elimination_matches_reference_minors(seed, n, nvars, shape):
+    a = _elimination_subject(seed, n, nvars, shape)
+    rank, _sign, work, off = a._eliminate()
+    assert rank == a.generic_rank()
+    # a symmetric matrix has rank r iff some r x r principal minor is nonzero
+    # and none larger is
+    assert rank == max(
+        (
+            k
+            for k in range(1, n + 1)
+            for idx in itertools.combinations(range(1, n + 1), k)
+            if not det_cofactor(a.submatrix(idx, idx)).is_zero()
+        ),
+        default=0,
+    )
+    leading = [det_cofactor(a.submatrix(range(1, p + 1), range(1, p + 1))) for p in range(1, n + 1)]
+    if rank == 0:
+        with pytest.raises(ZeroMatrix):
+            standard_form_check(a)
+    elif off is not None:
+        for p in range(off):
+            assert work[p][p] == a.leading_principal_minor(p + 1)
+        with pytest.raises(NotStandardForm) as info:
+            standard_form_check(a)
+        assert info.value.p == off + 1
+        assert info.value.p == next(p for p in range(1, n + 1) if leading[p - 1].is_zero())
+    else:
+        assert standard_form_check(a).minors == tuple(leading[:rank])
+        for j in range(rank):
+            assert work[j][j] == a.leading_principal_minor(j + 1)
+            for i in range(j + 1, n):
+                lead = tuple(range(1, j + 1))
+                assert work[i][j] == a.minor(lead + (i + 1,), lead + (j + 1,))
 
 
 # -- standard_form_diagonalize ----------------------------------------------

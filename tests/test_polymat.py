@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polydiag.arith import Polynomial, parse_polynomial
+from polydiag.arith import MAX_NVARS, Polynomial, parse_polynomial
 from polydiag.errors import ParseError
 from polydiag.polymat import (
     PolyMatrix,
@@ -245,6 +245,13 @@ def test_format_parse_round_trip():
 def test_parse_matrix_comments_and_blanks():
     text = "# subject\n\n2 2 1\nt1\n1\n\n1\nt1\n"
     assert parse_matrix(text) == M([["t1", "1"], ["1", "t1"]])
+
+
+def test_parse_matrix_caps_nvars():
+    assert parse_matrix(f"1 1 {MAX_NVARS}\nt{MAX_NVARS}\n").nvars == MAX_NVARS
+    with pytest.raises(ParseError) as info:
+        parse_matrix(f"# huge\n1 1 {MAX_NVARS + 1}\n1\n")
+    assert str(info.value) == f"line 2: nvars {MAX_NVARS + 1} exceeds the maximum {MAX_NVARS}"
 
 
 def test_parse_matrix_errors_carry_line_numbers():
