@@ -41,14 +41,11 @@ class _UsageError(Exception):
     pass
 
 
-def _read_text(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _read_matrix(path):
+def _read(path, parse=parse_matrix):
+    """parse(text of the file at path); a ParseError names the file."""
     try:
-        return parse_matrix(_read_text(path))
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(handle.read())
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -175,7 +172,7 @@ def _build_parser():
 
 
 def _cmd_diagonalize(args):
-    a = _read_matrix(args.matrix_file)
+    a = _read(args.matrix_file)
     if args.mode == "standard":
         text = format_diag_certificate(standard_form_diagonalize(a))
     elif args.mode == "single":
@@ -191,8 +188,8 @@ def _cmd_diagonalize(args):
 def _checked_certificate(args, only=None):
     """(subject, kind, payload, failures) for the matrix and certificate files
     of ``args``; each failed identity is printed."""
-    a = _read_matrix(args.matrix_file)
-    kind, payload = parse_certificate(_read_text(args.certificate_file))
+    a = _read(args.matrix_file)
+    kind, payload = _read(args.certificate_file, parse_certificate)
     if only and kind != only:
         raise _UsageError(f"{args.command} needs a {only} certificate, got kind {kind!r}")
     if _KINDS[kind].shape(payload) != (a.rows, a.nvars):
@@ -212,7 +209,7 @@ def _cmd_verify(args):
 
 
 def _cmd_psd_grid(args):
-    a = _read_matrix(args.matrix_file)
+    a = _read(args.matrix_file)
     if not a.is_square():
         raise _UsageError(f"matrix must be square, got {a.rows}x{a.cols}")
     report = psd_on_grid(a, _grid_spec(args, a.nvars))
@@ -241,7 +238,7 @@ def _cmd_equiv_check(args):
 
 
 def _cmd_gens(args):
-    mats = [_read_matrix(path) for path in args.matrix_files]
+    mats = [_read(path) for path in args.matrix_files]
     products = tmodule_generators(mats)
     index_sets = tmodule_index_sets(len(mats))
     lines = [f"# generated-by polydiag {__version__}"]

@@ -1,12 +1,10 @@
 """Exact congruence diagonalization of symmetric polynomial matrices.
 
 Three routes.  Each checks every certificate it returns exactly once,
-against its subject, with diag_certificate_failures; the block steps inside
-the pivot recursion are not checked on their own:
+against its subject, with diag_certificate_failures:
 
-- standard_form_diagonalize: one closed-form certificate from leading
-  principal minors, for matrices in standard form (rank r with
-  M_1, ..., M_r all nonzero).
+- standard_form_diagonalize: one closed-form certificate for matrices in
+  standard form (rank r with M_1, ..., M_r all nonzero).
 - single_path_diagonalize: one certificate for any nonzero symmetric
   matrix, by recursively pivoting on the first position whose averaged
   pivot value is not identically zero.
@@ -14,12 +12,24 @@ the pivot recursion are not checked on their own:
   family of certificates D_l with the pointwise property that A(s) is PSD
   exactly when all diagonal entries of all D_l(s) are nonnegative.
 
-The pivot move is rational: to bring position (i, j) to the corner, row j
-is added to row i (for i < j) and rows 1 and i are swapped.  The resulting
-corner entry is a_ii + 2*a_ij + a_jj = 2*(a_ij + (a_ii + a_jj)/2), twice
-the averaged pivot value, and the factor 2 is positive so no pointwise
-sign condition changes.  The congruence has determinant +-1 and an integer
-inverse, so certificates stay polynomial.
+Every certificate is read off one fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968): each step turns the trailing block into
+(alpha*C - beta^t*beta) / (previous pivot), exact by Sylvester's identity,
+with the leading minors M_p as pivots.  That is the paper's block step
+alpha*(alpha*C - beta^t*beta) over a nonzero polynomial, so pivots,
+compactions and branches are the paper's.  The standard route scales the
+rows of L^-1 by the product m of the minors: D_p = m^2*M_p/M_(p-1).  The
+pivot routes use the Jacobi scaling s_p = M_(p-1): D_p = M_(p-1)*M_p, and
+the paper's D_p is that times a square.  The standard scaling would break
+the bundle's property, for its D_p carries later minors squared and reads
+0 where one vanishes: A = [[5t2^2, 2t2^2, -2t2], [2t2^2, t2, -t1^2],
+[-2t2, -t1^2, 2t1t2 + 2t1 - 2]] is not PSD at (0, 0), yet every branch's D
+would be >= 0 there.
+
+The pivot move adds row j to row i (for i < j) and swaps rows 1 and i; the
+corner a_ii + 2*a_ij + a_jj is twice the averaged pivot value.  A branch's
+moves and compactions make one integer matrix P with an integer inverse;
+it eliminates B = P*A*P^t, then X_plus = P^-1*X_plus', X_minus = X_minus'*P.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from .errors import (
     NotSymmetric,
     ZeroMatrix,
 )
-from .polymat import PolyMatrix, permutation_matrix
+from .polymat import PolyMatrix, _bareiss_step
 
 
 @dataclass(frozen=True)
@@ -81,54 +91,59 @@ def standard_form_check(a):
 def standard_form_diagonalize(a):
     """Closed-form certificate from minors, for standard-form matrices.
 
-    Let m be the product of the leading minors M_1..M_k, k = min(r, n-1)
-    (exactly the denominators the columns carry), and m/M_j the product of
-    the other k-1.  X_plus is lower triangular with m on the diagonal and
-    below-diagonal entries (m/M_j) * det(A[(1..j-1,i), (1..j)]) in its
-    first k columns.  X_minus is the lower-triangular solution of
-    X_minus*X_plus = m^2*I, w = m^2, and D = diag(w*M_p/M_(p-1) =
-    m*(m/M_(p-1))*M_p for p <= r, then zeros); the final check compares
-    that D with X_minus*A*X_minus^t.  All minors come from one elimination,
-    and X_plus and D need no division.
+    Every row of L^-1 is scaled by m = M_1*...*M_k, k = min(r, n-1): X_plus
+    has m on its diagonal and (m/M_j) * det(A[(1..j-1,i), (1..j)]) below it
+    in its first k columns, w = m^2 and D = diag(w*M_p/M_(p-1), p <= r).
     """
     data, work = _standard_form(a)
-    n = a.rows
-    nvars = a.nvars
-    minors = data.minors
-    zero = Polynomial.zero(nvars)
-    k = min(data.rank, n - 1)
-    # others[j] = m / M_(j+1), the product of the other k-1 leading minors
-    one = Polynomial.one(nvars)
-    others = [math.prod(minors[:j] + minors[j + 1 : k], start=one) for j in range(k)]
-    m = others[0] * minors[0]
-    w = m * m
+    xp, xm, d, w = _closed_form(a.nvars, work, data.rank, min(data.rank, a.rows - 1), False)
+    cert = DiagCertificate(a.rows, PolyMatrix.from_rows(xp), PolyMatrix.from_rows(xm), d, w)
+    return _checked(a, cert)
 
+
+def _closed_form(nvars, work, rank, k, jacobi):
+    """(X_plus rows, X_minus rows, D, w) of a symmetric B from its elimination.
+
+    work[p][p] = M_(p+1) for p < rank; in column j < k below it sits the
+    numerator det B[(1..j, i+1), (1..j+1)] (1-based) of L, the unit lower
+    triangular factor of B = L*diag(M_p/M_(p-1))*L^t; k steps divided.
+    Row p of X_minus = S*L^-1 is scaled by s_p = M_min(p,k) (M_0 = 1) if
+    jacobi, else by m = M_1*...*M_k.  Then w = m^2, X_plus = w*L*S^-1 and
+    D_p = s_p^2*M_(p+1)/M_p need no division; X_minus is solved row by
+    row, each step dividing by one minor.
+    """
+    n = len(work)
+    minors = [work[p][p] for p in range(rank)]
+    one, zero = Polynomial.one(nvars), Polynomial.zero(nvars)
+    # quot[p] = m / M_p (M_0 = 1), the product of the other minors
+    quot = [math.prod(minors[:j] + minors[j + 1 : k], start=one) for j in range(k)]
+    m = quot[0] * minors[0] if k else one
+    quot.insert(0, m)
+    # per row p: s_p, m / s_p and s_p / M_p
+    if jacobi:
+        s = [([one] + minors)[min(p, k)] for p in range(n)]
+        m_over_s = [quot[min(p, k)] for p in range(n)]
+        s_over_minor = [one] * rank
+    else:
+        s, m_over_s, s_over_minor = [m] * n, [one] * n, quot
     x_plus = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        x_plus[i][i] = m
-        for j in range(min(i, k)):
-            x_plus[i][j] = others[j] * work[i][j]
-
-    # forward substitution on X_minus * X_plus = m^2 * I, row by row
     x_minus = [[zero] * n for _ in range(n)]
+    col = [m_over_s[j] * quot[j + 1] for j in range(k)]  # w / (s_j * M_(j+1))
     for i in range(n):
-        x_minus[i][i] = m
-        for j in range(i - 1, -1, -1):
-            pairs = ((x_minus[i][q], x_plus[q][j]) for q in range(j + 1, i + 1))
-            acc = sum_of_products(nvars, pairs)
+        x_plus[i][i] = m * m_over_s[i]
+        x_minus[i][i] = s[i]
+        for j in range(min(i, k)):
+            x_plus[i][j] = col[j] * work[i][j]
+        # X_minus * L = S: x_minus[i][j] = -sum_q x_minus[i][q] * work[q][j] / M_(j+1)
+        for j in range(min(i, k) - 1, -1, -1):
+            acc = sum_of_products(nvars, ((x_minus[i][q], work[q][j]) for q in range(j + 1, i + 1)))
             try:
-                x_minus[i][j] = (-acc).exact_div(m)
+                x_minus[i][j] = (-acc).exact_div(minors[j])
             except ValueError:
-                raise InternalIdentityFailure(
-                    f"inverse entry ({i + 1},{j + 1}) is not polynomial"
-                ) from None
-
-    # w*M_p/M_(p-1) = m * (m/M_(p-1)) * M_p, with m/M_0 = m
-    d_entries = [m * (f * m_p) for f, m_p in zip([m] + others, minors)]
-    d_entries += [zero] * (n - data.rank)
-    xp = PolyMatrix.from_rows(x_plus)
-    xm = PolyMatrix.from_rows(x_minus)
-    return _checked(a, DiagCertificate(n, xp, xm, PolyMatrix.diagonal(d_entries), w))
+                msg = f"inverse entry ({i + 1},{j + 1}) is not polynomial"
+                raise InternalIdentityFailure(msg) from None
+    d = [s[p] * (s_over_minor[p] * minors[p]) for p in range(rank)]
+    return x_plus, x_minus, PolyMatrix.diagonal(d + [zero] * (n - rank)), m * m
 
 
 def _checked(a, cert):
@@ -140,23 +155,40 @@ def _checked(a, cert):
 
 
 def block_step(a):
-    """One corner reduction: A -> diag(alpha^3, alpha*(alpha*C - beta^t*beta)).
+    """The paper's corner reduction: A -> diag(alpha^3, alpha*(alpha*C - beta^t*beta)).
 
     Returns (Atilde, X_plus, X_minus, alpha) with X_plus*X_minus = alpha^2*I,
     Atilde = X_minus*A*X_minus^t and alpha^4*A = X_plus*Atilde*X_plus^t,
     where alpha is the corner entry, beta the rest of the first row, and C
     the trailing block.  All three identities are checked here, before
-    returning.  The producers call the unchecked step instead and check
-    each finished certificate once, against its subject.
+    returning.  The producers divide alpha*C - beta^t*beta by the previous
+    pivot instead.
     """
     _require_symmetric(a)
     n = a.rows
     if n < 2:
         raise ValueError("block step needs dimension at least 2")
-    at, xp, xm, alpha = _block_step(a)
+    nvars = a.nvars
+    zero = Polynomial.zero(nvars)
+    alpha = a[0, 0]
+    beta = [a[0, k] for k in range(1, n)]
+    atilde = [[zero] * n for _ in range(n)]
+    atilde[0][0] = alpha * alpha * alpha
+    for p in range(1, n):
+        for q in range(p, n):
+            inner = sum_of_products(nvars, ((alpha, a[p, q]), (-beta[p - 1], beta[q - 1])))
+            atilde[p][q] = atilde[q][p] = alpha * inner
+
+    def corner(sign):
+        rows = [[alpha if p == q else zero for q in range(n)] for p in range(n)]
+        for p in range(1, n):
+            rows[p][0] = sign * beta[p - 1]
+        return PolyMatrix.from_rows(rows)
+
+    at, xp, xm = PolyMatrix.from_rows(atilde), corner(+1), corner(-1)
     a2 = alpha * alpha
     failures = []
-    if xp @ xm != PolyMatrix.identity(n, a.nvars) * a2:
+    if xp @ xm != PolyMatrix.identity(n, nvars) * a2:
         failures.append("X_plus*X_minus = alpha^2*I")
     if at != xm.congruence(a):
         failures.append("Atilde = X_minus*A*X_minus^t")
@@ -167,127 +199,90 @@ def block_step(a):
     return at, xp, xm, alpha
 
 
-def _block_step(a):
-    """block_step without its checks, for a symmetric a of dimension >= 2."""
-    n = a.rows
-    nvars = a.nvars
-    zero = Polynomial.zero(nvars)
-    alpha = a[0, 0]
-    beta = [a[0, k] for k in range(1, n)]
-
-    atilde = [[zero] * n for _ in range(n)]
-    atilde[0][0] = alpha * alpha * alpha
-    # the trailing block alpha*(alpha*C - beta^t*beta) is symmetric with a
-    for p in range(1, n):
-        neg_beta = -beta[p - 1]
-        for q in range(p, n):
-            inner = sum_of_products(nvars, ((alpha, a[p, q]), (neg_beta, beta[q - 1])))
-            atilde[p][q] = atilde[q][p] = alpha * inner
-
-    def corner(sign):
-        rows = [[zero] * n for _ in range(n)]
-        rows[0][0] = alpha
-        for p in range(1, n):
-            rows[p][0] = beta[p - 1] if sign > 0 else -beta[p - 1]
-            rows[p][p] = alpha
-        return PolyMatrix.from_rows(rows)
-
-    return PolyMatrix.from_rows(atilde), corner(+1), corner(-1), alpha
-
-
-def _pivot(a, i, j):
-    """Congruence bringing the (i, j) pivot to the corner.
-
-    Returns (A_ij, V, V_inv, scale) with A_ij = V*A*V^t and
-    (A_ij)_11 = scale * (a_ij + (a_ii + a_jj)/2), scale in {1, 2}.
-    """
-    n = a.rows
-    nvars = a.nvars
-    p_i = permutation_matrix(n, i, nvars)
-    if i == j:
-        v = p_i
-        v_inv = p_i
-        scale = Fraction(1)
-    else:
-        w_add = PolyMatrix.identity(n, nvars)
-        one = Polynomial.one(nvars)
-        rows = [list(w_add.row(r)) for r in range(n)]
-        rows[i - 1][j - 1] = one
-        w_add = PolyMatrix.from_rows(rows)
-        rows[i - 1][j - 1] = -one
-        w_inv = PolyMatrix.from_rows(rows)
-        v = p_i @ w_add
-        v_inv = w_inv @ p_i
-        scale = Fraction(2)
-    return v.congruence(a), v, v_inv, scale
-
-
 def pivot_congruence(a, i, j):
-    """Public pivot move; returns (A_ij, V, scale) for 1 <= i <= j <= n."""
+    """(A_ij, V, scale) with A_ij = V*A*V^t, 1 <= i <= j <= n, and
+    (A_ij)_11 = scale * (a_ij + (a_ii + a_jj)/2), scale 1 if i = j else 2."""
     _require_symmetric(a)
     n = a.rows
     if not (1 <= i <= j <= n):
         raise ValueError(f"pivot indices must satisfy 1 <= i <= j <= {n}, got ({i},{j})")
-    a_ij, v, _v_inv, scale = _pivot(a, i, j)
-    return a_ij, v, scale
+    work = [list(a.row(r)) for r in range(n)]
+    p = _identity(n)
+    _move(work, p, _identity(n), 0, n, i - 1, j - 1)
+    v = PolyMatrix.from_rows([[Polynomial.const(a.nvars, c) for c in row] for row in p])
+    return PolyMatrix.from_rows(work), v, Fraction(1 if i == j else 2)
 
 
-def _averaged_pivot(a, i, j):
-    # a_ij + (a_ii + a_jj)/2; equals a_ii when i = j
-    if i == j:
-        return a[i - 1, i - 1]
-    return a[i - 1, j - 1] + Fraction(1, 2) * (a[i - 1, i - 1] + a[j - 1, j - 1])
+def _identity(n):
+    return [[int(x == y) for y in range(n)] for x in range(n)]
 
 
-def _embed_kept(small, size, kept, fill_diag):
-    """Place a matrix on the kept indices; fill dropped diagonal slots."""
-    nvars = small.nvars
-    zero = Polynomial.zero(nvars)
-    rows = [[zero] * size for _ in range(size)]
-    for p, ip in enumerate(kept):
-        for q, iq in enumerate(kept):
-            rows[ip][iq] = small[p, q]
-    for d in range(size):
-        if d not in kept:
-            rows[d][d] = fill_diag
-    return PolyMatrix.from_rows(rows)
+def _combine(coeffs, rows):
+    """coeffs * rows for an integer matrix coeffs, by adding and negating rows."""
+    out = []
+    for crow in coeffs:
+        terms = [r if c > 0 else [-x for x in r] for c, r in zip(crow, rows) for _ in range(abs(c))]
+        out.append([sum(col[1:], col[0]) for col in zip(*terms)])
+    return out
+
+
+def _corner_vanishes(work, level, i, j):
+    # the (i, j) move's corner a_ii + 2*a_ij + a_jj (4*a_ii for i = j) at level
+    a, b = level + i - 1, level + j - 1
+    return (work[a][a] + 2 * work[a][b] + work[b][b]).is_zero()
+
+
+def _permute(work, p, p_inv, lo, hi, order):
+    """Positions lo..hi-1 take the rows, and block columns, at order."""
+    work[lo:hi] = [work[x] for x in order]
+    for row in work[lo:hi]:
+        row[lo:hi] = [row[x] for x in order]
+    p[lo:hi] = [p[x] for x in order]
+    for row in p_inv:
+        row[lo:hi] = [row[x] for x in order]
+
+
+def _move(work, p, p_inv, level, end, a, b):
+    """Pivot move on positions a <= b of the block level..end-1: add row and
+    column b to a (a < b), swap a into the corner; P^-1 takes the inverse."""
+    if a != b:
+        work[a] = [x + y for x, y in zip(work[a], work[b])]
+        for row in work[level:end]:
+            row[a] = row[a] + row[b]
+        p[a] = [x + y for x, y in zip(p[a], p[b])]
+        for row in p_inv:
+            row[b] -= row[a]
+    order = list(range(level, end))
+    order[0], order[a - level] = a, level
+    _permute(work, p, p_inv, level, end, order)
 
 
 def single_path_diagonalize(a):
-    """One certificate for any nonzero symmetric matrix.
-
-    At each level the first (i, j) in lexicographic order whose averaged
-    pivot value is not identically zero is pivoted to the corner, the block
-    step splits off its cube, and the recursion continues on the trailing
-    block until it is identically zero.
-    """
+    """One certificate for any nonzero symmetric matrix: each level pivots on
+    the first (i, j) in lexicographic order whose averaged pivot value is
+    not identically zero, until the trailing block is zero or 1 x 1."""
     _require_symmetric(a)
     if a.is_zero():
         raise ZeroMatrix("matrix is identically zero")
     # one pivot per level gives exactly one branch, so a cap of 1 never trips
-    ((d, xp, xm, w, _pivots, _scales),) = _branches(a, bundle=False, cap=1, counter=[0])
-    return _checked(a, DiagCertificate(a.rows, xp, xm, d, w))
+    ((cert, _pivots, _scales),) = _branches(a, bundle=False, cap=1)
+    return _checked(a, cert)
 
 
 def diagonalization_bundle(a, cap_branches=10_000):
     """Certificates for every pivot path, with their traces.
 
-    At each level every pair (i, j) with i <= j is pivoted to the corner
-    and reduced; zero rows and columns of the trailing block are compacted
-    away before recursing, and a branch ends when its trailing block is
-    identically zero.  Raises BundleTooLarge past cap_branches branches.
+    Each level pivots on every (i, j) with i <= j and eliminates; zero rows
+    and columns of the trailing block are compacted away, and a branch ends
+    when that block is identically zero.  BundleTooLarge past cap_branches.
     """
     _require_symmetric(a)
     if a.is_zero():
         raise ZeroMatrix("matrix is identically zero")
     if cap_branches < 1:
         raise ValueError("branch cap must be positive")
-    branches = []
-    failures = []
-    for k, (d, xp, xm, w, pivots, scales) in enumerate(
-        _branches(a, bundle=True, cap=cap_branches, counter=[0]), start=1
-    ):
-        cert = DiagCertificate(a.rows, xp, xm, d, w)
+    branches, failures = [], []
+    for k, (cert, pivots, scales) in enumerate(_branches(a, True, cap_branches), start=1):
         failures.extend(f"branch {k}: {f}" for f in diag_certificate_failures(a, cert))
         branches.append((cert, PivotTrace(pivots, scales)))
     if failures:
@@ -295,56 +290,56 @@ def diagonalization_bundle(a, cap_branches=10_000):
     return DiagBundle(a.rows, tuple(branches))
 
 
-def _branches(m, bundle, cap, counter):
-    """Branch tuples (D, X_plus, X_minus, w, pivots, scales) for m.
+def _branches(a, bundle, cap):
+    """(DiagCertificate, pivots, scales) for each branch of a nonzero a.
 
-    The bundle route pivots on every (i, j) and compacts zero rows and
-    columns of a nonzero trailing block away before recursing.  The single
-    path pivots only on the first (i, j) whose averaged pivot value is not
-    identically zero and keeps the trailing block whole, so it yields one
-    branch.  counter[0] counts finished branches; past cap, BundleTooLarge.
+    A branch's state is the working matrix of its elimination of B =
+    P*A*P^t, with P and P^-1; positions level..end-1 hold the trailing
+    block.  The bundle pivots on every (i, j) and compacts zero rows and
+    columns to the block's end; the single path takes the first pivot whose
+    corner is not identically zero and keeps the block whole.  Past cap
+    branches, BundleTooLarge.
     """
-    n = m.rows
-    nvars = m.nvars
-    one = Polynomial.one(nvars)
-    if n == 1 or m.is_zero():
-        counter[0] += 1
-        if counter[0] > cap:
-            raise BundleTooLarge(f"branch count exceeds cap {cap}")
-        ident = PolyMatrix.identity(n, nvars)
-        return [(m, ident, ident, one, (), ())]
-
-    pivots = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    if not bundle:
-        # a nonzero m has a usable pivot: its diagonal entries are the
-        # averaged (i,i) values and 2*a_ij = 2*avg_ij - a_ii - a_jj
-        pivots = [next(p for p in pivots if not _averaged_pivot(m, *p).is_zero())]
-    size = n - 1
-    corner_free = range(1, n)  # every index but the corner's
+    n, nvars = a.rows, a.nvars
+    zero = Polynomial.zero(nvars)
     out = []
-    for i, j in pivots:
-        a_piv, v, v_inv, scale = _pivot(m, i, j)
-        at, xp, xm, alpha = _block_step(a_piv)
-        trailing = at.submatrix(tuple(range(2, n + 1)), tuple(range(2, n + 1)))
-        kept = list(range(size))
-        if bundle and not trailing.is_zero():
-            kept = [k for k in kept if any(not trailing[k, q].is_zero() for q in range(size))]
-        if len(kept) < size:
-            idx = tuple(k + 1 for k in kept)
-            trailing = trailing.submatrix(idx, idx)
-        for d_b, xp_b, xm_b, w_b, pivots_b, scales_b in _branches(trailing, bundle, cap, counter):
-            if len(kept) < size:
-                d_b = _embed_kept(d_b, size, kept, Polynomial.zero(nvars))
-                xm_b = _embed_kept(xm_b, size, kept, one)
-                xp_b = _embed_kept(xp_b, size, kept, w_b)
-            out.append(
-                (
-                    _embed_kept(d_b, n, corner_free, at[0, 0]),
-                    v_inv @ xp @ _embed_kept(xp_b, n, corner_free, w_b),
-                    _embed_kept(xm_b, n, corner_free, one) @ xm @ v,
-                    alpha * alpha * w_b,
-                    ((i, j),) + pivots_b,
-                    (scale,) + scales_b,
-                )
-            )
+
+    def finish(work, p, p_inv, level, pivots, scales, vacuous):
+        if len(out) >= cap:
+            raise BundleTooLarge(f"branch count exceeds cap {cap}")
+        rank = level + (not vacuous and not work[level][level].is_zero())
+        xp, xm, d, w = _closed_form(nvars, work, rank, level, True)
+        if vacuous:  # the corner vanished: keep the rows of the pivots taken so far
+            xp, w = [[zero] * n for _ in range(n)], zero
+            xm = xm[:level] + xp[level:]
+        xm = zip(*_combine(list(zip(*p)), list(zip(*xm))))  # X_minus' * P
+        xp, xm = PolyMatrix.from_rows(_combine(p_inv, xp)), PolyMatrix.from_rows(list(xm))
+        out.append((DiagCertificate(n, xp, xm, d, w), pivots, scales))
+
+    def grow(work, p, p_inv, level, end, pivots, scales):
+        size = end - level
+        block = range(level, end)
+        if size == 1 or all(work[x][y].is_zero() for x in block for y in block):
+            return finish(work, p, p_inv, level, pivots, scales, False)
+        choices = [(i, j) for i in range(1, size + 1) for j in range(i, size + 1)]
+        if not bundle:
+            # a nonzero block has a usable pivot: its diagonal entries are the
+            # averaged (i,i) values and 2*a_ij = 2*avg_ij - a_ii - a_jj
+            choices = [next(c for c in choices if not _corner_vanishes(work, level, *c))]
+        prev = work[level - 1][level - 1] if level else Polynomial.one(nvars)
+        for i, j in choices:
+            trace = (pivots + ((i, j),), scales + (Fraction(1 if i == j else 2),))
+            if _corner_vanishes(work, level, i, j):
+                finish(work, p, p_inv, level, *trace, True)
+                continue
+            w2, p2, p_inv2 = ([row[:] for row in m] for m in (work, p, p_inv))
+            _move(w2, p2, p_inv2, level, end, level + i - 1, level + j - 1)
+            _bareiss_step(nvars, w2, level, prev, end, end, symmetric=True)
+            rest = range(level + 1, end)
+            kept = [x for x in rest if any(not w2[x][y].is_zero() for y in rest)] if bundle else []
+            if 0 < len(kept) < len(rest):
+                _permute(w2, p2, p_inv2, level + 1, end, kept + [x for x in rest if x not in kept])
+            grow(w2, p2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), *trace)
+
+    grow([list(a.row(r)) for r in range(n)], _identity(n), _identity(n), 0, n, (), ())
     return out

@@ -6,12 +6,10 @@ minor(), leading_principal_minor(), submatrix() and permutation_matrix() are
 1-based to match the usual determinant notation.
 
 Determinants, the generic rank and the diagonal module's standard form
-share one fully pivoted fraction-free (Bareiss) elimination: every division
-along the way is exact, so no rational functions appear.  The generic rank
-is the largest p with some p x p minor that is not identically zero.  While
-the pivots stay on the diagonal, the working matrix holds minors of the
-input (Sylvester's identity), and the standard form reads its leading
-minors and triangular-factor numerators off that one pass.
+share one fully pivoted fraction-free (Bareiss) elimination, whose step
+_bareiss_step the pivot routes take too: every division is exact
+(Sylvester's identity), so no rational functions appear.  The generic rank
+is the largest p with some p x p minor that is not identically zero.
 
 Matrix file format: a header line ``rows cols nvars`` (nvars at most
 MAX_NVARS) followed by rows*cols polynomial lines in row-major order.
@@ -309,17 +307,26 @@ class PolyMatrix:
                 for row in m:
                     row[k], row[pj] = row[pj], row[k]
                 sign = -sign
-            pivot_row = m[k]
-            for i in range(k + 1, self.rows):
-                row = m[i]
-                lead = -row[k]
-                for j in range(k + 1, self.cols):
-                    # Sylvester's identity guarantees this division is exact
-                    row[j] = sum_of_products(
-                        self.nvars, ((pivot_row[k], row[j]), (lead, pivot_row[j]))
-                    ).exact_div(prev)
+            _bareiss_step(self.nvars, m, k, prev, self.rows, self.cols)
             prev = m[k][k]
         return min(self.rows, self.cols), sign, m, off
+
+
+def _bareiss_step(nvars, m, k, prev, rows, cols, symmetric=False):
+    """One fraction-free step on the pivot m[k][k], in place.
+
+    m[i][j] becomes (m[k][k]*m[i][j] - m[i][k]*m[k][j]) / prev for k < i < rows
+    and k < j < cols, exact (Sylvester) when prev is the previous pivot; a
+    symmetric block computes j >= i and mirrors it."""
+    pivot_row = m[k]
+    for i in range(k + 1, rows):
+        row = m[i]
+        lead = -row[k]
+        for j in range(i if symmetric else k + 1, cols):
+            pairs = ((pivot_row[k], row[j]), (lead, pivot_row[j]))
+            row[j] = sum_of_products(nvars, pairs).exact_div(prev)
+            if symmetric:
+                m[j][i] = row[j]
 
 
 def permutation_matrix(n, l, nvars):

@@ -2,15 +2,18 @@
 
 The oracles here are deliberately written with different algorithms than
 the library code they check: determinants by Laplace cofactor expansion
-instead of fraction-free elimination, and semidefiniteness by a pivoted
+instead of fraction-free elimination, semidefiniteness by a pivoted
 rational LDL^t factorization and by the sign of every principal minor
-instead of the characteristic-polynomial criterion.
+instead of the characteristic-polynomial criterion, and the pivot routes'
+branches by the paper's block step instead of one fraction-free
+elimination per branch.
 """
 
 import itertools
 from fractions import Fraction
 
-from polydiag.arith import Polynomial
+from polydiag.arith import Polynomial, sum_of_products
+from polydiag.diagonal import pivot_congruence
 from polydiag.polymat import PolyMatrix
 from polydiag.positivity import RationalMatrix
 
@@ -189,3 +192,105 @@ def psd_principal_minors(a):
             if _det_rational([[a[i, j] for j in idx] for i in idx]) < 0:
                 return False
     return True
+
+
+def _paper_block_step(a):
+    """(Atilde, X_plus, X_minus, alpha): A -> diag(alpha^3, alpha*(alpha*C - beta^t*beta))."""
+    n = a.rows
+    nvars = a.nvars
+    zero = Polynomial.zero(nvars)
+    alpha = a[0, 0]
+    beta = [a[0, k] for k in range(1, n)]
+    atilde = [[zero] * n for _ in range(n)]
+    atilde[0][0] = alpha * alpha * alpha
+    for p in range(1, n):
+        for q in range(p, n):
+            inner = sum_of_products(nvars, ((alpha, a[p, q]), (-beta[p - 1], beta[q - 1])))
+            atilde[p][q] = atilde[q][p] = alpha * inner
+
+    def corner(sign):
+        rows = [[zero] * n for _ in range(n)]
+        rows[0][0] = alpha
+        for p in range(1, n):
+            rows[p][0] = sign * beta[p - 1]
+            rows[p][p] = alpha
+        return PolyMatrix.from_rows(rows)
+
+    return PolyMatrix.from_rows(atilde), corner(1), corner(-1), alpha
+
+
+def _embed_kept(small, size, kept, fill_diag):
+    """Place a matrix on the kept indices; fill dropped diagonal slots."""
+    zero = Polynomial.zero(small.nvars)
+    rows = [[zero] * size for _ in range(size)]
+    for p, ip in enumerate(kept):
+        for q, iq in enumerate(kept):
+            rows[ip][iq] = small[p, q]
+    for d in range(size):
+        if d not in kept:
+            rows[d][d] = fill_diag
+    return PolyMatrix.from_rows(rows)
+
+
+def _pivot_inverse(n, i, j, nvars):
+    """V^-1 for the pivot move V of pivot_congruence(., i, j)."""
+    ident = PolyMatrix.identity(n, nvars)
+    _a, p_i, _scale = pivot_congruence(ident, i, i)
+    if i == j:
+        return p_i
+    rows = [list(ident.row(r)) for r in range(n)]
+    rows[i - 1][j - 1] = -Polynomial.one(nvars)
+    return PolyMatrix.from_rows(rows) @ p_i
+
+
+def paper_branches(m, bundle):
+    """Branch tuples (D, X_plus, X_minus, w, pivots, scales) by the paper's block step.
+
+    The reference for the pivot routes' traces: the same pivot choices,
+    compactions and branch order as diagonal.diagonalization_bundle (bundle)
+    and single_path_diagonalize, but each level's trailing block is
+    alpha*(alpha*C - beta^t*beta) and the certificates are composed level by
+    level, so w is the product of the squared corners.
+    """
+    n = m.rows
+    nvars = m.nvars
+    one = Polynomial.one(nvars)
+    if n == 1 or m.is_zero():
+        ident = PolyMatrix.identity(n, nvars)
+        return [(m, ident, ident, one, (), ())]
+
+    def averaged(i, j):
+        return m[i - 1, j - 1] + Fraction(1, 2) * (m[i - 1, i - 1] + m[j - 1, j - 1])
+
+    pivots = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    if not bundle:
+        pivots = [next(p for p in pivots if not averaged(*p).is_zero())]
+    size = n - 1
+    corner_free = range(1, n)
+    out = []
+    for i, j in pivots:
+        a_piv, v, scale = pivot_congruence(m, i, j)
+        at, xp, xm, alpha = _paper_block_step(a_piv)
+        trailing = at.submatrix(tuple(range(2, n + 1)), tuple(range(2, n + 1)))
+        kept = list(range(size))
+        if bundle and not trailing.is_zero():
+            kept = [k for k in kept if any(not trailing[k, q].is_zero() for q in range(size))]
+        if len(kept) < size:
+            idx = tuple(k + 1 for k in kept)
+            trailing = trailing.submatrix(idx, idx)
+        for d_b, xp_b, xm_b, w_b, pivots_b, scales_b in paper_branches(trailing, bundle):
+            if len(kept) < size:
+                d_b = _embed_kept(d_b, size, kept, Polynomial.zero(nvars))
+                xm_b = _embed_kept(xm_b, size, kept, one)
+                xp_b = _embed_kept(xp_b, size, kept, w_b)
+            out.append(
+                (
+                    _embed_kept(d_b, n, corner_free, at[0, 0]),
+                    _pivot_inverse(n, i, j, nvars) @ xp @ _embed_kept(xp_b, n, corner_free, w_b),
+                    _embed_kept(xm_b, n, corner_free, one) @ xm @ v,
+                    alpha * alpha * w_b,
+                    ((i, j),) + pivots_b,
+                    (scale,) + scales_b,
+                )
+            )
+    return out

@@ -525,10 +525,10 @@ def test_parse_rejects_malformed_files():
         parse_certificate(good.replace("[matrix X_plus]", "[matrix X_minus]", 1))
     with pytest.raises(ParseError, match="extra section"):
         parse_certificate(good + "[poly extra]\n1\n")
-    d_block = "[matrix D]\n2 2 1\nt1^3\n0\n0\nt1^3 - t1"
+    d_block = "[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1"
     assert d_block in good
     with pytest.raises(ParseError, match="expected 2x2"):
-        parse_certificate(good.replace(d_block, "[matrix D]\n1 1 1\nt1^3"))
+        parse_certificate(good.replace(d_block, "[matrix D]\n1 1 1\nt1"))
 
 
 def test_parse_rejects_bad_poly_section():
@@ -585,7 +585,7 @@ MALFORMED = [
      'line 6: expected section [matrix X_plus], found [matrix X_minus]'),
     ('diag-single.out', '[meta]\n', '[poly w]\n1\n[meta]\n',
      'line 2: expected section [meta], found [poly w]'),
-    ('diag-single.out', 't1^2\n', 't1^2\n[poly extra]\n1\n',
+    ('diag-single.out', '[poly w]\nt1^2\n', '[poly w]\nt1^2\n[poly extra]\n1\n',
      'line 26: unexpected extra section [poly extra]'),
     ('diag-single.out', 'kind diag\n', 'kind diag\nflavor\n',
      "line 4: meta lines are 'key value', got 'flavor'"),
@@ -607,7 +607,7 @@ MALFORMED = [
      "line 5: meta key 'nvars' must be <= 64, got 100000"),
     ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 65\n',
      "section [matrix D] near line 18: line 1: nvars 65 exceeds the maximum 64"),
-    ('diag-single.out', '[matrix D]\n2 2 1\nt1^3\n0\n0\nt1^3 - t1\n', '[matrix D]\n',
+    ('diag-single.out', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n',
      'section [matrix D] near line 18: empty matrix file'),
     ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2\n',
      "section [matrix D] near line 18: line 1: header must be 'rows cols nvars', got '2 2'"),
@@ -615,15 +615,15 @@ MALFORMED = [
      "section [matrix D] near line 18: line 1: header must hold three integers, got '2 2 one'"),
     ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 0 1\n',
      "section [matrix D] near line 18: line 1: header values must be positive, got '2 0 1'"),
-    ('diag-single.out', '[matrix D]\n2 2 1\nt1^3\n0\n0\nt1^3 - t1\n', '[matrix D]\n2 2 1\nt1^3\n0\n0\n',
+    ('diag-single.out', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n2 2 1\nt1\n0\n0\n',
      'section [matrix D] near line 18: expected 4 entries, file ends after 3'),
-    ('diag-single.out', '[matrix D]\n2 2 1\nt1^3\n0\n0\nt1^3 - t1\n', '[matrix D]\n2 2 1\nt1^3\n0\n0\nt1^3 - t1\n0\n',
+    ('diag-single.out', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n0\n',
      'section [matrix D] near line 18: line 6: trailing data past 4 entries'),
     ('diag-single.out', 't1^3 - t1\n', 't1^3 - t2\n',
      'section [matrix D] near line 18: line 5: column 8: unknown variable t2 (nvars=1)'),
     ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 2\n',
      'section [matrix D]: expected nvars 1, got 2'),
-    ('diag-single.out', '[matrix D]\n2 2 1\nt1^3\n0\n0\nt1^3 - t1\n', '[matrix D]\n1 1 1\nt1^3\n',
+    ('diag-single.out', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n1 1 1\nt1\n',
      'section [matrix D]: expected 2x2, got 1x1'),
     ('diag-single.out', '[poly w]\nt1^2\n', '[poly w]\nt1^2\n1\n',
      'section [poly w] near line 24 must hold exactly one line'),
@@ -661,7 +661,7 @@ MALFORMED = [
      "meta section is missing key 'terms' for kind 'membership'"),
     ('diag-single.out', 'kind diag', 'kind wurst',
      "line 3: unknown certificate kind 'wurst'"),
-    ('equiv.cert', 't1^3\n0\n0\n', 't1^3\n0\n1\n',
+    ('equiv.cert', 't1\n0\n0\n', 't1\n0\n1\n',
      'section [matrix subject_b]: second subject is not symmetric'),
     ('sos.cert', '[matrix Q_2]\n2 2 1\n1\nt1\n0\n1/2\n', '[matrix Q_2]\n1 1 1\n1\n',
      'section [matrix Q_2]: expected 2 columns, got 1'),

@@ -172,13 +172,14 @@ def test_verify_equiv_asymmetric_second_subject(tmp_path, capsys):
     # a fault in the certificate file is a parse error (exit 1), not a
     # precondition of the subject (exit 2)
     text = (GOLDEN / "equiv.cert").read_text()
-    old = "[matrix subject_b]\n2 2 1\nt1^3\n0\n0\n"
+    old = "[matrix subject_b]\n2 2 1\nt1\n0\n0\n"
     assert old in text
-    cert = put(tmp_path, "equiv.cert", text.replace(old, "[matrix subject_b]\n2 2 1\nt1^3\n0\n1\n"))
+    cert = put(tmp_path, "equiv.cert", text.replace(old, "[matrix subject_b]\n2 2 1\nt1\n0\n1\n"))
     assert main(["verify", str(GOLDEN / "a.mat"), cert]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "parse error: section [matrix subject_b]: second subject is not symmetric\n"
+    err = f"parse error: {cert}: section [matrix subject_b]: second subject is not symmetric\n"
+    assert captured.err == err
 
 
 BIG = "9" * 5000
@@ -215,7 +216,8 @@ def test_certificate_oversized_integer(tmp_path, capsys, cert, old, new, where):
     path = put(tmp_path, "big.cert", text.replace(old, new, 1))
     assert main(["verify", str(GOLDEN / "a.mat"), path]) == 1
     limit = sys.get_int_max_str_digits()
-    assert capsys.readouterr().err == f"parse error: {where}: integer with more than {limit} digits\n"
+    err = capsys.readouterr().err
+    assert err == f"parse error: {path}: {where}: integer with more than {limit} digits\n"
 
 
 def test_verify_garbage_certificate(tmp_path, capsys):
@@ -430,7 +432,7 @@ def test_huge_nvars_refused_fast(tmp_path, capsys):
     cert_text = (GOLDEN / "diag-single.out").read_text()
     cert = put(tmp_path, "huge.cert", cert_text.replace("nvars 1\n", "nvars 100000\n"))
     matrix_error = f"parse error: {huge}: line 1: nvars 100000 exceeds the maximum 64\n"
-    cert_error = "parse error: line 5: meta key 'nvars' must be <= 64, got 100000\n"
+    cert_error = f"parse error: {cert}: line 5: meta key 'nvars' must be <= 64, got 100000\n"
     for argv, err in (
         (["diagonalize", huge], matrix_error),
         (["psd-grid", huge], matrix_error),

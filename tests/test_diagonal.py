@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polydiag.arith import Polynomial, parse_polynomial
 from polydiag.diagonal import (
+    _branches,
     block_step,
     diagonalization_bundle,
     pivot_congruence,
@@ -25,7 +26,14 @@ from polydiag.errors import (
 )
 from polydiag.polymat import PolyMatrix
 
-from helpers import const_matrix, det_cofactor, rand_matrix, rand_symmetric, rand_symmetric_total_deg
+from helpers import (
+    const_matrix,
+    det_cofactor,
+    paper_branches,
+    rand_matrix,
+    rand_symmetric,
+    rand_symmetric_total_deg,
+)
 
 BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -326,7 +334,8 @@ def test_single_path_identity():
 def test_single_path_example():
     a = M([["t1", "1"], ["1", "t1"]])
     cert = single_path_diagonalize(a)
-    assert cert.D == PolyMatrix.diagonal([P("t1^3"), P("t1^3 - t1")])
+    # D_p = M_(p-1) * M_p with M_1 = t1, M_2 = t1^2 - 1; w = M_1^2
+    assert cert.D == PolyMatrix.diagonal([P("t1"), P("t1^3 - t1")])
     assert cert.w == P("t1^2")
     assert_certificate_holds(a, cert)
 
@@ -381,8 +390,9 @@ def test_bundle_identity_subject():
         for entry in cert.D.diagonal_entries():
             assert entry.is_constant()
             seen.add(entry.constant_value())
-    # pivot (1,2) on I_2 routes through corner value 2: entries 8 and 2
-    assert seen == {Fraction(1), Fraction(8), Fraction(2)}
+    # pivot (1,2) on I_2 routes through corner value M_1 = 2 with M_2 = 1:
+    # entries M_1 = 2 and M_1*M_2 = 2
+    assert seen == {Fraction(1), Fraction(2)}
 
 
 def test_bundle_branches_ordered_by_pivot():
@@ -401,7 +411,7 @@ def test_bundle_rank_one_square():
         assert_certificate_holds(a, cert)
     cert12 = bundle.branches[1][0]
     assert bundle.branches[1][1].pivots == ((1, 2),)
-    assert cert12.D[0, 0] == P("t1 + 1") ** 6
+    assert cert12.D[0, 0] == P("t1 + 1") ** 2
     assert cert12.D[1, 1].is_zero()
 
 
@@ -410,7 +420,8 @@ def test_bundle_compacts_zero_rows():
     bundle = diagonalization_bundle(a)
     cert, trace = bundle.branches[0]
     assert trace.pivots == ((1, 1),)
-    assert cert.D == PolyMatrix.diagonal([P("t1^3"), P("0"), P("t1^2")])
+    # the zero row moves to the end; the 1 x 1 leaf t1 = M_2 divides nothing
+    assert cert.D == PolyMatrix.diagonal([P("t1"), P("t1^2"), P("0")])
     assert cert.w == P("t1^2")
     for cert, _ in bundle.branches:
         assert_certificate_holds(a, cert)
@@ -430,8 +441,8 @@ def test_bundle_random_identities():
 
 
 def test_bundle_trace_replay():
-    """Replaying a branch trace reproduces its w as the product of
-    squared corner values."""
+    """Replaying a branch trace with fraction-free steps reproduces its w as
+    the product of the squared corner values."""
     rng = random.Random(306)
     for _ in range(15):
         n = rng.randint(2, 3)
@@ -441,17 +452,27 @@ def test_bundle_trace_replay():
         bundle = diagonalization_bundle(a)
         for cert, trace in bundle.branches:
             m = a
-            w = Polynomial.one(1)
+            w = prev = Polynomial.one(1)
             for step, (i, j) in enumerate(trace.pivots):
                 a_ij, v, scale = pivot_congruence(m, i, j)
                 assert scale == trace.scales[step]
                 alpha = a_ij[0, 0]
                 w = w * alpha * alpha
+                if alpha.is_zero():
+                    assert step == len(trace.pivots) - 1
+                    break
+                # Sylvester: (alpha*C - beta^t*beta) / previous corner
                 k = m.rows
-                trailing = a_ij
-                if k > 1:
-                    at, _, xm_step, _ = block_step(a_ij)
-                    trailing = at.submatrix(tuple(range(2, k + 1)), tuple(range(2, k + 1)))
+                trailing = PolyMatrix.from_rows(
+                    [
+                        [
+                            (alpha * a_ij[p, q] - a_ij[0, p] * a_ij[0, q]).exact_div(prev)
+                            for q in range(1, k)
+                        ]
+                        for p in range(1, k)
+                    ]
+                )
+                prev = alpha
                 if trailing.is_zero():
                     assert step == len(trace.pivots) - 1
                     break
@@ -475,3 +496,47 @@ def test_bundle_cap():
         diagonalization_bundle(a3, cap_branches=5)
     with pytest.raises(ValueError):
         diagonalization_bundle(a3, cap_branches=0)
+
+
+# -- against the paper's block-step recursion ---------------------------------
+
+
+def _trace_subject(seed, n, nvars, shape):
+    """A nonzero symmetric n x n subject of the given shape."""
+    rng = random.Random(seed)
+    while True:
+        if shape == "gram":  # G^t*G of rank below n
+            g = rand_matrix(rng, rng.randint(1, n - 1), n, nvars, max_deg=1)
+            a = g.transpose() @ g
+        else:
+            a = rand_symmetric_total_deg(rng, n, nvars, total_deg=1)
+        if shape == "zero row":
+            z = rng.randrange(n)
+            rows = [list(a.row(i)) for i in range(n)]
+            for j in range(n):
+                rows[z][j] = rows[j][z] = Polynomial.zero(nvars)
+            a = PolyMatrix.from_rows(rows)
+        if not a.is_zero():
+            return a
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    nvars=st.integers(1, 2),
+    shape=st.sampled_from(("random", "zero row", "gram")),
+    bundle=st.booleans(),
+)
+def test_branches_follow_paper_recursion(seed, n, nvars, shape, bundle):
+    """Same branches, traces and vacuous branches as the block-step recursion,
+    and w of at most its degree."""
+    a = _trace_subject(seed, n, nvars, shape)
+    # the reference's 4 x 4 two-variable bundles take seconds each
+    bundle = bundle and (n < 4 or nvars == 1)
+    reference = paper_branches(a, bundle)
+    branches = _branches(a, bundle, cap=10_000)
+    assert [ref[4:] for ref in reference] == [(pivots, scales) for _c, pivots, scales in branches]
+    for ref, (cert, _pivots, _scales) in zip(reference, branches):
+        assert cert.w.is_zero() == ref[3].is_zero()
+        assert cert.w.degree() <= ref[3].degree()

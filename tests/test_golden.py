@@ -147,3 +147,30 @@ def test_golden_certificate_from_payload(name):
     if subject is not None:
         subject_file = GOLDEN / f"{kind}.mat"
         assert format_matrix(subject).encode("utf-8") == subject_file.read_bytes()
+
+
+# -- certificates of the earlier block-step construction ------------------------
+#
+# legacy-*.cert are diag-single.out, diag-bundle.out and a3-bundle.out as the
+# pivot routes wrote them when every level took the paper's block step.  They
+# still verify: verify checks the identities, not how they were built.
+
+LEGACY = [
+    ("legacy-diag-single.cert", "a.mat", "diag"),
+    ("legacy-diag-bundle.cert", "a.mat", "bundle"),
+    ("legacy-a3-bundle.cert", "a3.mat", "bundle"),
+]
+
+
+@pytest.mark.parametrize("name,subject,kind", LEGACY, ids=[c[0] for c in LEGACY])
+def test_legacy_certificate_verifies(name, subject, kind, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    assert main(["verify", subject, name]) == 0
+    assert capsys.readouterr().out == f"ok: {kind} certificate verifies\n"
+
+
+def test_legacy_bundle_equiv_check(monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    argv = ["equiv-check", "a.mat", "legacy-diag-bundle.cert", "--grid-count", "5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "points=5 agree=5 disagree=0\n"

@@ -399,3 +399,29 @@ def test_equivalence_nvars_mismatch():
     a = M([["t1", "1"], ["1", "t1"]])
     with pytest.raises(ValueError):
         check_bundle_equivalence(a, diagonalization_bundle(a), GridSpec.uniform(2))
+
+
+def test_equivalence_when_later_minors_vanish():
+    # seed 7003, instance 32 of acceptance criterion 3.  A(0, 0) is not PSD,
+    # but minors after the first vanish there; scaled by the product of all
+    # minors (the standard form's D_p = w*M_p/M_(p-1)), every branch's D
+    # would be >= 0 at (0, 0).  D_p = M_(p-1)*M_p carries no such factor.
+    a = M(
+        [
+            ["5*t2^2", "2*t2^2", "-2*t2"],
+            ["2*t2^2", "t2", "-t1^2"],
+            ["-2*t2", "-t1^2", "2*t1*t2 + 2*t1 - 2"],
+        ],
+        nvars=2,
+    )
+    bundle = diagonalization_bundle(a)
+    report = check_bundle_equivalence(a, bundle, GridSpec.uniform(2, count=5))
+    assert report.total_points == 25
+    assert report.disagreements == ()
+    origin = (Fraction(0), Fraction(0))
+    assert not psd_rational(eval_matrix(a, origin))
+    assert any(
+        entry.evaluate(origin) < 0
+        for cert, _trace in bundle.branches
+        for entry in cert.D.diagonal_entries()
+    )
