@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     ZeroMatrix,
 )
-from .polymat import PolyMatrix, format_matrix, parse_matrix, permutation_matrix
+from .polymat import PolyMatrix, format_matrix, parse_matrix
 
 __all__ = [
     "__version__",
@@ -30,7 +30,6 @@ __all__ = [
     "PolyMatrix",
     "format_matrix",
     "parse_matrix",
-    "permutation_matrix",
     "ParseError",
     "NotSymmetric",
     "ZeroMatrix",

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -108,6 +108,8 @@ class DiagBundle:
 
     subject_dim: int
     branches: tuple  # of (DiagCertificate, PivotTrace)
+    # the subject bundle_certificate_failures last found no broken identity for
+    _verified: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(tuple(b) for b in self.branches))
@@ -197,7 +199,7 @@ def diag_certificate_failures(a, cert):
         raise ValueError("subject and certificate disagree on variable count")
     if not a.is_symmetric():
         raise NotSymmetric("subject matrix is not symmetric")
-    w_id = PolyMatrix.identity(n, a.nvars) * cert.w
+    w_id = PolyMatrix.diagonal([cert.w] * n)
     failures = []
     plus_minus = cert.X_plus @ cert.X_minus == w_id
     if not plus_minus:
@@ -216,14 +218,23 @@ def diag_certificate_failures(a, cert):
 
 
 def bundle_certificate_failures(a, bundle):
-    """Broken identities across all branches, tagged with branch numbers."""
+    """Broken identities across all branches, tagged with branch numbers.
+
+    A bundle with none records its subject and is not verified against that
+    same object again (both are immutable); a bundle that is parsed, built
+    or copied with dataclasses.replace starts unverified.
+    """
     if a.rows != bundle.subject_dim or a.cols != bundle.subject_dim:
         raise ValueError(
             f"subject is {a.rows}x{a.cols}, bundle claims dimension {bundle.subject_dim}"
         )
+    if bundle._verified is a:
+        return []
     failures = []
     for k, (cert, _trace) in enumerate(bundle.branches, start=1):
         failures.extend(f"branch {k}: {f}" for f in diag_certificate_failures(a, cert))
+    if not failures:
+        object.__setattr__(bundle, "_verified", a)
     return failures
 
 
@@ -255,7 +266,7 @@ def equiv_witness_failures(a1, a2, wit):
         failures.append("s1 is nonzero")
     if wit.s2.is_zero():
         failures.append("s2 is nonzero")
-    z_id = PolyMatrix.identity(n, a1.nvars) * wit.z
+    z_id = PolyMatrix.diagonal([wit.z] * n)
     minus_plus = wit.x_minus @ wit.x_plus == z_id
     if not minus_plus:
         failures.append("x_minus*x_plus = z*I")

@@ -34,7 +34,7 @@ from .diagonal import (
 )
 from .errors import BundleTooLarge, InternalIdentityFailure, ParseError
 from .polymat import format_matrix, parse_matrix
-from .positivity import GridSpec, _compare_on_grid, psd_on_grid
+from .positivity import GridSpec, check_bundle_equivalence, psd_on_grid
 
 
 class _UsageError(Exception):
@@ -226,8 +226,7 @@ def _cmd_equiv_check(args):
     a, _kind, bundle, failures = _checked_certificate(args, only="bundle")
     if failures:
         return 3
-    # verified just above; the grid comparison does not verify again
-    report = _compare_on_grid(a, bundle, _grid_spec(args, a.nvars))
+    report = check_bundle_equivalence(a, bundle, _grid_spec(args, a.nvars))
     for point, oracle, bundle_flag in report.disagreements:
         print(f"{_format_point(point)}; oracle={int(oracle)}; bundle={int(bundle_flag)}")
     print(

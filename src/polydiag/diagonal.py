@@ -1,7 +1,8 @@
 """Exact congruence diagonalization of symmetric polynomial matrices.
 
 Three routes.  Each checks every certificate it returns exactly once,
-against its subject, with diag_certificate_failures:
+against its subject, with diag_certificate_failures (the bundle through
+bundle_certificate_failures, so it records that subject):
 
 - standard_form_diagonalize: one closed-form certificate for matrices in
   standard form (rank r with M_1, ..., M_r all nonzero).
@@ -39,7 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Polynomial, sum_of_products
-from .certificates import DiagBundle, DiagCertificate, PivotTrace, diag_certificate_failures
+from .certificates import (
+    DiagBundle, DiagCertificate, PivotTrace, bundle_certificate_failures, diag_certificate_failures
+)
 from .errors import (
     BundleTooLarge,
     InternalIdentityFailure,
@@ -188,7 +191,7 @@ def block_step(a):
     at, xp, xm = PolyMatrix.from_rows(atilde), corner(+1), corner(-1)
     a2 = alpha * alpha
     failures = []
-    if xp @ xm != PolyMatrix.identity(n, nvars) * a2:
+    if xp @ xm != PolyMatrix.diagonal([a2] * n):
         failures.append("X_plus*X_minus = alpha^2*I")
     if at != xm.congruence(a):
         failures.append("Atilde = X_minus*A*X_minus^t")
@@ -265,7 +268,7 @@ def single_path_diagonalize(a):
     if a.is_zero():
         raise ZeroMatrix("matrix is identically zero")
     # one pivot per level gives exactly one branch, so a cap of 1 never trips
-    ((cert, _pivots, _scales),) = _branches(a, bundle=False, cap=1)
+    ((cert, _trace),) = _branches(a, bundle=False, cap=1)
     return _checked(a, cert)
 
 
@@ -281,17 +284,15 @@ def diagonalization_bundle(a, cap_branches=10_000):
         raise ZeroMatrix("matrix is identically zero")
     if cap_branches < 1:
         raise ValueError("branch cap must be positive")
-    branches, failures = [], []
-    for k, (cert, pivots, scales) in enumerate(_branches(a, True, cap_branches), start=1):
-        failures.extend(f"branch {k}: {f}" for f in diag_certificate_failures(a, cert))
-        branches.append((cert, PivotTrace(pivots, scales)))
+    bundle = DiagBundle(a.rows, _branches(a, True, cap_branches))
+    failures = bundle_certificate_failures(a, bundle)
     if failures:
         raise InternalIdentityFailure("bundle identities broke: " + "; ".join(failures))
-    return DiagBundle(a.rows, tuple(branches))
+    return bundle
 
 
 def _branches(a, bundle, cap):
-    """(DiagCertificate, pivots, scales) for each branch of a nonzero a.
+    """(DiagCertificate, PivotTrace) for each branch of a nonzero a.
 
     A branch's state is the working matrix of its elimination of B =
     P*A*P^t, with P and P^-1; positions level..end-1 hold the trailing
@@ -314,7 +315,7 @@ def _branches(a, bundle, cap):
             xm = xm[:level] + xp[level:]
         xm = zip(*_combine(list(zip(*p)), list(zip(*xm))))  # X_minus' * P
         xp, xm = PolyMatrix.from_rows(_combine(p_inv, xp)), PolyMatrix.from_rows(list(xm))
-        out.append((DiagCertificate(n, xp, xm, d, w), pivots, scales))
+        out.append((DiagCertificate(n, xp, xm, d, w), PivotTrace(pivots, scales)))
 
     def grow(work, p, p_inv, level, end, pivots, scales):
         size = end - level

@@ -2,8 +2,8 @@
 
 Entries are Polynomial values sharing one variable count.  Matrices are
 immutable; entry access A[i, j] is 0-based, while the index tuples taken by
-minor(), leading_principal_minor(), submatrix() and permutation_matrix() are
-1-based to match the usual determinant notation.
+minor(), leading_principal_minor() and submatrix() are 1-based to match the
+usual determinant notation.
 
 Determinants, the generic rank and the diagonal module's standard form
 share one fully pivoted fraction-free (Bareiss) elimination, whose step
@@ -327,17 +327,6 @@ def _bareiss_step(nvars, m, k, prev, rows, cols, symmetric=False):
             row[j] = sum_of_products(nvars, pairs).exact_div(prev)
             if symmetric:
                 m[j][i] = row[j]
-
-
-def permutation_matrix(n, l, nvars):
-    """Identity with rows 1 and l swapped; l is 1-based, so l = 1 gives I."""
-    if not 1 <= l <= n:
-        raise ValueError(f"row index {l} out of range 1..{n}")
-    one = Polynomial.one(nvars)
-    zero = Polynomial.zero(nvars)
-    perm = list(range(n))
-    perm[0], perm[l - 1] = perm[l - 1], perm[0]
-    return PolyMatrix(n, n, [one if perm[i] == j else zero for i in range(n) for j in range(n)])
 
 
 def format_matrix(a):

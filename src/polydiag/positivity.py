@@ -15,9 +15,11 @@ stand-in for "every point of R^d" at desk scale: psd_on_grid reports
 where a polynomial matrix fails to be PSD, and check_bundle_equivalence
 compares the oracle verdict on A(s) against the diagonal-entry sign
 condition of a diagonalization bundle at every grid point.  A correct
-bundle produces zero disagreements.  The grid sweeps evaluate every entry
-as an integer: A(s) times one positive scalar per point, which changes
-neither the PSD verdict nor any sign.
+bundle produces zero disagreements.  The bundle is verified against A
+first, once per subject: a bundle the library produced or already checked
+against that same matrix is not verified again.  The grid sweeps evaluate
+every entry as an integer: A(s) times one positive scalar per point, which
+changes neither the PSD verdict nor any sign.
 """
 
 from __future__ import annotations
@@ -274,20 +276,17 @@ def psd_on_grid(a, spec):
 def check_bundle_equivalence(a, bundle, spec):
     """Compare the PSD oracle on A(s) with the bundle sign condition.
 
-    The bundle must verify against A first (rejected otherwise).  At every
-    grid point the oracle verdict psd_rational(A(s)) is compared with
-    "all diagonal entries of every branch D at s are >= 0"; both must
-    agree everywhere for a correct implementation.
+    The bundle must verify against A first (rejected otherwise); a bundle
+    already verified against this same A, by diagonalization_bundle or an
+    earlier call, is not verified again.  At every grid point the oracle
+    verdict psd_rational(A(s)) is compared with "all diagonal entries of
+    every branch D at s are >= 0"; both must agree everywhere for a correct
+    implementation.
     """
     if spec.nvars != a.nvars:
         raise ValueError(f"grid has {spec.nvars} axes, matrix has {a.nvars} variables")
     if bundle_certificate_failures(a, bundle):
         raise ValueError("bundle does not verify against the subject matrix")
-    return _compare_on_grid(a, bundle, spec)
-
-
-def _compare_on_grid(a, bundle, spec):
-    """check_bundle_equivalence for a bundle already verified against a."""
     diag_polys = [
         cert.D[k, k] for cert, _trace in bundle.branches for k in range(cert.D.rows)
     ]

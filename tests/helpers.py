@@ -294,3 +294,17 @@ def paper_branches(m, bundle):
                 )
             )
     return out
+
+
+def count_calls(monkeypatch, name, modules):
+    """Count calls to the function ``name`` wherever ``modules`` look it up."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted, raising=False)
+    return calls

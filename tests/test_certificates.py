@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from polydiag import __version__
+from polydiag import __version__, certificates
 from polydiag.arith import Polynomial, parse_polynomial
 from polydiag.certificates import (
     DiagBundle,
@@ -45,9 +45,9 @@ from polydiag.diagonal import (
     standard_form_diagonalize,
 )
 from polydiag.errors import InternalIdentityFailure, NotSymmetric, ParseError
-from polydiag.polymat import PolyMatrix
+from polydiag.polymat import PolyMatrix, parse_matrix
 
-from helpers import rand_symmetric_total_deg
+from helpers import count_calls, rand_symmetric_total_deg
 
 
 def P(text, nvars=1):
@@ -133,6 +133,36 @@ def test_bundle_failures_name_the_branch():
     fails = bundle_certificate_failures(SUBJECT, tampered)
     assert fails and all(f.startswith("branch 2: ") for f in fails)
     assert bundle_certificate_failures(SUBJECT, tampered)
+
+
+def test_bundle_records_its_verified_subject(monkeypatch):
+    calls = count_calls(monkeypatch, "diag_certificate_failures", (certificates,))
+    bundle = diagonalization_bundle(SUBJECT)
+    branches = len(bundle.branches)
+    assert len(calls) == branches
+    calls.clear()
+    assert bundle_certificate_failures(SUBJECT, bundle) == [] and calls == []
+    # another subject is verified again and rejected; the record stays
+    assert bundle_certificate_failures(M([["t1", "0"], ["0", "t1"]]), bundle)
+    assert len(calls) == branches
+    calls.clear()
+    assert bundle_certificate_failures(SUBJECT, bundle) == [] and calls == []
+    # an equal matrix that is another object is verified again, and accepted
+    same = PolyMatrix(SUBJECT.rows, SUBJECT.cols, SUBJECT.entries)
+    assert same == SUBJECT and same is not SUBJECT
+    assert bundle_certificate_failures(same, bundle) == [] and len(calls) == branches
+    # built, copied and parsed bundles start unverified, and the record is
+    # not part of ==, repr or the certificate bytes
+    text = format_bundle_certificate(bundle)
+    for fresh in (
+        DiagBundle(bundle.subject_dim, bundle.branches),
+        replace(bundle),
+        parse_certificate(text)[1],
+    ):
+        assert fresh == bundle and repr(fresh) == repr(bundle)
+        assert format_bundle_certificate(fresh) == text
+        calls.clear()
+        assert bundle_certificate_failures(same, fresh) == [] and len(calls) == branches
 
 
 def test_certificate_shape_validation():
@@ -572,62 +602,92 @@ def test_parse_rejects_wrong_factor_columns():
 
 
 # Every ParseError raise site of the certificate and matrix file formats,
-# reached by one edit of a golden certificate: (golden file, old text, new
-# text, the full error message).  The first occurrence of old is replaced.
+# reached by one edit of a certificate: (source, old text, new text, the full
+# error message).  The first occurrence of old is replaced.  The source is a
+# golden file, or "diag-single": the single-path certificate of a.mat, pinned
+# here so that regenerating the goldens leaves these rows alone.
 GOLDEN = Path(__file__).parent / "golden"
 
+DIAG_SINGLE = """\
+# generated-by polydiag 0.1.0
+[meta]
+kind diag
+dim 2
+nvars 1
+[matrix X_plus]
+2 2 1
+t1^2
+0
+t1
+t1
+[matrix X_minus]
+2 2 1
+1
+0
+-1
+t1
+[matrix D]
+2 2 1
+t1
+0
+0
+t1^3 - t1
+[poly w]
+t1^2
+"""
+
 MALFORMED = [
-    ('diag-single.out', '# generated', 'stray\n# generated',
+    ('diag-single', '# generated', 'stray\n# generated',
      'line 1: data before the first section header'),
-    ('diag-single.out', '[poly w]\nt1^2\n', '',
+    ('diag-single', '[poly w]\nt1^2\n', '',
      'missing section [poly w]'),
-    ('diag-single.out', '[matrix X_plus]', '[matrix X_minus]',
+    ('diag-single', '[matrix X_plus]', '[matrix X_minus]',
      'line 6: expected section [matrix X_plus], found [matrix X_minus]'),
-    ('diag-single.out', '[meta]\n', '[poly w]\n1\n[meta]\n',
+    ('diag-single', '[meta]\n', '[poly w]\n1\n[meta]\n',
      'line 2: expected section [meta], found [poly w]'),
-    ('diag-single.out', '[poly w]\nt1^2\n', '[poly w]\nt1^2\n[poly extra]\n1\n',
+    ('diag-single', '[poly w]\nt1^2\n', '[poly w]\nt1^2\n[poly extra]\n1\n',
      'line 26: unexpected extra section [poly extra]'),
-    ('diag-single.out', 'kind diag\n', 'kind diag\nflavor\n',
+    ('diag-single', 'kind diag\n', 'kind diag\nflavor\n',
      "line 4: meta lines are 'key value', got 'flavor'"),
-    ('diag-single.out', 'kind diag\n', 'kind diag\nkind diag\n',
+    ('diag-single', 'kind diag\n', 'kind diag\nkind diag\n',
      "line 4: duplicate meta key 'kind'"),
-    ('diag-single.out', 'kind diag\n', 'kind diag\nflavor salt\n',
+    ('diag-single', 'kind diag\n', 'kind diag\nflavor salt\n',
      "line 4: unknown meta key 'flavor'"),
-    ('diag-single.out', 'nvars 1\n', 'nvars 1\nterms 5\n',
+    ('diag-single', 'nvars 1\n', 'nvars 1\nterms 5\n',
      "line 6: meta key 'terms' does not belong to kind 'diag'"),
-    ('diag-single.out', 'dim 2\n', '',
+    ('diag-single', 'dim 2\n', '',
      "meta section at line 2 is missing key 'dim'"),
-    ('diag-single.out', 'dim 2\n', 'dim two\n',
+    ('diag-single', 'dim 2\n', 'dim two\n',
      "line 4: meta key 'dim' must be an integer, got 'two'"),
-    ('diag-single.out', 'dim 2\n', 'dim 0\n',
+    ('diag-single', 'dim 2\n', 'dim 0\n',
      "line 4: meta key 'dim' must be >= 1, got 0"),
-    ('diag-single.out', 'nvars 1\n', 'nvars -1\n',
+    ('diag-single', 'nvars 1\n', 'nvars -1\n',
      "line 5: meta key 'nvars' must be >= 1, got -1"),
-    ('diag-single.out', 'nvars 1\n', 'nvars 100000\n',
+    ('diag-single', 'nvars 1\n', 'nvars 100000\n',
      "line 5: meta key 'nvars' must be <= 64, got 100000"),
-    ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 65\n',
+    ('diag-single', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 65\n',
      "section [matrix D] near line 18: line 1: nvars 65 exceeds the maximum 64"),
-    ('diag-single.out', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n',
+    ('diag-single', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n',
      'section [matrix D] near line 18: empty matrix file'),
-    ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2\n',
+    ('diag-single', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2\n',
      "section [matrix D] near line 18: line 1: header must be 'rows cols nvars', got '2 2'"),
-    ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 one\n',
+    ('diag-single', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 one\n',
      "section [matrix D] near line 18: line 1: header must hold three integers, got '2 2 one'"),
-    ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 0 1\n',
+    ('diag-single', '[matrix D]\n2 2 1\n', '[matrix D]\n2 0 1\n',
      "section [matrix D] near line 18: line 1: header values must be positive, got '2 0 1'"),
-    ('diag-single.out', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n2 2 1\nt1\n0\n0\n',
+    ('diag-single', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n2 2 1\nt1\n0\n0\n',
      'section [matrix D] near line 18: expected 4 entries, file ends after 3'),
-    ('diag-single.out', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n0\n',
+    ('diag-single', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n0\n',
      'section [matrix D] near line 18: line 6: trailing data past 4 entries'),
-    ('diag-single.out', 't1^3 - t1\n', 't1^3 - t2\n',
+    ('diag-single', 't1^3 - t1\n', 't1^3 - t2\n',
      'section [matrix D] near line 18: line 5: column 8: unknown variable t2 (nvars=1)'),
-    ('diag-single.out', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 2\n',
+    ('diag-single', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 2\n',
      'section [matrix D]: expected nvars 1, got 2'),
-    ('diag-single.out', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n1 1 1\nt1\n',
+    ('diag-single', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n1 1 1\nt1\n',
      'section [matrix D]: expected 2x2, got 1x1'),
-    ('diag-single.out', '[poly w]\nt1^2\n', '[poly w]\nt1^2\n1\n',
+    ('diag-single', '[poly w]\nt1^2\n', '[poly w]\nt1^2\n1\n',
      'section [poly w] near line 24 must hold exactly one line'),
-    ('diag-single.out', '[poly w]\nt1^2\n', '[poly w]\nt1^\n',
+    ('diag-single', '[poly w]\nt1^2\n', '[poly w]\nt1^\n',
      'line 25: column 4: expected an integer exponent'),
     ('diag-bundle.out', 'branches 3\n', 'branches 1000000000000\n',
      'missing section [matrix D_4]'),
@@ -659,7 +719,7 @@ MALFORMED = [
      'term 2 has no coefficient matrices'),
     ('membership.cert', 'terms 3\n', '',
      "meta section is missing key 'terms' for kind 'membership'"),
-    ('diag-single.out', 'kind diag', 'kind wurst',
+    ('diag-single', 'kind diag', 'kind wurst',
      "line 3: unknown certificate kind 'wurst'"),
     ('equiv.cert', 't1\n0\n0\n', 't1\n0\n1\n',
      'section [matrix subject_b]: second subject is not symmetric'),
@@ -668,9 +728,15 @@ MALFORMED = [
 ]
 
 
+def test_pinned_source_verifies():
+    kind, cert = parse_certificate(DIAG_SINGLE)
+    assert kind == "diag"
+    assert diag_certificate_failures(parse_matrix((GOLDEN / "a.mat").read_text()), cert) == []
+
+
 @pytest.mark.parametrize("name,old,new,message", MALFORMED)
 def test_parse_error_messages(name, old, new, message):
-    text = (GOLDEN / name).read_text()
+    text = DIAG_SINGLE if name == "diag-single" else (GOLDEN / name).read_text()
     assert old in text
     with pytest.raises(ParseError) as info:
         parse_certificate(text.replace(old, new, 1))

@@ -16,6 +16,8 @@ from polydiag.certificates import SosMatrixCertificate, format_sos_certificate
 from polydiag.cli import main
 from polydiag.polymat import PolyMatrix
 
+from helpers import count_calls
+
 SUBJECT = "2 2 1\nt1\n1\n1\nt1\n"
 VANISHING_MINORS = "3 3 1\n1\n-1\n1\n-1\n1\n1\n1\n1\n1\n"
 TRIDIAG = "3 3 1\nt1\n1\n0\n1\nt1\n1\n0\n1\nt1\n"
@@ -374,20 +376,6 @@ def test_usage_errors(tmp_path, capsys):
 
 
 # -- verification counts ---------------------------------------------------------
-
-
-def count_calls(monkeypatch, name, modules):
-    """Count calls to the function ``name`` wherever ``modules`` look it up."""
-    calls = []
-    original = getattr(modules[0], name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, name, counted, raising=False)
-    return calls
 
 
 def test_bundle_checked_once_per_branch(tmp_path, monkeypatch, capsys):

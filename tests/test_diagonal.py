@@ -536,7 +536,7 @@ def test_branches_follow_paper_recursion(seed, n, nvars, shape, bundle):
     bundle = bundle and (n < 4 or nvars == 1)
     reference = paper_branches(a, bundle)
     branches = _branches(a, bundle, cap=10_000)
-    assert [ref[4:] for ref in reference] == [(pivots, scales) for _c, pivots, scales in branches]
-    for ref, (cert, _pivots, _scales) in zip(reference, branches):
+    assert [ref[4:] for ref in reference] == [(t.pivots, t.scales) for _c, t in branches]
+    for ref, (cert, _trace) in zip(reference, branches):
         assert cert.w.is_zero() == ref[3].is_zero()
         assert cert.w.degree() <= ref[3].degree()

@@ -11,7 +11,6 @@ from polydiag.polymat import (
     PolyMatrix,
     format_matrix,
     parse_matrix,
-    permutation_matrix,
 )
 from polydiag.positivity import eval_matrix
 
@@ -163,19 +162,6 @@ def test_generic_rank_congruence_invariant():
         ]
         u = PolyMatrix.from_rows(rows)
         assert (u.transpose() @ a @ u).generic_rank() == a.generic_rank()
-
-
-def test_permutation_matrix_examples():
-    assert permutation_matrix(2, 1, 1) == PolyMatrix.identity(2, 1)
-    assert permutation_matrix(2, 2, 1) == M([["0", "1"], ["1", "0"]])
-    for n in range(1, 6):
-        for l in range(1, n + 1):
-            p = permutation_matrix(n, l, 1)
-            assert p @ p == PolyMatrix.identity(n, 1)
-    with pytest.raises(ValueError):
-        permutation_matrix(3, 4, 1)
-    with pytest.raises(ValueError):
-        permutation_matrix(3, 0, 1)
 
 
 def test_polarization_identity():

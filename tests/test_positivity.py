@@ -6,12 +6,12 @@ run sees the same cases.
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polydiag import certificates, diagonal
 from polydiag.arith import Polynomial, parse_polynomial
 from polydiag.diagonal import diagonalization_bundle
 from polydiag.errors import DimensionCap, NotSymmetric
@@ -19,7 +19,7 @@ from polydiag.polymat import PolyMatrix
 from polydiag.positivity import (
     GridSpec,
     RationalMatrix,
-    _compare_on_grid,
+    _grid_sweep,
     check_bundle_equivalence,
     eval_matrix,
     generate_grid,
@@ -27,7 +27,13 @@ from polydiag.positivity import (
     psd_rational,
 )
 
-from helpers import psd_ldlt, psd_principal_minors, rand_fraction, rand_rational_symmetric
+from helpers import (
+    count_calls,
+    psd_ldlt,
+    psd_principal_minors,
+    rand_fraction,
+    rand_rational_symmetric,
+)
 
 BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=80)
 
@@ -300,18 +306,16 @@ def test_grid_sweeps_equal_pointwise_oracle(case):
     report = psd_on_grid(a, spec)
     assert report.total_points == len(points)
     assert report.non_psd_points == tuple(s for s in points if not oracle[s])
-    bundle = SimpleNamespace(branches=[(SimpleNamespace(D=PolyMatrix.diagonal(diag)), None)])
     flags = {s: all(p.evaluate(s) >= 0 for p in diag) for s in points}
-    equiv = _compare_on_grid(a, bundle, spec)
-    assert equiv.total_points == len(points)
-    assert equiv.disagreements == tuple(
-        (s, oracle[s], flags[s]) for s in points if oracle[s] != flags[s]
-    )
+    assert list(_grid_sweep(a, diag, spec)) == [(s, oracle[s], flags[s]) for s in points]
 
 
 def _sweeps(a, spec):
-    bundle = SimpleNamespace(branches=[(SimpleNamespace(D=PolyMatrix.identity(1, a.nvars)), None)])
-    return (lambda: psd_on_grid(a, spec), lambda: _compare_on_grid(a, bundle, spec))
+    """psd_on_grid and the sweep check_bundle_equivalence runs, each giving its point count."""
+    return (
+        lambda: psd_on_grid(a, spec).total_points,
+        lambda: len(list(_grid_sweep(a, [Polynomial.one(a.nvars)], spec))),
+    )
 
 
 def test_grid_error_order():
@@ -336,7 +340,7 @@ def test_grid_symmetric_at_some_points_only():
     # A(t) = [[1, t], [t^2, 1]] is symmetric at t = 0 and t = 1 only
     a = M([["1", "t1"], ["t1^2", "1"]])
     for sweep in _sweeps(a, GridSpec(((0, 1, 2),))):
-        assert sweep().total_points == 2
+        assert sweep() == 2
     for sweep in _sweeps(a, GridSpec(((0, 2, 3),))):
         with pytest.raises(NotSymmetric):
             sweep()
@@ -393,6 +397,15 @@ def test_equivalence_rejects_foreign_bundle():
     bundle = diagonalization_bundle(other)
     with pytest.raises(ValueError, match="does not verify"):
         check_bundle_equivalence(a, bundle, GridSpec.uniform(1))
+
+
+def test_equivalence_verifies_a_produced_bundle_once(monkeypatch):
+    a = M([["t1", "1"], ["1", "t1"]])
+    calls = count_calls(monkeypatch, "diag_certificate_failures", (certificates, diagonal))
+    bundle = diagonalization_bundle(a)
+    report = check_bundle_equivalence(a, bundle, GridSpec.uniform(1, count=5))
+    assert report.disagreements == ()
+    assert len(calls) == len(bundle.branches) == 3
 
 
 def test_equivalence_nvars_mismatch():
