@@ -8,9 +8,13 @@ square scalar factors:
     D = X_minus*A*X_minus^t
     w^2*A = X_plus*D*X_plus^t
 
-All identities are exact polynomial equalities.  Because congruences
-preserve pointwise positive semidefiniteness in both directions and w^2 is
-a square, D(s) is PSD exactly where A(s) is, at every rational point s.
+All identities are exact polynomial equalities.  The third is implied:
+X_plus*X_minus = w*I and D = X_minus*A*X_minus^t give X_plus*D*X_plus^t =
+(X_plus*X_minus)*A*(X_plus*X_minus)^t = w^2*A by associativity over a
+commutative ring, so the verifier multiplies it out only to report which
+identities a broken certificate fails.  Because congruences preserve
+pointwise positive semidefiniteness in both directions and w^2 is a
+square, D(s) is PSD exactly where A(s) is, at every rational point s.
 
 An equivalence witness (s1, s2, z, x_plus, x_minus) claims a1 ~ a2 via
 s1*a1 = s2*x_plus*a2*x_plus^t with x_minus*x_plus = x_plus*x_minus = z*I.
@@ -191,7 +195,12 @@ class ModuleMembershipCertificate:
 
 
 def diag_certificate_failures(a, cert):
-    """Broken-identity list for a DiagCertificate against subject a."""
+    """Broken-identity list for a DiagCertificate against subject a.
+
+    w^2*A = X_plus*D*X_plus^t follows from X_plus*X_minus = w*I and
+    D = X_minus*A*X_minus^t, so its product is multiplied out only when one
+    of those two fails, to report whether it fails as well.
+    """
     n = cert.subject_dim
     if a.rows != n or a.cols != n:
         raise ValueError(f"subject is {a.rows}x{a.cols}, certificate claims dimension {n}")
@@ -210,9 +219,11 @@ def diag_certificate_failures(a, cert):
         failures.append("X_minus*X_plus = w*I")
     if not cert.D.is_diagonal():
         failures.append("D is diagonal")
-    if cert.D != cert.X_minus.congruence(a):
+    d_congruent = cert.D == cert.X_minus.congruence(a)
+    if not d_congruent:
         failures.append("D = X_minus*A*X_minus^t")
-    if (cert.w * cert.w) * a != cert.X_plus.congruence(cert.D):
+    implied = plus_minus and d_congruent  # w^2*A = X_plus*D*X_plus^t follows
+    if not implied and (cert.w * cert.w) * a != cert.X_plus.congruence(cert.D):
         failures.append("w^2*A = X_plus*D*X_plus^t")
     return failures
 
@@ -385,10 +396,22 @@ def sos_matrix_failures(a, cert):
 # preordering generated by commuting diagonal matrices
 
 
+# r generators have 2^r ascending products; past this many, refuse them
+MAX_GENERATORS = 16
+
+
 def tmodule_index_sets(r):
-    """All subsets of {1..r} as ascending tuples, ordered by size then lex."""
+    """All subsets of {1..r} as ascending tuples, ordered by size then lex.
+
+    ValueError for r above MAX_GENERATORS, before any subset is built.
+    """
     if r < 0:
         raise ValueError("generator count must be nonnegative")
+    if r > MAX_GENERATORS:
+        raise ValueError(
+            f"{r} generators exceed the cap of {MAX_GENERATORS} "
+            f"({2**MAX_GENERATORS} ascending products)"
+        )
     out = []
     for size in range(r + 1):
         out.extend(itertools.combinations(range(1, r + 1), size))

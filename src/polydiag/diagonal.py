@@ -13,6 +13,10 @@ bundle_certificate_failures, so it records that subject):
   family of certificates D_l with the pointwise property that A(s) is PSD
   exactly when all diagonal entries of all D_l(s) are nonnegative.
 
+The pivot recursion (_branches) is module-level and holds no reference
+cycles, so each producer's intermediate matrices die by reference count
+as soon as it returns, whenever the cyclic collector runs.
+
 Every certificate is read off one fraction-free elimination (Bareiss,
 Math. Comp. 22, 1968): each step turns the trailing block into
 (alpha*C - beta^t*beta) / (previous pivot), exact by Sylvester's identity,
@@ -38,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import Polynomial, sum_of_products
 from .certificates import (
@@ -163,9 +168,10 @@ def block_step(a):
     Returns (Atilde, X_plus, X_minus, alpha) with X_plus*X_minus = alpha^2*I,
     Atilde = X_minus*A*X_minus^t and alpha^4*A = X_plus*Atilde*X_plus^t,
     where alpha is the corner entry, beta the rest of the first row, and C
-    the trailing block.  All three identities are checked here, before
-    returning.  The producers divide alpha*C - beta^t*beta by the previous
-    pivot instead.
+    the trailing block.  The first two identities are checked here, before
+    returning; they imply the third, whose product is multiplied out only
+    to report it when one of them fails.  The producers divide
+    alpha*C - beta^t*beta by the previous pivot instead.
     """
     _require_symmetric(a)
     n = a.rows
@@ -191,11 +197,13 @@ def block_step(a):
     at, xp, xm = PolyMatrix.from_rows(atilde), corner(+1), corner(-1)
     a2 = alpha * alpha
     failures = []
-    if xp @ xm != PolyMatrix.diagonal([a2] * n):
+    plus_minus = xp @ xm == PolyMatrix.diagonal([a2] * n)
+    if not plus_minus:
         failures.append("X_plus*X_minus = alpha^2*I")
-    if at != xm.congruence(a):
+    congruent = at == xm.congruence(a)
+    if not congruent:
         failures.append("Atilde = X_minus*A*X_minus^t")
-    if (a2 * a2) * a != xp.congruence(at):
+    if not (plus_minus and congruent) and (a2 * a2) * a != xp.congruence(at):
         failures.append("alpha^4*A = X_plus*Atilde*X_plus^t")
     if failures:
         raise InternalIdentityFailure("block step identities broke: " + "; ".join(failures))
@@ -301,46 +309,60 @@ def _branches(a, bundle, cap):
     corner is not identically zero and keeps the block whole.  Past cap
     branches, BundleTooLarge.
     """
-    n, nvars = a.rows, a.nvars
+    n = a.rows
+    walk = _Walk(a.nvars, bundle, cap, [])
+    _grow(walk, [list(a.row(r)) for r in range(n)], _identity(n), _identity(n), 0, n, (), ())
+    return walk.out
+
+
+class _Walk(NamedTuple):
+    """What the branches of one _branches call share; out collects them."""
+
+    nvars: int
+    bundle: bool
+    cap: int
+    out: list
+
+
+def _grow(walk, work, p, p_inv, level, end, pivots, scales):
+    """Branch on the pivots of the trailing block level..end-1, depth first."""
+    nvars = walk.nvars
+    size = end - level
+    block = range(level, end)
+    if size == 1 or all(work[x][y].is_zero() for x in block for y in block):
+        return _finish(walk, work, p, p_inv, level, pivots, scales, False)
+    choices = [(i, j) for i in range(1, size + 1) for j in range(i, size + 1)]
+    if not walk.bundle:
+        # a nonzero block has a usable pivot: its diagonal entries are the
+        # averaged (i,i) values and 2*a_ij = 2*avg_ij - a_ii - a_jj
+        choices = [next(c for c in choices if not _corner_vanishes(work, level, *c))]
+    prev = work[level - 1][level - 1] if level else Polynomial.one(nvars)
+    for i, j in choices:
+        trace = (pivots + ((i, j),), scales + (Fraction(1 if i == j else 2),))
+        if _corner_vanishes(work, level, i, j):
+            _finish(walk, work, p, p_inv, level, *trace, True)
+            continue
+        w2, p2, p_inv2 = ([row[:] for row in m] for m in (work, p, p_inv))
+        _move(w2, p2, p_inv2, level, end, level + i - 1, level + j - 1)
+        _bareiss_step(nvars, w2, level, prev, end, end, symmetric=True)
+        rest = range(level + 1, end)
+        kept = [x for x in rest if any(not w2[x][y].is_zero() for y in rest)] if walk.bundle else []
+        if 0 < len(kept) < len(rest):
+            _permute(w2, p2, p_inv2, level + 1, end, kept + [x for x in rest if x not in kept])
+        _grow(walk, w2, p2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), *trace)
+
+
+def _finish(walk, work, p, p_inv, level, pivots, scales, vacuous):
+    """Append the branch's certificate and trace to walk.out."""
+    if len(walk.out) >= walk.cap:
+        raise BundleTooLarge(f"branch count exceeds cap {walk.cap}")
+    n, nvars = len(work), walk.nvars
     zero = Polynomial.zero(nvars)
-    out = []
-
-    def finish(work, p, p_inv, level, pivots, scales, vacuous):
-        if len(out) >= cap:
-            raise BundleTooLarge(f"branch count exceeds cap {cap}")
-        rank = level + (not vacuous and not work[level][level].is_zero())
-        xp, xm, d, w = _closed_form(nvars, work, rank, level, True)
-        if vacuous:  # the corner vanished: keep the rows of the pivots taken so far
-            xp, w = [[zero] * n for _ in range(n)], zero
-            xm = xm[:level] + xp[level:]
-        xm = zip(*_combine(list(zip(*p)), list(zip(*xm))))  # X_minus' * P
-        xp, xm = PolyMatrix.from_rows(_combine(p_inv, xp)), PolyMatrix.from_rows(list(xm))
-        out.append((DiagCertificate(n, xp, xm, d, w), PivotTrace(pivots, scales)))
-
-    def grow(work, p, p_inv, level, end, pivots, scales):
-        size = end - level
-        block = range(level, end)
-        if size == 1 or all(work[x][y].is_zero() for x in block for y in block):
-            return finish(work, p, p_inv, level, pivots, scales, False)
-        choices = [(i, j) for i in range(1, size + 1) for j in range(i, size + 1)]
-        if not bundle:
-            # a nonzero block has a usable pivot: its diagonal entries are the
-            # averaged (i,i) values and 2*a_ij = 2*avg_ij - a_ii - a_jj
-            choices = [next(c for c in choices if not _corner_vanishes(work, level, *c))]
-        prev = work[level - 1][level - 1] if level else Polynomial.one(nvars)
-        for i, j in choices:
-            trace = (pivots + ((i, j),), scales + (Fraction(1 if i == j else 2),))
-            if _corner_vanishes(work, level, i, j):
-                finish(work, p, p_inv, level, *trace, True)
-                continue
-            w2, p2, p_inv2 = ([row[:] for row in m] for m in (work, p, p_inv))
-            _move(w2, p2, p_inv2, level, end, level + i - 1, level + j - 1)
-            _bareiss_step(nvars, w2, level, prev, end, end, symmetric=True)
-            rest = range(level + 1, end)
-            kept = [x for x in rest if any(not w2[x][y].is_zero() for y in rest)] if bundle else []
-            if 0 < len(kept) < len(rest):
-                _permute(w2, p2, p_inv2, level + 1, end, kept + [x for x in rest if x not in kept])
-            grow(w2, p2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), *trace)
-
-    grow([list(a.row(r)) for r in range(n)], _identity(n), _identity(n), 0, n, (), ())
-    return out
+    rank = level + (not vacuous and not work[level][level].is_zero())
+    xp, xm, d, w = _closed_form(nvars, work, rank, level, True)
+    if vacuous:  # the corner vanished: keep the rows of the pivots taken so far
+        xp, w = [[zero] * n for _ in range(n)], zero
+        xm = xm[:level] + xp[level:]
+    xm = zip(*_combine(list(zip(*p)), list(zip(*xm))))  # X_minus' * P
+    xp, xm = PolyMatrix.from_rows(_combine(p_inv, xp)), PolyMatrix.from_rows(list(xm))
+    walk.out.append((DiagCertificate(n, xp, xm, d, w), PivotTrace(pivots, scales)))

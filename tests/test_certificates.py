@@ -11,6 +11,7 @@ import pytest
 from polydiag import __version__, certificates
 from polydiag.arith import Polynomial, parse_polynomial
 from polydiag.certificates import (
+    MAX_GENERATORS,
     DiagBundle,
     DiagCertificate,
     EquivCertificatePackage,
@@ -351,6 +352,15 @@ def test_index_sets_ordering():
     )
     with pytest.raises(ValueError):
         tmodule_index_sets(-1)
+
+
+def test_index_sets_refuse_too_many_generators():
+    r = MAX_GENERATORS + 1
+    with pytest.raises(ValueError, match=f"^{r} generators exceed the cap of {MAX_GENERATORS} "):
+        tmodule_index_sets(r)
+    ones = [PolyMatrix.identity(1, 1)] * r
+    with pytest.raises(ValueError, match="exceed the cap"):
+        tmodule_generators(ones)
 
 
 def test_generators_single():

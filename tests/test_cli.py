@@ -12,7 +12,7 @@ import pytest
 
 from polydiag import __version__, certificates, cli, diagonal, positivity
 from polydiag.arith import parse_polynomial
-from polydiag.certificates import SosMatrixCertificate, format_sos_certificate
+from polydiag.certificates import MAX_GENERATORS, SosMatrixCertificate, format_sos_certificate
 from polydiag.cli import main
 from polydiag.polymat import PolyMatrix
 
@@ -351,6 +351,19 @@ def test_gens_deterministic(tmp_path):
     assert main(["gens", g1, g2, "--out", str(first)]) == 0
     assert main(["gens", g1, g2, "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_gens_refuses_too_many_generators_fast(tmp_path, capsys):
+    paths = [put(tmp_path, f"g{k}.mat", "1 1 1\n1\n") for k in range(MAX_GENERATORS + 1)]
+    start = time.perf_counter()
+    assert main(["gens", *paths]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {MAX_GENERATORS + 1} generators exceed the cap of {MAX_GENERATORS} "
+        f"({2**MAX_GENERATORS} ascending products)\n"
+    )
 
 
 # -- global flags ----------------------------------------------------------------

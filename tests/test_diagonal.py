@@ -1,8 +1,10 @@
 """Tests for the three congruence diagonalization routes."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from polydiag.errors import (
     NotSymmetric,
     ZeroMatrix,
 )
-from polydiag.polymat import PolyMatrix
+from polydiag.polymat import PolyMatrix, parse_matrix
 
 from helpers import (
     const_matrix,
@@ -540,3 +542,18 @@ def test_branches_follow_paper_recursion(seed, n, nvars, shape, bundle):
     for ref, (cert, _trace) in zip(reference, branches):
         assert cert.w.is_zero() == ref[3].is_zero()
         assert cert.w.degree() <= ref[3].degree()
+
+
+def test_producers_leave_no_reference_cycles():
+    """Everything a producer allocates dies by reference count."""
+    a3 = parse_matrix((Path(__file__).parent / "golden" / "a3.mat").read_text())
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        single_path_diagonalize(a3)
+        diagonalization_bundle(a3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

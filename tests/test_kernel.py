@@ -22,17 +22,19 @@ from polydiag.arith import (
     sum_of_products,
 )
 from polydiag.certificates import (
+    DiagBundle,
     DiagCertificate,
     EquivWitness,
+    bundle_certificate_failures,
     diag_certificate_failures,
     equiv_witness_failures,
 )
 from polydiag.cli import main
-from polydiag.diagonal import single_path_diagonalize
+from polydiag.diagonal import block_step, diagonalization_bundle, single_path_diagonalize
 from polydiag.errors import ExponentOverflow, ParseError
 from polydiag.polymat import PolyMatrix
 
-from helpers import const_matrix
+from helpers import const_matrix, count_calls
 
 BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -218,13 +220,30 @@ def all_identity_failures(a, cert):
     return out
 
 
-SUBJECT = PolyMatrix.from_rows(
-    [
-        [parse_polynomial(s, 1) for s in row]
-        for row in (("t1", "1", "0"), ("1", "t1^2", "t1"), ("0", "t1", "2"))
-    ]
-)
+def subject(rows, nvars):
+    return PolyMatrix.from_rows([[parse_polynomial(s, nvars) for s in row] for row in rows])
+
+
+SUBJECT = subject((("t1", "1", "0"), ("1", "t1^2", "t1"), ("0", "t1", "2")), 1)
 GOOD = single_path_diagonalize(SUBJECT)
+SUBJECT_2VARS = subject((("t1", "t2", "0"), ("t2", "t1*t2", "1"), ("0", "1", "t2^2")), 2)
+GOOD_2VARS = single_path_diagonalize(SUBJECT_2VARS)
+# the (1,2) pivot's corner t1 - 2*t1 + t1 vanishes: a vacuous w = 0 branch
+VACUOUS_SUBJECT = subject((("t1", "-t1", "1"), ("-t1", "t1", "0"), ("1", "0", "1")), 1)
+VACUOUS_BUNDLE = diagonalization_bundle(VACUOUS_SUBJECT)
+
+
+def tampered(cert, part, index, delta_text):
+    """cert with delta added to entry index of part (or to w)."""
+    delta = parse_polynomial(delta_text, cert.w.nvars)
+    fields = {"X_plus": cert.X_plus, "X_minus": cert.X_minus, "D": cert.D, "w": cert.w}
+    if part == "w":
+        fields["w"] = fields["w"] + delta
+    else:
+        entries = list(fields[part].entries)
+        entries[index] = entries[index] + delta
+        fields[part] = PolyMatrix(3, 3, entries)
+    return DiagCertificate(3, fields["X_plus"], fields["X_minus"], fields["D"], fields["w"])
 
 
 @BOUNDED
@@ -232,15 +251,36 @@ GOOD = single_path_diagonalize(SUBJECT)
     st.sampled_from(("X_plus", "X_minus", "D", "w")),
     st.integers(0, 8),
     st.sampled_from(("1", "t1", "-1/2*t1^2", "0")),
+    st.integers(0, 15),
 )
-def test_failure_lists_match_full_check(part, index, delta_text):
-    delta = parse_polynomial(delta_text, 1)
-    fields = {"X_plus": GOOD.X_plus, "X_minus": GOOD.X_minus, "D": GOOD.D, "w": GOOD.w}
-    if part == "w":
-        fields["w"] = fields["w"] + delta
-    else:
-        entries = list(fields[part].entries)
-        entries[index] = entries[index] + delta
-        fields[part] = PolyMatrix(3, 3, entries)
-    cert = DiagCertificate(3, fields["X_plus"], fields["X_minus"], fields["D"], fields["w"])
-    assert diag_certificate_failures(SUBJECT, cert) == all_identity_failures(SUBJECT, cert)
+def test_failure_lists_match_full_check(part, index, delta_text, branch):
+    for a, good in ((SUBJECT, GOOD), (SUBJECT_2VARS, GOOD_2VARS)):
+        cert = tampered(good, part, index, delta_text)
+        assert diag_certificate_failures(a, cert) == all_identity_failures(a, cert)
+    certs = [cert for cert, _trace in VACUOUS_BUNDLE.branches]
+    assert len(certs) == 16 and certs[0].w.is_zero()
+    certs[branch] = tampered(certs[branch], part, index, delta_text)
+    traces = [trace for _cert, trace in VACUOUS_BUNDLE.branches]
+    expected = [
+        f"branch {k}: {f}"
+        for k, cert in enumerate(certs, start=1)
+        for f in all_identity_failures(VACUOUS_SUBJECT, cert)
+    ]
+    bundle = DiagBundle(3, zip(certs, traces))
+    assert bundle_certificate_failures(VACUOUS_SUBJECT, bundle) == expected
+
+
+def test_implied_third_identity_is_not_multiplied_out(monkeypatch):
+    calls = count_calls(monkeypatch, "congruence", (PolyMatrix,))
+    assert diag_certificate_failures(SUBJECT, GOOD) == []
+    assert len(calls) == 1  # X_minus*A*X_minus^t
+    calls.clear()
+    bad = tampered(GOOD, "D", 0, "1")
+    assert diag_certificate_failures(SUBJECT, bad) == [
+        "D = X_minus*A*X_minus^t",
+        "w^2*A = X_plus*D*X_plus^t",
+    ]
+    assert len(calls) == 2  # a failed identity: the third is reported too
+    calls.clear()
+    block_step(SUBJECT)
+    assert len(calls) == 1  # Atilde = X_minus*A*X_minus^t
