@@ -181,13 +181,6 @@ class Polynomial:
             raise ValueError(f"{self} is not constant")
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
-    def leading(self):
-        """Graded-lex leading (exponents, coefficient) pair; errors on zero."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=_order_key)
-        return exps, self.terms[exps]
-
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other):

@@ -65,11 +65,14 @@ from .polymat import PolyMatrix, format_matrix, parse_matrix
 class DiagCertificate:
     """Claims subject A is congruent to diagonal D, scaled by w."""
 
-    subject_dim: int
     X_plus: PolyMatrix
     X_minus: PolyMatrix
     D: PolyMatrix
     w: Polynomial
+
+    @property
+    def subject_dim(self):
+        return self.X_plus.rows
 
     def __post_init__(self):
         n = self.subject_dim
@@ -86,34 +89,34 @@ class PivotTrace:
 
     pivots: (i, j) pairs with i <= j, 1-based into the matrix current at
     each recursion level (after compaction of zero rows/columns).
-    scales: the positive rational factor relating the pivoted (1,1) entry
-    to the averaged pivot value at that step (1 for i = j, 2 for i < j).
+    scales: per pivot, the factor relating the pivoted (1,1) entry to the
+    averaged pivot value, read off the pivot: 1 for i = j, 2 for i < j.
     """
 
     pivots: tuple
-    scales: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "pivots", tuple(tuple(p) for p in self.pivots))
-        object.__setattr__(self, "scales", tuple(Fraction(s) for s in self.scales))
-        if len(self.pivots) != len(self.scales):
-            raise ValueError("pivot and scale counts differ")
         for i, j in self.pivots:
             if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= j):
                 raise ValueError(f"bad pivot pair ({i},{j})")
-        for s in self.scales:
-            if s <= 0:
-                raise ValueError(f"pivot scale must be positive, got {s}")
+
+    @property
+    def scales(self):
+        return tuple(Fraction(1 if i == j else 2) for i, j in self.pivots)
 
 
 @dataclass(frozen=True)
 class DiagBundle:
     """All diagonalization branches of one subject, with their pivot traces."""
 
-    subject_dim: int
     branches: tuple  # of (DiagCertificate, PivotTrace)
     # the subject bundle_certificate_failures last found no broken identity for
     _verified: object = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def subject_dim(self):
+        return self.branches[0][0].subject_dim
 
     def __post_init__(self):
         object.__setattr__(self, "branches", tuple(tuple(b) for b in self.branches))
@@ -690,7 +693,6 @@ class _Reader:
     def trace(self, name, _trace):
         body, _lineno = self.expect("trace", name)
         pivots = []
-        scales = []
         for ln, line in body:
             fields = line.split()
             if len(fields) != 3:
@@ -709,9 +711,11 @@ class _Reader:
                 raise ParseError(f"line {ln}: pivot pair ({i},{j}) must satisfy 1 <= i <= j")
             if num <= 0:
                 raise ParseError(f"line {ln}: pivot scale must be positive")
+            scale = PivotTrace(((i, j),)).scales[0]
+            if Fraction(num, den) != scale:
+                raise ParseError(f"line {ln}: pivot ({i},{j}) has scale {scale}, got {num}/{den}")
             pivots.append((i, j))
-            scales.append(Fraction(num, den))
-        return PivotTrace(tuple(pivots), tuple(scales))
+        return PivotTrace(tuple(pivots))
 
     def indexset(self, name, _idx):
         body, lineno = self.expect("indexset", name)
@@ -739,7 +743,7 @@ def _diag_layout(io, dim, cert):
     x_plus = io.matrix("X_plus", cert and cert.X_plus, dim, dim)
     x_minus = io.matrix("X_minus", cert and cert.X_minus, dim, dim)
     d = io.matrix("D", cert and cert.D, dim, dim)
-    return DiagCertificate(dim, x_plus, x_minus, d, io.poly("w", cert and cert.w))
+    return DiagCertificate(x_plus, x_minus, d, io.poly("w", cert and cert.w))
 
 
 def _bundle_layout(io, dim, bundle):
@@ -750,8 +754,8 @@ def _bundle_layout(io, dim, bundle):
         x_plus = io.matrix(f"X_plus_{k}", cert and cert.X_plus, dim, dim)
         x_minus = io.matrix(f"X_minus_{k}", cert and cert.X_minus, dim, dim)
         w = io.poly(f"w_{k}", cert and cert.w)
-        branches.append((DiagCertificate(dim, x_plus, x_minus, d, w), io.trace(str(k), trace)))
-    return DiagBundle(dim, tuple(branches))
+        branches.append((DiagCertificate(x_plus, x_minus, d, w), io.trace(str(k), trace)))
+    return DiagBundle(tuple(branches))
 
 
 def _equiv_layout(io, dim, pkg):

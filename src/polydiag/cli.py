@@ -42,11 +42,11 @@ class _UsageError(Exception):
 
 
 def _read(path, parse=parse_matrix):
-    """parse(text of the file at path); a ParseError names the file."""
+    """parse(text of the file at path); a ParseError, or non-UTF-8 text, names the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse(handle.read())
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 
 
@@ -64,9 +64,11 @@ def _format_point(point):
 
 def _parse_fraction(text, flag):
     try:
-        return Fraction(text)
+        if "e" not in text.lower():  # Fraction builds 10^exp for 1e<exp>, however large
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"bad {flag} value {text!r}, expected a rational like -10 or 1/2") from None
+        pass
+    raise _UsageError(f"bad {flag} value {text!r}, expected a rational like -10 or 1/2")
 
 
 def _expand_axis_values(values, nvars, flag):

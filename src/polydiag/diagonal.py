@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import Polynomial, sum_of_products
@@ -60,15 +59,16 @@ from .polymat import PolyMatrix, _bareiss_step
 
 @dataclass(frozen=True)
 class StandardFormData:
-    """Generic rank plus the r nonzero leading principal minors."""
+    """The r nonzero leading principal minors; r is the generic rank."""
 
-    rank: int
     minors: tuple  # (M_1, ..., M_r)
 
     def __post_init__(self):
         object.__setattr__(self, "minors", tuple(self.minors))
-        if self.rank != len(self.minors):
-            raise ValueError("rank and minor count differ")
+
+    @property
+    def rank(self):
+        return len(self.minors)
 
 
 def _require_symmetric(a):
@@ -88,7 +88,7 @@ def _standard_form(a):
         # steps before off pivoted on the nonzero M_1..M_off, so M_(off+1)
         # is the first zero leading minor
         raise NotStandardForm(off + 1)
-    return StandardFormData(rank, [work[p][p] for p in range(rank)]), work
+    return StandardFormData([work[p][p] for p in range(rank)]), work
 
 
 def standard_form_check(a):
@@ -105,7 +105,7 @@ def standard_form_diagonalize(a):
     """
     data, work = _standard_form(a)
     xp, xm, d, w = _closed_form(a.nvars, work, data.rank, min(data.rank, a.rows - 1), False)
-    cert = DiagCertificate(a.rows, PolyMatrix.from_rows(xp), PolyMatrix.from_rows(xm), d, w)
+    cert = DiagCertificate(PolyMatrix.from_rows(xp), PolyMatrix.from_rows(xm), d, w)
     return _checked(a, cert)
 
 
@@ -221,7 +221,7 @@ def pivot_congruence(a, i, j):
     p = _identity(n)
     _move(work, p, _identity(n), 0, n, i - 1, j - 1)
     v = PolyMatrix.from_rows([[Polynomial.const(a.nvars, c) for c in row] for row in p])
-    return PolyMatrix.from_rows(work), v, Fraction(1 if i == j else 2)
+    return PolyMatrix.from_rows(work), v, PivotTrace(((i, j),)).scales[0]
 
 
 def _identity(n):
@@ -292,7 +292,7 @@ def diagonalization_bundle(a, cap_branches=10_000):
         raise ZeroMatrix("matrix is identically zero")
     if cap_branches < 1:
         raise ValueError("branch cap must be positive")
-    bundle = DiagBundle(a.rows, _branches(a, True, cap_branches))
+    bundle = DiagBundle(_branches(a, True, cap_branches))
     failures = bundle_certificate_failures(a, bundle)
     if failures:
         raise InternalIdentityFailure("bundle identities broke: " + "; ".join(failures))
@@ -311,7 +311,7 @@ def _branches(a, bundle, cap):
     """
     n = a.rows
     walk = _Walk(a.nvars, bundle, cap, [])
-    _grow(walk, [list(a.row(r)) for r in range(n)], _identity(n), _identity(n), 0, n, (), ())
+    _grow(walk, [list(a.row(r)) for r in range(n)], _identity(n), _identity(n), 0, n, ())
     return walk.out
 
 
@@ -324,13 +324,13 @@ class _Walk(NamedTuple):
     out: list
 
 
-def _grow(walk, work, p, p_inv, level, end, pivots, scales):
+def _grow(walk, work, p, p_inv, level, end, pivots):
     """Branch on the pivots of the trailing block level..end-1, depth first."""
     nvars = walk.nvars
     size = end - level
     block = range(level, end)
     if size == 1 or all(work[x][y].is_zero() for x in block for y in block):
-        return _finish(walk, work, p, p_inv, level, pivots, scales, False)
+        return _finish(walk, work, p, p_inv, level, pivots, False)
     choices = [(i, j) for i in range(1, size + 1) for j in range(i, size + 1)]
     if not walk.bundle:
         # a nonzero block has a usable pivot: its diagonal entries are the
@@ -338,9 +338,9 @@ def _grow(walk, work, p, p_inv, level, end, pivots, scales):
         choices = [next(c for c in choices if not _corner_vanishes(work, level, *c))]
     prev = work[level - 1][level - 1] if level else Polynomial.one(nvars)
     for i, j in choices:
-        trace = (pivots + ((i, j),), scales + (Fraction(1 if i == j else 2),))
+        trace = pivots + ((i, j),)
         if _corner_vanishes(work, level, i, j):
-            _finish(walk, work, p, p_inv, level, *trace, True)
+            _finish(walk, work, p, p_inv, level, trace, True)
             continue
         w2, p2, p_inv2 = ([row[:] for row in m] for m in (work, p, p_inv))
         _move(w2, p2, p_inv2, level, end, level + i - 1, level + j - 1)
@@ -349,10 +349,10 @@ def _grow(walk, work, p, p_inv, level, end, pivots, scales):
         kept = [x for x in rest if any(not w2[x][y].is_zero() for y in rest)] if walk.bundle else []
         if 0 < len(kept) < len(rest):
             _permute(w2, p2, p_inv2, level + 1, end, kept + [x for x in rest if x not in kept])
-        _grow(walk, w2, p2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), *trace)
+        _grow(walk, w2, p2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), trace)
 
 
-def _finish(walk, work, p, p_inv, level, pivots, scales, vacuous):
+def _finish(walk, work, p, p_inv, level, pivots, vacuous):
     """Append the branch's certificate and trace to walk.out."""
     if len(walk.out) >= walk.cap:
         raise BundleTooLarge(f"branch count exceeds cap {walk.cap}")
@@ -365,4 +365,4 @@ def _finish(walk, work, p, p_inv, level, pivots, scales, vacuous):
         xm = xm[:level] + xp[level:]
     xm = zip(*_combine(list(zip(*p)), list(zip(*xm))))  # X_minus' * P
     xp, xm = PolyMatrix.from_rows(_combine(p_inv, xp)), PolyMatrix.from_rows(list(xm))
-    walk.out.append((DiagCertificate(n, xp, xm, d, w), PivotTrace(pivots, scales)))
+    walk.out.append((DiagCertificate(xp, xm, d, w), PivotTrace(pivots)))

@@ -34,7 +34,7 @@ from .certificates import bundle_certificate_failures
 from .errors import DimensionCap, NotSymmetric
 
 _PSD_DIMENSION_CAP = 12
-_DEFAULT_GRID_CAP = 100_000
+_GRID_CAP = 100_000
 _NOT_SYMMETRIC = "PSD oracle needs a symmetric matrix"
 
 
@@ -70,7 +70,6 @@ class GridSpec:
     """Per-axis (low, high, count) triples over exact rationals."""
 
     axes: tuple
-    max_points: int = _DEFAULT_GRID_CAP
 
     def __post_init__(self):
         axes = tuple(
@@ -105,13 +104,14 @@ class GridPositivityReport:
     """Where a matrix failed to be PSD on a grid."""
 
     total_points: int
-    psd_count: int
     non_psd_points: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "non_psd_points", tuple(self.non_psd_points))
-        if self.psd_count + len(self.non_psd_points) != self.total_points:
-            raise ValueError("report counts are inconsistent")
+
+    @property
+    def psd_count(self):
+        return self.total_points - len(self.non_psd_points)
 
     def all_psd(self):
         return not self.non_psd_points
@@ -122,13 +122,14 @@ class EquivalenceReport:
     """Oracle-vs-bundle comparison; disagreements are (point, psd, bundle)."""
 
     total_points: int
-    agreements: int
     disagreements: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "disagreements", tuple(self.disagreements))
-        if self.agreements + len(self.disagreements) != self.total_points:
-            raise ValueError("report counts are inconsistent")
+
+    @property
+    def agreements(self):
+        return self.total_points - len(self.disagreements)
 
 
 def eval_matrix(a, point):
@@ -190,8 +191,8 @@ def psd_rational(m):
 def _axis_values(spec):
     """Per-axis value lists of the grid; raises when the total exceeds the cap."""
     total = spec.total_points()
-    if total > spec.max_points:
-        raise ValueError(f"grid has {total} points, exceeding the cap {spec.max_points}")
+    if total > _GRID_CAP:
+        raise ValueError(f"grid has {total} points, exceeding the cap {_GRID_CAP}")
     axis_values = []
     for low, high, count in spec.axes:
         if count == 1:
@@ -270,7 +271,7 @@ def psd_on_grid(a, spec):
     """PSD verdicts for a symmetric polynomial matrix at every grid point."""
     sweep = list(_grid_sweep(a, (), spec))
     non_psd = tuple(point for point, psd, _extra_ok in sweep if not psd)
-    return GridPositivityReport(len(sweep), len(sweep) - len(non_psd), non_psd)
+    return GridPositivityReport(len(sweep), non_psd)
 
 
 def check_bundle_equivalence(a, bundle, spec):
@@ -292,4 +293,4 @@ def check_bundle_equivalence(a, bundle, spec):
     ]
     sweep = list(_grid_sweep(a, diag_polys, spec))
     disagreements = tuple(row for row in sweep if row[1] != row[2])
-    return EquivalenceReport(len(sweep), len(sweep) - len(disagreements), disagreements)
+    return EquivalenceReport(len(sweep), disagreements)

@@ -153,6 +153,17 @@ def test_parse_rejects_bad_input():
             P(bad, 2)
 
 
+def test_parse_error_texts():
+    for text, message in (
+        ("1/", "column 3: expected a denominator"),
+        ("1/t1", "column 3: expected a denominator"),
+        ("t1 t2", "column 4: expected '+' or '-' between terms"),
+    ):
+        with pytest.raises(ParseError) as info:
+            P(text, 2)
+        assert str(info.value) == message
+
+
 def test_parse_star_optional_after_coefficient():
     assert P("2t1") == P("2*t1")
 

@@ -3,7 +3,6 @@ certificate file format."""
 
 import random
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -130,7 +129,7 @@ def test_bundle_failures_name_the_branch():
     bad_cert = replace(cert, w=cert.w + 1)
     branches = list(bundle.branches)
     branches[1] = (bad_cert, trace)
-    tampered = DiagBundle(bundle.subject_dim, tuple(branches))
+    tampered = DiagBundle(tuple(branches))
     fails = bundle_certificate_failures(SUBJECT, tampered)
     assert fails and all(f.startswith("branch 2: ") for f in fails)
     assert bundle_certificate_failures(SUBJECT, tampered)
@@ -156,7 +155,7 @@ def test_bundle_records_its_verified_subject(monkeypatch):
     # not part of ==, repr or the certificate bytes
     text = format_bundle_certificate(bundle)
     for fresh in (
-        DiagBundle(bundle.subject_dim, bundle.branches),
+        DiagBundle(bundle.branches),
         replace(bundle),
         parse_certificate(text)[1],
     ):
@@ -168,16 +167,12 @@ def test_bundle_records_its_verified_subject(monkeypatch):
 
 def test_certificate_shape_validation():
     with pytest.raises(ValueError):
-        DiagCertificate(3, PolyMatrix.identity(2, 1), PolyMatrix.identity(3, 1),
+        DiagCertificate(PolyMatrix.identity(2, 1), PolyMatrix.identity(3, 1),
                         PolyMatrix.identity(3, 1), Polynomial.one(1))
     with pytest.raises(ValueError):
-        PivotTrace(((2, 1),), (Fraction(1),))
+        PivotTrace(((2, 1),))
     with pytest.raises(ValueError):
-        PivotTrace(((1, 2),), (Fraction(0),))
-    with pytest.raises(ValueError):
-        PivotTrace(((1, 1), (1, 2)), (Fraction(1),))
-    with pytest.raises(ValueError):
-        DiagBundle(2, ())
+        DiagBundle(())
 
 
 # -- equivalence witnesses ------------------------------------------------------
@@ -614,8 +609,10 @@ def test_parse_rejects_wrong_factor_columns():
 # Every ParseError raise site of the certificate and matrix file formats,
 # reached by one edit of a certificate: (source, old text, new text, the full
 # error message).  The first occurrence of old is replaced.  The source is a
-# golden file, or "diag-single": the single-path certificate of a.mat, pinned
-# here so that regenerating the goldens leaves these rows alone.
+# golden file, or one of the certificates of a.mat pinned here, so that
+# regenerating the goldens leaves these rows alone: "diag-single", its
+# single-path certificate, and "diag-bundle.out" and "equiv.cert", its bundle
+# and equivalence certificates as those goldens read when pinned.
 GOLDEN = Path(__file__).parent / "golden"
 
 DIAG_SINGLE = """\
@@ -645,6 +642,121 @@ t1^3 - t1
 [poly w]
 t1^2
 """
+
+DIAG_BUNDLE = """\
+# generated-by polydiag 0.1.0
+[meta]
+kind bundle
+dim 2
+nvars 1
+branches 3
+[matrix D_1]
+2 2 1
+t1
+0
+0
+t1^3 - t1
+[matrix X_plus_1]
+2 2 1
+t1^2
+0
+t1
+t1
+[matrix X_minus_1]
+2 2 1
+1
+0
+-1
+t1
+[poly w_1]
+t1^2
+[trace 1]
+1 1 1/1
+[matrix D_2]
+2 2 1
+2*t1 + 2
+0
+0
+2*t1^3 + 2*t1^2 - 2*t1 - 2
+[matrix X_plus_2]
+2 2 1
+2*t1^2 + 4*t1 + 2
+-2*t1 - 2
+2*t1^2 + 4*t1 + 2
+2*t1 + 2
+[matrix X_minus_2]
+2 2 1
+1
+1
+-t1 - 1
+t1 + 1
+[poly w_2]
+4*t1^2 + 8*t1 + 4
+[trace 2]
+1 2 2/1
+[matrix D_3]
+2 2 1
+t1
+0
+0
+t1^3 - t1
+[matrix X_plus_3]
+2 2 1
+t1
+t1
+t1^2
+0
+[matrix X_minus_3]
+2 2 1
+0
+1
+t1
+-1
+[poly w_3]
+t1^2
+[trace 3]
+2 2 1/1
+"""
+
+EQUIV = """\
+# generated-by polydiag 0.1.0
+[meta]
+kind equiv
+dim 2
+nvars 1
+s1_squares 1
+s2_squares 1
+[matrix subject_b]
+2 2 1
+t1
+0
+0
+t1^3 - t1
+[poly s1]
+t1^4
+[poly s1_sq_1]
+t1^2
+[poly s2]
+1
+[poly s2_sq_1]
+1
+[poly z]
+t1^2
+[matrix x_plus]
+2 2 1
+t1^2
+0
+t1
+t1
+[matrix x_minus]
+2 2 1
+1
+0
+-1
+t1
+"""
+
+PINNED = {"diag-single": DIAG_SINGLE, "diag-bundle.out": DIAG_BUNDLE, "equiv.cert": EQUIV}
 
 MALFORMED = [
     ('diag-single', '# generated', 'stray\n# generated',
@@ -713,6 +825,10 @@ MALFORMED = [
      'line 50: pivot pair (2,1) must satisfy 1 <= i <= j'),
     ('diag-bundle.out', '1 1 1/1\n', '1 1 -1/1\n',
      'line 28: pivot scale must be positive'),
+    ('diag-bundle.out', '1 1 1/1\n', '1 1 2/1\n',
+     'line 28: pivot (1,1) has scale 1, got 2/1'),
+    ('diag-bundle.out', '1 2 2/1\n', '1 2 1/1\n',
+     'line 50: pivot (1,2) has scale 2, got 1/1'),
     ('membership.cert', '[indexset 2]\n1\n', '[indexset 2]\n1\n2\n',
      'section [indexset 2] near line 28 must hold exactly one line'),
     ('membership.cert', '[indexset 2]\n1\n', '[indexset 2]\none\n',
@@ -739,14 +855,18 @@ MALFORMED = [
 
 
 def test_pinned_source_verifies():
+    a = parse_matrix((GOLDEN / "a.mat").read_text())
     kind, cert = parse_certificate(DIAG_SINGLE)
-    assert kind == "diag"
-    assert diag_certificate_failures(parse_matrix((GOLDEN / "a.mat").read_text()), cert) == []
+    assert kind == "diag" and diag_certificate_failures(a, cert) == []
+    kind, bundle = parse_certificate(DIAG_BUNDLE)
+    assert kind == "bundle" and bundle_certificate_failures(a, bundle) == []
+    kind, pkg = parse_certificate(EQUIV)
+    assert kind == "equiv" and equiv_witness_failures(a, pkg.subject_b, pkg.witness) == []
 
 
 @pytest.mark.parametrize("name,old,new,message", MALFORMED)
 def test_parse_error_messages(name, old, new, message):
-    text = DIAG_SINGLE if name == "diag-single" else (GOLDEN / name).read_text()
+    text = PINNED[name] if name in PINNED else (GOLDEN / name).read_text()
     assert old in text
     with pytest.raises(ParseError) as info:
         parse_certificate(text.replace(old, new, 1))

@@ -235,6 +235,22 @@ def test_matrix_parse_error_names_file(tmp_path, capsys):
     assert "bad.mat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,position", [
+    (["diagonalize", "a.mat"], 1),
+    (["psd-grid", "a.mat"], 1),
+    (["verify", "a.mat", "diag-single.out"], 1),
+    (["verify", "a.mat", "diag-single.out"], 2),
+])
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, argv, position):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes((GOLDEN / argv[position]).read_bytes().replace(b"t1", b"t1\xff", 1))
+    argv = [argv[0]] + [str(bad) if k == position else str(GOLDEN / f)
+                        for k, f in enumerate(argv[1:], start=1)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_missing_file(capsys):
     assert main(["diagonalize", "/nonexistent/a.mat"]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -258,9 +274,10 @@ def test_psd_grid_fail_lists_points(tmp_path, capsys):
 
 def test_psd_grid_fractional_bounds(tmp_path, capsys):
     path = put(tmp_path, "t.mat", "1 1 1\nt1\n")
-    args = ["psd-grid", path, "--grid-low=1/2", "--grid-high", "3/2", "--grid-count", "3"]
-    assert main(args) == 0
-    assert "points=3 psd=3 non_psd=0" in capsys.readouterr().out
+    for low, high in (("1/2", "3/2"), ("0.5", "1.5")):
+        args = ["psd-grid", path, f"--grid-low={low}", "--grid-high", high, "--grid-count", "3"]
+        assert main(args) == 0
+        assert "points=3 psd=3 non_psd=0" in capsys.readouterr().out
 
 
 def test_psd_grid_per_axis_counts(tmp_path, capsys):
@@ -282,6 +299,17 @@ def test_psd_grid_flag_validation(tmp_path, capsys):
     assert main(["psd-grid", bivar, "--grid-count", "3", "--grid-count", "3",
                  "--grid-count", "3"]) == 1
     assert "expected once or 2 times" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1e999999999", "-1E5", "2.5e-1"])
+def test_grid_bound_exponent_refused_fast(tmp_path, capsys, text):
+    # Fraction would compute 10^exp first; 1e999999999 needs a 415 MB integer
+    path = put(tmp_path, "t.mat", "1 1 1\nt1\n")
+    start = time.perf_counter()
+    assert main(["psd-grid", path, f"--grid-low={text}"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"error: bad --grid-low value {text!r}, expected a rational like -10 or 1/2\n"
 
 
 def test_psd_grid_rejects_rectangular(tmp_path, capsys):
@@ -307,6 +335,17 @@ def test_equiv_check_custom_grid(tmp_path, capsys):
     assert main(["diagonalize", "--mode", "bundle", mat, "--out", str(cert)]) == 0
     assert main(["equiv-check", mat, str(cert), "--grid-count", "5"]) == 0
     assert capsys.readouterr().out == "points=5 agree=5 disagree=0\n"
+
+
+def test_equiv_check_reports_disagreements(monkeypatch, capsys):
+    # an oracle that calls every point non-PSD disagrees where the bundle is >= 0
+    monkeypatch.setattr(positivity, "_psd_int", lambda rows: False)
+    argv = ["equiv-check", str(GOLDEN / "a.mat"), str(GOLDEN / "diag-bundle.out"),
+            "--grid-low=-2", "--grid-high=2", "--grid-count=5"]
+    assert main(argv) == 5
+    assert capsys.readouterr().out == (
+        "(1); oracle=0; bundle=1\n(2); oracle=0; bundle=1\npoints=5 agree=3 disagree=2\n"
+    )
 
 
 def test_equiv_check_rejects_foreign_bundle(tmp_path, capsys):

@@ -183,7 +183,6 @@ def test_cli_refuses_huge_exponent_fast(tmp_path, capsys):
 def test_vacuous_certificate_still_checks_reverse_product():
     zero2 = const_matrix([[0, 0], [0, 0]])
     cert = DiagCertificate(
-        2,
         const_matrix([[0, 1], [0, 0]]),
         const_matrix([[1, 0], [0, 0]]),
         zero2,
@@ -243,7 +242,7 @@ def tampered(cert, part, index, delta_text):
         entries = list(fields[part].entries)
         entries[index] = entries[index] + delta
         fields[part] = PolyMatrix(3, 3, entries)
-    return DiagCertificate(3, fields["X_plus"], fields["X_minus"], fields["D"], fields["w"])
+    return DiagCertificate(fields["X_plus"], fields["X_minus"], fields["D"], fields["w"])
 
 
 @BOUNDED
@@ -266,7 +265,7 @@ def test_failure_lists_match_full_check(part, index, delta_text, branch):
         for k, cert in enumerate(certs, start=1)
         for f in all_identity_failures(VACUOUS_SUBJECT, cert)
     ]
-    bundle = DiagBundle(3, zip(certs, traces))
+    bundle = DiagBundle(zip(certs, traces))
     assert bundle_certificate_failures(VACUOUS_SUBJECT, bundle) == expected
 
 

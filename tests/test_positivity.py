@@ -197,9 +197,9 @@ def test_grid_cap():
     assert spec.total_points() == 160_000
     with pytest.raises(ValueError, match="cap"):
         generate_grid(spec)
-    small_cap = GridSpec(((0, 1, 5),), max_points=4)
-    with pytest.raises(ValueError, match="cap"):
-        generate_grid(small_cap)
+    with pytest.raises(ValueError, match="^grid has 100001 points, exceeding the cap 100000$"):
+        generate_grid(GridSpec(((0, 1, 100_001),)))
+    generate_grid(GridSpec(((0, 1, 100_000),)))
 
 
 def test_grid_validation():
@@ -323,7 +323,7 @@ def test_grid_error_order():
     # eye13 with a first row of 1 + t1: not symmetric at any point t1 >= 0
     lopsided13 = PolyMatrix(13, 13, (P("1 + t1"),) * 13 + eye13.entries[13:])
     # the grid cap comes before everything else
-    for sweep in _sweeps(lopsided13, GridSpec(((0, 1, 5),), max_points=4)):
+    for sweep in _sweeps(lopsided13, GridSpec(((0, 1, 100_001),))):
         with pytest.raises(ValueError, match="exceeding the cap"):
             sweep()
     # then symmetry, at the first point where A(s) is not symmetric
