@@ -711,9 +711,10 @@ class _Reader:
                 raise ParseError(f"line {ln}: pivot pair ({i},{j}) must satisfy 1 <= i <= j")
             if num <= 0:
                 raise ParseError(f"line {ln}: pivot scale must be positive")
+            # only the written form, so that the file re-formats to its own bytes
             scale = PivotTrace(((i, j),)).scales[0]
-            if Fraction(num, den) != scale:
-                raise ParseError(f"line {ln}: pivot ({i},{j}) has scale {scale}, got {num}/{den}")
+            if fields[2] != f"{scale.numerator}/{scale.denominator}":
+                raise ParseError(f"line {ln}: pivot ({i},{j}) has scale {scale}, got {fields[2]}")
             pivots.append((i, j))
         return PivotTrace(tuple(pivots))
 

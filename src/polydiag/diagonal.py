@@ -23,11 +23,13 @@ Math. Comp. 22, 1968): each step turns the trailing block into
 with the leading minors M_p as pivots.  That is the paper's block step
 alpha*(alpha*C - beta^t*beta) over a nonzero polynomial, so pivots,
 compactions and branches are the paper's.  The standard route scales the
-rows of L^-1 by the product m of the minors: D_p = m^2*M_p/M_(p-1).  The
-pivot routes use the Jacobi scaling s_p = M_(p-1): D_p = M_(p-1)*M_p, and
-the paper's D_p is that times a square.  The standard scaling would break
-the bundle's property, for its D_p carries later minors squared and reads
-0 where one vanishes: A = [[5t2^2, 2t2^2, -2t2], [2t2^2, t2, -t1^2],
+rows of L^-1 by the product m of the minors: D_p = m^2*M_p/M_(p-1), and
+w = m^2.  The pivot routes use the Jacobi scaling s_p = M_(p-1): D_p =
+M_(p-1)*M_p, and the paper's D_p is that times a square.  There w = m
+suffices; it need not be a square, for the identity w^2*A = X_plus*D*X_plus^t
+and the equivalence witness take w^2.  The standard scaling would break the
+bundle's property, for its D_p carries later minors squared and reads 0
+where one vanishes: A = [[5t2^2, 2t2^2, -2t2], [2t2^2, t2, -t1^2],
 [-2t2, -t1^2, 2t1t2 + 2t1 - 2]] is not PSD at (0, 0), yet every branch's D
 would be >= 0 there.
 
@@ -116,9 +118,11 @@ def _closed_form(nvars, work, rank, k, jacobi):
     numerator det B[(1..j, i+1), (1..j+1)] (1-based) of L, the unit lower
     triangular factor of B = L*diag(M_p/M_(p-1))*L^t; k steps divided.
     Row p of X_minus = S*L^-1 is scaled by s_p = M_min(p,k) (M_0 = 1) if
-    jacobi, else by m = M_1*...*M_k.  Then w = m^2, X_plus = w*L*S^-1 and
-    D_p = s_p^2*M_(p+1)/M_p need no division; X_minus is solved row by
-    row, each step dividing by one minor.
+    jacobi, else by m = M_1*...*M_k.  Then X_plus = w*L*S^-1 and D_p =
+    s_p^2*M_(p+1)/M_p need no division, with w = m^2 for the scaling by m
+    but w = m for the Jacobi one: column j of L*S^-1 then has the
+    denominator M_j*M_(j+1), two distinct factors of m.  X_minus is solved
+    row by row, each step dividing by one minor.
     """
     n = len(work)
     minors = [work[p][p] for p in range(rank)]
@@ -127,18 +131,22 @@ def _closed_form(nvars, work, rank, k, jacobi):
     quot = [math.prod(minors[:j] + minors[j + 1 : k], start=one) for j in range(k)]
     m = quot[0] * minors[0] if k else one
     quot.insert(0, m)
-    # per row p: s_p, m / s_p and s_p / M_p
+    # per row p: s_p, w / s_p and s_p / M_p; per column j < k: w / (s_j * M_(j+1))
     if jacobi:
+        w = m
         s = [([one] + minors)[min(p, k)] for p in range(n)]
-        m_over_s = [quot[min(p, k)] for p in range(n)]
+        w_over_s = [quot[min(p, k)] for p in range(n)]
         s_over_minor = [one] * rank
+        # m / (M_j * M_(j+1)): the minors other than those two
+        col = [math.prod(minors[:max(j - 1, 0)] + minors[j + 1 : k], start=one) for j in range(k)]
     else:
-        s, m_over_s, s_over_minor = [m] * n, [one] * n, quot
+        w = m * m
+        s, w_over_s, s_over_minor = [m] * n, [m] * n, quot
+        col = quot[1:]
     x_plus = [[zero] * n for _ in range(n)]
     x_minus = [[zero] * n for _ in range(n)]
-    col = [m_over_s[j] * quot[j + 1] for j in range(k)]  # w / (s_j * M_(j+1))
     for i in range(n):
-        x_plus[i][i] = m * m_over_s[i]
+        x_plus[i][i] = w_over_s[i]
         x_minus[i][i] = s[i]
         for j in range(min(i, k)):
             x_plus[i][j] = col[j] * work[i][j]
@@ -151,7 +159,7 @@ def _closed_form(nvars, work, rank, k, jacobi):
                 msg = f"inverse entry ({i + 1},{j + 1}) is not polynomial"
                 raise InternalIdentityFailure(msg) from None
     d = [s[p] * (s_over_minor[p] * minors[p]) for p in range(rank)]
-    return x_plus, x_minus, PolyMatrix.diagonal(d + [zero] * (n - rank)), m * m
+    return x_plus, x_minus, PolyMatrix.diagonal(d + [zero] * (n - rank)), w
 
 
 def _checked(a, cert):

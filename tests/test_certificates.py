@@ -829,6 +829,10 @@ MALFORMED = [
      'line 28: pivot (1,1) has scale 1, got 2/1'),
     ('diag-bundle.out', '1 2 2/1\n', '1 2 1/1\n',
      'line 50: pivot (1,2) has scale 2, got 1/1'),
+    ('diag-bundle.out', '1 1 1/1\n', '1 1 2/2\n',
+     'line 28: pivot (1,1) has scale 1, got 2/2'),
+    ('diag-bundle.out', '1 2 2/1\n', '1 2 4/2\n',
+     'line 50: pivot (1,2) has scale 2, got 4/2'),
     ('membership.cert', '[indexset 2]\n1\n', '[indexset 2]\n1\n2\n',
      'section [indexset 2] near line 28 must hold exactly one line'),
     ('membership.cert', '[indexset 2]\n1\n', '[indexset 2]\none\n',

@@ -207,7 +207,7 @@ def test_matrix_file_oversized_integer(tmp_path, capsys, text, where):
 @pytest.mark.parametrize(
     "cert,old,new,where",
     [
-        ("diag-single.out", "[poly w]\nt1^2\n", f"[poly w]\n{BIG}*t1^2\n", "line 25: column 1"),
+        ("diag-single.out", "[poly w]\nt1\n", f"[poly w]\n{BIG}*t1\n", "line 25: column 1"),
         ("diag-bundle.out", "1 1 1/1\n", f"1 1 1/{BIG}\n", "line 28"),
     ],
     ids=["poly", "trace-scale"],

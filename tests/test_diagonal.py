@@ -336,9 +336,9 @@ def test_single_path_identity():
 def test_single_path_example():
     a = M([["t1", "1"], ["1", "t1"]])
     cert = single_path_diagonalize(a)
-    # D_p = M_(p-1) * M_p with M_1 = t1, M_2 = t1^2 - 1; w = M_1^2
+    # D_p = M_(p-1) * M_p with M_1 = t1, M_2 = t1^2 - 1; w = M_1
     assert cert.D == PolyMatrix.diagonal([P("t1"), P("t1^3 - t1")])
-    assert cert.w == P("t1^2")
+    assert cert.w == P("t1")
     assert_certificate_holds(a, cert)
 
 
@@ -424,7 +424,7 @@ def test_bundle_compacts_zero_rows():
     assert trace.pivots == ((1, 1),)
     # the zero row moves to the end; the 1 x 1 leaf t1 = M_2 divides nothing
     assert cert.D == PolyMatrix.diagonal([P("t1"), P("t1^2"), P("0")])
-    assert cert.w == P("t1^2")
+    assert cert.w == P("t1")
     for cert, _ in bundle.branches:
         assert_certificate_holds(a, cert)
 
@@ -442,49 +442,66 @@ def test_bundle_random_identities():
             assert len(trace.pivots) >= 1
 
 
+def _replay_w(a, trace=None):
+    """w of a pivot-route certificate of a, replayed with fraction-free steps:
+    the product of the corner values, one per pivot.  trace is a bundle
+    branch's, whose steps compact zero rows away; None replays the single
+    path, which takes the first (i, j) whose corner is not identically zero
+    and keeps the block whole until it is zero or 1 x 1."""
+    m = a
+    w = prev = Polynomial.one(a.nvars)
+    for step in itertools.count():
+        if trace is None:
+            if m.rows == 1 or m.is_zero():
+                return w
+            k = m.rows
+            pairs = ((i, j) for i in range(1, k + 1) for j in range(i, k + 1))
+            i, j = next(c for c in pairs if not pivot_congruence(m, *c)[0][0, 0].is_zero())
+        elif step == len(trace.pivots):
+            return w
+        else:
+            i, j = trace.pivots[step]
+        a_ij, _v, scale = pivot_congruence(m, i, j)
+        assert trace is None or scale == trace.scales[step]
+        alpha = a_ij[0, 0]
+        w = w * alpha
+        if alpha.is_zero():
+            assert step == len(trace.pivots) - 1
+            return w
+        # Sylvester: (alpha*C - beta^t*beta) / previous corner
+        k = m.rows
+        m = PolyMatrix.from_rows(
+            [
+                [
+                    (alpha * a_ij[p, q] - a_ij[0, p] * a_ij[0, q]).exact_div(prev)
+                    for q in range(1, k)
+                ]
+                for p in range(1, k)
+            ]
+        )
+        prev = alpha
+        if trace is not None:
+            if m.is_zero():
+                assert step == len(trace.pivots) - 1
+                return w
+            kept = tuple(
+                p + 1 for p in range(m.rows) if any(not m[p, q].is_zero() for q in range(m.cols))
+            )
+            m = m.submatrix(kept, kept)
+
+
 def test_bundle_trace_replay():
-    """Replaying a branch trace with fraction-free steps reproduces its w as
-    the product of the squared corner values."""
+    """Replaying a single path, or a bundle branch's trace, reproduces its w
+    as the product of the corner values, not of their squares."""
     rng = random.Random(306)
     for _ in range(15):
         n = rng.randint(2, 3)
         a = rand_symmetric_total_deg(rng, n, 1)
         if a.is_zero():
             continue
-        bundle = diagonalization_bundle(a)
-        for cert, trace in bundle.branches:
-            m = a
-            w = prev = Polynomial.one(1)
-            for step, (i, j) in enumerate(trace.pivots):
-                a_ij, v, scale = pivot_congruence(m, i, j)
-                assert scale == trace.scales[step]
-                alpha = a_ij[0, 0]
-                w = w * alpha * alpha
-                if alpha.is_zero():
-                    assert step == len(trace.pivots) - 1
-                    break
-                # Sylvester: (alpha*C - beta^t*beta) / previous corner
-                k = m.rows
-                trailing = PolyMatrix.from_rows(
-                    [
-                        [
-                            (alpha * a_ij[p, q] - a_ij[0, p] * a_ij[0, q]).exact_div(prev)
-                            for q in range(1, k)
-                        ]
-                        for p in range(1, k)
-                    ]
-                )
-                prev = alpha
-                if trailing.is_zero():
-                    assert step == len(trace.pivots) - 1
-                    break
-                kept = tuple(
-                    p + 1
-                    for p in range(trailing.rows)
-                    if any(not trailing[p, q].is_zero() for q in range(trailing.cols))
-                )
-                m = trailing.submatrix(kept, kept)
-            assert cert.w == w
+        assert single_path_diagonalize(a).w == _replay_w(a)
+        for cert, trace in diagonalization_bundle(a).branches:
+            assert cert.w == _replay_w(a, trace)
 
 
 def test_bundle_zero_matrix_rejected():

@@ -149,16 +149,21 @@ def test_golden_certificate_from_payload(name):
         assert format_matrix(subject).encode("utf-8") == subject_file.read_bytes()
 
 
-# -- certificates of the earlier block-step construction ------------------------
+# -- certificates of earlier pivot-route constructions -----------------------
 #
 # legacy-*.cert are diag-single.out, diag-bundle.out and a3-bundle.out as the
-# pivot routes wrote them when every level took the paper's block step.  They
-# still verify: verify checks the identities, not how they were built.
+# pivot routes wrote them when every level took the paper's block step, and
+# legacy-m2-*.cert as they wrote them with w = m^2, the square of the product
+# of the leading minors.  They still verify: verify checks the identities,
+# not how they were built.
 
 LEGACY = [
     ("legacy-diag-single.cert", "a.mat", "diag"),
     ("legacy-diag-bundle.cert", "a.mat", "bundle"),
     ("legacy-a3-bundle.cert", "a3.mat", "bundle"),
+    ("legacy-m2-diag-single.cert", "a.mat", "diag"),
+    ("legacy-m2-diag-bundle.cert", "a.mat", "bundle"),
+    ("legacy-m2-a3-bundle.cert", "a3.mat", "bundle"),
 ]
 
 
@@ -171,6 +176,31 @@ def test_legacy_certificate_verifies(name, subject, kind, monkeypatch, capsys):
 
 def test_legacy_bundle_equiv_check(monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)
-    argv = ["equiv-check", "a.mat", "legacy-diag-bundle.cert", "--grid-count", "5"]
-    assert main(argv) == 0
-    assert capsys.readouterr().out == "points=5 agree=5 disagree=0\n"
+    for name in ("legacy-diag-bundle.cert", "legacy-m2-diag-bundle.cert"):
+        assert main(["equiv-check", "a.mat", name, "--grid-count", "5"]) == 0
+        assert capsys.readouterr().out == "points=5 agree=5 disagree=0\n"
+
+
+# -- the README's command-line examples -----------------------------------------
+#
+# Each `$ polydiag <command>` block of README.md shows, up to the next prompt
+# or the end of the block, the bytes of the golden that pins that command.
+
+README = GOLDEN.parent.parent / "README.md"
+
+README_EXAMPLES = [
+    ("diagonalize a.mat", "diag-single"),
+    ("verify a.mat a.cert", "verify"),
+    ("psd-grid a.mat --grid-low=-2 --grid-high 2 --grid-count 5", "psd-grid"),
+    ("equiv-check a.mat a.bundle --grid-count 5", "equiv-check"),
+    ("gens g1.mat g2.mat", "gens"),
+]
+
+
+@pytest.mark.parametrize("command,name", README_EXAMPLES, ids=[c[1] for c in README_EXAMPLES])
+def test_readme_example_matches_golden(command, name):
+    lines = README.read_text(encoding="utf-8").split("\n")
+    start = lines.index(f"$ polydiag {command}") + 1
+    end = next(k for k in range(start, len(lines)) if lines[k].startswith(("$ ", "```")))
+    shown = "".join(line + "\n" for line in lines[start:end])
+    assert shown == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
