@@ -417,7 +417,17 @@ def sum_of_products(nvars, pairs):
     return out
 
 
-_TOKEN_RE = re.compile(r"(\d+)|t(\d+)|([+\-*/^])|(\S)")
+# ASCII digits only: \d and int() also read other scripts' digits, and int()
+# '_' separators; text written so would parse yet not re-format to itself
+_TOKEN_RE = re.compile(r"([0-9]+)|t([0-9]+)|([+\-*/^])|(\S)")
+_DECIMAL_RE = re.compile(r"-?[0-9]+")
+
+
+def _decimal_int(text):
+    """int(text) for text of the form -?[0-9]+ (ASCII); ValueError otherwise."""
+    if _DECIMAL_RE.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _int_literal(digits, unit, pos):

@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .arith import MAX_NVARS, Polynomial, _int_literal, parse_polynomial, sum_of_products
+from .arith import MAX_NVARS, Polynomial, _decimal_int, _int_literal, parse_polynomial, sum_of_products
 from .errors import InternalIdentityFailure, NotSymmetric, ParseError
 from .polymat import PolyMatrix, format_matrix, parse_matrix
 
@@ -698,7 +698,7 @@ class _Reader:
             if len(fields) != 3:
                 raise ParseError(f"line {ln}: trace lines are 'i j num/den', got {line!r}")
             try:
-                i, j = int(fields[0]), int(fields[1])
+                i, j = _decimal_int(fields[0]), _decimal_int(fields[1])
             except ValueError:
                 raise ParseError(f"line {ln}: bad pivot indices in {line!r}") from None
             m = _SCALE_RE.match(fields[2])
@@ -728,7 +728,7 @@ class _Reader:
         if line == "-":
             return ()
         try:
-            idx = tuple(int(f) for f in line.split())
+            idx = tuple(_decimal_int(f) for f in line.split())
         except ValueError:
             raise ParseError(f"line {ln}: bad index set {line!r}") from None
         if any(k < 1 for k in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
@@ -942,7 +942,7 @@ def _parse_meta(body, lineno, required, optional=()):
 def _meta_int(seen, key, minimum=1, maximum=None):
     ln, value = seen[key]
     try:
-        n = int(value)
+        n = _decimal_int(value)
     except ValueError:
         raise ParseError(f"line {ln}: meta key {key!r} must be an integer, got {value!r}") from None
     if n < minimum:

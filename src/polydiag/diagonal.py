@@ -1,11 +1,13 @@
 """Exact congruence diagonalization of symmetric polynomial matrices.
 
-Three routes.  Each checks every certificate it returns exactly once,
-against its subject, with diag_certificate_failures (the bundle through
-bundle_certificate_failures, so it records that subject):
+Three routes, all walks of one pivot recursion (_grow).  Each checks
+every certificate it returns exactly once, against its subject, with
+diag_certificate_failures (the bundle through bundle_certificate_failures,
+so it records that subject):
 
 - standard_form_diagonalize: one closed-form certificate for matrices in
-  standard form (rank r with M_1, ..., M_r all nonzero).
+  standard form (rank r with M_1, ..., M_r all nonzero), pivoting on the
+  corner at every level.
 - single_path_diagonalize: one certificate for any nonzero symmetric
   matrix, by recursively pivoting on the first position whose averaged
   pivot value is not identically zero.
@@ -13,12 +15,12 @@ bundle_certificate_failures, so it records that subject):
   family of certificates D_l with the pointwise property that A(s) is PSD
   exactly when all diagonal entries of all D_l(s) are nonnegative.
 
-The pivot recursion (_branches) is module-level and holds no reference
+The walk is a module-level generator of leaves and holds no reference
 cycles, so each producer's intermediate matrices die by reference count
 as soon as it returns, whenever the cyclic collector runs.
 
-Every certificate is read off one fraction-free elimination (Bareiss,
-Math. Comp. 22, 1968): each step turns the trailing block into
+Every certificate is read off one symmetric fraction-free elimination
+(Bareiss, Math. Comp. 22, 1968): each step turns the trailing block into
 (alpha*C - beta^t*beta) / (previous pivot), exact by Sylvester's identity,
 with the leading minors M_p as pivots.  That is the paper's block step
 alpha*(alpha*C - beta^t*beta) over a nonzero polynomial, so pivots,
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .arith import Polynomial, sum_of_products
 from .certificates import (
@@ -79,17 +80,14 @@ def _require_symmetric(a):
 
 
 def _standard_form(a):
-    """(StandardFormData, working matrix of PolyMatrix._eliminate) for a."""
+    """(StandardFormData, working matrix) of the standard route's one leaf."""
     _require_symmetric(a)
     if a.rows < 2:
         raise ValueError("standard form needs dimension at least 2")
-    rank, _sign, work, off = a._eliminate()
-    if rank == 0:
+    if a.is_zero():
         raise ZeroMatrix("matrix is identically zero")
-    if off is not None:
-        # steps before off pivoted on the nonzero M_1..M_off, so M_(off+1)
-        # is the first zero leading minor
-        raise NotStandardForm(off + 1)
+    ((work, _p, _p_inv, level, _pivots, _vacuous),) = _walk(a, "standard")
+    rank = level + (not work[level][level].is_zero())
     return StandardFormData([work[p][p] for p in range(rank)]), work
 
 
@@ -189,12 +187,13 @@ def block_step(a):
     zero = Polynomial.zero(nvars)
     alpha = a[0, 0]
     beta = [a[0, k] for k in range(1, n)]
+    rows = [list(a.row(r)) for r in range(n)]
+    _bareiss_step(nvars, rows, 0, Polynomial.one(nvars), n, n, symmetric=True)  # alpha*C - beta^t*beta
     atilde = [[zero] * n for _ in range(n)]
     atilde[0][0] = alpha * alpha * alpha
     for p in range(1, n):
         for q in range(p, n):
-            inner = sum_of_products(nvars, ((alpha, a[p, q]), (-beta[p - 1], beta[q - 1])))
-            atilde[p][q] = atilde[q][p] = alpha * inner
+            atilde[p][q] = atilde[q][p] = alpha * rows[p][q]
 
     def corner(sign):
         rows = [[alpha if p == q else zero for q in range(n)] for p in range(n)]
@@ -284,7 +283,7 @@ def single_path_diagonalize(a):
     if a.is_zero():
         raise ZeroMatrix("matrix is identically zero")
     # one pivot per level gives exactly one branch, so a cap of 1 never trips
-    ((cert, _trace),) = _branches(a, bundle=False, cap=1)
+    ((cert, _trace),) = _branches(a, "single", cap=1)
     return _checked(a, cert)
 
 
@@ -300,47 +299,51 @@ def diagonalization_bundle(a, cap_branches=10_000):
         raise ZeroMatrix("matrix is identically zero")
     if cap_branches < 1:
         raise ValueError("branch cap must be positive")
-    bundle = DiagBundle(_branches(a, True, cap_branches))
+    bundle = DiagBundle(_branches(a, "bundle", cap_branches))
     failures = bundle_certificate_failures(a, bundle)
     if failures:
         raise InternalIdentityFailure("bundle identities broke: " + "; ".join(failures))
     return bundle
 
 
-def _branches(a, bundle, cap):
-    """(DiagCertificate, PivotTrace) for each branch of a nonzero a.
+def _branches(a, route, cap):
+    """(DiagCertificate, PivotTrace) for each leaf of a pivot route; past cap
+    branches, BundleTooLarge."""
+    out = []
+    for leaf in _walk(a, route):
+        if len(out) >= cap:
+            raise BundleTooLarge(f"branch count exceeds cap {cap}")
+        out.append(_finish(a.nvars, *leaf))
+    return out
+
+
+def _walk(a, route):
+    """The leaves of route ("standard", "single" or "bundle") on a nonzero a."""
+    n = a.rows
+    return _grow(a.nvars, route, [list(a.row(r)) for r in range(n)], _identity(n), _identity(n), 0, n, ())
+
+
+def _grow(nvars, route, work, p, p_inv, level, end, pivots):
+    """Leaves (work, P, P^-1, level, pivots, vacuous), depth first.
 
     A branch's state is the working matrix of its elimination of B =
     P*A*P^t, with P and P^-1; positions level..end-1 hold the trailing
-    block.  The bundle pivots on every (i, j) and compacts zero rows and
-    columns to the block's end; the single path takes the first pivot whose
-    corner is not identically zero and keeps the block whole.  Past cap
-    branches, BundleTooLarge.
+    block, and a leaf is reached when that block is identically zero or
+    1 x 1, or (vacuous) when the pivot's corner is identically zero.  The
+    bundle pivots on every (i, j) and compacts zero rows and columns to the
+    block's end; the single path takes the first pivot whose corner is not
+    identically zero and keeps the block whole; the standard route pivots on
+    (1, 1) only, and raises NotStandardForm when that corner vanishes.
     """
-    n = a.rows
-    walk = _Walk(a.nvars, bundle, cap, [])
-    _grow(walk, [list(a.row(r)) for r in range(n)], _identity(n), _identity(n), 0, n, ())
-    return walk.out
-
-
-class _Walk(NamedTuple):
-    """What the branches of one _branches call share; out collects them."""
-
-    nvars: int
-    bundle: bool
-    cap: int
-    out: list
-
-
-def _grow(walk, work, p, p_inv, level, end, pivots):
-    """Branch on the pivots of the trailing block level..end-1, depth first."""
-    nvars = walk.nvars
     size = end - level
     block = range(level, end)
     if size == 1 or all(work[x][y].is_zero() for x in block for y in block):
-        return _finish(walk, work, p, p_inv, level, pivots, False)
+        yield work, p, p_inv, level, pivots, False
+        return
     choices = [(i, j) for i in range(1, size + 1) for j in range(i, size + 1)]
-    if not walk.bundle:
+    if route == "standard":
+        choices = [(1, 1)]
+    elif route == "single":
         # a nonzero block has a usable pivot: its diagonal entries are the
         # averaged (i,i) values and 2*a_ij = 2*avg_ij - a_ii - a_jj
         choices = [next(c for c in choices if not _corner_vanishes(work, level, *c))]
@@ -348,23 +351,23 @@ def _grow(walk, work, p, p_inv, level, end, pivots):
     for i, j in choices:
         trace = pivots + ((i, j),)
         if _corner_vanishes(work, level, i, j):
-            _finish(walk, work, p, p_inv, level, trace, True)
+            if route == "standard":  # M_(level+1) vanishes below the rank
+                raise NotStandardForm(level + 1)
+            yield work, p, p_inv, level, trace, True
             continue
         w2, p2, p_inv2 = ([row[:] for row in m] for m in (work, p, p_inv))
         _move(w2, p2, p_inv2, level, end, level + i - 1, level + j - 1)
         _bareiss_step(nvars, w2, level, prev, end, end, symmetric=True)
         rest = range(level + 1, end)
-        kept = [x for x in rest if any(not w2[x][y].is_zero() for y in rest)] if walk.bundle else []
+        kept = [x for x in rest if any(not w2[x][y].is_zero() for y in rest)] if route == "bundle" else []
         if 0 < len(kept) < len(rest):
             _permute(w2, p2, p_inv2, level + 1, end, kept + [x for x in rest if x not in kept])
-        _grow(walk, w2, p2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), trace)
+        yield from _grow(nvars, route, w2, p2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), trace)
 
 
-def _finish(walk, work, p, p_inv, level, pivots, vacuous):
-    """Append the branch's certificate and trace to walk.out."""
-    if len(walk.out) >= walk.cap:
-        raise BundleTooLarge(f"branch count exceeds cap {walk.cap}")
-    n, nvars = len(work), walk.nvars
+def _finish(nvars, work, p, p_inv, level, pivots, vacuous):
+    """The leaf's certificate and trace, under the Jacobi scaling."""
+    n = len(work)
     zero = Polynomial.zero(nvars)
     rank = level + (not vacuous and not work[level][level].is_zero())
     xp, xm, d, w = _closed_form(nvars, work, rank, level, True)
@@ -373,4 +376,4 @@ def _finish(walk, work, p, p_inv, level, pivots, vacuous):
         xm = xm[:level] + xp[level:]
     xm = zip(*_combine(list(zip(*p)), list(zip(*xm))))  # X_minus' * P
     xp, xm = PolyMatrix.from_rows(_combine(p_inv, xp)), PolyMatrix.from_rows(list(xm))
-    walk.out.append((DiagCertificate(xp, xm, d, w), PivotTrace(pivots)))
+    return DiagCertificate(xp, xm, d, w), PivotTrace(pivots)

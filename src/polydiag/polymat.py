@@ -5,22 +5,24 @@ immutable; entry access A[i, j] is 0-based, while the index tuples taken by
 minor(), leading_principal_minor() and submatrix() are 1-based to match the
 usual determinant notation.
 
-Determinants, the generic rank and the diagonal module's standard form
-share one fully pivoted fraction-free (Bareiss) elimination, whose step
-_bareiss_step the pivot routes take too: every division is exact
-(Sylvester's identity), so no rational functions appear.  The generic rank
-is the largest p with some p x p minor that is not identically zero.
+Determinants and the generic rank share one fully pivoted fraction-free
+(Bareiss) elimination.  Its step _bareiss_step is the package's only
+elimination step: the diagonal module's three routes and its block_step
+take it in symmetric form.  Every division is exact (Sylvester's
+identity), so no rational functions appear.  The generic rank is the
+largest p with some p x p minor that is not identically zero.
 
 Matrix file format: a header line ``rows cols nvars`` (nvars at most
 MAX_NVARS) followed by rows*cols polynomial lines in row-major order.
-Lines starting with ``#`` and blank lines are ignored.
+Lines starting with ``#`` and blank lines are ignored; integers are ASCII
+decimal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import MAX_NVARS, Polynomial, parse_polynomial, sum_of_products
+from .arith import MAX_NVARS, Polynomial, _decimal_int, parse_polynomial, sum_of_products
 from .errors import ParseError
 
 
@@ -234,11 +236,8 @@ class PolyMatrix:
         )
 
     def minor(self, row_idx, col_idx):
-        """Determinant of the submatrix with the given 1-based rows and columns.
-
-        Row and column index sets may differ, which is what the triangular
-        factor formulas in the diagonalization need.
-        """
+        """Determinant of the submatrix with the given 1-based rows and
+        columns; the two index sets may differ."""
         row_idx = tuple(row_idx)
         col_idx = tuple(col_idx)
         if len(row_idx) != len(col_idx):
@@ -258,7 +257,7 @@ class PolyMatrix:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if not self.is_square():
             raise ValueError("determinant of a non-square matrix")
-        rank, sign, work, _off = self._eliminate()
+        rank, sign, work = self._eliminate()
         if rank < self.rows:
             return Polynomial.zero(self.nvars)
         return -work[-1][-1] if sign < 0 else work[-1][-1]
@@ -272,19 +271,15 @@ class PolyMatrix:
         return self._eliminate()[0]
 
     def _eliminate(self):
-        """Fully pivoted fraction-free elimination: (rank, sign, work, off).
+        """Fully pivoted fraction-free elimination: (rank, sign, work).
 
-        sign is the parity of the swaps; for a square matrix of full rank,
-        sign * work[n-1][n-1] is the determinant.  work is the working
-        matrix (rows of entries); off is the first step whose pivot is not
-        on the diagonal, or None.  If off is None, step k < rank pivoted on
-        work[k][k] = M_(k+1) and left below it work[i][k] =
-        det A[(1..k, i+1), (1..k+1)] (1-based), by Sylvester's identity.
+        sign is the parity of the swaps and work the working matrix (rows of
+        entries); for a square matrix of full rank, sign * work[n-1][n-1] is
+        the determinant.
         """
         m = [list(self.row(i)) for i in range(self.rows)]
         prev = Polynomial.one(self.nvars)
         sign = 1
-        off = None
         for k in range(min(self.rows, self.cols)):
             pivot = next(
                 (
@@ -296,10 +291,8 @@ class PolyMatrix:
                 None,
             )
             if pivot is None:
-                return k, sign, m, off
+                return k, sign, m
             pi, pj = pivot
-            if (pi, pj) != (k, k) and off is None:
-                off = k
             if pi != k:
                 m[k], m[pi] = m[pi], m[k]
                 sign = -sign
@@ -309,7 +302,7 @@ class PolyMatrix:
                 sign = -sign
             _bareiss_step(self.nvars, m, k, prev, self.rows, self.cols)
             prev = m[k][k]
-        return min(self.rows, self.cols), sign, m, off
+        return min(self.rows, self.cols), sign, m
 
 
 def _bareiss_step(nvars, m, k, prev, rows, cols, symmetric=False):
@@ -354,7 +347,7 @@ def parse_matrix(text):
     if len(fields) != 3:
         raise ParseError(f"line {lineno}: header must be 'rows cols nvars', got {header!r}")
     try:
-        rows, cols, nvars = (int(f) for f in fields)
+        rows, cols, nvars = (_decimal_int(f) for f in fields)
     except ValueError:
         raise ParseError(f"line {lineno}: header must hold three integers, got {header!r}") from None
     if rows < 1 or cols < 1 or nvars < 1:

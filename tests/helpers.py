@@ -308,3 +308,148 @@ def count_calls(monkeypatch, name, modules):
     for module in modules:
         monkeypatch.setattr(module, name, counted, raising=False)
     return calls
+
+
+# Certificates of tests/golden/a.mat as the producers once wrote them (the
+# single path and bundle with w = m^2), pinned so that tests about the file
+# format do not change when a construction change regenerates the goldens.
+DIAG_SINGLE = """\
+# generated-by polydiag 0.1.0
+[meta]
+kind diag
+dim 2
+nvars 1
+[matrix X_plus]
+2 2 1
+t1^2
+0
+t1
+t1
+[matrix X_minus]
+2 2 1
+1
+0
+-1
+t1
+[matrix D]
+2 2 1
+t1
+0
+0
+t1^3 - t1
+[poly w]
+t1^2
+"""
+
+DIAG_BUNDLE = """\
+# generated-by polydiag 0.1.0
+[meta]
+kind bundle
+dim 2
+nvars 1
+branches 3
+[matrix D_1]
+2 2 1
+t1
+0
+0
+t1^3 - t1
+[matrix X_plus_1]
+2 2 1
+t1^2
+0
+t1
+t1
+[matrix X_minus_1]
+2 2 1
+1
+0
+-1
+t1
+[poly w_1]
+t1^2
+[trace 1]
+1 1 1/1
+[matrix D_2]
+2 2 1
+2*t1 + 2
+0
+0
+2*t1^3 + 2*t1^2 - 2*t1 - 2
+[matrix X_plus_2]
+2 2 1
+2*t1^2 + 4*t1 + 2
+-2*t1 - 2
+2*t1^2 + 4*t1 + 2
+2*t1 + 2
+[matrix X_minus_2]
+2 2 1
+1
+1
+-t1 - 1
+t1 + 1
+[poly w_2]
+4*t1^2 + 8*t1 + 4
+[trace 2]
+1 2 2/1
+[matrix D_3]
+2 2 1
+t1
+0
+0
+t1^3 - t1
+[matrix X_plus_3]
+2 2 1
+t1
+t1
+t1^2
+0
+[matrix X_minus_3]
+2 2 1
+0
+1
+t1
+-1
+[poly w_3]
+t1^2
+[trace 3]
+2 2 1/1
+"""
+
+EQUIV = """\
+# generated-by polydiag 0.1.0
+[meta]
+kind equiv
+dim 2
+nvars 1
+s1_squares 1
+s2_squares 1
+[matrix subject_b]
+2 2 1
+t1
+0
+0
+t1^3 - t1
+[poly s1]
+t1^4
+[poly s1_sq_1]
+t1^2
+[poly s2]
+1
+[poly s2_sq_1]
+1
+[poly z]
+t1^2
+[matrix x_plus]
+2 2 1
+t1^2
+0
+t1
+t1
+[matrix x_minus]
+2 2 1
+1
+0
+-1
+t1
+"""

@@ -47,7 +47,7 @@ from polydiag.diagonal import (
 from polydiag.errors import InternalIdentityFailure, NotSymmetric, ParseError
 from polydiag.polymat import PolyMatrix, parse_matrix
 
-from helpers import count_calls, rand_symmetric_total_deg
+from helpers import DIAG_BUNDLE, DIAG_SINGLE, EQUIV, count_calls, rand_symmetric_total_deg
 
 
 def P(text, nvars=1):
@@ -609,152 +609,11 @@ def test_parse_rejects_wrong_factor_columns():
 # Every ParseError raise site of the certificate and matrix file formats,
 # reached by one edit of a certificate: (source, old text, new text, the full
 # error message).  The first occurrence of old is replaced.  The source is a
-# golden file, or one of the certificates of a.mat pinned here, so that
-# regenerating the goldens leaves these rows alone: "diag-single", its
+# golden file, or one of the certificates of a.mat pinned in helpers, so
+# that regenerating the goldens leaves these rows alone: "diag-single", its
 # single-path certificate, and "diag-bundle.out" and "equiv.cert", its bundle
 # and equivalence certificates as those goldens read when pinned.
 GOLDEN = Path(__file__).parent / "golden"
-
-DIAG_SINGLE = """\
-# generated-by polydiag 0.1.0
-[meta]
-kind diag
-dim 2
-nvars 1
-[matrix X_plus]
-2 2 1
-t1^2
-0
-t1
-t1
-[matrix X_minus]
-2 2 1
-1
-0
--1
-t1
-[matrix D]
-2 2 1
-t1
-0
-0
-t1^3 - t1
-[poly w]
-t1^2
-"""
-
-DIAG_BUNDLE = """\
-# generated-by polydiag 0.1.0
-[meta]
-kind bundle
-dim 2
-nvars 1
-branches 3
-[matrix D_1]
-2 2 1
-t1
-0
-0
-t1^3 - t1
-[matrix X_plus_1]
-2 2 1
-t1^2
-0
-t1
-t1
-[matrix X_minus_1]
-2 2 1
-1
-0
--1
-t1
-[poly w_1]
-t1^2
-[trace 1]
-1 1 1/1
-[matrix D_2]
-2 2 1
-2*t1 + 2
-0
-0
-2*t1^3 + 2*t1^2 - 2*t1 - 2
-[matrix X_plus_2]
-2 2 1
-2*t1^2 + 4*t1 + 2
--2*t1 - 2
-2*t1^2 + 4*t1 + 2
-2*t1 + 2
-[matrix X_minus_2]
-2 2 1
-1
-1
--t1 - 1
-t1 + 1
-[poly w_2]
-4*t1^2 + 8*t1 + 4
-[trace 2]
-1 2 2/1
-[matrix D_3]
-2 2 1
-t1
-0
-0
-t1^3 - t1
-[matrix X_plus_3]
-2 2 1
-t1
-t1
-t1^2
-0
-[matrix X_minus_3]
-2 2 1
-0
-1
-t1
--1
-[poly w_3]
-t1^2
-[trace 3]
-2 2 1/1
-"""
-
-EQUIV = """\
-# generated-by polydiag 0.1.0
-[meta]
-kind equiv
-dim 2
-nvars 1
-s1_squares 1
-s2_squares 1
-[matrix subject_b]
-2 2 1
-t1
-0
-0
-t1^3 - t1
-[poly s1]
-t1^4
-[poly s1_sq_1]
-t1^2
-[poly s2]
-1
-[poly s2_sq_1]
-1
-[poly z]
-t1^2
-[matrix x_plus]
-2 2 1
-t1^2
-0
-t1
-t1
-[matrix x_minus]
-2 2 1
-1
-0
--1
-t1
-"""
 
 PINNED = {"diag-single": DIAG_SINGLE, "diag-bundle.out": DIAG_BUNDLE, "equiv.cert": EQUIV}
 
@@ -783,6 +642,14 @@ MALFORMED = [
      "line 4: meta key 'dim' must be an integer, got 'two'"),
     ('diag-single', 'dim 2\n', 'dim 0\n',
      "line 4: meta key 'dim' must be >= 1, got 0"),
+    ('diag-single', 'dim 2\n', 'dim \uff12\n',
+     "line 4: meta key 'dim' must be an integer, got '\uff12'"),
+    ('diag-single', 'dim 2\n', 'dim 0_2\n',
+     "line 4: meta key 'dim' must be an integer, got '0_2'"),
+    ('diag-single', 'dim 2\n', 'dim +2\n',
+     "line 4: meta key 'dim' must be an integer, got '+2'"),
+    ('diag-single', 'nvars 1\n', 'nvars \u0661\n',
+     "line 5: meta key 'nvars' must be an integer, got '\u0661'"),
     ('diag-single', 'nvars 1\n', 'nvars -1\n',
      "line 5: meta key 'nvars' must be >= 1, got -1"),
     ('diag-single', 'nvars 1\n', 'nvars 100000\n',
@@ -795,6 +662,10 @@ MALFORMED = [
      "section [matrix D] near line 18: line 1: header must be 'rows cols nvars', got '2 2'"),
     ('diag-single', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 one\n',
      "section [matrix D] near line 18: line 1: header must hold three integers, got '2 2 one'"),
+    ('diag-single', '[matrix D]\n2 2 1\n', '[matrix D]\n0_2 2 1\n',
+     "section [matrix D] near line 18: line 1: header must hold three integers, got '0_2 2 1'"),
+    ('diag-single', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 \uff11\n',
+     "section [matrix D] near line 18: line 1: header must hold three integers, got '2 2 \uff11'"),
     ('diag-single', '[matrix D]\n2 2 1\n', '[matrix D]\n2 0 1\n',
      "section [matrix D] near line 18: line 1: header values must be positive, got '2 0 1'"),
     ('diag-single', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n2 2 1\nt1\n0\n0\n',
@@ -811,12 +682,22 @@ MALFORMED = [
      'section [poly w] near line 24 must hold exactly one line'),
     ('diag-single', '[poly w]\nt1^2\n', '[poly w]\nt1^\n',
      'line 25: column 4: expected an integer exponent'),
+    ('diag-single', '[poly w]\nt1^2\n', '[poly w]\nt\uff11^2\n',
+     "line 25: column 1: unexpected character 't'"),
+    ('diag-single', '[poly w]\nt1^2\n', '[poly w]\nt\u0661^2\n',
+     "line 25: column 1: unexpected character 't'"),
+    ('diag-single', '[poly w]\nt1^2\n', '[poly w]\nt1^\uff12\n',
+     "line 25: column 4: unexpected character '\uff12'"),
     ('diag-bundle.out', 'branches 3\n', 'branches 1000000000000\n',
      'missing section [matrix D_4]'),
     ('diag-bundle.out', '1 1 1/1\n', '1 1\n',
      "line 28: trace lines are 'i j num/den', got '1 1'"),
     ('diag-bundle.out', '1 1 1/1\n', 'one 1 1/1\n',
      "line 28: bad pivot indices in 'one 1 1/1'"),
+    ('diag-bundle.out', '1 1 1/1\n', '\uff11 1 1/1\n',
+     "line 28: bad pivot indices in '\uff11 1 1/1'"),
+    ('diag-bundle.out', '1 1 1/1\n', '1 0_1 1/1\n',
+     "line 28: bad pivot indices in '1 0_1 1/1'"),
     ('diag-bundle.out', '1 1 1/1\n', '1 1 one\n',
      "line 28: bad scale 'one', expected num/den"),
     ('diag-bundle.out', '1 1 1/1\n', '1 1 1/0\n',
@@ -837,6 +718,10 @@ MALFORMED = [
      'section [indexset 2] near line 28 must hold exactly one line'),
     ('membership.cert', '[indexset 2]\n1\n', '[indexset 2]\none\n',
      "line 29: bad index set 'one'"),
+    ('membership.cert', '[indexset 2]\n1\n', '[indexset 2]\n\uff11\n',
+     "line 29: bad index set '\uff11'"),
+    ('membership.cert', '[indexset 2]\n1\n', '[indexset 2]\n+1\n',
+     "line 29: bad index set '+1'"),
     ('membership.cert', '[indexset 3]\n1 2\n', '[indexset 3]\n2 1\n',
      'line 43: index set must be ascending positive integers'),
     ('membership.cert', '[indexset 3]\n1 2\n', '[indexset 3]\n1 3\n',

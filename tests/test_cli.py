@@ -16,7 +16,7 @@ from polydiag.certificates import MAX_GENERATORS, SosMatrixCertificate, format_s
 from polydiag.cli import main
 from polydiag.polymat import PolyMatrix
 
-from helpers import count_calls
+from helpers import DIAG_BUNDLE, DIAG_SINGLE, EQUIV, count_calls
 
 SUBJECT = "2 2 1\nt1\n1\n1\nt1\n"
 VANISHING_MINORS = "3 3 1\n1\n-1\n1\n-1\n1\n1\n1\n1\n1\n"
@@ -173,10 +173,9 @@ def test_verify_size_mismatch_every_kind(cert, monkeypatch, capsys):
 def test_verify_equiv_asymmetric_second_subject(tmp_path, capsys):
     # a fault in the certificate file is a parse error (exit 1), not a
     # precondition of the subject (exit 2)
-    text = (GOLDEN / "equiv.cert").read_text()
     old = "[matrix subject_b]\n2 2 1\nt1\n0\n0\n"
-    assert old in text
-    cert = put(tmp_path, "equiv.cert", text.replace(old, "[matrix subject_b]\n2 2 1\nt1\n0\n1\n"))
+    assert old in EQUIV
+    cert = put(tmp_path, "equiv.cert", EQUIV.replace(old, "[matrix subject_b]\n2 2 1\nt1\n0\n1\n"))
     assert main(["verify", str(GOLDEN / "a.mat"), cert]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -207,15 +206,14 @@ def test_matrix_file_oversized_integer(tmp_path, capsys, text, where):
 @pytest.mark.parametrize(
     "cert,old,new,where",
     [
-        ("diag-single.out", "[poly w]\nt1\n", f"[poly w]\n{BIG}*t1\n", "line 25: column 1"),
-        ("diag-bundle.out", "1 1 1/1\n", f"1 1 1/{BIG}\n", "line 28"),
+        (DIAG_SINGLE, "[poly w]\nt1^2\n", f"[poly w]\n{BIG}*t1^2\n", "line 25: column 1"),
+        (DIAG_BUNDLE, "1 1 1/1\n", f"1 1 1/{BIG}\n", "line 28"),
     ],
     ids=["poly", "trace-scale"],
 )
 def test_certificate_oversized_integer(tmp_path, capsys, cert, old, new, where):
-    text = (GOLDEN / cert).read_text()
-    assert old in text
-    path = put(tmp_path, "big.cert", text.replace(old, new, 1))
+    assert old in cert
+    path = put(tmp_path, "big.cert", cert.replace(old, new, 1))
     assert main(["verify", str(GOLDEN / "a.mat"), path]) == 1
     limit = sys.get_int_max_str_digits()
     err = capsys.readouterr().err
@@ -453,17 +451,21 @@ def test_producers_skip_checked_block_step(tmp_path, monkeypatch):
 def test_standard_form_eliminates_once(tmp_path, monkeypatch):
     names = ("_eliminate", "determinant", "minor", "leading_principal_minor")
     calls = {name: count_calls(monkeypatch, name, (PolyMatrix,)) for name in names}
-    # full rank, then a vanishing M_2 (exit 2)
-    for text, code in ((TRIDIAG, 0), (VANISHING_MINORS, 2)):
-        for counted in calls.values():
+    steps = []
+    step = diagonal._bareiss_step
+
+    def counted_step(nvars, m, k, *args, symmetric=False):
+        steps.append((k, symmetric))
+        return step(nvars, m, k, *args, symmetric=symmetric)
+
+    monkeypatch.setattr(diagonal, "_bareiss_step", counted_step)
+    # one symmetric step per pivot level: full rank, then a vanishing M_2 (exit 2)
+    for text, code, levels in ((TRIDIAG, 0, 2), (VANISHING_MINORS, 2, 1)):
+        for counted in (*calls.values(), steps):
             counted.clear()
         assert main(["diagonalize", "--mode", "standard", put(tmp_path, "a.mat", text)]) == code
-        assert {name: len(c) for name, c in calls.items()} == {
-            "_eliminate": 1,
-            "determinant": 0,
-            "minor": 0,
-            "leading_principal_minor": 0,
-        }
+        assert steps == [(k, True) for k in range(levels)]
+        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 0)
 
 
 def test_huge_nvars_refused_fast(tmp_path, capsys):

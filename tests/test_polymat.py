@@ -240,6 +240,24 @@ def test_parse_matrix_caps_nvars():
     assert str(info.value) == f"line 2: nvars {MAX_NVARS + 1} exceeds the maximum {MAX_NVARS}"
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("2_0 1 1\n" + "1\n" * 20, "line 1: header must hold three integers, got '2_0 1 1'"),
+        ("\uff12 1 1\n1\n1\n", "line 1: header must hold three integers, got '\uff12 1 1'"),
+        ("1 1 +1\n1\n", "line 1: header must hold three integers, got '1 1 +1'"),
+        ("1 1 1\nt\uff11\n", "line 2: column 1: unexpected character 't'"),
+        ("1 1 1\nt\u0661\n", "line 2: column 1: unexpected character 't'"),
+        ("1 1 1\n\uff11\n", "line 2: column 1: unexpected character '\uff11'"),
+    ],
+    ids=["separator", "fullwidth rows", "plus sign", "fullwidth var", "arabic-indic var", "fullwidth coefficient"],
+)
+def test_parse_matrix_takes_ascii_digits_only(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_matrix(text)
+    assert str(info.value) == message
+
+
 def test_parse_matrix_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="empty"):
         parse_matrix("# nothing here\n")
