@@ -1,31 +1,36 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial in d variables t1..td is a finite sum of monomials.  Each
-monomial is an exponent tuple (one nonnegative integer per variable) and
-terms live in a dict mapping exponent tuples to nonzero Fraction
-coefficients, so the representation is canonical: two polynomials are equal
-iff their term dicts are equal, and the zero polynomial stores no terms.
-All arithmetic is exact.
+A polynomial in d variables t1..td is a finite sum of terms, each a nonzero
+rational coefficient times a monomial, the monomial given by an exponent
+tuple (one nonnegative integer per variable).  A Polynomial stores one
+canonical integer form (den, pairs): den >= 1 is a common denominator and
+pairs lists (packed monomial key, nonzero integer numerator) with the keys
+strictly descending and gcd(den, numerators) = 1, so each coefficient is
+numerator / den, two polynomials are equal iff their forms are, and the zero
+polynomial is (1, []).  All arithmetic runs on these integers; Fractions
+appear only at the edges of the API (the constructor, ``terms``,
+``constant_value``, ``evaluate`` and rational scalars).
 
-Products and exact divisions run on integers.  Each polynomial lazily
-caches an integer form: one common denominator plus (packed monomial key,
-integer numerator) pairs.  A key packs the exponents into fixed 32-bit
-fields, t1 highest and td lowest, under one more field holding the total
-degree (omitted for one variable, where the exponent is the degree).  Adding
-two keys multiplies two monomials, and comparing two keys as integers is the
-graded lexicographic order.  Every exponent in a packed key is below 2^30,
-so a field never carries into the next; a product whose exponents would
-outgrow that raises ExponentOverflow.  sum_of_products accumulates a whole
-sum of products on plain integers over one common denominator and makes one
-Fraction per output term; a single product is its one-pair case.
+A key packs the exponents into fixed 32-bit fields, t1 highest and td
+lowest, under one more field holding the total degree (omitted for one
+variable, where the exponent is the degree).  Adding two keys multiplies two
+monomials, and comparing two keys as integers is the graded lexicographic
+order, so the first pair holds the leading term and the degree.  Products
+and divisions keep every exponent below 2^30, so a field never carries into
+the next; one whose exponents would outgrow that raises ExponentOverflow.  A
+constructed polynomial may hold exponents below 2^31, the guard bit that
+exact_div borrows against.  sum_of_products accumulates a whole sum of
+products on plain integers over one common denominator; a single product is
+its one-pair case.
 
 The text syntax (used by the file formats and the CLI) is a sum of terms
 separated by + or -, where a term is an optional rational coefficient
 (``3``, ``-1/2``), an optional ``*``, and ``*``-separated variable factors
 ``t<i>`` or ``t<i>^<e>``.  Example: ``3/2*t1^2*t2 - t2 + 1``.  Whitespace is
 insignificant.  The parser refuses a term in which one variable's exponent
-exceeds MAX_EXPONENT.  Printing uses graded lexicographic order with
-t1 > t2 > ..., highest degree first, and round-trips through the parser.
+exceeds MAX_EXPONENT.  Printing walks the pairs from the top, so terms come
+in graded lexicographic order with t1 > t2 > ..., highest degree first, and
+round-trips through the parser.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ MAX_NVARS = 64
 
 _FIELD_BITS = 32
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
-# exponents in a packed key stay below this, so a sum of two never carries
+# products and divisions keep exponents below this, so a sum of two never carries
 _EXP_LIMIT = 1 << 30
 # set in a field iff its exponent is >= 2^30
 _OVERFLOW_BITS = _FIELD_MASK ^ (_EXP_LIMIT - 1)
@@ -54,15 +59,13 @@ _OVERFLOW_BITS = _FIELD_MASK ^ (_EXP_LIMIT - 1)
 _GUARD_BIT = 1 << (_FIELD_BITS - 1)
 
 
-def _order_key(exps):
-    # graded lex: compare total degree first, then the exponent tuple itself
-    return (sum(exps), exps)
+def _pack(exps, limit=_EXP_LIMIT):
+    """Packed key of an exponent sequence: [degree,] t1, ..., td, td lowest.
 
-
-def _pack(exps):
-    """Packed key of an exponent tuple: [degree,] t1, ..., td, td lowest."""
-    if max(exps) >= _EXP_LIMIT:
-        raise ExponentOverflow(f"exponent in {exps} is not below 2^30")
+    Raises ExponentOverflow for an exponent not below ``limit``, a power of 2.
+    """
+    if max(exps) >= limit:
+        raise ExponentOverflow(f"exponent in {tuple(exps)} is not below 2^{limit.bit_length() - 1}")
     key = sum(exps) if len(exps) > 1 else 0
     for e in exps:
         key = (key << _FIELD_BITS) | e
@@ -76,8 +79,8 @@ def _unpacker(nvars):
         return lambda key: (key,)
     if nvars == 2:
         return lambda key: ((key >> _FIELD_BITS) & _FIELD_MASK, key & _FIELD_MASK)
-    shifts = tuple(_FIELD_BITS * k for k in reversed(range(nvars)))
-    return lambda key: tuple((key >> s) & _FIELD_MASK for s in shifts)
+    shifts = [_FIELD_BITS * k for k in reversed(range(nvars))]
+    return lambda key: tuple([(key >> s) & _FIELD_MASK for s in shifts])
 
 
 @lru_cache(maxsize=64)
@@ -87,13 +90,14 @@ def _field_bits(nvars, bits):
 
 
 class Polynomial:
-    """Immutable sparse polynomial with Fraction coefficients.
+    """Immutable sparse polynomial with rational coefficients.
 
-    ``terms`` maps exponent tuples of length ``nvars`` to nonzero Fractions.
-    Instances are treated as immutable; the terms dict must not be mutated.
+    Stores ``nvars`` and the canonical integer form (den, pairs) described
+    in the module docstring.  ``terms`` is a computed view of it: a fresh
+    dict from exponent tuples of length ``nvars`` to nonzero Fractions.
     """
 
-    __slots__ = ("nvars", "terms", "_ints")
+    __slots__ = ("nvars", "_form")
 
     def __init__(self, nvars, terms=None):
         if nvars < 1:
@@ -107,31 +111,30 @@ class Polynomial:
                 raise ValueError(f"exponents must be nonnegative integers, got {exps}")
             coeff = Fraction(coeff)
             if coeff:
-                clean[exps] = coeff
+                clean[_pack(exps, _GUARD_BIT)] = coeff
+        # den is the lcm of the reduced denominators, so gcd(den, numerators) = 1
+        den = 1
+        for c in clean.values():
+            den = math.lcm(den, c.denominator)
+        pairs = [(k, c.numerator * (den // c.denominator)) for k, c in clean.items()]
+        pairs.sort(reverse=True)
         _set_nvars(self, nvars)
-        _set_terms(self, clean)
-        _set_ints(self, None)
-
-    @classmethod
-    def _new(cls, nvars, clean_terms):
-        """Polynomial over terms that are already valid; no checks, no copy."""
-        p = _object_new(cls)
-        _set_nvars(p, nvars)
-        _set_terms(p, clean_terms)
-        _set_ints(p, None)
-        return p
+        _set_form(self, (den, pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars)
+        return cls.const(nvars, 0)
 
     @classmethod
     def const(cls, nvars, value):
         """Constant polynomial with the given rational value."""
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        if nvars < 1:
+            raise ValueError(f"nvars must be positive, got {nvars}")
+        value = Fraction(value)
+        return _new(nvars, value.denominator, [(0, value.numerator)] if value else [])
 
     @classmethod
     def one(cls, nvars):
@@ -144,42 +147,40 @@ class Polynomial:
             raise ValueError(f"variable index {i} out of range for nvars={nvars}")
         exps = [0] * nvars
         exps[i - 1] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
-    def _int_form(self):
-        """(den, [(packed key, numerator), ...]): den is the lcm of the
-        coefficient denominators and each coefficient is numerator / den."""
-        form = self._ints
-        if form is None:
-            terms = self.terms
-            den = math.lcm(*(c.denominator for c in terms.values()))
-            pairs = [(_pack(e), c.numerator * (den // c.denominator)) for e, c in terms.items()]
-            form = (den, pairs)
-            _set_ints(self, form)
-        return form
+    @property
+    def terms(self):
+        """Exponent tuple -> nonzero Fraction coefficient, computed from the form."""
+        den, pairs = self._form
+        unpack = _unpacker(self.nvars)
+        return {unpack(k): Fraction(c, den) for k, c in pairs}
 
     # -- queries ---------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._form[1])
 
     def is_zero(self):
-        return not self.terms
+        return not self._form[1]
 
     def degree(self):
-        """Max total degree of the stored monomials; -1 for the zero polynomial."""
-        if not self.terms:
+        """Max total degree of the terms, the leading one's; -1 for the zero polynomial."""
+        pairs = self._form[1]
+        if not pairs:
             return -1
-        return max(sum(e) for e in self.terms)
+        return pairs[0][0] >> (_FIELD_BITS * self.nvars) if self.nvars > 1 else pairs[0][0]
 
     def is_constant(self):
-        return all(not any(e) for e in self.terms)
+        pairs = self._form[1]
+        return not pairs or pairs[0][0] == 0
 
     def constant_value(self):
         """The value of a constant polynomial as a Fraction."""
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        den, pairs = self._form
+        return Fraction(pairs[0][1], den) if pairs else Fraction(0)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -196,27 +197,26 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            val = out.get(exps)
-            if val is None:
-                out[exps] = coeff
-                continue
-            val += coeff
-            if val:
-                out[exps] = val
-            else:
-                del out[exps]
-        return _new(self.nvars, out)
+        da, left = self._form
+        db, right = other._form
+        if not right:
+            return self
+        if not left:
+            return other
+        den = da if da == db else math.lcm(da, db)
+        scale = den // da
+        acc = dict(left) if scale == 1 else {k: c * scale for k, c in left}
+        get = acc.get
+        scale = den // db
+        for k, c in right:
+            acc[k] = get(k, 0) + c * scale
+        return _collect(self.nvars, den, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = _new(self.nvars, {e: -c for e, c in self.terms.items()})
-        if self._ints is not None:
-            den, pairs = self._ints
-            _set_ints(neg, (den, [(k, -c) for k, c in pairs]))
-        return neg
+        den, pairs = self._form
+        return _new(self.nvars, den, [(k, -c) for k, c in pairs])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -251,16 +251,17 @@ class Polynomial:
             other = Polynomial.const(self.nvars, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return self.nvars == other.nvars and self._form == other._form
 
     __hash__ = None
 
     def exact_div(self, divisor):
         """Exact quotient self / divisor; raises ValueError if not divisible.
 
-        Single-divisor long division on the integer forms: each step cancels
-        the graded-lex leading term of the remainder and only introduces
-        strictly smaller monomials, so the loop terminates.  A step whose
+        Single-divisor long division on the integer numerators: each step
+        cancels the graded-lex leading term of the remainder and only
+        introduces strictly smaller monomials, so the loop terminates and
+        the quotient's keys come out strictly descending.  A step whose
         monomial quotient has a negative exponent proves non-divisibility.
         The remainder is kept as integers R over a scale s; a step whose
         leading coefficient the divisor's does not divide scales R up.
@@ -273,9 +274,9 @@ class Polynomial:
         if self.is_zero():
             return Polynomial.zero(self.nvars)
         nvars = self.nvars
-        num_den, num_pairs = self._int_form()
-        div_den, div_pairs = divisor._int_form()
-        lead_key, lead = max(div_pairs)
+        num_den, num_pairs = self._form
+        div_den, div_pairs = divisor._form
+        lead_key, lead = div_pairs[0]
         high = _field_bits(nvars, _OVERFLOW_BITS)
         guard = _field_bits(nvars, _GUARD_BIT)
         # self / divisor = (div_den / num_den) * (N / M) on the numerators
@@ -293,7 +294,8 @@ class Polynomial:
             if shifted & guard != guard:
                 raise ValueError(f"({divisor}) does not divide ({self})")
             qkey = shifted ^ guard
-            quot.append((qkey, r * div_den, scale * lead * num_den))
+            # the quotient term is r / (scale * lead) of N / M
+            quot.append((qkey, r, scale))
             g = math.gcd(r, lead)
             up = lead // g
             if up != 1:
@@ -308,20 +310,25 @@ class Polynomial:
                     rem[k] = c
                 else:
                     del rem[k]
-        unpack = _unpacker(nvars)
-        return _new(nvars, {unpack(k): Fraction(n, d) for k, n, d in quot})
+        # every step's scale divides the last one: one denominator for all
+        den = scale * lead * num_den
+        if den < 0:
+            den, div_den = -den, -div_den
+        return _reduced(nvars, den, [(k, r * (scale // s) * div_den) for k, r, s in quot])
 
     def evaluate(self, point):
         """Exact value at a rational point (sequence of length nvars)."""
         vals = [Fraction(v) for v in point]
         if len(vals) != self.nvars:
             raise ValueError(f"point has {len(vals)} coordinates, expected {self.nvars}")
+        den, pairs = self._form
+        unpack = _unpacker(self.nvars)
         # exponents repeat across terms, so memoize coordinate powers
         pows = [{} for _ in vals]
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
+        for key, coeff in pairs:
             term = coeff
-            for k, e in enumerate(exps):
+            for k, e in enumerate(unpack(key)):
                 if e:
                     cache = pows[k]
                     p = cache.get(e)
@@ -330,30 +337,36 @@ class Polynomial:
                         cache[e] = p
                     term *= p
             total += term
-        return total
+        return total / den
 
     # -- text ------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        den, pairs = self._form
+        if not pairs:
             return "0"
+        unpack = _unpacker(self.nvars)
+        gcd = math.gcd
         parts = []
-        ordered = sorted(self.terms.items(), key=lambda kv: _order_key(kv[0]), reverse=True)
-        for pos, (exps, coeff) in enumerate(ordered):
+        for key, c in pairs:
             mono = "*".join(
-                f"t{k + 1}" if e == 1 else f"t{k + 1}^{e}" for k, e in enumerate(exps) if e
+                [f"t{k}" if e == 1 else f"t{k}^{e}" for k, e in enumerate(unpack(key), 1) if e]
             )
-            mag = abs(coeff)
+            num = -c if c < 0 else c
+            if den == 1:
+                mag = str(num)
+            else:
+                g = gcd(num, den)
+                mag = f"{num // g}" if g == den else f"{num // g}/{den // g}"
             if not mono:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif mag == "1":
                 body = mono
             else:
                 body = f"{mag}*{mono}"
-            if pos == 0:
-                parts.append(f"-{body}" if coeff < 0 else body)
-            else:
-                parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
+            parts.append(f"- {body}" if c < 0 else f"+ {body}")
+        first = parts[0][2:]
+        parts[0] = f"-{first}" if pairs[0][1] < 0 else first
         return " ".join(parts)
 
     def __repr__(self):
@@ -362,9 +375,37 @@ class Polynomial:
 
 _object_new = object.__new__
 _set_nvars = Polynomial.nvars.__set__
-_set_terms = Polynomial.terms.__set__
-_set_ints = Polynomial._ints.__set__
-_new = Polynomial._new
+_set_form = Polynomial._form.__set__
+
+
+def _new(nvars, den, pairs):
+    """Polynomial over a form that is already canonical; no checks, no copy."""
+    p = _object_new(Polynomial)
+    _set_nvars(p, nvars)
+    _set_form(p, (den, pairs))
+    return p
+
+
+def _reduced(nvars, den, pairs):
+    """Polynomial over den > 0 and (key, nonzero numerator) pairs with keys
+    strictly descending, with gcd(den, numerators) divided out."""
+    if den != 1:
+        g = den
+        for _k, c in pairs:
+            g = math.gcd(g, c)
+            if g == 1:
+                break
+        if g != 1:
+            den //= g
+            pairs = [(k, c // g) for k, c in pairs]
+    return _new(nvars, den, pairs)
+
+
+def _collect(nvars, den, acc):
+    """Polynomial of the numerators ``acc`` (packed key -> integer) over den > 0."""
+    pairs = [(k, c) for k, c in acc.items() if c]
+    pairs.sort(reverse=True)
+    return _reduced(nvars, den, pairs)
 
 
 def sum_of_products(nvars, pairs):
@@ -372,17 +413,16 @@ def sum_of_products(nvars, pairs):
 
     Every product runs on the operands' integer forms against one common
     denominator (the lcm of the pairs' denominator products), so the sum is
-    accumulated on plain integers and one Fraction is made per output term.
-    Pairs with a zero factor are skipped.
+    accumulated on plain integers.  Pairs with a zero factor are skipped.
     """
     forms = []
     den = 1
     for a, b in pairs:
         if a.nvars != nvars or b.nvars != nvars:
             raise ValueError(f"variable-count mismatch: {a.nvars} vs {b.nvars}, expected {nvars}")
-        if a.terms and b.terms:
-            da, left = a._int_form()
-            db, right = b._int_form()
+        da, left = a._form
+        db, right = b._form
+        if left and right:
             d = da * db
             if d != 1:
                 den = math.lcm(den, d)
@@ -398,23 +438,14 @@ def sum_of_products(nvars, pairs):
                 k = k1 + k2
                 acc[k] = get(k, 0) + c1 * c2
     high = _field_bits(nvars, _OVERFLOW_BITS)
-    unpack = _unpacker(nvars)
-    pairs_out = []
-    terms = {}
-    if den != 1:
-        g = math.gcd(den, *acc.values())
-        if g != 1:
-            den //= g
-            acc = {k: c // g for k, c in acc.items()}
+    out = []
     for k, c in acc.items():
         if c:
             if k & high:
-                raise ExponentOverflow(f"product exponent {unpack(k)} is not below 2^30")
-            pairs_out.append((k, c))
-            terms[unpack(k)] = Fraction(c) if den == 1 else Fraction(c, den)
-    out = _new(nvars, terms)
-    _set_ints(out, (den, pairs_out))
-    return out
+                raise ExponentOverflow(f"product exponent {_unpacker(nvars)(k)} is not below 2^30")
+            out.append((k, c))
+    out.sort(reverse=True)
+    return _reduced(nvars, den, out)
 
 
 # ASCII digits only: \d and int() also read other scripts' digits, and int()
@@ -460,7 +491,7 @@ def parse_polynomial(text, nvars):
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial")
-    terms = {}
+    found = []  # (packed key, signed numerator, denominator) per term
     pos = 0
 
     def peek():
@@ -519,10 +550,7 @@ def parse_polynomial(text, nvars):
         if not have_any:
             kind, val, col = peek()
             raise ParseError(f"column {col}: expected a term")
-        key = tuple(exps)
-        coeff = Fraction(num) if den == 1 else Fraction(num, den)
-        before = terms.get(key)
-        terms[key] = coeff if before is None else before + coeff
+        found.append((_pack(exps), num, den))
 
     sign = 1
     kind, val, col = peek()
@@ -535,4 +563,12 @@ def parse_polynomial(text, nvars):
         if kind != "op" or val not in "+-":
             raise ParseError(f"column {col}: expected '+' or '-' between terms")
         parse_term(-1 if val == "-" else 1)
-    return _new(nvars, {e: c for e, c in terms.items() if c})
+    den = 1
+    for _key, _num, d in found:
+        if d != 1:
+            den = math.lcm(den, d)
+    acc = {}
+    get = acc.get
+    for key, num, d in found:
+        acc[key] = get(key, 0) + num * (den // d)
+    return _collect(nvars, den, acc)

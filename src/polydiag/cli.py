@@ -15,10 +15,12 @@ disagreement.  Outputs are byte-deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
 from . import __version__
+from .arith import _decimal_int
 from .certificates import (
     _KINDS,
     format_bundle_certificate,
@@ -62,13 +64,27 @@ def _format_point(point):
     return "(" + ",".join(str(c) for c in point) + ")"
 
 
+# ASCII integers, p/q and decimals; Fraction() alone would also read other
+# scripts' digits, '_' separators and 1e<exp>, building 10^exp however large
+_RATIONAL_RE = re.compile(r"[-+]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
+
+
 def _parse_fraction(text, flag):
-    try:
-        if "e" not in text.lower():  # Fraction builds 10^exp for 1e<exp>, however large
+    if _RATIONAL_RE.fullmatch(text):
+        try:
             return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
+        except (ValueError, ZeroDivisionError):
+            pass
     raise _UsageError(f"bad {flag} value {text!r}, expected a rational like -10 or 1/2")
+
+
+def _int_flag(text):
+    """An integer flag value, ASCII digits only."""
+    return _decimal_int(text)
+
+
+# argparse names the type in its "invalid int value: '...'" message
+_int_flag.__name__ = "int"
 
 
 def _expand_axis_values(values, nvars, flag):
@@ -115,7 +131,7 @@ def _add_grid_flags(parser):
     parser.add_argument(
         "--grid-count",
         action="append",
-        type=int,
+        type=_int_flag,
         metavar="N",
         help="points per axis; repeat per variable (default 21)",
     )
@@ -142,7 +158,7 @@ def _build_parser():
     p.add_argument("--out", metavar="PATH", help="write the certificate here instead of stdout")
     p.add_argument(
         "--cap-branches",
-        type=int,
+        type=_int_flag,
         default=10_000,
         metavar="N",
         help="abort bundle mode past this many branches (default 10000)",

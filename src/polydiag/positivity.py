@@ -183,7 +183,9 @@ def psd_rational(m):
     """True iff the symmetric rational matrix m is positive semidefinite."""
     if not m.is_symmetric():
         raise NotSymmetric(_NOT_SYMMETRIC)
-    den = math.lcm(*(e.denominator for e in m.entries))
+    den = 1
+    for e in m.entries:
+        den = math.lcm(den, e.denominator)
     ints = [e.numerator * (den // e.denominator) for e in m.entries]
     return _psd_int([ints[i * m.n : (i + 1) * m.n] for i in range(m.n)])
 
@@ -232,8 +234,10 @@ def _grid_sweep(a, extra, spec):
     if not a.is_square():
         raise ValueError("evaluation target must be square")
     n = a.rows
-    forms = [p._int_form() for p in (*a.entries, *extra)]
-    den = math.lcm(*(d for d, _pairs in forms))
+    forms = [p._form for p in (*a.entries, *extra)]
+    den = 1
+    for d, _pairs in forms:
+        den = math.lcm(den, d)
     unpack = _unpacker(a.nvars)
     monos = {}
     sums = []

@@ -310,6 +310,28 @@ def test_grid_bound_exponent_refused_fast(tmp_path, capsys, text):
     assert err == f"error: bad --grid-low value {text!r}, expected a rational like -10 or 1/2\n"
 
 
+@pytest.mark.parametrize(
+    "flag,text", [("--grid-low", "-１"), ("--grid-high", "1_0/3"), ("--grid-high", "١"),
+                  ("--grid-low", " -1"), ("--grid-high", "1/2_0")]
+)
+def test_grid_bound_ascii_only(tmp_path, capsys, flag, text):
+    # Fraction() reads other scripts' digits, '_' separators and whitespace
+    path = put(tmp_path, "t.mat", "1 1 1\nt1\n")
+    assert main(["psd-grid", path, f"{flag}={text}", "--grid-count", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: bad {flag} value {text!r}, expected a rational like -10 or 1/2\n"
+
+
+@pytest.mark.parametrize("text", ["1_0", "３", "١٠", " 3"])
+def test_integer_flags_ascii_only(tmp_path, capsys, text):
+    # int() reads other scripts' digits, '_' separators and whitespace
+    path = put(tmp_path, "t.mat", "1 1 1\nt1\n")
+    assert main(["psd-grid", path, f"--grid-count={text}"]) == 1
+    assert f"argument --grid-count: invalid int value: {text!r}" in capsys.readouterr().err
+    assert main(["diagonalize", "--mode", "bundle", f"--cap-branches={text}", path]) == 1
+    assert f"argument --cap-branches: invalid int value: {text!r}" in capsys.readouterr().err
+
+
 def test_psd_grid_rejects_rectangular(tmp_path, capsys):
     path = put(tmp_path, "r.mat", "1 2 1\nt1\n1\n")
     assert main(["psd-grid", path]) == 1

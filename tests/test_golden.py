@@ -13,6 +13,9 @@ one with, e.g.
         diagonalize a.mat > diag-single.out
 """
 
+import hashlib
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,8 +35,15 @@ from polydiag.certificates import (
     witness_from_diag_certificate,
 )
 from polydiag.cli import main
-from polydiag.diagonal import single_path_diagonalize
+from polydiag.diagonal import (
+    diagonalization_bundle,
+    single_path_diagonalize,
+    standard_form_diagonalize,
+)
+from polydiag.errors import BundleTooLarge
 from polydiag.polymat import PolyMatrix, format_matrix, parse_matrix
+
+from helpers import rand_symmetric, rand_symmetric_total_deg
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -204,3 +214,54 @@ def test_readme_example_matches_golden(command, name):
     end = next(k for k in range(start, len(lines)) if lines[k].startswith(("$ ", "```")))
     shown = "".join(line + "\n" for line in lines[start:end])
     assert shown == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+# -- byte identity over seeded matrices -----------------------------------------
+#
+# One sha256 over what the three routes make of 60 seeded symmetric matrices
+# (n 2-4, 1-2 variables, every third one with rational coefficients): each
+# certificate's text, or the type and message of the refusal, and the bundle
+# under a small branch cap.  The digest was computed before the polynomial
+# kernel moved to its integer form; it changes only when an output is meant
+# to change.
+
+DIGEST_CAP = 24
+ROUTES_DIGEST = "e8f56dca55368ed5c8f6fae97b2a958bc267cde63c757dcd6e0fecb6e35e87c1"
+
+
+def digest_matrices():
+    rng = random.Random(20071)
+    for k in range(60):
+        n, nvars = 2 + k % 3, 1 + (k // 3) % 2
+        if k % 2:
+            a = rand_symmetric_total_deg(rng, n, nvars)
+        else:
+            a = rand_symmetric(rng, n, nvars)
+        if k % 3 == 2:
+            a = PolyMatrix.from_rows(
+                [[a[i, j] * Fraction(i + j + 1, 2 * i + 2 * j + 3) for j in range(n)]
+                 for i in range(n)]
+            )
+        yield a
+
+
+def route_outputs(a):
+    routes = (
+        lambda: format_diag_certificate(standard_form_diagonalize(a)),
+        lambda: format_diag_certificate(single_path_diagonalize(a)),
+        lambda: format_bundle_certificate(diagonalization_bundle(a, DIGEST_CAP)),
+    )
+    for route in routes:
+        try:
+            yield route()
+        except (ValueError, BundleTooLarge) as exc:
+            yield f"{type(exc).__name__}: {exc}\n"
+
+
+def test_routes_digest():
+    digest = hashlib.sha256()
+    for a in digest_matrices():
+        digest.update(format_matrix(a).encode("utf-8"))
+        for text in route_outputs(a):
+            digest.update(text.encode("utf-8"))
+    assert digest.hexdigest() == ROUTES_DIGEST

@@ -127,24 +127,63 @@ def test_exponent_overflow_is_a_value_error():
         big * Polynomial.one(1)
 
 
+def sympy_expr(sympy, p):
+    return sympy.sympify(str(p).replace("^", "**"))
+
+
+def rational_poly(rng, nvars, max_deg=4, max_terms=5):
+    return Polynomial(nvars, {
+        tuple(rng.randint(0, max_deg) for _ in range(nvars)):
+            Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        for _ in range(rng.randint(0, max_terms))
+    })
+
+
 def test_sympy_differential_products():
     sympy = pytest.importorskip("sympy")
-
-    def expr(p):
-        return sympy.sympify(str(p).replace("^", "**"))
-
+    expr = lambda p: sympy_expr(sympy, p)
     rng = random.Random(7)
     for _ in range(40):
-        p, q, r = (
-            Polynomial(2, {
-                (rng.randint(0, 4), rng.randint(0, 4)):
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                for _ in range(rng.randint(0, 5))
-            })
-            for _ in range(3)
-        )
+        p, q, r = (rational_poly(rng, 2) for _ in range(3))
         got = sum_of_products(2, [(p, q), (q, r)])
         assert sympy.expand(expr(got) - expr(p) * expr(q) - expr(q) * expr(r)) == 0
+
+
+def test_sympy_differential_exact_div():
+    # one polynomial is a Groebner basis of its ideal, so sympy's remainder
+    # is zero exactly when the divisor divides, whatever the monomial order
+    sympy = pytest.importorskip("sympy")
+    expr = lambda p: sympy_expr(sympy, p)
+    rng = random.Random(11)
+    divisible = 0
+    for k in range(60):
+        nvars = 1 + k % 3
+        gens = sympy.symbols(f"t1:{nvars + 1}")
+        p, q = rational_poly(rng, nvars, 3, 4), rational_poly(rng, nvars, 2, 3)
+        if q.is_zero():
+            continue
+        f = p * q + (rational_poly(rng, nvars, 2, 2) if k % 2 else 0)
+        quot, rem = sympy.div(expr(f), expr(q), *gens)
+        if rem == 0:
+            divisible += 1
+            assert sympy.expand(expr(f.exact_div(q)) - quot) == 0
+        else:
+            with pytest.raises(ValueError, match="does not divide"):
+                f.exact_div(q)
+    assert divisible > 30
+
+
+def test_sympy_differential_determinant():
+    sympy = pytest.importorskip("sympy")
+    expr = lambda p: sympy_expr(sympy, p)
+    rng = random.Random(13)
+    for k in range(24):
+        n, nvars = 1 + k % 4, 1 + k % 2
+        a = PolyMatrix(n, n, [rational_poly(rng, nvars, 2, 3) for _ in range(n * n)])
+        if k % 5 == 4:  # a repeated row: determinant zero
+            a = PolyMatrix.from_rows([a.row(0), *[a.row(i) for i in range(n - 1)]])
+        m = sympy.Matrix(n, n, [expr(p) for p in a.entries])
+        assert sympy.expand(expr(a.determinant()) - m.det(method="berkowitz")) == 0
 
 
 # -- validation and the exponent budget ---------------------------------------
