@@ -23,14 +23,24 @@ exact_div borrows against.  sum_of_products accumulates a whole sum of
 products on plain integers over one common denominator; a single product is
 its one-pair case.
 
-The text syntax (used by the file formats and the CLI) is a sum of terms
-separated by + or -, where a term is an optional rational coefficient
-(``3``, ``-1/2``), an optional ``*``, and ``*``-separated variable factors
-``t<i>`` or ``t<i>^<e>``.  Example: ``3/2*t1^2*t2 - t2 + 1``.  Whitespace is
-insignificant.  The parser refuses a term in which one variable's exponent
-exceeds MAX_EXPONENT.  Printing walks the pairs from the top, so terms come
-in graded lexicographic order with t1 > t2 > ..., highest degree first, and
-round-trips through the parser.
+The text syntax (used by the file formats and the CLI) is
+
+    polynomial  := [sign] term (sign term)*
+    term        := coefficient [["*"] factors] | factors
+    coefficient := integer ["/" integer]
+    factors     := factor ("*" factor)*
+    factor      := "t" integer ["^" integer]
+    sign        := "+" | "-"
+    integer     := one or more ASCII digits 0-9
+
+for example ``3/2*t1^2*t2 - t2 + 1`` or ``2t1``.  Whitespace (any character
+that str.isspace() names) may stand between two tokens but not inside an
+integer or a ``t<i>``: ``1 2`` is two integers, which no term holds, and
+``t 1`` is refused.  The parser also refuses a variable outside t1..td, a
+zero denominator, an integer past Python's int-string limit, and a term
+in which one variable's exponents sum past MAX_EXPONENT.  Printing walks
+the pairs from the top, so terms come in graded lexicographic order with
+t1 > t2 > ..., highest degree first, and round-trips through the parser.
 """
 
 from __future__ import annotations
@@ -449,7 +459,17 @@ def sum_of_products(nvars, pairs):
 
 
 # ASCII digits only: \d and int() also read other scripts' digits, and int()
-# '_' separators; text written so would parse yet not re-format to itself
+# '_' separators; text written so would parse yet not re-format to itself.
+# _TERM_RE reads one term of the module docstring's grammar and the sign
+# before it, as (sign, numerator, denominator, factors); a '*' after the
+# coefficient is taken only before a factor.  Every part is optional, so it
+# always matches.
+_FACTOR = r"t[0-9]+(?:\s*\^\s*[0-9]+)?"
+_TERM_RE = re.compile(
+    r"\s*([+-]?)\s*(?:([0-9]+)(?:\s*/\s*([0-9]+))?\s*(?:\*\s*(?=t[0-9]))?)?"
+    rf"({_FACTOR}(?:\s*\*\s*{_FACTOR})*)?\s*"
+)
+_FACTOR_RE = re.compile(r"t([0-9]+)(?:\s*\^\s*([0-9]+))?")
 _TOKEN_RE = re.compile(r"([0-9]+)|t([0-9]+)|([+\-*/^])|(\S)")
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
 
@@ -471,9 +491,97 @@ def _int_literal(digits, unit, pos):
         raise ParseError(f"{unit} {pos}: integer with more than {limit} digits") from None
 
 
-def _tokenize(text):
+@lru_cache(maxsize=64)
+def _var_fields(nvars):
+    """Digits i of t<i> -> (shift of t<i>'s key field, packed key of t<i>)."""
+    degree = 1 << (_FIELD_BITS * nvars) if nvars > 1 else 0
+    fields = {}
+    for i in range(1, nvars + 1):
+        shift = _FIELD_BITS * (nvars - i)
+        fields[str(i)] = (shift, degree + (1 << shift))
+    return fields
+
+
+def parse_polynomial(text, nvars):
+    """Parse the polynomial text syntax; raises ParseError with a column.
+
+    _scan builds the polynomial.  Text that it refuses goes to _walk, which
+    raises the ParseError of the first fault.
+    """
+    poly = _scan(text, nvars)
+    if type(poly) is int:
+        _walk(text, nvars, poly)
+        raise AssertionError(f"the term scan refused text in the grammar: {text[:60]!r}")
+    return poly
+
+
+def _scan(text, nvars):
+    """The Polynomial of text; if the grammar refuses text, an offset where
+    _walk can start: the start of the term before the one refused.
+
+    One _TERM_RE match reads each term and one findall its factors, which
+    go straight into a packed key; the numerators are summed over one
+    common denominator.  The walk starts a term early because a term that
+    _TERM_RE reads can end where the grammar reads on into a fault, as
+    ``3*t1`` in ``3*t1 *``.
+    """
+    fields = _var_fields(nvars)
+    match = _TERM_RE.match
+    findall = _FACTOR_RE.findall
+    end = len(text)
+    acc = {}
+    get = acc.get
+    den = 1
+    prev = pos = 0
+    try:
+        while True:
+            m = match(text, pos)
+            sign, num, q, factors = m.groups()
+            if not (num or factors) or (pos and not sign):
+                return prev
+            key = 0
+            if factors:
+                for v, e in findall(factors):
+                    field = fields.get(v)
+                    if field is None:
+                        i = int(v)
+                        if not 1 <= i <= nvars:
+                            return prev
+                        field = fields[str(i)]
+                    e = int(e) if e else 1
+                    if e > MAX_EXPONENT:
+                        return prev
+                    shift, step = field
+                    key += e * step
+                    if (key >> shift) & _FIELD_MASK > MAX_EXPONENT:
+                        return prev
+            c = int(num) if num else 1
+            if sign == "-":
+                c = -c
+            if q:
+                q = int(q)
+                if not q:
+                    return prev
+                if den % q:
+                    grown = math.lcm(den, q)
+                    up = grown // den
+                    for k in acc:
+                        acc[k] *= up
+                    den = grown
+                c *= den // q
+            elif den != 1:
+                c *= den
+            acc[key] = get(key, 0) + c
+            prev, pos = pos, m.end()
+            if pos == end:
+                return _collect(nvars, den, acc)
+    except ValueError:  # a literal past the int-string limit
+        return prev
+
+
+def _tokenize(text, start=0):
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text, start):
         col = m.start() + 1
         if m.group(1) is not None:
             tokens.append(("int", _int_literal(m.group(1), "column", col), col))
@@ -486,12 +594,15 @@ def _tokenize(text):
     return tokens
 
 
-def parse_polynomial(text, nvars):
-    """Parse the polynomial text syntax; raises ParseError with a column."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial")
-    found = []  # (packed key, signed numerator, denominator) per term
+def _walk(text, nvars, start=0):
+    """Raise the ParseError of the first fault in text, walking its tokens
+    by the grammar; return if there is none.  Builds no polynomial.
+
+    The walk reads text[start:], where start is 0 or the start of a term
+    whose sign follows terms that the grammar accepts, so a fault in
+    text[:start], token fault or not, is impossible.
+    """
+    tokens = _tokenize(text, start)
     pos = 0
 
     def peek():
@@ -520,14 +631,12 @@ def parse_polynomial(text, nvars):
         if exps[val - 1] > MAX_EXPONENT:
             raise ParseError(f"column {col}: exponent of t{val} exceeds the maximum {MAX_EXPONENT}")
 
-    def parse_term(sign):
-        num, den = sign, 1
+    def parse_term():
         exps = [0] * nvars
         kind, val, col = peek()
         have_any = False
         if kind == "int":
             take()
-            num *= val
             have_any = True
             if peek()[0] == "op" and peek()[1] == "/":
                 take()
@@ -536,12 +645,12 @@ def parse_polynomial(text, nvars):
                     raise ParseError(f"column {col2}: expected a denominator")
                 if val2 == 0:
                     raise ParseError(f"column {col2}: zero denominator")
-                den = val2
             if peek()[0] == "op" and peek()[1] == "*":
                 take()
                 parse_factor(exps)
-                have_any = True
-        if peek()[0] == "var":
+            elif peek()[0] == "var":
+                parse_factor(exps)
+        elif kind == "var":
             parse_factor(exps)
             have_any = True
         while peek()[0] == "op" and peek()[1] == "*":
@@ -550,25 +659,16 @@ def parse_polynomial(text, nvars):
         if not have_any:
             kind, val, col = peek()
             raise ParseError(f"column {col}: expected a term")
-        found.append((_pack(exps), num, den))
 
-    sign = 1
-    kind, val, col = peek()
-    if kind == "op" and val in "+-":
-        take()
-        sign = -1 if val == "-" else 1
-    parse_term(sign)
+    if start == 0:
+        if not tokens:
+            raise ParseError("empty polynomial")
+        kind, val, col = peek()
+        if kind == "op" and val in "+-":
+            take()
+        parse_term()
     while pos < len(tokens):
         kind, val, col = take()
         if kind != "op" or val not in "+-":
             raise ParseError(f"column {col}: expected '+' or '-' between terms")
-        parse_term(-1 if val == "-" else 1)
-    den = 1
-    for _key, _num, d in found:
-        if d != 1:
-            den = math.lcm(den, d)
-    acc = {}
-    get = acc.get
-    for key, num, d in found:
-        acc[key] = get(key, 0) + num * (den // d)
-    return _collect(nvars, den, acc)
+        parse_term()

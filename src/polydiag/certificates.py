@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .arith import MAX_NVARS, Polynomial, _decimal_int, _int_literal, parse_polynomial, sum_of_products
 from .errors import InternalIdentityFailure, NotSymmetric, ParseError
-from .polymat import PolyMatrix, format_matrix, parse_matrix
+from .polymat import PolyMatrix, _data_lines, _parse_matrix_lines, format_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +655,9 @@ class _Reader:
 
     def matrix(self, name, _mat, rows=None, cols=None):
         body, lineno = self.expect("matrix", name)
-        text = "\n".join(line for _ln, line in body)
         try:
-            mat = parse_matrix(text)
+            # numbered from the section's first data line, as a matrix file's
+            mat = _parse_matrix_lines([(k, line) for k, (_ln, line) in enumerate(body, 1)])
         except ParseError as exc:
             raise ParseError(f"section [matrix {name}] near line {lineno}: {exc}") from None
         if mat.nvars != self.nvars:
@@ -906,11 +906,8 @@ def _split_sections(text):
     """(tag, name, body_lines, lineno) per section; comments/blanks dropped."""
     sections = []
     current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _SECTION_RE.match(line)
+    for lineno, line in _data_lines(text):
+        m = _SECTION_RE.match(line) if line[0] == "[" else None
         if m:
             current = (m.group(1), m.group(2) or "", [], lineno)
             sections.append(current)

@@ -330,16 +330,29 @@ def format_matrix(a):
 
 
 def _data_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+    """(lineno, stripped line) per line of text that is neither blank nor a
+    ``#`` comment; lineno is 1-based.
+
+    Lines break at \\r\\n, \\r and \\n only, as a universal-newline read
+    gives them; str.splitlines() would also break at \\v, \\f, \\x1c-\\x1e,
+    \\x85, \\u2028 and \\u2029, which are whitespace inside a line here.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, lines), start=1)
+        if line and not line.startswith("#")
+    ]
 
 
 def parse_matrix(text):
     """Parse the matrix file format; raises ParseError with a line number."""
-    lines = list(_data_lines(text))
+    return _parse_matrix_lines(_data_lines(text))
+
+
+def _parse_matrix_lines(lines):
+    """The matrix whose file has the data lines ``lines``, as _data_lines
+    gives them; each ParseError names the line's number."""
     if not lines:
         raise ParseError("empty matrix file")
     lineno, header = lines[0]

@@ -1,11 +1,14 @@
 """Tests for exact rational polynomial arithmetic."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polydiag.arith import Polynomial, parse_polynomial
+from polydiag.arith import MAX_EXPONENT, Polynomial, _tokenize, _walk, parse_polynomial
 from polydiag.errors import ParseError
 
 from helpers import rand_poly
@@ -158,10 +161,101 @@ def test_parse_error_texts():
         ("1/", "column 3: expected a denominator"),
         ("1/t1", "column 3: expected a denominator"),
         ("t1 t2", "column 4: expected '+' or '-' between terms"),
+        ("3*t1 t2", "column 6: expected '+' or '-' between terms"),
+        ("3*t1t2", "column 5: expected '+' or '-' between terms"),
     ):
         with pytest.raises(ParseError) as info:
             P(text, 2)
         assert str(info.value) == message
+
+
+# Pieces of token strings: whitespace a line may hold, the grammar's tokens,
+# and what it refuses: non-ASCII digits, '_', t0, out-of-range variables,
+# exponents past MAX_EXPONENT or a 32-bit key field, and literals past the
+# int-string limit.
+SPACES = (" ", "  ", "\t", "\u00a0", "\u3000", "\x1c", "\x85", "\u2028")
+PIECES = (
+    "0", "1", "2", "12", "007", "t1", "t2", "t3", "t01", "t0", "t", "+", "-", "*", "/", "^",
+    str(MAX_EXPONENT), str(MAX_EXPONENT + 1), "\u0661", "\uff12", "_", "1_0", "7" * 4301,
+) + SPACES
+SPACE = st.sampled_from(("",) * 6 + SPACES)
+FACTOR = st.builds(
+    lambda i, e, a, b: f"t{i}" + (f"{a}^{b}{e}" if e else ""),
+    st.sampled_from(("1",) * 12 + ("2",) * 8 + ("01", "3", "0")),
+    st.sampled_from(("",) * 8 + ("0", "2", "5", str(MAX_EXPONENT), str(MAX_EXPONENT + 1), str(1 << 32))),
+    SPACE,
+    SPACE,
+)
+TERM = st.builds(
+    lambda coeff, star, factors: coeff + star + "*".join(factors) if coeff and factors
+    else coeff + "*".join(factors),
+    st.sampled_from(("",) * 4 + ("3", "2", "1/2", "12 / 8", "0") * 2 + ("4/0",)),
+    st.sampled_from(("", "*", " * ", " ")),
+    st.lists(FACTOR, max_size=3),
+)
+POLY_TEXT = st.one_of(
+    st.lists(st.sampled_from(PIECES), max_size=12).map("".join),
+    st.builds(
+        lambda sign, first, rest, tail: sign + first + "".join(rest) + tail,
+        st.sampled_from(("", "-", "+ ")),
+        TERM,
+        st.lists(st.tuples(SPACE, st.sampled_from("+-"), SPACE, TERM).map("".join), max_size=4),
+        st.sampled_from(("",) * 48 + PIECES),
+    ),
+)
+
+
+def reference_parse(text, nvars):
+    """The polynomial of text that _walk accepts, summed term by term from
+    its tokens with the validating constructor."""
+    total = Polynomial.zero(nvars)
+    sign, started = 1, False
+    for kind, val, _col in _tokenize(text) + [("op", "+", None)]:
+        if kind == "op" and val in "+-":
+            if started:
+                total += Polynomial(nvars, {tuple(exps): sign * coeff})
+            sign, started = (-1 if val == "-" else 1), False
+            continue
+        if not started:
+            coeff, exps, var, after, started = Fraction(1), [0] * nvars, 0, "", True
+        if kind == "op":
+            after = val
+        elif kind == "var":
+            var, after = val, ""
+            exps[var - 1] += 1
+        elif after == "^":
+            exps[var - 1] += val - 1
+        else:
+            coeff = coeff / val if after == "/" else coeff * val
+    return total
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(POLY_TEXT, st.sampled_from((1, 2, 2, 3)))
+def test_scan_agrees_with_walker(text, nvars):
+    """Each text gives the reference polynomial, or the ParseError of a
+    token walk over the whole text."""
+    try:
+        _walk(text, nvars)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, nvars)
+        assert str(info.value) == str(exc)
+    else:
+        assert parse_polynomial(text, nvars) == reference_parse(text, nvars)
+
+
+def test_parse_long_line_in_linear_time():
+    text = " + ".join(f"{k}*t1^{k % 90}*t2^{k // 90 % 90}" for k in range(1, 100_001))
+    start = time.perf_counter()
+    p = parse_polynomial(text, 2)
+    assert time.perf_counter() - start < 1.0
+    assert len(p._form[1]) == 8100
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(text + "$", 2)
+    assert time.perf_counter() - start < 1.0
+    assert str(info.value) == f"column {len(text) + 1}: unexpected character '$'"
 
 
 def test_parse_star_optional_after_coefficient():

@@ -656,6 +656,10 @@ MALFORMED = [
      "line 5: meta key 'nvars' must be <= 64, got 100000"),
     ('diag-single', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2 65\n',
      "section [matrix D] near line 18: line 1: nvars 65 exceeds the maximum 64"),
+    ('diag-single', '[matrix D]\n2 2 1\nt1\n0\n', '[matrix D]\n2 2 1\nt1\u20280\n',
+     'section [matrix D] near line 18: expected 4 entries, file ends after 3'),
+    ('diag-single', '[poly w]\nt1^2\n', '\f\n[poly w]\nt1^2 +\n',
+     'line 26: column 7: expected a term'),
     ('diag-single', '[matrix D]\n2 2 1\nt1\n0\n0\nt1^3 - t1\n', '[matrix D]\n',
      'section [matrix D] near line 18: empty matrix file'),
     ('diag-single', '[matrix D]\n2 2 1\n', '[matrix D]\n2 2\n',

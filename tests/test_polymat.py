@@ -231,6 +231,7 @@ def test_format_parse_round_trip():
 def test_parse_matrix_comments_and_blanks():
     text = "# subject\n\n2 2 1\nt1\n1\n\n1\nt1\n"
     assert parse_matrix(text) == M([["t1", "1"], ["1", "t1"]])
+    assert parse_matrix("2 1 1\r\nt1\r1\n") == M([["t1"], ["1"]])
 
 
 def test_parse_matrix_caps_nvars():
@@ -253,6 +254,20 @@ def test_parse_matrix_caps_nvars():
     ids=["separator", "fullwidth rows", "plus sign", "fullwidth var", "arabic-indic var", "fullwidth coefficient"],
 )
 def test_parse_matrix_takes_ascii_digits_only(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_matrix(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1 2 1\nt1\u20281\n", "expected 2 entries, file ends after 1"),
+        ("1 1 1\n\f\nt1 +\n", "line 3: column 5: expected a term"),
+    ],
+    ids=["line separator inside a line", "form feed line"],
+)
+def test_parse_matrix_lines_break_at_newlines_only(text, message):
     with pytest.raises(ParseError) as info:
         parse_matrix(text)
     assert str(info.value) == message
