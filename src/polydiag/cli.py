@@ -43,11 +43,16 @@ class _UsageError(Exception):
     pass
 
 
-def _read(path, parse=parse_matrix):
-    """parse(text of the file at path); a ParseError, or non-UTF-8 text, names the file."""
+def _read(path, parse=None):
+    """parse(text of the file at path), parse_matrix by default; a ParseError,
+    or non-UTF-8 text, names the file.
+
+    parse_matrix is looked up at each call, not bound once as a default, so
+    a wrapper put on this module's name sees every matrix-file parse.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse(handle.read())
+            return (parse or parse_matrix)(handle.read())
     except (ParseError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
 

@@ -1,14 +1,16 @@
 """Exact pointwise positivity checks for polynomial matrices.
 
-A real symmetric n x n matrix A is PSD exactly when every coefficient of
-det(xI + A) = sum_k E_k x^(n-k) is nonnegative, where E_k is the sum of
-the k x k principal minors of A (E_k is the k-th elementary symmetric
-function of the eigenvalues).  Berkowitz's division-free recursion
-(Inf. Process. Lett. 18, 1984) gives those coefficients from the
-characteristic polynomial det(xI - A) in O(n^4) integer operations, so
-the criterion is decided exactly, with no rounding, on integer matrices;
-it serves as the independent oracle everything else is measured against.
-The oracle is capped at n = 12.
+A real symmetric n x n matrix A is PSD exactly when symmetric elimination
+meets no negative pivot and a zero pivot only in a row that is zero from
+the pivot on: a pivot p > 0 leaves the Schur complement C - b b^t / p,
+which is PSD iff A is, and a zero pivot with a nonzero entry in its row
+gives a 2 x 2 principal minor < 0.  Bareiss's fraction-free elimination
+(Math. Comp. 22, 1968) carries every entry as an integer, the Schur
+complement times the last nonzero pivot, a positive scalar; by Sylvester's
+identity each division is exact.  So the criterion is decided exactly, with
+no rounding, in O(n^3) integer operations; it serves as the independent
+oracle everything else is measured against.  The oracle is capped at
+n = 12.
 
 Grids are finite tensor products of equally spaced rational points, a
 stand-in for "every point of R^d" at desk scale: psd_on_grid reports
@@ -35,6 +37,8 @@ from .errors import DimensionCap, NotSymmetric
 
 _PSD_DIMENSION_CAP = 12
 _GRID_CAP = 100_000
+# bits of one point's integers times the point count; see _check_grid_bits
+_GRID_BITS_CAP = 2**24
 _NOT_SYMMETRIC = "PSD oracle needs a symmetric matrix"
 
 
@@ -145,37 +149,34 @@ def eval_matrix(a, point):
 def _psd_int(rows):
     """True iff the symmetric integer matrix ``rows`` (a list of rows) is PSD.
 
-    A negative diagonal entry rejects at once.  Otherwise Berkowitz's
-    recursion builds det(xI - A_k) for the leading blocks A_1, ..., A_n:
-    with A_(k+1) = [[A_k, c], [c^t, a]], its coefficient vector is the
-    lower-triangular Toeplitz matrix with first column
-    (1, -a, -c^t c, -c^t A_k c, ..., -c^t A_k^(k-1) c) times that of A_k.
-    Coefficient i of det(xI - A_k) is (-1)^i E_i(A_k), and every principal
-    block of a PSD matrix is PSD, so a block with a wrong sign rejects.
+    One fraction-free symmetric elimination over the upper triangle: row k
+    holds a_kj for j >= k, and its first entry is the pivot p.  p < 0
+    rejects.  p = 0 rejects unless the rest of row k is zero too; a zero
+    row is skipped and the last nonzero pivot stays the divisor.  Otherwise
+    every later row is updated as a_ij = (p * a_ij - a_ki * a_kj) // prev,
+    with prev the last nonzero pivot (1 at first), an exact division.  The
+    entries below the diagonal are not read.
     """
     n = len(rows)
     if n > _PSD_DIMENSION_CAP:
         raise DimensionCap(f"PSD oracle is capped at dimension {_PSD_DIMENSION_CAP}, got {n}")
-    for i in range(n):
-        if rows[i][i] < 0:
+    tri = [row[k:] for k, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        pivot_row = tri[k]
+        p = pivot_row[0]
+        if p < 0:
             return False
-    poly = [1, -rows[0][0]]
-    for k in range(1, n):
-        row = rows[k]
-        # zip stops at len(v) == k: row[:k] is c^t, and rows[i][:k] rows of A_k
-        toeplitz = [1, -row[k]]
-        v = row[:k]
-        for step in range(k):
-            toeplitz.append(-sum([x * y for x, y in zip(row, v)]))
-            if step + 1 < k:
-                v = [sum([x * y for x, y in zip(rows[i], v)]) for i in range(k)]
-        poly = [
-            sum([toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1)])
-            for i in range(k + 2)
-        ]
-        for i in range(2, k + 2):
-            if poly[i] < 0 if i % 2 == 0 else poly[i] > 0:
+        if not p:
+            if any(pivot_row):
                 return False
+            continue
+        # pivot_row[i - k:] is a_kj for j >= i, and its first entry a_ki
+        for i in range(k + 1, n):
+            tail = pivot_row[i - k :]
+            c = tail[0]
+            tri[i] = [(p * x - c * y) // prev for x, y in zip(tri[i], tail)]
+        prev = p
     return True
 
 
@@ -191,7 +192,12 @@ def psd_rational(m):
 
 
 def _axis_values(spec):
-    """Per-axis value lists of the grid; raises when the total exceeds the cap."""
+    """Per-axis value lists of the grid; raises when the total exceeds the cap.
+
+    Axis values low + k*(high - low)/(count - 1) are built from integers:
+    with low = a/d and high = b/d over one denominator d and m = count - 1,
+    value k is (a*m + k*(b - a))/(d*m), one Fraction each.
+    """
     total = spec.total_points()
     if total > _GRID_CAP:
         raise ValueError(f"grid has {total} points, exceeding the cap {_GRID_CAP}")
@@ -199,9 +205,12 @@ def _axis_values(spec):
     for low, high, count in spec.axes:
         if count == 1:
             axis_values.append([low])
-        else:
-            step = (high - low) / (count - 1)
-            axis_values.append([low + k * step for k in range(count)])
+            continue
+        d = math.lcm(low.denominator, high.denominator)
+        a = low.numerator * (d // low.denominator)
+        b = high.numerator * (d // high.denominator)
+        m = count - 1
+        axis_values.append([Fraction(a * m + k * (b - a), d * m) for k in range(count)])
     return axis_values
 
 
@@ -219,14 +228,17 @@ def _grid_sweep(a, extra, spec):
 
     psd is the oracle verdict on A(point) and extra_ok says whether every
     polynomial of ``extra`` is >= 0 at the point.  Raises NotSymmetric at
-    the first point where A(point) is not symmetric.
+    the first point where A(point) is not symmetric, and ValueError before
+    any point when the integers below would be too large (_GRID_BITS_CAP).
 
     No Fraction is made per point.  With den the lcm of the denominators of
     every polynomial's integer form, top_v the highest exponent of t_v and
     the coordinates num_v/q_v in lowest terms, each polynomial p is
     evaluated as den * prod_v q_v^top_v * p(point), the integer
     sum over terms of c * prod_v num_v^e_v * q_v^(top_v - e_v): a positive
-    multiple of p(point), the same multiple for every polynomial.
+    multiple of p(point), the same multiple for every polynomial.  Only the
+    upper triangle of A is evaluated, and below it only the entries whose
+    polynomial differs from their mirror's, to test symmetry.
     """
     if spec.nvars != a.nvars:
         raise ValueError(f"grid has {spec.nvars} axes, matrix has {a.nvars} variables")
@@ -234,41 +246,73 @@ def _grid_sweep(a, extra, spec):
     if not a.is_square():
         raise ValueError("evaluation target must be square")
     n = a.rows
-    forms = [p._form for p in (*a.entries, *extra)]
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    # where entry (i, j), i <= j, stands among the values of a point
+    position = {ij: u for u, ij in enumerate(upper)}
+    # A(point) is symmetric iff each (j, i) whose polynomial differs from
+    # that of (i, j) takes the same value there
+    asym = [(i, j) for i, j in upper if a[j, i] != a[i, j]]
+    polys = [a[i, j] for i, j in upper] + [a[j, i] for i, j in asym] + list(extra)
     den = 1
-    for d, _pairs in forms:
-        den = math.lcm(den, d)
+    for p in polys:
+        den = math.lcm(den, p._form[0])
     unpack = _unpacker(a.nvars)
     monos = {}
     sums = []
-    for d, pairs in forms:
+    for p in polys:
+        d, pairs = p._form
         scale = den // d
         sums.append([(c * scale, monos.setdefault(unpack(k), len(monos))) for k, c in pairs])
-    entries, extra_sums = sums[: n * n], sums[n * n :]
+    upper_sums = sums[: len(upper)]
+    checks = [(terms, position[ij]) for ij, terms in zip(asym, sums[len(upper) :])]
+    extra_sums = sums[len(upper) + len(asym) :]
+    # row i of A(point) as positions among the upper-triangle values
+    row_index = [[position[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    tops = [max((m[v] for m in monos), default=0) for v in range(a.nvars)]
+    # each axis as (numerators, denominators) of its values
+    coords = [([x.numerator for x in xs], [x.denominator for x in xs]) for xs in axis_values]
+    _check_grid_bits(sums, tops, coords)
     # per axis value x = num/q: the factor num^e * q^(top - e) it puts in each monomial
-    axes = []
-    for v, values in enumerate(axis_values):
+    axis_columns = []
+    for v, (nums, dens) in enumerate(coords):
         exps = [m[v] for m in monos]
-        top = max(exps, default=0)
-        axis = []
-        for x in values:
-            num, q = x.numerator, x.denominator
-            factor = {e: num**e * q ** (top - e) for e in set(exps)}
-            axis.append((x, [factor[e] for e in exps]))
-        axes.append(axis)
-    for combo in itertools.product(*axes):
-        mvals = combo[0][1]
-        for _x, col in combo[1:]:
+        distinct = set(exps)
+        top = tops[v]
+        columns = []
+        for num, q in zip(nums, dens):
+            factor = {e: num**e * q ** (top - e) for e in distinct}
+            columns.append([factor[e] for e in exps])
+        axis_columns.append(columns)
+    points = itertools.product(*axis_values)
+    for point, (mvals, *more) in zip(points, itertools.product(*axis_columns)):
+        for col in more:
             mvals = [f * g for f, g in zip(mvals, col)]
-        vals = [sum([c * mvals[m] for c, m in terms]) for terms in entries]
-        rows = [vals[i * n : (i + 1) * n] for i in range(n)]
-        for i in range(n):
-            for j in range(i):
-                if rows[i][j] != rows[j][i]:
-                    raise NotSymmetric(_NOT_SYMMETRIC)
-        psd = _psd_int(rows)
+        vals = [sum([c * mvals[m] for c, m in terms]) for terms in upper_sums]
+        for terms, u in checks:
+            if sum([c * mvals[m] for c, m in terms]) != vals[u]:
+                raise NotSymmetric(_NOT_SYMMETRIC)
+        psd = _psd_int([[vals[u] for u in row] for row in row_index])
         extra_ok = all(sum([c * mvals[m] for c, m in terms]) >= 0 for terms in extra_sums)
-        yield tuple(x for x, _col in combo), psd, extra_ok
+        yield point, psd, extra_ok
+
+
+def _check_grid_bits(sums, tops, coords):
+    """Raise ValueError when the grid's integers would exceed _GRID_BITS_CAP bits.
+
+    One point's integer has at most about (coefficient bits) +
+    sum_v top_v * (bits of the largest num_v or q_v on axis v) bits; that
+    bound times the point count is estimated before any power is taken.
+    """
+    bits = max((abs(c) for terms in sums for c, _m in terms), default=0).bit_length()
+    points = 1
+    for top, (nums, dens) in zip(tops, coords):
+        bits += top * max(max(nums), -min(nums), max(dens)).bit_length()
+        points *= len(nums)
+    if bits * points > _GRID_BITS_CAP:
+        raise ValueError(
+            f"grid evaluation needs about {bits * points} integer bits "
+            f"({bits} per point), exceeding the bound {_GRID_BITS_CAP}"
+        )
 
 
 def psd_on_grid(a, spec):

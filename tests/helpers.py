@@ -3,10 +3,10 @@
 The oracles here are deliberately written with different algorithms than
 the library code they check: determinants by Laplace cofactor expansion
 instead of fraction-free elimination, semidefiniteness by a pivoted
-rational LDL^t factorization and by the sign of every principal minor
-instead of the characteristic-polynomial criterion, and the pivot routes'
-branches by the paper's block step instead of one fraction-free
-elimination per branch.
+rational LDL^t factorization, by the sign of every principal minor and by
+the characteristic polynomial (Berkowitz) instead of the oracle's
+fraction-free symmetric elimination, and the pivot routes' branches by the
+paper's block step instead of one fraction-free elimination per branch.
 """
 
 import itertools
@@ -155,6 +155,45 @@ def psd_ldlt(a):
         for i in idx:
             for j in idx:
                 work[i][j] -= work[i][pivot] * work[pivot][j] / d
+    return True
+
+
+def psd_berkowitz(rows):
+    """True iff the symmetric integer matrix ``rows`` (a list of rows) is PSD.
+
+    A real symmetric A is PSD exactly when every coefficient of
+    det(xI + A) = sum_k E_k x^(n-k) is nonnegative, where E_k is the sum of
+    the k x k principal minors of A.  A negative diagonal entry rejects at
+    once.  Otherwise Berkowitz's division-free recursion (Inf. Process.
+    Lett. 18, 1984) builds det(xI - A_k) for the leading blocks A_1, ...,
+    A_n: with A_(k+1) = [[A_k, c], [c^t, a]], its coefficient vector is the
+    lower-triangular Toeplitz matrix with first column
+    (1, -a, -c^t c, -c^t A_k c, ..., -c^t A_k^(k-1) c) times that of A_k.
+    Coefficient i of det(xI - A_k) is (-1)^i E_i(A_k), and every principal
+    block of a PSD matrix is PSD, so a block with a wrong sign rejects.
+    O(n^4) integer operations, and no dimension cap.
+    """
+    n = len(rows)
+    for i in range(n):
+        if rows[i][i] < 0:
+            return False
+    poly = [1, -rows[0][0]]
+    for k in range(1, n):
+        row = rows[k]
+        # zip stops at len(v) == k: row[:k] is c^t, and rows[i][:k] rows of A_k
+        toeplitz = [1, -row[k]]
+        v = row[:k]
+        for step in range(k):
+            toeplitz.append(-sum([x * y for x, y in zip(row, v)]))
+            if step + 1 < k:
+                v = [sum([x * y for x, y in zip(rows[i], v)]) for i in range(k)]
+        poly = [
+            sum([toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1)])
+            for i in range(k + 2)
+        ]
+        for i in range(2, k + 2):
+            if poly[i] < 0 if i % 2 == 0 else poly[i] > 0:
+                return False
     return True
 
 

@@ -338,6 +338,32 @@ def test_psd_grid_rejects_rectangular(tmp_path, capsys):
     assert "square" in capsys.readouterr().err
 
 
+def test_hostile_grid_refused_fast(tmp_path, capsys):
+    # t1^4096 at 800-digit coordinates: about 10^7 bits per point, which took
+    # tens of seconds to evaluate on 20 points before any bound was checked
+    path = put(tmp_path, "big.mat", "1 1 1\nt1^4096\n")
+    cert = str(tmp_path / "big.cert")
+    assert main(["diagonalize", "--mode", "bundle", path, "--out", cert]) == 0
+    grid = [f"--grid-low=-1/{'9' * 800}", "--grid-high=1", "--grid-count=20"]
+    for argv in (["psd-grid", path], ["equiv-check", path, cert]):
+        start = time.perf_counter()
+        assert main(argv + grid) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == (
+            "",
+            "error: grid evaluation needs about 218071060 integer bits "
+            "(10903553 per point), exceeding the bound 16777216\n",
+        )
+
+
+def test_matrix_file_parse_is_looked_up_per_call(tmp_path, monkeypatch, capsys):
+    # a wrapper put on cli.parse_matrix, as a tracer puts one, sees the parse
+    calls = count_calls(monkeypatch, "parse_matrix", (cli,))
+    assert main(["psd-grid", put(tmp_path, "i.mat", IDENTITY2)]) == 0
+    assert capsys.readouterr().out == "points=21 psd=21 non_psd=0\n"
+    assert len(calls) == 1
+
+
 # -- equiv-check ---------------------------------------------------------------
 
 

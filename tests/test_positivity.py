@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polydiag import certificates, diagonal
@@ -19,7 +19,9 @@ from polydiag.polymat import PolyMatrix
 from polydiag.positivity import (
     GridSpec,
     RationalMatrix,
+    _axis_values,
     _grid_sweep,
+    _psd_int,
     check_bundle_equivalence,
     eval_matrix,
     generate_grid,
@@ -29,6 +31,7 @@ from polydiag.positivity import (
 
 from helpers import (
     count_calls,
+    psd_berkowitz,
     psd_ldlt,
     psd_principal_minors,
     rand_fraction,
@@ -118,6 +121,53 @@ def test_psd_equals_principal_minor_definition(a):
     assert psd_rational(a) == expected == psd_ldlt(a)
 
 
+@st.composite
+def integer_symmetric(draw):
+    """A symmetric integer matrix, n 1-12, entries up to about 2^64: random,
+    or a Gram matrix G^t G with G of 0 to n rows (rank-deficient below n)
+    and maybe one column of G repeated (a zero pivot with nonzero pivots
+    after it); then maybe a diagonal entry nudged down and maybe a row and
+    column set to zero."""
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        entry = st.integers(-(2**64), 2**64)
+        a = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                a[i][j] = a[j][i] = draw(entry)
+    else:
+        bound = draw(st.sampled_from([2, 2**31]))
+        k = draw(st.integers(0, n))
+        row = st.lists(st.integers(-bound, bound), min_size=n, max_size=n)
+        g = draw(st.lists(row, min_size=k, max_size=k))
+        if n > 1 and draw(st.booleans()):
+            j = draw(st.integers(0, n - 2))
+            for r in g:
+                r[j + 1] = r[j]
+        a = [[sum(r[i] * r[j] for r in g) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        a[i][i] -= draw(st.sampled_from([1, 2**32, 2**64]))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        for j in range(n):
+            a[i][j] = a[j][i] = 0
+    return a
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(integer_symmetric())
+@example([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+@example([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]])
+@example([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+@example([[4, 2, 2], [2, 1, 1], [2, 1, 3]])
+def test_psd_int_equals_berkowitz_and_minors(rows):
+    expected = psd_berkowitz(rows)
+    assert _psd_int(rows) == expected
+    if len(rows) <= 7:
+        assert psd_principal_minors(R(rows)) == expected
+
+
 def test_psd_permutation_invariant():
     rng = random.Random(503)
     for _ in range(100):
@@ -184,6 +234,22 @@ def test_grid_fractional_steps():
     spec = GridSpec(((0, 1, 5),))
     vals = [pt[0] for pt in generate_grid(spec)]
     assert vals == [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+
+
+@BOUNDED
+@given(
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.fractions(min_value=0, max_value=60, max_denominator=12),
+    st.integers(1, 40),
+)
+def test_axis_values_equal_rational_steps(low, width, count):
+    high = low + width
+    (values,) = _axis_values(GridSpec(((low, high, count),)))
+    if count == 1:
+        assert values == [low]
+    else:
+        assert values == [low + k * (high - low) / (count - 1) for k in range(count)]
+    assert all(type(x) is Fraction for x in values)
 
 
 def test_grid_default_shape():
@@ -325,6 +391,16 @@ def test_grid_error_order():
     # the grid cap comes before everything else
     for sweep in _sweeps(lopsided13, GridSpec(((0, 1, 100_001),))):
         with pytest.raises(ValueError, match="exceeding the cap"):
+            sweep()
+    # then the size of the integers the points would need, before any power
+    # is taken: t1^4096 at coordinates of about 2660 bits, on 20 points
+    hostile = PolyMatrix(13, 13, (P("1 + t1^4096"),) + lopsided13.entries[1:])
+    too_big = (
+        r"^grid evaluation needs about \d+ integer bits \(\d+ per point\), "
+        r"exceeding the bound 16777216$"
+    )
+    for sweep in _sweeps(hostile, GridSpec(((-1, 10**800, 20),))):
+        with pytest.raises(ValueError, match=too_big):
             sweep()
     # then symmetry, at the first point where A(s) is not symmetric
     for sweep in _sweeps(lopsided13, GridSpec(((0, 1, 3),))):
