@@ -4,8 +4,8 @@ The library works over sparse multivariate polynomials with rational
 coefficients, diagonalizes symmetric polynomial matrices by exact
 congruence transformations, emits machine-checkable certificates for the
 results, and cross-checks pointwise positivity claims against an
-independent exact PSD oracle (the signs of the characteristic polynomial)
-on rational grids.
+independent exact PSD oracle (a fraction-free elimination of each grid
+point's integer matrix) on rational grids.
 """
 
 __version__ = "0.1.0"

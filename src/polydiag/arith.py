@@ -471,6 +471,8 @@ _TERM_RE = re.compile(
 )
 _FACTOR_RE = re.compile(r"t([0-9]+)(?:\s*\^\s*([0-9]+))?")
 _TOKEN_RE = re.compile(r"([0-9]+)|t([0-9]+)|([+\-*/^])|(\S)")
+# a character that _TOKEN_RE reads only as its last group, (\S)
+_UNEXPECTED_RE = re.compile(r"[^\s0-9t+\-*/^]|t(?![0-9])")
 _DECIMAL_RE = re.compile(r"-?[0-9]+")
 
 
@@ -580,18 +582,38 @@ def _scan(text, nvars):
 
 
 def _tokenize(text, start=0):
-    tokens = []
+    """(kind, value, column) per token of text[start:], one at a time; a
+    token fault raises its ParseError when the walk reaches it."""
     for m in _TOKEN_RE.finditer(text, start):
         col = m.start() + 1
         if m.group(1) is not None:
-            tokens.append(("int", _int_literal(m.group(1), "column", col), col))
+            yield ("int", _int_literal(m.group(1), "column", col), col)
         elif m.group(2) is not None:
-            tokens.append(("var", _int_literal(m.group(2), "column", col), col))
+            yield ("var", _int_literal(m.group(2), "column", col), col)
         elif m.group(3) is not None:
-            tokens.append(("op", m.group(3), col))
+            yield ("op", m.group(3), col)
         else:
             raise ParseError(f"column {col}: unexpected character {m.group(4)!r}")
-    return tokens
+
+
+def _token_fault(text, start):
+    """Raise the ParseError of the first token fault in text[start:], as
+    _tokenize would reach it, if there is one.
+
+    Two regex searches find the first character no token starts with and the
+    first digit run past the int-string limit, so a long line is not
+    tokenized to learn that it has no token fault.
+    """
+    bad = _UNEXPECTED_RE.search(text, start)
+    limit = sys.get_int_max_str_digits()
+    run = limit and re.compile(rf"(?<![0-9])[0-9]{{{limit + 1}}}").search(text, start)
+    if run:
+        # the digits of t<i> belong to a token that starts at the t
+        at = run.start() - (text[run.start() - 1 : run.start()] == "t")
+        if not bad or at < bad.start():
+            _int_literal(run.group(), "column", at + 1)
+    if bad:
+        raise ParseError(f"column {bad.start() + 1}: unexpected character {bad.group()!r}")
 
 
 def _walk(text, nvars, start=0):
@@ -600,19 +622,22 @@ def _walk(text, nvars, start=0):
 
     The walk reads text[start:], where start is 0 or the start of a term
     whose sign follows terms that the grammar accepts, so a fault in
-    text[:start], token fault or not, is impossible.
+    text[:start], token fault or not, is impossible.  A token fault anywhere
+    outranks a grammar fault; past that check the tokens are read one at a
+    time, up to the first fault.
     """
+    _token_fault(text, start)
     tokens = _tokenize(text, start)
-    pos = 0
+    end = ("end", None, len(text) + 1)
+    tok = next(tokens, end)
 
     def peek():
-        return tokens[pos] if pos < len(tokens) else ("end", None, len(text) + 1)
+        return tok
 
     def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
+        nonlocal tok
+        out, tok = tok, next(tokens, end)
+        return out
 
     def parse_factor(exps):
         kind, val, col = take()
@@ -661,13 +686,13 @@ def _walk(text, nvars, start=0):
             raise ParseError(f"column {col}: expected a term")
 
     if start == 0:
-        if not tokens:
+        if tok is end:
             raise ParseError("empty polynomial")
         kind, val, col = peek()
         if kind == "op" and val in "+-":
             take()
         parse_term()
-    while pos < len(tokens):
+    while tok is not end:
         kind, val, col = take()
         if kind != "op" or val not in "+-":
             raise ParseError(f"column {col}: expected '+' or '-' between terms")

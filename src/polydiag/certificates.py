@@ -54,7 +54,14 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .arith import MAX_NVARS, Polynomial, _decimal_int, _int_literal, parse_polynomial, sum_of_products
 from .errors import InternalIdentityFailure, NotSymmetric, ParseError
-from .polymat import PolyMatrix, _data_lines, _parse_matrix_lines, format_matrix
+from .polymat import (
+    PolyMatrix,
+    _data_lines,
+    _parse_line,
+    _parse_matrix_lines,
+    congruence_sum,
+    format_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +394,8 @@ def sos_matrix_failures(a, cert):
     failures = []
     if cert.c.is_zero():
         failures.append("c is nonzero")
-    acc = PolyMatrix.zeros(n, n, a.nvars)
-    for q in cert.factors:
-        acc = acc + q.transpose() @ q
-    if (cert.c * cert.c) * a != acc:
+    squares = congruence_sum(n, a.nvars, [(q.transpose(), None) for q in cert.factors])
+    if (cert.c * cert.c) * a != squares:
         failures.append("c^2*A = sum(Q^t*Q)")
     return failures
 
@@ -494,18 +499,18 @@ def membership_failures(element, generators, cert):
     for idx in cert.generator_index_sets:
         if any(k > r for k in idx):
             raise ValueError(f"index set {idx} exceeds generator count {r}")
-    acc = PolyMatrix.zeros(n, n, nvars)
+    terms = []
     for idx, ys in zip(cert.generator_index_sets, cert.coefficients):
-        prod = PolyMatrix.identity(gdim, nvars)
+        prod = None  # the identity, the empty product
         for k in idx:
-            prod = prod @ generators[k - 1]
+            prod = generators[k - 1] if prod is None else prod @ generators[k - 1]
         for y in ys:
             if y.rows != gdim or y.cols != n:
                 raise ValueError(f"coefficient must be {gdim}x{n}, got {y.rows}x{y.cols}")
             if y.nvars != nvars:
                 raise ValueError("coefficient and generators disagree on variable count")
-            acc = acc + y.transpose() @ prod @ y
-    if acc != element:
+            terms.append((y.transpose(), prod))
+    if congruence_sum(n, nvars, terms) != element:
         return ["element = sum(y^t*G_idx*y)"]
     return []
 
@@ -632,6 +637,7 @@ class _Reader:
         self.pos = 0
         self.nvars = None
         self.counts = {}
+        self.memo = {}  # one polynomial per distinct line of the file
 
     def expect(self, tag, name):
         if self.pos >= len(self.sections):
@@ -657,7 +663,9 @@ class _Reader:
         body, lineno = self.expect("matrix", name)
         try:
             # numbered from the section's first data line, as a matrix file's
-            mat = _parse_matrix_lines([(k, line) for k, (_ln, line) in enumerate(body, 1)])
+            mat = _parse_matrix_lines(
+                [(k, line) for k, (_ln, line) in enumerate(body, 1)], self.memo
+            )
         except ParseError as exc:
             raise ParseError(f"section [matrix {name}] near line {lineno}: {exc}") from None
         if mat.nvars != self.nvars:
@@ -685,10 +693,7 @@ class _Reader:
         if len(body) != 1:
             raise ParseError(f"section [poly {name}] near line {lineno} must hold exactly one line")
         ln, line = body[0]
-        try:
-            return parse_polynomial(line, self.nvars)
-        except ParseError as exc:
-            raise ParseError(f"line {ln}: {exc}") from None
+        return _parse_line(self.memo, self.nvars, ln, line)
 
     def trace(self, name, _trace):
         body, _lineno = self.expect("trace", name)

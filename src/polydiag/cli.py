@@ -191,7 +191,7 @@ def _build_parser():
     p.add_argument("--out", metavar="PATH", help="write the listing here instead of stdout")
     p.set_defaults(func=_cmd_gens)
 
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_diagonalize(args):
@@ -272,12 +272,55 @@ def _cmd_gens(args):
     return 0
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
+
+# --grid-low and --grid-high as argparse's abbreviations reach them
+_GRID_BOUND_FLAG_RE = re.compile(r"--grid-(?:l(?:ow?)?|h(?:i(?:gh?)?)?)")
+
+
+def _join_negative_bounds(argv):
+    """argv with each grid bound flag and a negative rational after it, such
+    as ``--grid-low -1/2``, joined into ``--grid-low=-1/2``.
+
+    argparse takes -1/2 for a flag, as it does any word that starts with '-'
+    and is not -<digits> or -<digits>.<digits>.
+    """
+    out = []
+    for k, arg in enumerate(argv):
+        if arg == "--":  # the words after it are positional
+            return out + argv[k:]
+        if (
+            out
+            and arg.startswith("-")
+            and _RATIONAL_RE.fullmatch(arg)
+            and _GRID_BOUND_FLAG_RE.fullmatch(out[-1])
+        ):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _parse_args(argv):
+    """The namespace of argv, as _PARSER.parse_args(argv) gives it.
+
+    When argv[0] names a subcommand, that subcommand's parser reads the rest
+    alone.  Any other argv, or one that leaves arguments over, goes through
+    _PARSER, so every usage text and exit code is the full parser's.
+    """
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is not None:
+        if argv[0] in ("psd-grid", "equiv-check"):
+            argv = _join_negative_bounds(argv)
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None):
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

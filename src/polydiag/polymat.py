@@ -157,27 +157,8 @@ class PolyMatrix:
         return PolyMatrix(self.rows, cols, out)
 
     def congruence(self, m):
-        """X*M*X^t for X = self.
-
-        When M is symmetric, so is X*M*X^t: only its upper triangle is
-        multiplied, as rows of X*M against rows of X, and then mirrored.  A
-        non-symmetric M takes the plain product.
-        """
-        if not m.is_symmetric():
-            return self @ m @ self.transpose()
-        xm = self @ m
-        nvars = self.nvars
-        n = self.rows
-        k = self.cols
-        x = self.entries
-        out = [None] * (n * n)
-        for i in range(n):
-            row = xm.entries[i * k : (i + 1) * k]
-            for j in range(i, n):
-                out[i * n + j] = out[j * n + i] = sum_of_products(
-                    nvars, zip(row, x[j * k : (j + 1) * k])
-                )
-        return PolyMatrix(n, n, out)
+        """X*M*X^t for X = self; see congruence_sum."""
+        return congruence_sum(self.rows, self.nvars, ((self, m),))
 
     def transpose(self):
         return PolyMatrix(
@@ -305,6 +286,38 @@ class PolyMatrix:
         return min(self.rows, self.cols), sign, m
 
 
+def congruence_sum(n, nvars, terms):
+    """The n x n sum of X*M*X^t over the pairs (X, M) of terms, each X with
+    n rows and each M square, None standing for the identity.
+
+    Each entry is one sum_of_products over all terms, of row i of X*M against
+    row j of X.  When every M is symmetric, so is the sum: only its upper
+    triangle is multiplied, and then mirrored.
+    """
+    parts = []
+    symmetric = True
+    for x, m in terms:
+        if x.rows != n or (m is not None and m.rows != m.cols):
+            raise ValueError(f"X*M*X^t needs an X with {n} rows and a square M")
+        if m is not None:
+            symmetric = symmetric and m.is_symmetric()
+        parts.append(((x if m is None else x @ m).entries, x.entries, x.cols))
+    out = [None] * (n * n)
+    for i in range(n):
+        for j in range(i if symmetric else 0, n):
+            out[i * n + j] = sum_of_products(
+                nvars,
+                [
+                    pair
+                    for xm, x, k in parts
+                    for pair in zip(xm[i * k : (i + 1) * k], x[j * k : (j + 1) * k])
+                ],
+            )
+            if symmetric:
+                out[j * n + i] = out[i * n + j]
+    return PolyMatrix(n, n, out)
+
+
 def _bareiss_step(nvars, m, k, prev, rows, cols, symmetric=False):
     """One fraction-free step on the pivot m[k][k], in place.
 
@@ -347,12 +360,30 @@ def _data_lines(text):
 
 def parse_matrix(text):
     """Parse the matrix file format; raises ParseError with a line number."""
-    return _parse_matrix_lines(_data_lines(text))
+    return _parse_matrix_lines(_data_lines(text), {})
 
 
-def _parse_matrix_lines(lines):
+def _parse_line(memo, nvars, lineno, line):
+    """parse_polynomial(line, nvars), parsed once per parse of a file: memo
+    maps (nvars, line) to the polynomial of each line parsed so far.
+
+    Polynomials are immutable, so repeated lines share one.  A line that
+    fails is not stored, so each failure is raised at its first line, which
+    the ParseError names.
+    """
+    poly = memo.get((nvars, line))
+    if poly is None:
+        try:
+            poly = memo[nvars, line] = parse_polynomial(line, nvars)
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return poly
+
+
+def _parse_matrix_lines(lines, memo):
     """The matrix whose file has the data lines ``lines``, as _data_lines
-    gives them; each ParseError names the line's number."""
+    gives them, its entries parsed through memo (see _parse_line); each
+    ParseError names the line's number."""
     if not lines:
         raise ParseError("empty matrix file")
     lineno, header = lines[0]
@@ -373,10 +404,5 @@ def _parse_matrix_lines(lines):
     if len(body) > rows * cols:
         extra_lineno = body[rows * cols][0]
         raise ParseError(f"line {extra_lineno}: trailing data past {rows * cols} entries")
-    entries = []
-    for lineno, line in body:
-        try:
-            entries.append(parse_polynomial(line, nvars))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+    entries = [_parse_line(memo, nvars, lineno, line) for lineno, line in body]
     return PolyMatrix(rows, cols, entries)

@@ -1,6 +1,7 @@
 """Tests for exact rational polynomial arithmetic."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polydiag import arith
 from polydiag.arith import MAX_EXPONENT, Polynomial, _tokenize, _walk, parse_polynomial
 from polydiag.errors import ParseError
 
@@ -210,7 +212,7 @@ def reference_parse(text, nvars):
     its tokens with the validating constructor."""
     total = Polynomial.zero(nvars)
     sign, started = 1, False
-    for kind, val, _col in _tokenize(text) + [("op", "+", None)]:
+    for kind, val, _col in [*_tokenize(text), ("op", "+", None)]:
         if kind == "op" and val in "+-":
             if started:
                 total += Polynomial(nvars, {tuple(exps): sign * coeff})
@@ -234,7 +236,14 @@ def reference_parse(text, nvars):
 @given(POLY_TEXT, st.sampled_from((1, 2, 2, 3)))
 def test_scan_agrees_with_walker(text, nvars):
     """Each text gives the reference polynomial, or the ParseError of a
-    token walk over the whole text."""
+    token walk over the whole text; a token fault anywhere outranks a
+    grammar fault."""
+    try:
+        list(_tokenize(text))
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            _walk(text, nvars)
+        assert str(info.value) == str(exc)
     try:
         _walk(text, nvars)
     except ParseError as exc:
@@ -245,7 +254,7 @@ def test_scan_agrees_with_walker(text, nvars):
         assert parse_polynomial(text, nvars) == reference_parse(text, nvars)
 
 
-def test_parse_long_line_in_linear_time():
+def test_parse_long_line_in_linear_time(monkeypatch):
     text = " + ".join(f"{k}*t1^{k % 90}*t2^{k // 90 % 90}" for k in range(1, 100_001))
     start = time.perf_counter()
     p = parse_polynomial(text, 2)
@@ -256,6 +265,27 @@ def test_parse_long_line_in_linear_time():
         parse_polynomial(text + "$", 2)
     assert time.perf_counter() - start < 1.0
     assert str(info.value) == f"column {len(text) + 1}: unexpected character '$'"
+    # a fault in the first term is found without reading the terms after it;
+    # a token fault at the far end still outranks it
+    first_term_fault = "t1 t2" + text[len("1*t1^1*t2^0") :]
+    literals = []
+    real_int_literal = arith._int_literal
+    monkeypatch.setattr(
+        arith, "_int_literal", lambda *args: literals.append(args) or real_int_literal(*args)
+    )
+    with pytest.raises(ParseError) as info:
+        parse_polynomial(first_term_fault, 2)
+    assert str(info.value) == "column 4: expected '+' or '-' between terms"
+    assert len(literals) < 5
+    for tail, message in (
+        ("$", "unexpected character '$'"),
+        ("t" + "9" * 5000, f"integer with more than {sys.get_int_max_str_digits()} digits"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(f"{first_term_fault} + {tail}", 2)
+        assert time.perf_counter() - start < 1.0
+        assert str(info.value) == f"column {len(first_term_fault) + 4}: {message}"
 
 
 def test_parse_star_optional_after_coefficient():

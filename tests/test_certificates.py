@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from polydiag import __version__, certificates
+from polydiag import __version__, certificates, polymat
 from polydiag.arith import Polynomial, parse_polynomial
 from polydiag.certificates import (
     MAX_GENERATORS,
@@ -564,6 +564,33 @@ def test_parse_rejects_malformed_files():
     assert d_block in good
     with pytest.raises(ParseError, match="expected 2x2"):
         parse_certificate(good.replace(d_block, "[matrix D]\n1 1 1\nt1"))
+
+
+def test_parse_certificate_parses_each_distinct_line_once(monkeypatch):
+    good = format_diag_certificate(single_path_diagonalize(SUBJECT))
+    calls = count_calls(monkeypatch, "parse_polynomial", (polymat,))
+    _, cert = parse_certificate(good)
+    # t1, 0, 1, -1 and t1^3 - t1, across three [matrix] sections and [poly w]
+    assert len(calls) == 5
+    assert cert.X_plus[0, 0] is cert.D[0, 0] is cert.X_minus[1, 1] is cert.w
+    assert parse_certificate(good)[1].w is not cert.w
+
+
+def test_parse_certificate_reports_a_repeated_bad_line_first():
+    def retyped(text, old, new):
+        return "\n".join(new if line == old else line for line in text.split("\n"))
+
+    # the first t1 of the diag certificate is in [matrix X_plus], line 2 of
+    # the section; the sos certificate's is its [poly c] line, line 8
+    diag = format_diag_certificate(single_path_diagonalize(SUBJECT))
+    sos = format_sos_certificate(SosMatrixCertificate(P("t1"), (M([["t1", "1"]]),)))
+    for text, message in (
+        (diag, "section [matrix X_plus] near line 6: line 2: column 1: unknown variable t2 (nvars=1)"),
+        (sos, "line 8: column 1: unknown variable t2 (nvars=1)"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_certificate(retyped(text, "t1", "t2"))
+        assert str(info.value) == message
 
 
 def test_parse_rejects_bad_poly_section():

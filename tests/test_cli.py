@@ -299,6 +299,39 @@ def test_psd_grid_flag_validation(tmp_path, capsys):
     assert "expected once or 2 times" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["psd-grid", "equiv-check"])
+def test_negative_grid_bound_after_a_space(tmp_path, capsys, command):
+    # argparse reads a word such as -1/2 or -1. as a flag; both forms of a
+    # bound, and argparse's abbreviations of the flags, give one grid
+    mat = put(tmp_path, "a.mat", SUBJECT)
+    files = [mat] + ([put(tmp_path, "b.cert", DIAG_BUNDLE)] if command == "equiv-check" else [])
+    outputs = set()
+    for bounds in (
+        ["--grid-low=-1/2", "--grid-high=-1/4"],
+        ["--grid-low", "-1/2", "--grid-high", "-1/4"],
+        ["--grid-l", "-2/4", "--grid-hi", "-0.25"],
+        ["--grid-high", "-1/4", "--grid-lo", "-1/2"],
+    ):
+        code = main([command, *files, *bounds, "--grid-count", "3"])
+        outputs.add((code, capsys.readouterr()))
+    assert len(outputs) == 1
+    (code, (out, err)), = outputs
+    assert err == ""
+    if command == "psd-grid":
+        assert (code, out) == (4, "(-1/2); psd=0\n(-3/8); psd=0\n(-1/4); psd=0\n"
+                                  "points=3 psd=0 non_psd=3\n")
+    else:
+        assert (code, out) == (0, "points=3 agree=3 disagree=0\n")
+    assert main([command, *files, "--grid-low", "-1.", "--grid-high", "-1/2"]) == code
+    assert main([command, *files, "--grid-low", "-1/0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: bad --grid-low value '-1/0', expected a rational like -10 or 1/2\n"
+    )
+    # a word after -- stays positional
+    assert main([command, *files, "--", "--grid-low", "-1/2"]) == 1
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --grid-low -1/2\n")
+
+
 @pytest.mark.parametrize("text", ["1e999999999", "-1E5", "2.5e-1"])
 def test_grid_bound_exponent_refused_fast(tmp_path, capsys, text):
     # Fraction would compute 10^exp first; 1e999999999 needs a 415 MB integer
@@ -471,6 +504,89 @@ def test_usage_errors(tmp_path, capsys):
     path = put(tmp_path, "a.mat", SUBJECT)
     assert main(["diagonalize", path, "--mode", "sideways"]) == 1
     assert main(["diagonalize"]) == 1
+
+
+# Each argv gives the same namespace, or the same exit status, stdout and
+# stderr, through cli._parse_args as through the full parser.  No file is
+# read: parsing stops at the namespace.
+DISPATCH_ARGV = [
+    [],
+    ["no-such-command"],
+    ["-x"],
+    ["-h"],
+    ["--help"],
+    ["--version"],
+    ["--version", "verify"],
+    ["verify", "a.mat", "c.cert"],
+    ["verify", "a.mat"],
+    ["verify"],
+    ["verify", "a.mat", "c.cert", "extra"],
+    ["verify", "a.mat", "c.cert", "-x"],
+    ["verify", "a.mat", "c.cert", "--version"],
+    ["verify", "a.mat", "c.cert", "--v"],
+    ["verify", "-h"],
+    ["verify", "--he"],
+    ["verify", "--", "a.mat", "c.cert"],
+    ["verify", "a.mat", "--", "c.cert"],
+    ["verify", "-1", "c.cert"],
+    ["diagonalize", "--mode=bundle", "a.mat"],
+    ["diagonalize", "--mode", "sideways", "a.mat"],
+    ["diagonalize", "a.mat", "--m", "standard", "--out", "o.cert", "--cap", "5"],
+    ["diagonalize", "a.mat", "--cap-branches", "x"],
+    ["diagonalize", "a.mat", "--cap-branches"],
+    ["psd-grid", "a.mat", "--grid-c", "3"],
+    ["psd-grid", "a.mat", "--grid-", "3"],
+    ["psd-grid", "a.mat", "--grid-low", "-1", "--grid-high=-0.5", "--grid-count=3"],
+    ["psd-grid", "a.mat", "--grid-low", "1/2", "--grid-low", "abc"],
+    ["psd-grid", "a.mat", "--grid-low=-1/2", "b.mat"],
+    ["psd-grid", "a.mat", "--grid-count", "-3"],
+    ["psd-grid", "a.mat", "--grid-high"],
+    ["equiv-check", "a.mat", "c.cert", "--grid-low", "0", "--grid-high", "1"],
+    ["equiv-check", "a.mat"],
+    ["gens", "a.mat", "b.mat", "--out", "o.txt"],
+    ["gens"],
+    ["gens", "--out", "o.txt"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=lambda argv: " ".join(argv) or "empty")
+def test_dispatch_matches_full_parser(argv, capsys):
+    direct = _parse_outcome(cli._parse_args, list(argv), capsys)
+    assert direct == _parse_outcome(cli._PARSER.parse_args, list(argv), capsys)
+
+
+def test_subcommand_argv_skips_the_full_parser(tmp_path, monkeypatch, capsys):
+    calls = count_calls(monkeypatch, "parse_args", (cli._PARSER,))
+    assert main(["psd-grid", put(tmp_path, "i.mat", IDENTITY2), "--grid-c", "3"]) == 0
+    assert capsys.readouterr().out == "points=3 psd=3 non_psd=0\n"
+    assert calls == []
+    assert main(["psd-grid"]) == 1
+    assert calls == []
+    assert main(["psd-grid", "i.mat", "extra"]) == 1  # the full parser reports it
+    assert len(calls) == 1
+    assert capsys.readouterr().err.endswith("polydiag: error: unrecognized arguments: extra\n")
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    path = put(tmp_path, "t.mat", "1 1 1\nt1\n")
+    argv = ["psd-grid", path, "--grid-low=-1", "--grid-high", "1", "--grid-count", "3"]
+    assert main(argv) == 4
+    given = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["polydiag", *argv])
+    assert main() == 4
+    assert capsys.readouterr() == given
+    monkeypatch.setattr(sys, "argv", ["polydiag", "--version"])
+    assert main() == 0
+    assert capsys.readouterr().out == f"polydiag {__version__}\n"
 
 
 # -- verification counts ---------------------------------------------------------

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from polydiag import polymat
 from polydiag.arith import MAX_NVARS, Polynomial, parse_polynomial
 from polydiag.errors import ParseError
 from polydiag.polymat import (
     PolyMatrix,
+    congruence_sum,
     format_matrix,
     parse_matrix,
 )
@@ -16,6 +18,7 @@ from polydiag.positivity import eval_matrix
 
 from helpers import (
     const_matrix,
+    count_calls,
     det_cofactor,
     psd_ldlt,
     rand_matrix,
@@ -192,6 +195,29 @@ def test_congruence_preserves_pointwise_psd():
             assert psd_ldlt(eval_matrix(probe, pt))
 
 
+def test_congruence_sum_equals_summed_products():
+    # the plain products, summed one term at a time, are the reference
+    rng = random.Random(212)
+    for _ in range(60):
+        n, nvars = rng.randint(1, 3), rng.randint(1, 2)
+        terms = []
+        expected = PolyMatrix.zeros(n, n, nvars)
+        for _ in range(rng.randint(0, 3)):
+            k = rng.randint(1, 3)
+            x = rand_matrix(rng, n, k, nvars)
+            m = rng.choice((None, rand_symmetric(rng, k, nvars), rand_matrix(rng, k, k, nvars)))
+            terms.append((x, m))
+            middle = PolyMatrix.identity(k, nvars) if m is None else m
+            expected = expected + x @ middle @ x.transpose()
+        assert congruence_sum(n, nvars, terms) == expected
+        if len(terms) == 1 and terms[0][1] is not None:
+            assert terms[0][0].congruence(terms[0][1]) == expected
+    with pytest.raises(ValueError):
+        congruence_sum(2, 1, [(M([["1", "t1"]]), None)])
+    with pytest.raises(ValueError):
+        congruence_sum(1, 1, [(M([["1", "t1"]]), M([["1", "t1"], ["1", "t1"], ["0", "0"]]))])
+
+
 def test_symmetry_and_diagonal_predicates():
     assert M([["t1", "1"], ["1", "0"]]).is_symmetric()
     assert not M([["t1", "1"], ["0", "t1"]]).is_symmetric()
@@ -271,6 +297,26 @@ def test_parse_matrix_lines_break_at_newlines_only(text, message):
     with pytest.raises(ParseError) as info:
         parse_matrix(text)
     assert str(info.value) == message
+
+
+def test_parse_matrix_parses_each_distinct_line_once(monkeypatch):
+    calls = count_calls(monkeypatch, "parse_polynomial", (polymat,))
+    text = "2 2 2\nt1 + t2\n0\n0\nt1 + t2\n"
+    a = parse_matrix(text)
+    assert a == M([["t1 + t2", "0"], ["0", "t1 + t2"]], 2)
+    assert len(calls) == 2
+    assert a[0, 0] is a[1, 1] and a[0, 1] is a[1, 0]
+    assert parse_matrix(text)[0, 0] is not a[0, 0]
+    # a bad line that repeats is reported at its first line
+    with pytest.raises(ParseError) as info:
+        parse_matrix("2 2 1\nt1\nt2\n1\nt2\n")
+    assert str(info.value) == "line 3: column 1: unknown variable t2 (nvars=1)"
+    # one memo holds a line once per variable count
+    memo = {}
+    assert polymat._parse_line(memo, 2, 1, "t2").nvars == 2
+    with pytest.raises(ParseError) as info:
+        polymat._parse_line(memo, 1, 7, "t2")
+    assert str(info.value) == "line 7: column 1: unknown variable t2 (nvars=1)"
 
 
 def test_parse_matrix_errors_carry_line_numbers():
