@@ -43,7 +43,7 @@ from polydiag.diagonal import (
 from polydiag.errors import BundleTooLarge
 from polydiag.polymat import PolyMatrix, format_matrix, parse_matrix
 
-from helpers import rand_symmetric, rand_symmetric_total_deg
+from helpers import rand_matrix, rand_symmetric, rand_symmetric_total_deg
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -245,11 +245,11 @@ def digest_matrices():
         yield a
 
 
-def route_outputs(a):
+def route_outputs(a, cap=DIGEST_CAP):
     routes = (
         lambda: format_diag_certificate(standard_form_diagonalize(a)),
         lambda: format_diag_certificate(single_path_diagonalize(a)),
-        lambda: format_bundle_certificate(diagonalization_bundle(a, DIGEST_CAP)),
+        lambda: format_bundle_certificate(diagonalization_bundle(a, cap)),
     )
     for route in routes:
         try:
@@ -258,10 +258,51 @@ def route_outputs(a):
             yield f"{type(exc).__name__}: {exc}\n"
 
 
-def test_routes_digest():
+def routes_digest(matrices, cap):
     digest = hashlib.sha256()
-    for a in digest_matrices():
+    for a in matrices:
         digest.update(format_matrix(a).encode("utf-8"))
-        for text in route_outputs(a):
+        for text in route_outputs(a, cap):
             digest.update(text.encode("utf-8"))
-    assert digest.hexdigest() == ROUTES_DIGEST
+    return digest.hexdigest()
+
+
+def test_routes_digest():
+    assert routes_digest(digest_matrices(), DIGEST_CAP) == ROUTES_DIGEST
+
+
+# The same over 36 seeded matrices whose walks compact zero rows and columns
+# out of the trailing block and meet vanishing corners: Gram matrices G^t*G
+# of a G with fewer rows than columns, matrices with zero rows and columns,
+# and matrices with a zero corner or a zero leading 2 x 2 block (n 3-5, 1-2
+# variables).  Within the cap, 15 of the 25 bundles compact a zero row and
+# 20 have a vacuous branch.  The digest was computed before the walk carried
+# X_minus through its elimination.
+
+COMPACTION_CAP = 60
+COMPACTION_DIGEST = "9a60c83bc386b996c9c093719a7705c44ae1760c335ac2dbe941d5ed2388eb17"
+
+
+def compaction_matrices():
+    rng = random.Random(20072)
+    for k in range(36):
+        n, nvars, two = 3 + k % 3, 1 + (k // 9) % 2, (k // 18) % 2
+        kind = (k // 3) % 3
+        if kind == 0:  # rank at most 1 + two, below n
+            g = rand_matrix(rng, 1 + two, n, nvars, max_deg=1)
+            yield g.transpose() @ g
+            continue
+        a = rand_symmetric(rng, n, nvars)
+        if kind == 1:  # zero rows and columns
+            dead = rng.sample(range(n), 1 + two)
+            keep = lambda i, j: i not in dead and j not in dead
+        else:  # a zero corner, or a zero leading 2 x 2 block
+            keep = lambda i, j: max(i, j) > two
+        zero = parse_polynomial("0", nvars)
+        yield PolyMatrix.from_rows(
+            [[a[i, j] if keep(i, j) else zero for j in range(n)] for i in range(n)]
+        )
+
+
+def test_compaction_digest():
+    assert routes_digest(compaction_matrices(), COMPACTION_CAP) == COMPACTION_DIGEST
