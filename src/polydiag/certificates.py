@@ -760,7 +760,12 @@ def _bundle_layout(io, dim, bundle):
         x_plus = io.matrix(f"X_plus_{k}", cert and cert.X_plus, dim, dim)
         x_minus = io.matrix(f"X_minus_{k}", cert and cert.X_minus, dim, dim)
         w = io.poly(f"w_{k}", cert and cert.w)
-        branches.append((DiagCertificate(x_plus, x_minus, d, w), io.trace(str(k), trace)))
+        trace = io.trace(str(k), trace)
+        count = len(trace.pivots)
+        io.check(count < dim, f"section [trace {k}]: {count} pivots for dim {dim}, at most {dim - 1} fit")
+        for size, (i, j) in zip(range(dim, 0, -1), trace.pivots):  # each block one smaller
+            io.check(j <= size, f"section [trace {k}]: pivot ({i},{j}) outside its {size}x{size} block")
+        branches.append((DiagCertificate(x_plus, x_minus, d, w), trace))
     return DiagBundle(tuple(branches))
 
 

@@ -37,8 +37,9 @@ would be >= 0 there.
 
 The pivot move adds row j to row i (for i < j) and swaps rows 1 and i; the
 corner a_ii + 2*a_ij + a_jj is twice the averaged pivot value.  A branch's
-moves and compactions make one integer matrix P with an integer inverse;
-it eliminates B = P*A*P^t, then X_plus = P^-1*X_plus', X_minus = X_minus'*P.
+moves and compactions make one integer matrix P with an integer inverse.
+The walk eliminates [A | I], with column operations on the left n columns
+only: that leaves [B | X_minus], B = P*A*P^t, and X_plus = P^-1*X_plus'.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import Polynomial, sum_of_products
+from .arith import Polynomial
 from .certificates import (
     DiagBundle, DiagCertificate, PivotTrace, bundle_certificate_failures, diag_certificate_failures
 )
@@ -86,7 +87,7 @@ def _standard_form(a):
         raise ValueError("standard form needs dimension at least 2")
     if a.is_zero():
         raise ZeroMatrix("matrix is identically zero")
-    ((work, _p, _p_inv, level, _pivots, _vacuous),) = _walk(a, "standard")
+    ((work, _p_inv, level, _pivots, _vacuous),) = _walk(a, "standard")
     rank = level + (not work[level][level].is_zero())
     return StandardFormData([work[p][p] for p in range(rank)]), work
 
@@ -112,15 +113,15 @@ def standard_form_diagonalize(a):
 def _closed_form(nvars, work, rank, k, jacobi):
     """(X_plus rows, X_minus rows, D, w) of a symmetric B from its elimination.
 
-    work[p][p] = M_(p+1) for p < rank; in column j < k below it sits the
-    numerator det B[(1..j, i+1), (1..j+1)] (1-based) of L, the unit lower
-    triangular factor of B = L*diag(M_p/M_(p-1))*L^t; k steps divided.
-    Row p of X_minus = S*L^-1 is scaled by s_p = M_min(p,k) (M_0 = 1) if
-    jacobi, else by m = M_1*...*M_k.  Then X_plus = w*L*S^-1 and D_p =
-    s_p^2*M_(p+1)/M_p need no division, with w = m^2 for the scaling by m
-    but w = m for the Jacobi one: column j of L*S^-1 then has the
-    denominator M_j*M_(j+1), two distinct factors of m.  X_minus is solved
-    row by row, each step dividing by one minor.
+    work is [B | P] after k steps: work[p][p] = M_(p+1) for p < rank; in
+    column j < k below it, the numerator det B[(1..j, i+1), (1..j+1)]
+    (1-based) of L, the unit lower triangular factor of B =
+    L*diag(M_p/M_(p-1))*L^t; on the right, S*L^-1*P with the Jacobi scaling
+    s_p = M_min(p,k) (M_0 = 1).  Scaling by m = M_1*...*M_k multiplies row p
+    by m/s_p.
+    Then X_plus = w*L*S^-1 and D_p = s_p^2*M_(p+1)/M_p need no division,
+    with w = m^2 for the scaling by m but w = m for the Jacobi one: column j
+    of L*S^-1 then has the denominator M_j*M_(j+1), two distinct factors of m.
     """
     n = len(work)
     minors = [work[p][p] for p in range(rank)]
@@ -129,34 +130,25 @@ def _closed_form(nvars, work, rank, k, jacobi):
     quot = [math.prod(minors[:j] + minors[j + 1 : k], start=one) for j in range(k)]
     m = quot[0] * minors[0] if k else one
     quot.insert(0, m)
-    # per row p: s_p, w / s_p and s_p / M_p; per column j < k: w / (s_j * M_(j+1))
+    # per row p: w / s_p and D_p; per column j < k: w / (s_j * M_(j+1))
     if jacobi:
         w = m
-        s = [([one] + minors)[min(p, k)] for p in range(n)]
         w_over_s = [quot[min(p, k)] for p in range(n)]
-        s_over_minor = [one] * rank
+        d = [s * minor for s, minor in zip([one] + minors, minors)]  # s_p = M_p below the rank
         # m / (M_j * M_(j+1)): the minors other than those two
         col = [math.prod(minors[:max(j - 1, 0)] + minors[j + 1 : k], start=one) for j in range(k)]
+        x_minus = [row[n:] for row in work]
     else:
         w = m * m
-        s, w_over_s, s_over_minor = [m] * n, [m] * n, quot
+        w_over_s = [m] * n
+        d = [m * (quot[p] * minors[p]) for p in range(rank)]
         col = quot[1:]
+        x_minus = [[quot[min(p, k)] * x for x in work[p][n:]] for p in range(n)]
     x_plus = [[zero] * n for _ in range(n)]
-    x_minus = [[zero] * n for _ in range(n)]
     for i in range(n):
         x_plus[i][i] = w_over_s[i]
-        x_minus[i][i] = s[i]
         for j in range(min(i, k)):
             x_plus[i][j] = col[j] * work[i][j]
-        # X_minus * L = S: x_minus[i][j] = -sum_q x_minus[i][q] * work[q][j] / M_(j+1)
-        for j in range(min(i, k) - 1, -1, -1):
-            acc = sum_of_products(nvars, ((x_minus[i][q], work[q][j]) for q in range(j + 1, i + 1)))
-            try:
-                x_minus[i][j] = (-acc).exact_div(minors[j])
-            except ValueError:
-                msg = f"inverse entry ({i + 1},{j + 1}) is not polynomial"
-                raise InternalIdentityFailure(msg) from None
-    d = [s[p] * (s_over_minor[p] * minors[p]) for p in range(rank)]
     return x_plus, x_minus, PolyMatrix.diagonal(d + [zero] * (n - rank)), w
 
 
@@ -224,15 +216,16 @@ def pivot_congruence(a, i, j):
     n = a.rows
     if not (1 <= i <= j <= n):
         raise ValueError(f"pivot indices must satisfy 1 <= i <= j <= {n}, got ({i},{j})")
-    work = [list(a.row(r)) for r in range(n)]
-    p = _identity(n)
-    _move(work, p, _identity(n), 0, n, i - 1, j - 1)
-    v = PolyMatrix.from_rows([[Polynomial.const(a.nvars, c) for c in row] for row in p])
-    return PolyMatrix.from_rows(work), v, PivotTrace(((i, j),)).scales[0]
+    work = _augmented(a)
+    _move(work, [], 0, n, i - 1, j - 1)  # no P^-1 to carry
+    a_ij, v = ([row[cols] for row in work] for cols in (slice(n), slice(n, None)))
+    return PolyMatrix.from_rows(a_ij), PolyMatrix.from_rows(v), PivotTrace(((i, j),)).scales[0]
 
 
-def _identity(n):
-    return [[int(x == y) for y in range(n)] for x in range(n)]
+def _augmented(a):
+    """The rows of [A | I]."""
+    eye = PolyMatrix.identity(a.rows, a.nvars)
+    return [[*a.row(r), *eye.row(r)] for r in range(a.rows)]
 
 
 def _combine(coeffs, rows):
@@ -250,29 +243,27 @@ def _corner_vanishes(work, level, i, j):
     return (work[a][a] + 2 * work[a][b] + work[b][b]).is_zero()
 
 
-def _permute(work, p, p_inv, lo, hi, order):
+def _permute(work, p_inv, lo, hi, order):
     """Positions lo..hi-1 take the rows, and block columns, at order."""
     work[lo:hi] = [work[x] for x in order]
     for row in work[lo:hi]:
         row[lo:hi] = [row[x] for x in order]
-    p[lo:hi] = [p[x] for x in order]
     for row in p_inv:
         row[lo:hi] = [row[x] for x in order]
 
 
-def _move(work, p, p_inv, level, end, a, b):
+def _move(work, p_inv, level, end, a, b):
     """Pivot move on positions a <= b of the block level..end-1: add row and
     column b to a (a < b), swap a into the corner; P^-1 takes the inverse."""
     if a != b:
         work[a] = [x + y for x, y in zip(work[a], work[b])]
         for row in work[level:end]:
             row[a] = row[a] + row[b]
-        p[a] = [x + y for x, y in zip(p[a], p[b])]
         for row in p_inv:
             row[b] -= row[a]
     order = list(range(level, end))
     order[0], order[a - level] = a, level
-    _permute(work, p, p_inv, level, end, order)
+    _permute(work, p_inv, level, end, order)
 
 
 def single_path_diagonalize(a):
@@ -320,25 +311,26 @@ def _branches(a, route, cap):
 def _walk(a, route):
     """The leaves of route ("standard", "single" or "bundle") on a nonzero a."""
     n = a.rows
-    return _grow(a.nvars, route, [list(a.row(r)) for r in range(n)], _identity(n), _identity(n), 0, n, ())
+    return _grow(a.nvars, route, _augmented(a), [[int(x == y) for y in range(n)] for x in range(n)], 0, n, ())
 
 
-def _grow(nvars, route, work, p, p_inv, level, end, pivots):
-    """Leaves (work, P, P^-1, level, pivots, vacuous), depth first.
+def _grow(nvars, route, work, p_inv, level, end, pivots):
+    """Leaves (work, P^-1, level, pivots, vacuous), depth first.
 
-    A branch's state is the working matrix of its elimination of B =
-    P*A*P^t, with P and P^-1; positions level..end-1 hold the trailing
-    block, and a leaf is reached when that block is identically zero or
-    1 x 1, or (vacuous) when the pivot's corner is identically zero.  The
-    bundle pivots on every (i, j) and compacts zero rows and columns to the
-    block's end; the single path takes the first pivot whose corner is not
-    identically zero and keeps the block whole; the standard route pivots on
-    (1, 1) only, and raises NotStandardForm when that corner vanishes.
+    A branch's state is its elimination of [B | P], B = P*A*P^t, with P^-1;
+    steps span all n rows, so compacted rows keep being scaled.  Positions
+    level..end-1 hold the trailing block, and a leaf is reached when that
+    block is identically zero or 1 x 1, or (vacuous) when the pivot's
+    corner is identically zero.  The bundle pivots on every (i, j) and
+    compacts zero rows and columns to the block's end; the single path
+    takes the first pivot whose corner is not identically zero and keeps
+    the block whole; the standard route pivots on (1, 1) only, and raises
+    NotStandardForm when that corner vanishes.
     """
     size = end - level
     block = range(level, end)
     if size == 1 or all(work[x][y].is_zero() for x in block for y in block):
-        yield work, p, p_inv, level, pivots, False
+        yield work, p_inv, level, pivots, False
         return
     choices = [(i, j) for i in range(1, size + 1) for j in range(i, size + 1)]
     if route == "standard":
@@ -353,19 +345,19 @@ def _grow(nvars, route, work, p, p_inv, level, end, pivots):
         if _corner_vanishes(work, level, i, j):
             if route == "standard":  # M_(level+1) vanishes below the rank
                 raise NotStandardForm(level + 1)
-            yield work, p, p_inv, level, trace, True
+            yield work, p_inv, level, trace, True
             continue
-        w2, p2, p_inv2 = ([row[:] for row in m] for m in (work, p, p_inv))
-        _move(w2, p2, p_inv2, level, end, level + i - 1, level + j - 1)
-        _bareiss_step(nvars, w2, level, prev, end, end, symmetric=True)
+        w2, p_inv2 = ([row[:] for row in m] for m in (work, p_inv))
+        _move(w2, p_inv2, level, end, level + i - 1, level + j - 1)
+        _bareiss_step(nvars, w2, level, prev, len(w2), 2 * len(w2), symmetric=True)
         rest = range(level + 1, end)
         kept = [x for x in rest if any(not w2[x][y].is_zero() for y in rest)] if route == "bundle" else []
         if 0 < len(kept) < len(rest):
-            _permute(w2, p2, p_inv2, level + 1, end, kept + [x for x in rest if x not in kept])
-        yield from _grow(nvars, route, w2, p2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), trace)
+            _permute(w2, p_inv2, level + 1, end, kept + [x for x in rest if x not in kept])
+        yield from _grow(nvars, route, w2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), trace)
 
 
-def _finish(nvars, work, p, p_inv, level, pivots, vacuous):
+def _finish(nvars, work, p_inv, level, pivots, vacuous):
     """The leaf's certificate and trace, under the Jacobi scaling."""
     n = len(work)
     zero = Polynomial.zero(nvars)
@@ -374,6 +366,5 @@ def _finish(nvars, work, p, p_inv, level, pivots, vacuous):
     if vacuous:  # the corner vanished: keep the rows of the pivots taken so far
         xp, w = [[zero] * n for _ in range(n)], zero
         xm = xm[:level] + xp[level:]
-    xm = zip(*_combine(list(zip(*p)), list(zip(*xm))))  # X_minus' * P
-    xp, xm = PolyMatrix.from_rows(_combine(p_inv, xp)), PolyMatrix.from_rows(list(xm))
+    xp, xm = PolyMatrix.from_rows(_combine(p_inv, xp)), PolyMatrix.from_rows(xm)
     return DiagCertificate(xp, xm, d, w), PivotTrace(pivots)

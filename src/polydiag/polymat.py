@@ -323,7 +323,7 @@ def _bareiss_step(nvars, m, k, prev, rows, cols, symmetric=False):
 
     m[i][j] becomes (m[k][k]*m[i][j] - m[i][k]*m[k][j]) / prev for k < i < rows
     and k < j < cols, exact (Sylvester) when prev is the previous pivot; a
-    symmetric block computes j >= i and mirrors it."""
+    symmetric block computes j >= i, mirrored where j < rows."""
     pivot_row = m[k]
     for i in range(k + 1, rows):
         row = m[i]
@@ -331,7 +331,7 @@ def _bareiss_step(nvars, m, k, prev, rows, cols, symmetric=False):
         for j in range(i if symmetric else k + 1, cols):
             pairs = ((pivot_row[k], row[j]), (lead, pivot_row[j]))
             row[j] = sum_of_products(nvars, pairs).exact_div(prev)
-            if symmetric:
+            if symmetric and j < rows:
                 m[j][i] = row[j]
 
 

@@ -37,8 +37,9 @@ from .errors import DimensionCap, NotSymmetric
 
 _PSD_DIMENSION_CAP = 12
 _GRID_CAP = 100_000
-# bits of one point's integers times the point count; see _check_grid_bits
+# bits of one point's integers, times the point count and alone; see _check_grid_bits
 _GRID_BITS_CAP = 2**24
+_POINT_BITS_CAP = 2**22
 _NOT_SYMMETRIC = "PSD oracle needs a symmetric matrix"
 
 
@@ -313,6 +314,8 @@ def _check_grid_bits(sums, tops, coords):
             f"grid evaluation needs about {bits * points} integer bits "
             f"({bits} per point), exceeding the bound {_GRID_BITS_CAP}"
         )
+    if bits > _POINT_BITS_CAP:  # the estimate is linear in bits, big powers are not
+        raise ValueError(f"one grid point needs about {bits} integer bits, exceeding the bound {_POINT_BITS_CAP}")
 
 
 def psd_on_grid(a, spec):

@@ -745,6 +745,14 @@ MALFORMED = [
      'line 28: pivot (1,1) has scale 1, got 2/2'),
     ('diag-bundle.out', '1 2 2/1\n', '1 2 4/2\n',
      'line 50: pivot (1,2) has scale 2, got 4/2'),
+    ('diag-bundle.out', '[trace 1]\n1 1 1/1\n', '[trace 1]\n1 99 2/1\n5 7 2/1\n8 8 1/1\n9 9 1/1\n',
+     'section [trace 1]: 4 pivots for dim 2, at most 1 fit'),
+    ('diag-bundle.out', '[trace 1]\n1 1 1/1\n', '[trace 1]\n1 1 1/1\n1 1 1/1\n',
+     'section [trace 1]: 2 pivots for dim 2, at most 1 fit'),
+    ('diag-bundle.out', '[trace 2]\n1 2 2/1\n', '[trace 2]\n1 3 2/1\n',
+     'section [trace 2]: pivot (1,3) outside its 2x2 block'),
+    ('a3-bundle.out', '[trace 2]\n1 1 1/1\n1 2 2/1\n', '[trace 2]\n1 1 1/1\n1 3 2/1\n',
+     'section [trace 2]: pivot (1,3) outside its 2x2 block'),
     ('membership.cert', '[indexset 2]\n1\n', '[indexset 2]\n1\n2\n',
      'section [indexset 2] near line 28 must hold exactly one line'),
     ('membership.cert', '[indexset 2]\n1\n', '[indexset 2]\none\n',

@@ -389,6 +389,19 @@ def test_hostile_grid_refused_fast(tmp_path, capsys):
         )
 
 
+def test_one_point_hostile_grid_refused_fast(tmp_path, capsys):
+    # t1^4096 + 1 at 3/10^1204, a coordinate of about 4000 bits: one point
+    # needs about 1.6 * 10^7 bits, under the grid's bound, and took seconds
+    path = put(tmp_path, "big.mat", "1 1 1\nt1^4096 + 1\n")
+    start = time.perf_counter()
+    assert main(["psd-grid", path, f"--grid-low=3/1{'0' * 1204}", "--grid-count=1"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == (
+        "",
+        "error: one grid point needs about 16384001 integer bits, exceeding the bound 4194304\n",
+    )
+
+
 def test_matrix_file_parse_is_looked_up_per_call(tmp_path, monkeypatch, capsys):
     # a wrapper put on cli.parse_matrix, as a tracer puts one, sees the parse
     calls = count_calls(monkeypatch, "parse_matrix", (cli,))
@@ -434,6 +447,18 @@ def test_equiv_check_rejects_foreign_bundle(tmp_path, capsys):
     assert main(["diagonalize", "--mode", "bundle", other, "--out", str(cert)]) == 0
     assert main(["equiv-check", mat, str(cert)]) == 3
     assert "identity failed:" in capsys.readouterr().out
+
+
+def test_impossible_bundle_trace_refused(tmp_path, capsys):
+    # four pivots on a 2 x 2 subject, the first outside the matrix
+    bad = "[trace 1]\n1 99 2/1\n5 7 2/1\n8 8 1/1\n9 9 1/1\n"
+    cert = put(tmp_path, "a.bundle", DIAG_BUNDLE.replace("[trace 1]\n1 1 1/1\n", bad))
+    mat = put(tmp_path, "a.mat", SUBJECT)
+    for argv in (["verify", mat, cert], ["equiv-check", mat, cert]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"parse error: {cert}: section [trace 1]: 4 pivots for dim 2, at most 1 fit\n"
+        )
 
 
 def test_equiv_check_needs_bundle(tmp_path, capsys):

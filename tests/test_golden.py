@@ -245,7 +245,7 @@ def digest_matrices():
         yield a
 
 
-def route_outputs(a, cap=DIGEST_CAP):
+def route_outputs(a, cap):
     routes = (
         lambda: format_diag_certificate(standard_form_diagonalize(a)),
         lambda: format_diag_certificate(single_path_diagonalize(a)),
