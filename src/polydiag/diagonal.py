@@ -117,11 +117,11 @@ def _closed_form(nvars, work, rank, k, jacobi):
     column j < k below it, the numerator det B[(1..j, i+1), (1..j+1)]
     (1-based) of L, the unit lower triangular factor of B =
     L*diag(M_p/M_(p-1))*L^t; on the right, S*L^-1*P with the Jacobi scaling
-    s_p = M_min(p,k) (M_0 = 1).  Scaling by m = M_1*...*M_k multiplies row p
-    by m/s_p.
-    Then X_plus = w*L*S^-1 and D_p = s_p^2*M_(p+1)/M_p need no division,
-    with w = m^2 for the scaling by m but w = m for the Jacobi one: column j
-    of L*S^-1 then has the denominator M_j*M_(j+1), two distinct factors of m.
+    s_p = M_min(p,k) (M_0 = 1); scaling by m = M_1*...*M_k multiplies row p
+    by m/s_p.  Then X_plus = w*L*S^-1 and D_p = s_p^2*M_(p+1)/M_p need no
+    division, with w = m^2 for the scaling by m but w = m for the Jacobi
+    one: column j of L*S^-1 then has the denominator M_j*M_(j+1), two
+    distinct factors of m.
     """
     n = len(work)
     minors = [work[p][p] for p in range(rank)]
