@@ -42,8 +42,23 @@ from polydiag.diagonal import (
 )
 from polydiag.errors import BundleTooLarge
 from polydiag.polymat import PolyMatrix, format_matrix, parse_matrix
+from polydiag.positivity import (
+    GridSpec,
+    RationalMatrix,
+    _grid_sweep,
+    check_bundle_equivalence,
+    psd_on_grid,
+    psd_rational,
+)
 
-from helpers import rand_matrix, rand_symmetric, rand_symmetric_total_deg
+from helpers import (
+    rand_fraction,
+    rand_matrix,
+    rand_poly,
+    rand_rational_symmetric,
+    rand_symmetric,
+    rand_symmetric_total_deg,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -306,3 +321,137 @@ def compaction_matrices():
 
 def test_compaction_digest():
     assert routes_digest(compaction_matrices(), COMPACTION_CAP) == COMPACTION_DIGEST
+
+
+# -- the PSD oracle over seeded inputs ------------------------------------------
+#
+# One sha256 over what the oracle makes of 60 seeded polynomial matrices on
+# small rational grids: every (point, psd, extra_ok) triple of _grid_sweep,
+# the psd_on_grid report, and for the matrices that have a bundle, the sweep
+# with the bundle's diagonal entries as its extra polynomials and the
+# check_bundle_equivalence report; each refusal enters as its type and
+# message, after the triples yielded before it.  The matrices are symmetric
+# (n 1-6, 1-2 variables), Gram matrices G^t*G of a G with fewer rows than
+# columns, such Gram matrices with a diagonal entry nudged down, matrices
+# with a zero row and column, and 3 x 3 or 4 x 4 matrices that are symmetric
+# at some grid points only, their differing pair off the first row.  Then
+# psd_rational on seeded rational matrices, n 1-12, and on a 13 x 13.  The
+# digest was computed before the sweep handed the kernel its upper triangle.
+
+ORACLE_DIGEST = "0108caadd21367ebf021e9ef20a1ab97b2f69bddeea874e8b43be805e78b91c5"
+
+
+def _text(value):
+    if isinstance(value, tuple):
+        return "(" + " ".join(_text(v) for v in value) + ")"
+    return str(value)
+
+
+def oracle_grid(rng, nvars):
+    axes = []
+    for _ in range(nvars):
+        low = Fraction(rng.randint(-6, 2), rng.choice([1, 2, 3]))
+        step = rng.choice([Fraction(1, 2), Fraction(2, 3), Fraction(1)])
+        count = rng.randint(1, 7 if nvars == 1 else 4)
+        axes.append((low, low + (count - 1) * step, count))
+    return GridSpec(tuple(axes))
+
+
+def oracle_cases():
+    """(matrix, grid, extra polynomials) triples; see ORACLE_DIGEST."""
+    rng = random.Random(20073)
+    for k in range(60):
+        nvars, kind = 1 + (k // 5) % 2, k % 5
+        spec = oracle_grid(rng, nvars)
+        extra = [rand_poly(rng, nvars) for _ in range(rng.randint(0, 2))]
+        if kind == 0:  # symmetric, n 1-6
+            yield rand_symmetric(rng, 1 + (k // 5) % 6, nvars), spec, extra
+            continue
+        n = 2 + (k // 10) % 3
+        if kind in (1, 2):  # a Gram matrix of rank below n, maybe nudged down
+            g = rand_matrix(rng, rng.randint(1, n - 1), n, nvars, max_deg=1)
+            a = g.transpose() @ g
+            if kind == 2:
+                i = rng.randrange(n)
+                nudge = PolyMatrix.zeros(n, n, nvars).entries
+                nudge = nudge[: i * n + i] + (rand_poly(rng, nvars) - 1,) + nudge[i * n + i + 1 :]
+                a = a + PolyMatrix(n, n, nudge)
+            yield a, spec, extra
+            continue
+        a = rand_symmetric(rng, n + (kind == 4), nvars)
+        rows = [[a[i, j] for j in range(a.cols)] for i in range(a.rows)]
+        if kind == 3:  # a zero row and column
+            dead = rng.randrange(a.rows)
+            zero = parse_polynomial("0", nvars)
+            for j in range(a.rows):
+                rows[dead][j] = rows[j][dead] = zero
+        else:  # (j, i) differs from (i, j), 1 <= i < j, by a multiple of t1*(t1 - 1)
+            i = rng.randint(1, a.rows - 2)
+            j = rng.randint(i + 1, a.rows - 1)
+            c = rng.choice([1, -2, 3])
+            rows[j][i] = rows[i][j] + parse_polynomial(f"{c}", nvars) * parse_polynomial(
+                "t1^2 - t1", nvars
+            )
+            axes = ((0, 1, 2), (0, 3, 4), (-1, 1, 3))[k // 5 % 3]
+            spec = GridSpec((axes,) + spec.axes[1:])
+        yield PolyMatrix.from_rows(rows), spec, extra
+
+
+def oracle_rational_matrices():
+    rng = random.Random(20074)
+    for n in range(1, 13):
+        yield rand_rational_symmetric(rng, n)
+        g = [[rand_fraction(rng) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        gram = [[sum(r[i] * r[j] for r in g) for j in range(n)] for i in range(n)]
+        if n % 2:
+            gram[n // 2][n // 2] -= Fraction(1, n)
+        yield RationalMatrix(n, [v for row in gram for v in row])
+    yield RationalMatrix(13, [Fraction(int(i == j)) for i in range(13) for j in range(13)])
+
+
+def oracle_outputs():
+    """The text lines ORACLE_DIGEST hashes."""
+
+    def guarded(run):
+        try:
+            yield from run()
+        except (ValueError, BundleTooLarge) as exc:
+            yield f"{type(exc).__name__}: {exc}"
+
+    def sweep(a, extra, spec):
+        for point, psd, extra_ok in _grid_sweep(a, extra, spec):
+            yield f"{_text(point)} {psd} {extra_ok}"
+
+    def grid_report(a, spec):
+        report = psd_on_grid(a, spec)
+        yield f"grid {report.total_points} {report.psd_count} {_text(report.non_psd_points)}"
+
+    def equiv_report(a, bundle, spec):
+        report = check_bundle_equivalence(a, bundle, spec)
+        yield f"equiv {report.total_points} {report.agreements} {_text(report.disagreements)}"
+
+    for a, spec, extra in oracle_cases():
+        yield format_matrix(a)
+        yield _text(spec.axes)
+        yield from guarded(lambda: sweep(a, extra, spec))
+        yield from guarded(lambda: grid_report(a, spec))
+        if a.rows > 3 or not a.is_symmetric():
+            continue
+        try:
+            bundle = diagonalization_bundle(a, 40)
+        except (ValueError, BundleTooLarge) as exc:
+            yield f"{type(exc).__name__}: {exc}"
+            continue
+        diag = [cert.D[k, k] for cert, _trace in bundle.branches for k in range(cert.D.rows)]
+        yield from guarded(lambda: sweep(a, diag, spec))
+        yield from guarded(lambda: equiv_report(a, bundle, spec))
+    for m in oracle_rational_matrices():
+        yield _text(m.entries)
+        yield from guarded(lambda: iter([str(psd_rational(m))]))
+
+
+def test_oracle_digest():
+    digest = hashlib.sha256()
+    for line in oracle_outputs():
+        digest.update(line.encode("utf-8") + b"\n")
+    assert digest.hexdigest() == ORACLE_DIGEST
