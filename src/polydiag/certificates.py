@@ -426,6 +426,14 @@ def tmodule_index_sets(r):
     return tuple(out)
 
 
+def _ascending_product(generators, idx):
+    """The product of generators[k - 1] over k in idx, ascending; None (the identity) for ()."""
+    prod = None
+    for k in idx:
+        prod = generators[k - 1] if prod is None else prod @ generators[k - 1]
+    return prod
+
+
 def tmodule_generators(b_list):
     """Ascending products of diagonal generators, one per index subset.
 
@@ -442,13 +450,9 @@ def tmodule_generators(b_list):
             raise ValueError("generator matrices must be diagonal")
         if b.rows != n or b.cols != n or b.nvars != nvars:
             raise ValueError("generator matrices must share dimension and variable count")
-    out = []
-    for idx in tmodule_index_sets(len(b_list)):
-        prod = PolyMatrix.identity(n, nvars)
-        for k in idx:
-            prod = prod @ b_list[k - 1]
-        out.append(prod)
-    return tuple(out)
+    identity = PolyMatrix.identity(n, nvars)
+    products = (_ascending_product(b_list, idx) for idx in tmodule_index_sets(len(b_list)))
+    return tuple(identity if prod is None else prod for prod in products)
 
 
 def construct_module_element(f_list, coeffs):
@@ -467,7 +471,7 @@ def construct_module_element(f_list, coeffs):
         if len(row) != len(f_list):
             raise ValueError(f"each coefficient row needs {len(f_list)} entries")
     out_dim = coeffs[0][0].cols if coeffs else f_list[0].rows
-    acc = PolyMatrix.zeros(out_dim, out_dim, nvars)
+    terms = []
     for row in coeffs:
         for f, a in zip(f_list, row):
             if a.rows != f.rows:
@@ -476,8 +480,8 @@ def construct_module_element(f_list, coeffs):
                 )
             if a.cols != out_dim:
                 raise ValueError("coefficient column counts disagree")
-            acc = acc + a.transpose() @ f @ a
-    return acc
+            terms.append((a.transpose(), f))
+    return congruence_sum(out_dim, nvars, terms)
 
 
 def membership_failures(element, generators, cert):
@@ -501,9 +505,7 @@ def membership_failures(element, generators, cert):
             raise ValueError(f"index set {idx} exceeds generator count {r}")
     terms = []
     for idx, ys in zip(cert.generator_index_sets, cert.coefficients):
-        prod = None  # the identity, the empty product
-        for k in idx:
-            prod = generators[k - 1] if prod is None else prod @ generators[k - 1]
+        prod = _ascending_product(generators, idx)
         for y in ys:
             if y.rows != gdim or y.cols != n:
                 raise ValueError(f"coefficient must be {gdim}x{n}, got {y.rows}x{y.cols}")
@@ -530,7 +532,7 @@ def knk_element(k, n, a_list, x_list, nvars=1):
         raise ValueError("dimensions must be positive")
     if a_list:
         nvars = a_list[0].nvars
-    acc = PolyMatrix.zeros(n, n, nvars)
+    terms = []
     for a, x in zip(a_list, x_list):
         if a.rows != k or a.cols != k:
             raise ValueError(f"expected {k}x{k} inner matrix, got {a.rows}x{a.cols}")
@@ -538,8 +540,8 @@ def knk_element(k, n, a_list, x_list, nvars=1):
             raise ValueError(f"expected {k}x{n} factor, got {x.rows}x{x.cols}")
         if a.nvars != nvars or x.nvars != nvars:
             raise ValueError("entries disagree on variable count")
-        acc = acc + x.transpose() @ a @ x
-    return acc
+        terms.append((x.transpose(), a))
+    return congruence_sum(n, nvars, terms)
 
 
 def choi_type_fixture():
@@ -868,9 +870,6 @@ _KINDS = {
         lambda a, p: membership_failures(a, p.generators, p.certificate),
     ),
 }
-
-CERT_KINDS = tuple(_KINDS)
-
 
 def _format(kind, payload):
     spec = _KINDS[kind]

@@ -22,6 +22,7 @@ from fractions import Fraction
 from . import __version__
 from .arith import _decimal_int
 from .certificates import (
+    _HEADER,
     _KINDS,
     format_bundle_certificate,
     format_diag_certificate,
@@ -263,7 +264,7 @@ def _cmd_gens(args):
     mats = [_read(path) for path in args.matrix_files]
     products = tmodule_generators(mats)
     index_sets = tmodule_index_sets(len(mats))
-    lines = [f"# generated-by polydiag {__version__}"]
+    lines = [_HEADER]
     for idx, product in zip(index_sets, products):
         label = " ".join(str(k) for k in idx) if idx else "-"
         lines.append(f"# indexset {label}")

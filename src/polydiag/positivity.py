@@ -147,21 +147,20 @@ def eval_matrix(a, point):
     return RationalMatrix(a.rows, tuple(p.evaluate(point) for p in a.entries))
 
 
-def _psd_int(rows):
-    """True iff the symmetric integer matrix ``rows`` (a list of rows) is PSD.
+def _psd_int(tri):
+    """True iff the symmetric integer matrix with upper triangle ``tri`` is PSD.
 
-    One fraction-free symmetric elimination over the upper triangle: row k
-    holds a_kj for j >= k, and its first entry is the pivot p.  p < 0
-    rejects.  p = 0 rejects unless the rest of row k is zero too; a zero
-    row is skipped and the last nonzero pivot stays the divisor.  Otherwise
-    every later row is updated as a_ij = (p * a_ij - a_ki * a_kj) // prev,
-    with prev the last nonzero pivot (1 at first), an exact division.  The
-    entries below the diagonal are not read.
+    Row k of tri holds a_kj for j >= k, and its first entry is the pivot p
+    of one fraction-free symmetric elimination.  p < 0 rejects.  p = 0
+    rejects unless the rest of row k is zero too; a zero row is skipped and
+    the last nonzero pivot stays the divisor.  Otherwise every later row is
+    replaced by a_ij = (p * a_ij - a_ki * a_kj) // prev, with prev the last
+    nonzero pivot (1 at first), an exact division.  tri is consumed: its
+    rows are replaced as the elimination goes.
     """
-    n = len(rows)
+    n = len(tri)
     if n > _PSD_DIMENSION_CAP:
         raise DimensionCap(f"PSD oracle is capped at dimension {_PSD_DIMENSION_CAP}, got {n}")
-    tri = [row[k:] for k, row in enumerate(rows)]
     prev = 1
     for k in range(n):
         pivot_row = tri[k]
@@ -182,14 +181,15 @@ def _psd_int(rows):
 
 
 def psd_rational(m):
-    """True iff the symmetric rational matrix m is positive semidefinite."""
+    """True iff the symmetric rational matrix m is positive semidefinite:
+    _psd_int on the upper triangle of m times the lcm of its denominators."""
     if not m.is_symmetric():
         raise NotSymmetric(_NOT_SYMMETRIC)
     den = 1
     for e in m.entries:
         den = math.lcm(den, e.denominator)
     ints = [e.numerator * (den // e.denominator) for e in m.entries]
-    return _psd_int([ints[i * m.n : (i + 1) * m.n] for i in range(m.n)])
+    return _psd_int([ints[k * m.n + k : (k + 1) * m.n] for k in range(m.n)])
 
 
 def _axis_values(spec):
@@ -238,8 +238,8 @@ def _grid_sweep(a, extra, spec):
     evaluated as den * prod_v q_v^top_v * p(point), the integer
     sum over terms of c * prod_v num_v^e_v * q_v^(top_v - e_v): a positive
     multiple of p(point), the same multiple for every polynomial.  Only the
-    upper triangle of A is evaluated, and below it only the entries whose
-    polynomial differs from their mirror's, to test symmetry.
+    rows of A's upper triangle that _psd_int eliminates are evaluated, and
+    below it the entries whose polynomial differs from their mirror's.
     """
     if spec.nvars != a.nvars:
         raise ValueError(f"grid has {spec.nvars} axes, matrix has {a.nvars} variables")
@@ -247,13 +247,11 @@ def _grid_sweep(a, extra, spec):
     if not a.is_square():
         raise ValueError("evaluation target must be square")
     n = a.rows
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    # where entry (i, j), i <= j, stands among the values of a point
-    position = {ij: u for u, ij in enumerate(upper)}
     # A(point) is symmetric iff each (j, i) whose polynomial differs from
     # that of (i, j) takes the same value there
-    asym = [(i, j) for i, j in upper if a[j, i] != a[i, j]]
-    polys = [a[i, j] for i, j in upper] + [a[j, i] for i, j in asym] + list(extra)
+    asym = [(i, j) for i in range(n) for j in range(i + 1, n) if a[j, i] != a[i, j]]
+    polys = [a[i, j] for i in range(n) for j in range(i, n)]
+    polys += [a[j, i] for i, j in asym] + list(extra)
     den = 1
     for p in polys:
         den = math.lcm(den, p._form[0])
@@ -264,11 +262,12 @@ def _grid_sweep(a, extra, spec):
         d, pairs = p._form
         scale = den // d
         sums.append([(c * scale, monos.setdefault(unpack(k), len(monos))) for k, c in pairs])
-    upper_sums = sums[: len(upper)]
-    checks = [(terms, position[ij]) for ij, terms in zip(asym, sums[len(upper) :])]
-    extra_sums = sums[len(upper) + len(asym) :]
-    # row i of A(point) as positions among the upper-triangle values
-    row_index = [[position[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    rest = iter(sums)
+    # row k of the triangle: the sums of a_kj for j >= k
+    tri_sums = [list(itertools.islice(rest, n - k)) for k in range(n)]
+    # each mirror's sum, and where (i, j) stands in the triangle
+    checks = [(next(rest), i, j - i) for i, j in asym]
+    extra_sums = list(rest)
     tops = [max((m[v] for m in monos), default=0) for v in range(a.nvars)]
     # each axis as (numerators, denominators) of its values
     coords = [([x.numerator for x in xs], [x.denominator for x in xs]) for xs in axis_values]
@@ -288,11 +287,11 @@ def _grid_sweep(a, extra, spec):
     for point, (mvals, *more) in zip(points, itertools.product(*axis_columns)):
         for col in more:
             mvals = [f * g for f, g in zip(mvals, col)]
-        vals = [sum([c * mvals[m] for c, m in terms]) for terms in upper_sums]
-        for terms, u in checks:
-            if sum([c * mvals[m] for c, m in terms]) != vals[u]:
+        tri = [[sum([c * mvals[m] for c, m in terms]) for terms in row] for row in tri_sums]
+        for terms, i, j in checks:
+            if sum([c * mvals[m] for c, m in terms]) != tri[i][j]:
                 raise NotSymmetric(_NOT_SYMMETRIC)
-        psd = _psd_int([[vals[u] for u in row] for row in row_index])
+        psd = _psd_int(tri)
         extra_ok = all(sum([c * mvals[m] for c, m in terms]) >= 0 for terms in extra_sums)
         yield point, psd, extra_ok
 
@@ -319,10 +318,10 @@ def _check_grid_bits(sums, tops, coords):
 
 
 def psd_on_grid(a, spec):
-    """PSD verdicts for a symmetric polynomial matrix at every grid point."""
-    sweep = list(_grid_sweep(a, (), spec))
-    non_psd = tuple(point for point, psd, _extra_ok in sweep if not psd)
-    return GridPositivityReport(len(sweep), non_psd)
+    """PSD verdicts for a symmetric polynomial matrix at every grid point;
+    only the non-PSD points are kept as the sweep streams, the count is the grid's."""
+    non_psd = tuple(point for point, psd, _extra_ok in _grid_sweep(a, (), spec) if not psd)
+    return GridPositivityReport(spec.total_points(), non_psd)
 
 
 def check_bundle_equivalence(a, bundle, spec):
@@ -331,9 +330,9 @@ def check_bundle_equivalence(a, bundle, spec):
     The bundle must verify against A first (rejected otherwise); a bundle
     already verified against this same A, by diagonalization_bundle or an
     earlier call, is not verified again.  At every grid point the oracle
-    verdict psd_rational(A(s)) is compared with "all diagonal entries of
-    every branch D at s are >= 0"; both must agree everywhere for a correct
-    implementation.
+    verdict, _psd_int on the upper triangle of A(s) in integers, is compared
+    with "all diagonal entries of every branch D at s are >= 0"; both must
+    agree everywhere.  Only disagreements are kept; the count is the grid's.
     """
     if spec.nvars != a.nvars:
         raise ValueError(f"grid has {spec.nvars} axes, matrix has {a.nvars} variables")
@@ -342,6 +341,5 @@ def check_bundle_equivalence(a, bundle, spec):
     diag_polys = [
         cert.D[k, k] for cert, _trace in bundle.branches for k in range(cert.D.rows)
     ]
-    sweep = list(_grid_sweep(a, diag_polys, spec))
-    disagreements = tuple(row for row in sweep if row[1] != row[2])
-    return EquivalenceReport(len(sweep), disagreements)
+    disagreements = tuple(row for row in _grid_sweep(a, diag_polys, spec) if row[1] != row[2])
+    return EquivalenceReport(spec.total_points(), disagreements)

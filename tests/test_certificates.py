@@ -47,7 +47,15 @@ from polydiag.diagonal import (
 from polydiag.errors import InternalIdentityFailure, NotSymmetric, ParseError
 from polydiag.polymat import PolyMatrix, parse_matrix
 
-from helpers import DIAG_BUNDLE, DIAG_SINGLE, EQUIV, count_calls, rand_symmetric_total_deg
+from helpers import (
+    DIAG_BUNDLE,
+    DIAG_SINGLE,
+    EQUIV,
+    count_calls,
+    rand_matrix,
+    rand_symmetric,
+    rand_symmetric_total_deg,
+)
 
 
 def P(text, nvars=1):
@@ -468,6 +476,36 @@ def test_knk_validation():
         knk_element(2, 2, [eye], [])
     with pytest.raises(ValueError):
         knk_element(3, 2, [eye], [eye])
+
+
+def test_module_sums_equal_added_congruences():
+    """knk_element and construct_module_element against the reference loop
+    of one x^t*a*x product added per term: a_l not symmetric for
+    knk_element, generators of mixed dimensions and several coefficient
+    rows for construct_module_element, and empty lists for both."""
+    rng = random.Random(8117)
+    for trial in range(40):
+        nvars = 1 + trial % 2
+        k, n, count = rng.randint(1, 3), rng.randint(1, 3), trial % 4
+        a_list = [rand_matrix(rng, k, k, nvars) for _ in range(count)]
+        x_list = [rand_matrix(rng, k, n, nvars) for _ in range(count)]
+        expected = PolyMatrix.zeros(n, n, nvars)
+        for a, x in zip(a_list, x_list):
+            expected = expected + x.transpose() @ a @ x
+        assert knk_element(k, n, a_list, x_list, nvars) == expected
+
+        f_list = [rand_symmetric(rng, rng.randint(1, 3), nvars) for _ in range(1 + trial % 3)]
+        out_dim = rng.randint(1, 3)
+        coeffs = [
+            [rand_matrix(rng, f.rows, out_dim, nvars) for f in f_list]
+            for _ in range(trial // 4 % 4)
+        ]
+        size = out_dim if coeffs else f_list[0].rows
+        expected = PolyMatrix.zeros(size, size, nvars)
+        for row in coeffs:
+            for f, a in zip(f_list, row):
+                expected = expected + a.transpose() @ f @ a
+        assert construct_module_element(f_list, coeffs) == expected
 
 
 def test_choi_fixture_values():

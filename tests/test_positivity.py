@@ -163,7 +163,7 @@ def integer_symmetric(draw):
 @example([[4, 2, 2], [2, 1, 1], [2, 1, 3]])
 def test_psd_int_equals_berkowitz_and_minors(rows):
     expected = psd_berkowitz(rows)
-    assert _psd_int(rows) == expected
+    assert _psd_int([row[k:] for k, row in enumerate(rows)]) == expected
     if len(rows) <= 7:
         assert psd_principal_minors(R(rows)) == expected
 
@@ -413,13 +413,17 @@ def test_grid_error_order():
 
 
 def test_grid_symmetric_at_some_points_only():
-    # A(t) = [[1, t], [t^2, 1]] is symmetric at t = 0 and t = 1 only
-    a = M([["1", "t1"], ["t1^2", "1"]])
-    for sweep in _sweeps(a, GridSpec(((0, 1, 2),))):
-        assert sweep() == 2
-    for sweep in _sweeps(a, GridSpec(((0, 2, 3),))):
-        with pytest.raises(NotSymmetric):
-            sweep()
+    # both are symmetric at t = 0 and t = 1 only; in the 3 x 3 the differing
+    # pair sits on the triangle's second row
+    for a in (
+        M([["1", "t1"], ["t1^2", "1"]]),
+        M([["1", "0", "0"], ["0", "1", "t1"], ["0", "t1^2", "1"]]),
+    ):
+        for sweep in _sweeps(a, GridSpec(((0, 1, 2),))):
+            assert sweep() == 2
+        for sweep in _sweeps(a, GridSpec(((0, 2, 3),))):
+            with pytest.raises(NotSymmetric):
+                sweep()
 
 
 # -- check_bundle_equivalence --------------------------------------------------------
