@@ -408,6 +408,15 @@ def sos_matrix_failures(a, cert):
 MAX_GENERATORS = 16
 
 
+def _check_generator_count(r):
+    """ValueError for r above MAX_GENERATORS, the same text wherever it is checked."""
+    if r > MAX_GENERATORS:
+        raise ValueError(
+            f"{r} generators exceed the cap of {MAX_GENERATORS} "
+            f"({2**MAX_GENERATORS} ascending products)"
+        )
+
+
 def tmodule_index_sets(r):
     """All subsets of {1..r} as ascending tuples, ordered by size then lex.
 
@@ -415,11 +424,7 @@ def tmodule_index_sets(r):
     """
     if r < 0:
         raise ValueError("generator count must be nonnegative")
-    if r > MAX_GENERATORS:
-        raise ValueError(
-            f"{r} generators exceed the cap of {MAX_GENERATORS} "
-            f"({2**MAX_GENERATORS} ascending products)"
-        )
+    _check_generator_count(r)
     out = []
     for size in range(r + 1):
         out.extend(itertools.combinations(range(1, r + 1), size))
@@ -490,6 +495,7 @@ def membership_failures(element, generators, cert):
     r = len(generators)
     if not generators:
         raise ValueError("no generator matrices")
+    _check_generator_count(r)
     gdim = generators[0].rows
     nvars = generators[0].nvars
     for g in generators:
@@ -690,12 +696,15 @@ class _Reader:
             mats.append(self.matrix(f"{prefix}_{len(mats) + 1}", None, rows, cols))
         return tuple(mats)
 
-    def poly(self, name, _poly):
-        body, lineno = self.expect("poly", name)
+    def _one_line(self, tag, name):
+        """(lineno, line) of the one data line of section [tag name]."""
+        body, lineno = self.expect(tag, name)
         if len(body) != 1:
-            raise ParseError(f"section [poly {name}] near line {lineno} must hold exactly one line")
-        ln, line = body[0]
-        return _parse_line(self.memo, self.nvars, ln, line)
+            raise ParseError(f"section [{tag} {name}] near line {lineno} must hold exactly one line")
+        return body[0]
+
+    def poly(self, name, _poly):
+        return _parse_line(self.memo, self.nvars, *self._one_line("poly", name))
 
     def trace(self, name, _trace):
         body, _lineno = self.expect("trace", name)
@@ -726,12 +735,7 @@ class _Reader:
         return PivotTrace(tuple(pivots))
 
     def indexset(self, name, _idx):
-        body, lineno = self.expect("indexset", name)
-        if len(body) != 1:
-            raise ParseError(
-                f"section [indexset {name}] near line {lineno} must hold exactly one line"
-            )
-        ln, line = body[0]
+        ln, line = self._one_line("indexset", name)
         if line == "-":
             return ()
         try:

@@ -1,13 +1,13 @@
 """Exact congruence diagonalization of symmetric polynomial matrices.
 
-Three routes, all walks of one pivot recursion (_grow).  Each checks
-every certificate it returns exactly once, against its subject, with
-diag_certificate_failures (the bundle through bundle_certificate_failures,
-so it records that subject):
+Three routes, all walks of one pivot recursion (_grow) whose leaves one
+_finish reads into certificates.  Each checks every certificate it returns
+exactly once, against its subject, with diag_certificate_failures (the
+bundle through bundle_certificate_failures, so it records that subject):
 
 - standard_form_diagonalize: one closed-form certificate for matrices in
   standard form (rank r with M_1, ..., M_r all nonzero), pivoting on the
-  corner at every level.
+  corner at every level; _standard_form refuses its walk's vacuous leaf.
 - single_path_diagonalize: one certificate for any nonzero symmetric
   matrix, by recursively pivoting on the first position whose averaged
   pivot value is not identically zero.
@@ -81,15 +81,20 @@ def _require_symmetric(a):
 
 
 def _standard_form(a):
-    """(StandardFormData, working matrix) of the standard route's one leaf."""
+    """(StandardFormData, leaf) of the standard route's one leaf, or
+    NotStandardForm when the leaf is vacuous: its corner, M_(level+1),
+    vanishes below the rank."""
     _require_symmetric(a)
     if a.rows < 2:
         raise ValueError("standard form needs dimension at least 2")
     if a.is_zero():
         raise ZeroMatrix("matrix is identically zero")
-    ((work, _p_inv, level, _pivots, _vacuous),) = _walk(a, "standard")
+    (leaf,) = _walk(a, "standard")
+    work, _p_inv, level, _pivots, vacuous = leaf
+    if vacuous:
+        raise NotStandardForm(level + 1)
     rank = level + (not work[level][level].is_zero())
-    return StandardFormData([work[p][p] for p in range(rank)]), work
+    return StandardFormData([work[p][p] for p in range(rank)]), leaf
 
 
 def standard_form_check(a):
@@ -104,52 +109,7 @@ def standard_form_diagonalize(a):
     has m on its diagonal and (m/M_j) * det(A[(1..j-1,i), (1..j)]) below it
     in its first k columns, w = m^2 and D = diag(w*M_p/M_(p-1), p <= r).
     """
-    data, work = _standard_form(a)
-    xp, xm, d, w = _closed_form(a.nvars, work, data.rank, min(data.rank, a.rows - 1), False)
-    cert = DiagCertificate(PolyMatrix.from_rows(xp), PolyMatrix.from_rows(xm), d, w)
-    return _checked(a, cert)
-
-
-def _closed_form(nvars, work, rank, k, jacobi):
-    """(X_plus rows, X_minus rows, D, w) of a symmetric B from its elimination.
-
-    work is [B | P] after k steps: work[p][p] = M_(p+1) for p < rank; in
-    column j < k below it, the numerator det B[(1..j, i+1), (1..j+1)]
-    (1-based) of L, the unit lower triangular factor of B =
-    L*diag(M_p/M_(p-1))*L^t; on the right, S*L^-1*P with the Jacobi scaling
-    s_p = M_min(p,k) (M_0 = 1); scaling by m = M_1*...*M_k multiplies row p
-    by m/s_p.  Then X_plus = w*L*S^-1 and D_p = s_p^2*M_(p+1)/M_p need no
-    division, with w = m^2 for the scaling by m but w = m for the Jacobi
-    one: column j of L*S^-1 then has the denominator M_j*M_(j+1), two
-    distinct factors of m.
-    """
-    n = len(work)
-    minors = [work[p][p] for p in range(rank)]
-    one, zero = Polynomial.one(nvars), Polynomial.zero(nvars)
-    # quot[p] = m / M_p (M_0 = 1), the product of the other minors
-    quot = [math.prod(minors[:j] + minors[j + 1 : k], start=one) for j in range(k)]
-    m = quot[0] * minors[0] if k else one
-    quot.insert(0, m)
-    # per row p: w / s_p and D_p; per column j < k: w / (s_j * M_(j+1))
-    if jacobi:
-        w = m
-        w_over_s = [quot[min(p, k)] for p in range(n)]
-        d = [s * minor for s, minor in zip([one] + minors, minors)]  # s_p = M_p below the rank
-        # m / (M_j * M_(j+1)): the minors other than those two
-        col = [math.prod(minors[:max(j - 1, 0)] + minors[j + 1 : k], start=one) for j in range(k)]
-        x_minus = [row[n:] for row in work]
-    else:
-        w = m * m
-        w_over_s = [m] * n
-        d = [m * (quot[p] * minors[p]) for p in range(rank)]
-        col = quot[1:]
-        x_minus = [[quot[min(p, k)] * x for x in work[p][n:]] for p in range(n)]
-    x_plus = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        x_plus[i][i] = w_over_s[i]
-        for j in range(min(i, k)):
-            x_plus[i][j] = col[j] * work[i][j]
-    return x_plus, x_minus, PolyMatrix.diagonal(d + [zero] * (n - rank)), w
+    return _checked(a, _finish(*_standard_form(a)[1], jacobi=False)[0])
 
 
 def _checked(a, cert):
@@ -180,7 +140,7 @@ def block_step(a):
     alpha = a[0, 0]
     beta = [a[0, k] for k in range(1, n)]
     rows = [list(a.row(r)) for r in range(n)]
-    _bareiss_step(nvars, rows, 0, Polynomial.one(nvars), n, n, symmetric=True)  # alpha*C - beta^t*beta
+    _bareiss_step(rows, 0, Polynomial.one(nvars), symmetric=True)  # alpha*C - beta^t*beta
     atilde = [[zero] * n for _ in range(n)]
     atilde[0][0] = alpha * alpha * alpha
     for p in range(1, n):
@@ -304,17 +264,17 @@ def _branches(a, route, cap):
     for leaf in _walk(a, route):
         if len(out) >= cap:
             raise BundleTooLarge(f"branch count exceeds cap {cap}")
-        out.append(_finish(a.nvars, *leaf))
+        out.append(_finish(*leaf))
     return out
 
 
 def _walk(a, route):
     """The leaves of route ("standard", "single" or "bundle") on a nonzero a."""
     n = a.rows
-    return _grow(a.nvars, route, _augmented(a), [[int(x == y) for y in range(n)] for x in range(n)], 0, n, ())
+    return _grow(route, _augmented(a), [[int(x == y) for y in range(n)] for x in range(n)], 0, n, ())
 
 
-def _grow(nvars, route, work, p_inv, level, end, pivots):
+def _grow(route, work, p_inv, level, end, pivots):
     """Leaves (work, P^-1, level, pivots, vacuous), depth first.
 
     A branch's state is its elimination of [B | P], B = P*A*P^t, with P^-1;
@@ -324,8 +284,8 @@ def _grow(nvars, route, work, p_inv, level, end, pivots):
     corner is identically zero.  The bundle pivots on every (i, j) and
     compacts zero rows and columns to the block's end; the single path
     takes the first pivot whose corner is not identically zero and keeps
-    the block whole; the standard route pivots on (1, 1) only, and raises
-    NotStandardForm when that corner vanishes.
+    the block whole; the standard route pivots on (1, 1) only, and yields
+    its vacuous leaf for _standard_form to refuse.
     """
     size = end - level
     block = range(level, end)
@@ -339,32 +299,66 @@ def _grow(nvars, route, work, p_inv, level, end, pivots):
         # a nonzero block has a usable pivot: its diagonal entries are the
         # averaged (i,i) values and 2*a_ij = 2*avg_ij - a_ii - a_jj
         choices = [next(c for c in choices if not _corner_vanishes(work, level, *c))]
-    prev = work[level - 1][level - 1] if level else Polynomial.one(nvars)
+    prev = work[level - 1][level - 1] if level else Polynomial.one(work[0][0].nvars)
     for i, j in choices:
         trace = pivots + ((i, j),)
         if _corner_vanishes(work, level, i, j):
-            if route == "standard":  # M_(level+1) vanishes below the rank
-                raise NotStandardForm(level + 1)
             yield work, p_inv, level, trace, True
             continue
         w2, p_inv2 = ([row[:] for row in m] for m in (work, p_inv))
         _move(w2, p_inv2, level, end, level + i - 1, level + j - 1)
-        _bareiss_step(nvars, w2, level, prev, len(w2), 2 * len(w2), symmetric=True)
+        _bareiss_step(w2, level, prev, symmetric=True)
         rest = range(level + 1, end)
         kept = [x for x in rest if any(not w2[x][y].is_zero() for y in rest)] if route == "bundle" else []
         if 0 < len(kept) < len(rest):
             _permute(w2, p_inv2, level + 1, end, kept + [x for x in rest if x not in kept])
-        yield from _grow(nvars, route, w2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), trace)
+        yield from _grow(route, w2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), trace)
 
 
-def _finish(nvars, work, p_inv, level, pivots, vacuous):
-    """The leaf's certificate and trace, under the Jacobi scaling."""
-    n = len(work)
-    zero = Polynomial.zero(nvars)
+def _finish(work, p_inv, level, pivots, vacuous, jacobi=True):
+    """The leaf's certificate and trace, read off its elimination.
+
+    work is [B | P] after k = level steps, B = P*A*P^t: work[p][p] = M_(p+1)
+    below the rank; in column j < k below it, the numerator
+    det B[(1..j, i+1), (1..j+1)] (1-based) of L, the unit lower triangular
+    factor of B = L*diag(M_p/M_(p-1))*L^t; on the right, S*L^-1*P with the
+    Jacobi scaling s_p = M_min(p,k) (M_0 = 1); the standard route's scaling
+    by m = M_1*...*M_k (jacobi false) multiplies row p by m/s_p.  Then
+    X_plus = P^-1*w*L*S^-1 and D_p = s_p^2*M_(p+1)/M_p need no division,
+    with w = m^2 for the scaling by m but w = m for the Jacobi one: column
+    j of L*S^-1 then has the denominator M_j*M_(j+1), two distinct factors
+    of m.  A vacuous leaf keeps the rows of its pivots in X_minus; its
+    X_plus and w are zero.
+    """
+    n, k, nvars = len(work), level, work[0][0].nvars
+    one, zero = Polynomial.one(nvars), Polynomial.zero(nvars)
     rank = level + (not vacuous and not work[level][level].is_zero())
-    xp, xm, d, w = _closed_form(nvars, work, rank, level, True)
-    if vacuous:  # the corner vanished: keep the rows of the pivots taken so far
-        xp, w = [[zero] * n for _ in range(n)], zero
-        xm = xm[:level] + xp[level:]
-    xp, xm = PolyMatrix.from_rows(_combine(p_inv, xp)), PolyMatrix.from_rows(xm)
-    return DiagCertificate(xp, xm, d, w), PivotTrace(pivots)
+    minors = [work[p][p] for p in range(rank)]
+    # quot[p] = m / M_p (M_0 = 1), the product of the other minors
+    quot = [math.prod(minors[:j] + minors[j + 1 : k], start=one) for j in range(k)]
+    m = quot[0] * minors[0] if k else one
+    quot.insert(0, m)
+    # per row p: w / s_p and D_p; per column j < k: w / (s_j * M_(j+1))
+    if jacobi:
+        w = m
+        w_over_s = [quot[min(p, k)] for p in range(n)]
+        d = [s * minor for s, minor in zip([one] + minors, minors)]  # s_p = M_p below the rank
+        # m / (M_j * M_(j+1)): the minors other than those two
+        col = [math.prod(minors[:max(j - 1, 0)] + minors[j + 1 : k], start=one) for j in range(k)]
+        x_minus = [row[n:] for row in work]
+    else:
+        w = m * m
+        w_over_s = [m] * n
+        d = [m * (quot[p] * minors[p]) for p in range(rank)]
+        col = quot[1:]
+        x_minus = [[quot[min(p, k)] * x for x in work[p][n:]] for p in range(n)]
+    x_plus = [[zero] * n for _ in range(n)]
+    if vacuous:
+        w, x_minus = zero, x_minus[:level] + x_plus[level:]
+    else:
+        for i in range(n):
+            x_plus[i][i] = w_over_s[i]
+            for j in range(min(i, k)):
+                x_plus[i][j] = col[j] * work[i][j]
+    xp, xm = PolyMatrix.from_rows(_combine(p_inv, x_plus)), PolyMatrix.from_rows(x_minus)
+    return DiagCertificate(xp, xm, PolyMatrix.diagonal(d + [zero] * (n - rank)), w), PivotTrace(pivots)

@@ -8,9 +8,10 @@ usual determinant notation.
 Determinants and the generic rank share one fully pivoted fraction-free
 (Bareiss) elimination.  Its step _bareiss_step is the package's only
 elimination step: the diagonal module's three routes and its block_step
-take it in symmetric form.  Every division is exact (Sylvester's
-identity), so no rational functions appear.  The generic rank is the
-largest p with some p x p minor that is not identically zero.
+take it in symmetric form; it reads its sizes off its operands.  Every
+division is exact (Sylvester's identity), so no rational functions
+appear.  The generic rank is the largest p with some p x p minor that is
+not identically zero.
 
 Matrix file format: a header line ``rows cols nvars`` (nvars at most
 MAX_NVARS) followed by rows*cols polynomial lines in row-major order.
@@ -281,7 +282,7 @@ class PolyMatrix:
                 for row in m:
                     row[k], row[pj] = row[pj], row[k]
                 sign = -sign
-            _bareiss_step(self.nvars, m, k, prev, self.rows, self.cols)
+            _bareiss_step(m, k, prev)
             prev = m[k][k]
         return min(self.rows, self.cols), sign, m
 
@@ -318,12 +319,14 @@ def congruence_sum(n, nvars, terms):
     return PolyMatrix(n, n, out)
 
 
-def _bareiss_step(nvars, m, k, prev, rows, cols, symmetric=False):
+def _bareiss_step(m, k, prev, symmetric=False):
     """One fraction-free step on the pivot m[k][k], in place.
 
-    m[i][j] becomes (m[k][k]*m[i][j] - m[i][k]*m[k][j]) / prev for k < i < rows
-    and k < j < cols, exact (Sylvester) when prev is the previous pivot; a
-    symmetric block computes j >= i, mirrored where j < rows."""
+    m[i][j] becomes (m[k][k]*m[i][j] - m[i][k]*m[k][j]) / prev for each row
+    i > k and column j > k of m, exact (Sylvester) when prev is the previous
+    pivot, whose variable count is used; a symmetric step computes j >= i,
+    mirrored where j is a row of m."""
+    nvars, rows, cols = prev.nvars, len(m), len(m[0])
     pivot_row = m[k]
     for i in range(k + 1, rows):
         row = m[i]

@@ -196,21 +196,19 @@ def _axis_values(spec):
     """Per-axis value lists of the grid; raises when the total exceeds the cap.
 
     Axis values low + k*(high - low)/(count - 1) are built from integers:
-    with low = a/d and high = b/d over one denominator d and m = count - 1,
-    value k is (a*m + k*(b - a))/(d*m), one Fraction each.
+    with low = a/d and high = b/d over one denominator d and m = count - 1
+    (1 on a one-point axis, whose one value is then low), value k is
+    (a*m + k*(b - a))/(d*m), one Fraction each.
     """
     total = spec.total_points()
     if total > _GRID_CAP:
         raise ValueError(f"grid has {total} points, exceeding the cap {_GRID_CAP}")
     axis_values = []
     for low, high, count in spec.axes:
-        if count == 1:
-            axis_values.append([low])
-            continue
         d = math.lcm(low.denominator, high.denominator)
         a = low.numerator * (d // low.denominator)
         b = high.numerator * (d // high.denominator)
-        m = count - 1
+        m = max(count - 1, 1)
         axis_values.append([Fraction(a * m + k * (b - a), d * m) for k in range(count)])
     return axis_values
 

@@ -454,6 +454,16 @@ def test_membership_preconditions():
         ModuleMembershipCertificate(((2, 1),), ((y,),))
 
 
+def test_membership_refuses_too_many_generators(monkeypatch):
+    r = MAX_GENERATORS + 1
+    y = PolyMatrix.identity(1, 1)
+    cert = ModuleMembershipCertificate((tuple(range(1, r + 1)),), ((y,),))
+    products = count_calls(monkeypatch, "__matmul__", (PolyMatrix,))
+    with pytest.raises(ValueError, match=f"^{r} generators exceed the cap of {MAX_GENERATORS} "):
+        membership_failures(y, [PolyMatrix.diagonal([P("1 + t1")])] * r, cert)
+    assert products == []
+
+
 def test_knk_identity():
     eye = PolyMatrix.identity(2, 1)
     assert knk_element(2, 2, [eye], [eye]) == eye

@@ -509,6 +509,27 @@ def test_gens_refuses_too_many_generators_fast(tmp_path, capsys):
     )
 
 
+def test_verify_refuses_too_many_membership_generators_fast(tmp_path, capsys):
+    # one term whose ascending product chains all r generators
+    r = 3000
+    gens = "".join(f"[matrix generator_{k}]\n1 1 1\n1 + t1\n" for k in range(1, r + 1))
+    text = (
+        f"# generated-by polydiag {__version__}\n[meta]\nkind membership\ndim 1\nnvars 1\n"
+        f"generators {r}\nterms 1\n{gens}[indexset 1]\n{' '.join(map(str, range(1, r + 1)))}\n"
+        "[matrix coeff_1_1]\n1 1 1\n1\n"
+    )
+    argv = ["verify", put(tmp_path, "one.mat", "1 1 1\n1\n"), put(tmp_path, "many.cert", text)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {r} generators exceed the cap of {MAX_GENERATORS} "
+        f"({2**MAX_GENERATORS} ascending products)\n"
+    )
+
+
 # -- global flags ----------------------------------------------------------------
 
 
@@ -643,9 +664,9 @@ def test_standard_form_eliminates_once(tmp_path, monkeypatch):
     steps = []
     step = diagonal._bareiss_step
 
-    def counted_step(nvars, m, k, *args, symmetric=False):
+    def counted_step(m, k, *args, symmetric=False):
         steps.append((k, symmetric))
-        return step(nvars, m, k, *args, symmetric=symmetric)
+        return step(m, k, *args, symmetric=symmetric)
 
     monkeypatch.setattr(diagonal, "_bareiss_step", counted_step)
     # one symmetric step per pivot level: full rank, then a vanishing M_2 (exit 2)

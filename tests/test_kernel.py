@@ -7,6 +7,7 @@ run sees the same cases.
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from polydiag.certificates import (
     bundle_certificate_failures,
     diag_certificate_failures,
     equiv_witness_failures,
+    witness_from_diag_certificate,
 )
 from polydiag.cli import main
 from polydiag.diagonal import block_step, diagonalization_bundle, single_path_diagonalize
@@ -306,6 +308,73 @@ def test_failure_lists_match_full_check(part, index, delta_text, branch):
     ]
     bundle = DiagBundle(zip(certs, traces))
     assert bundle_certificate_failures(VACUOUS_SUBJECT, bundle) == expected
+
+
+def all_witness_failures(a1, a2, wit):
+    """Every witness identity checked with plain products, none skipped."""
+    z_id = PolyMatrix.identity(a1.rows, a1.nvars) * wit.z
+    out = []
+    for name, s, squares in (("s1", wit.s1, wit.s1_squares), ("s2", wit.s2, wit.s2_squares)):
+        if s != sum((f * f for f in squares), Polynomial.zero(a1.nvars)):
+            out.append(f"{name} = sum of its stored squares")
+    out += [f"{name} is nonzero" for name, s in (("s1", wit.s1), ("s2", wit.s2)) if s.is_zero()]
+    if wit.x_minus @ wit.x_plus != z_id:
+        out.append("x_minus*x_plus = z*I")
+    if wit.x_plus @ wit.x_minus != z_id:
+        out.append("x_plus*x_minus = z*I")
+    if a1 * wit.s1 != (wit.x_plus @ a2 @ wit.x_plus.transpose()) * wit.s2:
+        out.append("s1*a1 = s2*x_plus*a2*x_plus^t")
+    return out
+
+
+ZERO2 = const_matrix([[0, 0], [0, 0]])
+# (a1, a2, witness for a1 ~ a2): A ~ D of two single paths, and a witness
+# whose z is zero, so that the reverse product is the one that can fail
+WITNESSES = (
+    (SUBJECT, GOOD.D, witness_from_diag_certificate(GOOD)),
+    (SUBJECT_2VARS, GOOD_2VARS.D, witness_from_diag_certificate(GOOD_2VARS)),
+    (
+        ZERO2,
+        ZERO2,
+        EquivWitness(
+            Polynomial.one(1), (Polynomial.one(1),), Polynomial.one(1), (Polynomial.one(1),),
+            Polynomial.zero(1), const_matrix([[1, 0], [0, 0]]), const_matrix([[0, 1], [0, 0]]),
+        ),
+    ),
+)
+
+
+def tampered_witness(a2, wit, part, index, delta_text):
+    """(a2, wit) with delta added to one part: entry index of x_plus or
+    x_minus, both mirrored entries of a2 (subject_b), so that it stays
+    symmetric, or the polynomial z, s1 or s2."""
+    n = a2.rows
+    delta = parse_polynomial(delta_text, a2.nvars)
+    i, j = divmod(index, n)
+
+    def bump(mat, cells):
+        entries = list(mat.entries)
+        for cell in cells:
+            entries[cell] = entries[cell] + delta
+        return PolyMatrix(n, n, entries)
+
+    if part == "subject_b":
+        return bump(a2, {i * n + j, j * n + i}), wit
+    if part in ("x_plus", "x_minus"):
+        return a2, replace(wit, **{part: bump(getattr(wit, part), {i * n + j})})
+    return a2, replace(wit, **{part: getattr(wit, part) + delta})
+
+
+@BOUNDED
+@given(
+    st.sampled_from(("x_plus", "x_minus", "z", "s1", "s2", "subject_b")),
+    st.sampled_from(("1", "-1", "t1", "-1/2*t1^2", "0")),  # -1 zeroes an s of 1
+)
+def test_witness_failure_lists_match_full_check(part, delta_text):
+    for a1, a2, good in WITNESSES:
+        for index in range(a2.rows**2):
+            b, wit = tampered_witness(a2, good, part, index, delta_text)
+            assert equiv_witness_failures(a1, b, wit) == all_witness_failures(a1, b, wit)
 
 
 def test_implied_third_identity_is_not_multiplied_out(monkeypatch):
