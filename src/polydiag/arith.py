@@ -458,6 +458,42 @@ def sum_of_products(nvars, pairs):
     return _reduced(nvars, den, out)
 
 
+def _image_bounds(polys):
+    """(L, B, d, forms) for one-variable polys: the lcm L of their
+    denominators, B = L * (most terms) * (largest numerator), which bounds
+    the l1 norm of every L*p, the largest degree d, and the integer forms
+    that _images reads."""
+    forms = [p._form for p in polys]
+    lcm = 1
+    top = terms = degree = 0
+    for den, pairs in forms:
+        if pairs:
+            if den != 1:
+                lcm = math.lcm(lcm, den)
+            for _k, c in pairs:
+                if c > top:
+                    top = c
+                elif -c > top:
+                    top = -c
+            terms = max(terms, len(pairs))
+            degree = max(degree, pairs[0][0])
+    return lcm, lcm * terms * top, degree, forms
+
+
+def _images(forms, lcm, beta):
+    """L/den*N(2^beta) for each one-variable form (den, N): one shift-add
+    per term, from the top key (the exponent) down."""
+    out = []
+    for den, pairs in forms:
+        value = 0
+        prev = pairs[0][0] if pairs else 0
+        for k, c in pairs:
+            value = (value << beta * (prev - k)) + c
+            prev = k
+        out.append((value << beta * prev) * (lcm // den))
+    return out
+
+
 # ASCII digits only: \d and int() also read other scripts' digits, and int()
 # '_' separators; text written so would parse yet not re-format to itself.
 # _TERM_RE reads one term of the module docstring's grammar and the sign

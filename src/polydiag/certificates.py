@@ -31,7 +31,12 @@ each G_j is an ascending product of the B_i.
 
 Every verifier has a *_failures companion that returns the list of broken
 identities (empty means the certificate verifies), so callers can report
-exactly what failed.
+exactly what failed.  polymat.identity_holds decides every identity.  In
+one variable it compares integer images at t1 = 2^beta, with 2^(beta-1)
+above a bound on the coefficients of lhs - rhs, so equal images mean
+equal polynomials (exact, not probabilistic).  Identities in more
+variables, or whose images would pass its size cap, go to sparse
+polynomial products.
 
 Certificate files are sectioned text: a `[meta]` section with `key value`
 lines (kind, dim, nvars <= MAX_NVARS, per-kind counts), `[matrix <name>]`
@@ -61,6 +66,7 @@ from .polymat import (
     _parse_matrix_lines,
     congruence_sum,
     format_matrix,
+    identity_holds,
 )
 
 
@@ -218,22 +224,27 @@ def diag_certificate_failures(a, cert):
         raise ValueError("subject and certificate disagree on variable count")
     if not a.is_symmetric():
         raise NotSymmetric("subject matrix is not symmetric")
-    w_id = PolyMatrix.diagonal([cert.w] * n)
+    xp, xm, d, w = cert.X_plus, cert.X_minus, cert.D, cert.w
+    w_id = PolyMatrix.diagonal([w] * n)
     failures = []
-    plus_minus = cert.X_plus @ cert.X_minus == w_id
+    plus_minus = identity_holds([(xp, xm)], [(w_id,)], lambda: xp @ xm == w_id)
     if not plus_minus:
         failures.append("X_plus*X_minus = w*I")
     # X_plus*X_minus = w*I with w nonzero makes X_plus invertible over the
     # rational functions, X_minus = w*X_plus^-1, so X_minus*X_plus = w*I too
-    if (not plus_minus or cert.w.is_zero()) and cert.X_minus @ cert.X_plus != w_id:
+    if (not plus_minus or w.is_zero()) and not identity_holds(
+        [(xm, xp)], [(w_id,)], lambda: xm @ xp == w_id
+    ):
         failures.append("X_minus*X_plus = w*I")
-    if not cert.D.is_diagonal():
+    if not d.is_diagonal():
         failures.append("D is diagonal")
-    d_congruent = cert.D == cert.X_minus.congruence(a)
+    d_congruent = identity_holds([(d,)], [(xm, a, xm.transpose())], lambda: d == xm.congruence(a))
     if not d_congruent:
         failures.append("D = X_minus*A*X_minus^t")
     implied = plus_minus and d_congruent  # w^2*A = X_plus*D*X_plus^t follows
-    if not implied and (cert.w * cert.w) * a != cert.X_plus.congruence(cert.D):
+    if not implied and not identity_holds(
+        [(w, w, a)], [(xp, d, xp.transpose())], lambda: (w * w) * a == xp.congruence(d)
+    ):
         failures.append("w^2*A = X_plus*D*X_plus^t")
     return failures
 
@@ -279,22 +290,30 @@ def equiv_witness_failures(a1, a2, wit):
     if not a2.is_symmetric():
         raise NotSymmetric("second subject is not symmetric")
     failures = []
-    if wit.s1 != _sum_of_squares(wit.s1_squares, a1.nvars):
-        failures.append("s1 = sum of its stored squares")
-    if wit.s2 != _sum_of_squares(wit.s2_squares, a1.nvars):
-        failures.append("s2 = sum of its stored squares")
+    for name, s, squares in (("s1", wit.s1, wit.s1_squares), ("s2", wit.s2, wit.s2_squares)):
+        if not identity_holds(
+            [(s,)], [(f, f) for f in squares], lambda: s == _sum_of_squares(squares, a1.nvars)
+        ):
+            failures.append(f"{name} = sum of its stored squares")
     if wit.s1.is_zero():
         failures.append("s1 is nonzero")
     if wit.s2.is_zero():
         failures.append("s2 is nonzero")
+    xp, xm = wit.x_plus, wit.x_minus
     z_id = PolyMatrix.diagonal([wit.z] * n)
-    minus_plus = wit.x_minus @ wit.x_plus == z_id
+    minus_plus = identity_holds([(xm, xp)], [(z_id,)], lambda: xm @ xp == z_id)
     if not minus_plus:
         failures.append("x_minus*x_plus = z*I")
     # with z nonzero the first product already implies the reverse one
-    if (not minus_plus or wit.z.is_zero()) and wit.x_plus @ wit.x_minus != z_id:
+    if (not minus_plus or wit.z.is_zero()) and not identity_holds(
+        [(xp, xm)], [(z_id,)], lambda: xp @ xm == z_id
+    ):
         failures.append("x_plus*x_minus = z*I")
-    if wit.s1 * a1 != wit.s2 * wit.x_plus.congruence(a2):
+    if not identity_holds(
+        [(wit.s1, a1)],
+        [(wit.s2, xp, a2, xp.transpose())],
+        lambda: wit.s1 * a1 == wit.s2 * xp.congruence(a2),
+    ):
         failures.append("s1*a1 = s2*x_plus*a2*x_plus^t")
     return failures
 
@@ -391,11 +410,15 @@ def sos_matrix_failures(a, cert):
             raise ValueError("factor and subject disagree on variable count")
     if cert.c.nvars != a.nvars:
         raise ValueError("scalar c and subject disagree on variable count")
+    c, qs = cert.c, cert.factors
     failures = []
-    if cert.c.is_zero():
+    if c.is_zero():
         failures.append("c is nonzero")
-    squares = congruence_sum(n, a.nvars, [(q.transpose(), None) for q in cert.factors])
-    if (cert.c * cert.c) * a != squares:
+    if not identity_holds(
+        [(c, c, a)],
+        [(q.transpose(), q) for q in qs],
+        lambda: (c * c) * a == congruence_sum(n, a.nvars, [(q.transpose(), None) for q in qs]),
+    ):
         failures.append("c^2*A = sum(Q^t*Q)")
     return failures
 
@@ -509,16 +532,23 @@ def membership_failures(element, generators, cert):
     for idx in cert.generator_index_sets:
         if any(k > r for k in idx):
             raise ValueError(f"index set {idx} exceeds generator count {r}")
+    products = {}  # index set -> its ascending product, multiplied once per call
     terms = []
     for idx, ys in zip(cert.generator_index_sets, cert.coefficients):
-        prod = _ascending_product(generators, idx)
+        if idx not in products:
+            products[idx] = _ascending_product(generators, idx)
+        prod = products[idx]
         for y in ys:
             if y.rows != gdim or y.cols != n:
                 raise ValueError(f"coefficient must be {gdim}x{n}, got {y.rows}x{y.cols}")
             if y.nvars != nvars:
                 raise ValueError("coefficient and generators disagree on variable count")
-            terms.append((y.transpose(), prod))
-    if congruence_sum(n, nvars, terms) != element:
+            terms.append((y.transpose(), prod, y))
+    if not identity_holds(
+        [(element,)],
+        [(yt, y) if g is None else (yt, g, y) for yt, g, y in terms],
+        lambda: congruence_sum(n, nvars, [(yt, g) for yt, g, _y in terms]) == element,
+    ):
         return ["element = sum(y^t*G_idx*y)"]
     return []
 

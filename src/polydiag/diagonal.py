@@ -58,7 +58,7 @@ from .errors import (
     NotSymmetric,
     ZeroMatrix,
 )
-from .polymat import PolyMatrix, _bareiss_step
+from .polymat import PolyMatrix, _bareiss_step, identity_holds
 
 
 @dataclass(frozen=True)
@@ -155,14 +155,17 @@ def block_step(a):
 
     at, xp, xm = PolyMatrix.from_rows(atilde), corner(+1), corner(-1)
     a2 = alpha * alpha
+    a2_id = PolyMatrix.diagonal([a2] * n)
     failures = []
-    plus_minus = xp @ xm == PolyMatrix.diagonal([a2] * n)
+    plus_minus = identity_holds([(xp, xm)], [(a2_id,)], lambda: xp @ xm == a2_id)
     if not plus_minus:
         failures.append("X_plus*X_minus = alpha^2*I")
-    congruent = at == xm.congruence(a)
+    congruent = identity_holds([(at,)], [(xm, a, xm.transpose())], lambda: at == xm.congruence(a))
     if not congruent:
         failures.append("Atilde = X_minus*A*X_minus^t")
-    if not (plus_minus and congruent) and (a2 * a2) * a != xp.congruence(at):
+    if not (plus_minus and congruent) and not identity_holds(
+        [(a2, a2, a)], [(xp, at, xp.transpose())], lambda: (a2 * a2) * a == xp.congruence(at)
+    ):
         failures.append("alpha^4*A = X_plus*Atilde*X_plus^t")
     if failures:
         raise InternalIdentityFailure("block step identities broke: " + "; ".join(failures))

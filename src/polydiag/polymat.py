@@ -13,6 +13,9 @@ division is exact (Sylvester's identity), so no rational functions
 appear.  The generic rank is the largest p with some p x p minor that is
 not identically zero.
 
+identity_holds decides the verifiers' identities: in one variable on
+integer (Kronecker) images at t1 = 2^beta, otherwise by sparse products.
+
 Matrix file format: a header line ``rows cols nvars`` (nvars at most
 MAX_NVARS) followed by rows*cols polynomial lines in row-major order.
 Lines starting with ``#`` and blank lines are ignored; integers are ASCII
@@ -21,9 +24,13 @@ decimal.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add, mul
 
-from .arith import MAX_NVARS, Polynomial, _decimal_int, parse_polynomial, sum_of_products
+from .arith import (
+    MAX_NVARS, Polynomial, _decimal_int, _image_bounds, _images, parse_polynomial, sum_of_products
+)
 from .errors import ParseError
 
 
@@ -319,19 +326,101 @@ def congruence_sum(n, nvars, terms):
     return PolyMatrix(n, n, out)
 
 
+# identity_holds leaves to sparse products an identity whose images would
+# pass this many bits: beta * (largest term degree + 1) * (most entries of
+# a factor).  The test suite and the benchmark stay below 2^19; one product
+# of two 2^20-bit integers takes about 0.2 s.
+_IMAGE_BITS_CAP = 2**20
+
+
+def identity_holds(lhs, rhs, sparse):
+    """Whether two sums of products are equal; sparse() decides when this does not.
+
+    A side is a sequence of terms, each a tuple of factors multiplied left
+    to right: PolyMatrix values (a transpose passed as one) and Polynomial
+    scalars.  In one variable each factor, its entries N/den over the lcm L
+    of its denominators, becomes the integers L/den*N(2^beta), and the sides,
+    over one common scale S, are compared as integer matrices.  The factors'
+    l1 bounds (arith._image_bounds) times their row counts bound every
+    coefficient of S*(lhs - rhs) by B < 2^(beta-1); such an integer
+    polynomial vanishes at 2^beta only if it is zero (balanced base-2^beta
+    digits), so the test is exact.  More variables, or images past
+    _IMAGE_BITS_CAP, go to sparse().
+    """
+    stats, plans = {}, ([], [])
+    common = 1
+    degree = size = 0
+    for side, plan in zip((lhs, rhs), plans):
+        for term in side:
+            scale = bound = 1
+            term_degree = 0
+            for f in term:
+                s = stats.get(id(f))
+                if s is None:
+                    if f.nvars != 1:
+                        return sparse()
+                    matrix = isinstance(f, PolyMatrix)
+                    s = _image_bounds(f.entries if matrix else (f,))
+                    s = stats[id(f)] = (s[0], s[1] * (f.rows if matrix else 1), s[2], s[3])
+                    size = max(size, len(s[3]))
+                scale *= s[0]
+                bound *= s[1]
+                term_degree += s[2]
+            plan.append((term, scale, bound))
+            common = math.lcm(common, scale)
+            degree = max(degree, term_degree)
+    beta = sum(common // scale * bound for plan in plans for _t, scale, bound in plan).bit_length() + 1
+    if beta * (degree + 1) * size > _IMAGE_BITS_CAP:
+        return sparse()
+    images = {}
+    sums = []
+    for plan in plans:
+        total = None
+        for term, scale, _bound in plan:
+            acc, value = common // scale, None
+            for f in term:
+                m = images.get(id(f))
+                if m is None:
+                    lcm, _b, _d, forms = stats[id(f)]
+                    m = _images(forms, lcm, beta)
+                    if isinstance(f, PolyMatrix):
+                        m = [m[i : i + f.cols] for i in range(0, len(m), f.cols)]
+                    images[id(f)] = m
+                if not isinstance(f, PolyMatrix):
+                    acc *= m[0]
+                elif value is None:
+                    value = m
+                else:
+                    cols = list(zip(*m))
+                    value = [[sum(map(mul, row, col)) for col in cols] for row in value]
+            if value is None:
+                value = [[acc]]
+            elif acc != 1:
+                value = [[acc * x for x in row] for row in value]
+            total = value if total is None else [list(map(add, r, v)) for r, v in zip(total, value)]
+        sums.append(total)
+    left, right = sums
+    if left is None or right is None:  # an empty sum is zero
+        return not any(map(any, left or right or ()))
+    return left == right
+
+
 def _bareiss_step(m, k, prev, symmetric=False):
     """One fraction-free step on the pivot m[k][k], in place.
 
     m[i][j] becomes (m[k][k]*m[i][j] - m[i][k]*m[k][j]) / prev for each row
     i > k and column j > k of m, exact (Sylvester) when prev is the previous
     pivot, whose variable count is used; a symmetric step computes j >= i,
-    mirrored where j is a row of m."""
+    mirrored where j is a row of m.  A zero entry whose two products are
+    both zero is left as it is."""
     nvars, rows, cols = prev.nvars, len(m), len(m[0])
     pivot_row = m[k]
     for i in range(k + 1, rows):
         row = m[i]
         lead = -row[k]
         for j in range(i if symmetric else k + 1, cols):
+            if not (row[j] or lead and pivot_row[j]):
+                continue
             pairs = ((pivot_row[k], row[j]), (lead, pivot_row[j]))
             row[j] = sum_of_products(nvars, pairs).exact_div(prev)
             if symmetric and j < rows:

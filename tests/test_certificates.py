@@ -45,7 +45,7 @@ from polydiag.diagonal import (
     standard_form_diagonalize,
 )
 from polydiag.errors import InternalIdentityFailure, NotSymmetric, ParseError
-from polydiag.polymat import PolyMatrix, parse_matrix
+from polydiag.polymat import PolyMatrix, congruence_sum, parse_matrix
 
 from helpers import (
     DIAG_BUNDLE,
@@ -462,6 +462,29 @@ def test_membership_refuses_too_many_generators(monkeypatch):
     with pytest.raises(ValueError, match=f"^{r} generators exceed the cap of {MAX_GENERATORS} "):
         membership_failures(y, [PolyMatrix.diagonal([P("1 + t1")])] * r, cert)
     assert products == []
+
+
+def test_membership_multiplies_each_index_set_once(monkeypatch):
+    # 200 terms that all chain the same sixteen 8x8 generators
+    gens = [PolyMatrix.diagonal([P(f"{k + i} + t1") for i in range(8)]) for k in range(16)]
+    chain = tuple(range(1, 17))
+    rng = random.Random(3)
+    ys = [M([[str(rng.randint(-2, 2)) for _ in range(2)] for _ in range(8)]) for _ in range(200)]
+    prod = gens[0]
+    for g in gens[1:]:
+        prod = prod @ g
+    element = congruence_sum(2, 1, [(y.transpose(), prod) for y in ys])
+    honest = ModuleMembershipCertificate((chain,) * 200, [(y,) for y in ys])
+    bumped = ys[7].entries[:3] + (ys[7].entries[3] + P("t1"),) + ys[7].entries[4:]
+    tampered = replace(honest, coefficients=[(y,) for y in ys[:7] + [PolyMatrix(8, 2, bumped)] + ys[8:]])
+    products = count_calls(monkeypatch, "__matmul__", (PolyMatrix,))
+    for cert, expected in ((honest, []), (tampered, ["element = sum(y^t*G_idx*y)"])):
+        products.clear()
+        assert membership_failures(element, gens, cert) == expected
+        assert len(products) == 15  # one chain, not one per term
+        with pytest.MonkeyPatch.context() as mp:  # the sparse products agree
+            mp.setattr(polymat, "_IMAGE_BITS_CAP", 0)
+            assert membership_failures(element, gens, cert) == expected
 
 
 def test_knk_identity():

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polydiag import certificates, diagonal, polymat
 from polydiag.arith import (
     MAX_EXPONENT,
     Polynomial,
+    _images,
     _pack,
     _unpacker,
     parse_polynomial,
@@ -34,7 +36,7 @@ from polydiag.certificates import (
 from polydiag.cli import main
 from polydiag.diagonal import block_step, diagonalization_bundle, single_path_diagonalize
 from polydiag.errors import ExponentOverflow, ParseError
-from polydiag.polymat import PolyMatrix
+from polydiag.polymat import PolyMatrix, identity_holds
 
 from helpers import const_matrix, count_calls
 
@@ -310,6 +312,119 @@ def test_failure_lists_match_full_check(part, index, delta_text, branch):
     assert bundle_certificate_failures(VACUOUS_SUBJECT, bundle) == expected
 
 
+def sparse_reference(check, *args):
+    """check(*args) with every identity decided by sparse products."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polymat, "_IMAGE_BITS_CAP", 0)
+        return check(*args)
+
+
+def test_image_collision_is_rejected():
+    # 2^beta*t1^k - t1^(k+1) vanishes at t1 = 2^beta, for the beta the
+    # decider picks for the honest certificate; adding it raises the bound
+    with pytest.MonkeyPatch.context() as mp:
+        images = count_calls(mp, "_images", (polymat,))
+        assert diag_certificate_failures(SUBJECT, GOOD) == []
+    betas = {beta for _forms, _lcm, beta in images}
+    assert betas
+    for beta in betas:
+        for k in (0, 3):
+            delta = f"{2**beta}*t1^{k} - t1^{k + 1}"
+            assert _images([parse_polynomial(delta, 1)._form], 1, beta) == [0]
+            for part, index in (("D", 0), ("X_plus", 4), ("X_minus", 3), ("w", 0)):
+                bad = tampered(GOOD, part, index, delta)
+                failures = diag_certificate_failures(SUBJECT, bad)
+                assert failures, (beta, k, part)
+                assert failures == all_identity_failures(SUBJECT, bad)
+                assert failures == sparse_reference(diag_certificate_failures, SUBJECT, bad)
+
+
+RATIONAL_SUBJECT = subject(
+    (("1/2*t1", "1/3", "0"), ("1/3", "t1^2 - 2/5", "2/5*t1"), ("0", "2/5*t1", "3/7")), 1
+)
+GOOD_RATIONAL = single_path_diagonalize(RATIONAL_SUBJECT)
+
+
+@BOUNDED
+@given(
+    st.sampled_from(("X_plus", "X_minus", "D", "w")),
+    st.integers(0, 8),
+    st.sampled_from(("1/2", "-1/3*t1", "5/7*t1^2", "0")),
+)
+def test_rational_failure_lists_match_sparse_reference(part, index, delta_text):
+    entries = GOOD_RATIONAL.X_plus.entries + GOOD_RATIONAL.X_minus.entries
+    assert any(c.denominator > 1 for p in entries for c in p.terms.values())
+    cert = tampered(GOOD_RATIONAL, part, index, delta_text)
+    failures = diag_certificate_failures(RATIONAL_SUBJECT, cert)
+    assert failures == all_identity_failures(RATIONAL_SUBJECT, cert)
+    assert failures == sparse_reference(diag_certificate_failures, RATIONAL_SUBJECT, cert)
+
+
+@BOUNDED
+@given(
+    st.sampled_from(("X_plus", "X_minus", "D", "w")),
+    st.integers(0, 8),
+    st.sampled_from(("1", "t1", "-1/2*t1^2", "0")),
+)
+def test_vacuous_branches_match_sparse_reference(part, index, delta_text):
+    vacuous = [cert for cert, _trace in VACUOUS_BUNDLE.branches if cert.w.is_zero()]
+    assert vacuous
+    for cert in vacuous:
+        bad = tampered(cert, part, index, delta_text)
+        failures = diag_certificate_failures(VACUOUS_SUBJECT, bad)
+        assert failures == sparse_reference(diag_certificate_failures, VACUOUS_SUBJECT, bad)
+
+
+polys1 = st.dictionaries(st.tuples(st.integers(0, 4)), coefficients, max_size=4).map(
+    lambda terms: Polynomial(1, terms)
+)
+
+
+def matrices1(rows, cols):
+    return st.lists(polys1, min_size=rows * cols, max_size=rows * cols).map(
+        lambda entries: PolyMatrix(rows, cols, entries)
+    )
+
+
+@settings(BOUNDED, max_examples=30)
+@given(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+        lambda nk: st.tuples(
+            polys1, matrices1(nk[0], nk[1]), matrices1(nk[1], nk[1]), matrices1(nk[0], nk[1]),
+            matrices1(nk[0], nk[0]), st.booleans(),
+        )
+    ),
+)
+def test_identity_holds_matches_sparse_products(case):
+    c, x, m, y, delta, perturb = case
+    xt, yt = x.transpose(), y.transpose()
+    total = c * (x @ m @ xt) + y @ yt
+    z = total + delta if perturb else total
+
+    def unused():
+        raise AssertionError("a small one-variable identity went to the sparse products")
+
+    lhs = [(c, x, m, xt), (y, yt)]
+    assert identity_holds(lhs, [(z,)], unused) == (total == z)
+    assert identity_holds([(z,)], lhs, unused) == (total == z)
+    s = c * c + delta[0, 0] if perturb else c * c
+    assert identity_holds([(c, c)], [(s,)], unused) == (c * c == s)
+    assert identity_holds([(s,)], [], unused) == s.is_zero()
+
+
+def test_over_cap_identity_takes_sparse_path():
+    big = subject(((f"t1^4000 + {10**300}", "1", "0"), ("1", "t1", "1"), ("0", "1", "2")), 1)
+    good = single_path_diagonalize(big)
+    with pytest.MonkeyPatch.context() as mp:
+        images = count_calls(mp, "_images", (polymat,))
+        assert diag_certificate_failures(big, good) == []
+        for part, index in (("D", 0), ("X_plus", 3), ("w", 0)):
+            bad = tampered(good, part, index, "t1^2")
+            failures = diag_certificate_failures(big, bad)
+            assert failures and failures == all_identity_failures(big, bad)
+    assert images == []
+
+
 def all_witness_failures(a1, a2, wit):
     """Every witness identity checked with plain products, none skipped."""
     z_id = PolyMatrix.identity(a1.rows, a1.nvars) * wit.z
@@ -378,16 +493,16 @@ def test_witness_failure_lists_match_full_check(part, delta_text):
 
 
 def test_implied_third_identity_is_not_multiplied_out(monkeypatch):
-    calls = count_calls(monkeypatch, "congruence", (PolyMatrix,))
+    calls = count_calls(monkeypatch, "identity_holds", (certificates, diagonal))
     assert diag_certificate_failures(SUBJECT, GOOD) == []
-    assert len(calls) == 1  # X_minus*A*X_minus^t
+    assert len(calls) == 2  # X_plus*X_minus = w*I and D = X_minus*A*X_minus^t
     calls.clear()
     bad = tampered(GOOD, "D", 0, "1")
     assert diag_certificate_failures(SUBJECT, bad) == [
         "D = X_minus*A*X_minus^t",
         "w^2*A = X_plus*D*X_plus^t",
     ]
-    assert len(calls) == 2  # a failed identity: the third is reported too
+    assert len(calls) == 3  # a failed identity: the third is reported too
     calls.clear()
     block_step(SUBJECT)
-    assert len(calls) == 1  # Atilde = X_minus*A*X_minus^t
+    assert len(calls) == 2  # X_plus*X_minus = alpha^2*I and Atilde = X_minus*A*X_minus^t

@@ -218,6 +218,17 @@ def test_congruence_sum_equals_summed_products():
         congruence_sum(1, 1, [(M([["1", "t1"]]), M([["1", "t1"], ["1", "t1"], ["0", "0"]]))])
 
 
+def test_bareiss_step_leaves_entries_of_two_zero_products(monkeypatch):
+    # row 2 is zero and its lead too; in row 3 only (3,3) has a nonzero product
+    rows = [[P(s) for s in row] for row in (("t1", "0", "1"), ("0", "0", "0"), ("1", "0", "t1"))]
+    zero = rows[1][1]
+    products = count_calls(monkeypatch, "sum_of_products", (polymat,))
+    polymat._bareiss_step(rows, 0, P("1"), symmetric=True)
+    assert len(products) == 1
+    assert rows[1][1] is zero and rows[2][1].is_zero() and rows[1][2].is_zero()
+    assert rows[2][2] == P("t1^2 - 1")
+
+
 def test_symmetry_and_diagonal_predicates():
     assert M([["t1", "1"], ["1", "0"]]).is_symmetric()
     assert not M([["t1", "1"], ["0", "t1"]]).is_symmetric()
