@@ -31,12 +31,9 @@ each G_j is an ascending product of the B_i.
 
 Every verifier has a *_failures companion that returns the list of broken
 identities (empty means the certificate verifies), so callers can report
-exactly what failed.  polymat.identity_holds decides every identity.  In
-one variable it compares integer images at t1 = 2^beta, with 2^(beta-1)
-above a bound on the coefficients of lhs - rhs, so equal images mean
-equal polynomials (exact, not probabilistic).  Identities in more
-variables, or whose images would pass its size cap, go to sparse
-polynomial products.
+exactly what failed.  Each identity is stated once, as two sums of
+products for polymat.identity_holds, which decides it exactly: on integer
+images in one variable, otherwise by sparse products of the same terms.
 
 Certificate files are sectioned text: a `[meta]` section with `key value`
 lines (kind, dim, nvars <= MAX_NVARS, per-kind counts), `[matrix <name>]`
@@ -57,10 +54,11 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .arith import MAX_NVARS, Polynomial, _decimal_int, _int_literal, parse_polynomial, sum_of_products
+from .arith import MAX_NVARS, Polynomial, _decimal_int, _int_literal, parse_polynomial
 from .errors import InternalIdentityFailure, NotSymmetric, ParseError
 from .polymat import (
     PolyMatrix,
+    T,
     _data_lines,
     _parse_line,
     _parse_matrix_lines,
@@ -227,24 +225,20 @@ def diag_certificate_failures(a, cert):
     xp, xm, d, w = cert.X_plus, cert.X_minus, cert.D, cert.w
     w_id = PolyMatrix.diagonal([w] * n)
     failures = []
-    plus_minus = identity_holds([(xp, xm)], [(w_id,)], lambda: xp @ xm == w_id)
+    plus_minus = identity_holds([(xp, xm)], [(w_id,)])
     if not plus_minus:
         failures.append("X_plus*X_minus = w*I")
     # X_plus*X_minus = w*I with w nonzero makes X_plus invertible over the
     # rational functions, X_minus = w*X_plus^-1, so X_minus*X_plus = w*I too
-    if (not plus_minus or w.is_zero()) and not identity_holds(
-        [(xm, xp)], [(w_id,)], lambda: xm @ xp == w_id
-    ):
+    if (not plus_minus or w.is_zero()) and not identity_holds([(xm, xp)], [(w_id,)]):
         failures.append("X_minus*X_plus = w*I")
     if not d.is_diagonal():
         failures.append("D is diagonal")
-    d_congruent = identity_holds([(d,)], [(xm, a, xm.transpose())], lambda: d == xm.congruence(a))
+    d_congruent = identity_holds([(d,)], [(xm, a, T)])
     if not d_congruent:
         failures.append("D = X_minus*A*X_minus^t")
     implied = plus_minus and d_congruent  # w^2*A = X_plus*D*X_plus^t follows
-    if not implied and not identity_holds(
-        [(w, w, a)], [(xp, d, xp.transpose())], lambda: (w * w) * a == xp.congruence(d)
-    ):
+    if not implied and not identity_holds([(w, w, a)], [(xp, d, T)]):
         failures.append("w^2*A = X_plus*D*X_plus^t")
     return failures
 
@@ -274,10 +268,6 @@ def bundle_certificate_failures(a, bundle):
 # equivalence witness calculus
 
 
-def _sum_of_squares(squares, nvars):
-    return sum_of_products(nvars, ((f, f) for f in squares))
-
-
 def equiv_witness_failures(a1, a2, wit):
     """Broken-identity list for an EquivWitness relating a1 ~ a2."""
     n = wit.x_plus.rows
@@ -291,9 +281,7 @@ def equiv_witness_failures(a1, a2, wit):
         raise NotSymmetric("second subject is not symmetric")
     failures = []
     for name, s, squares in (("s1", wit.s1, wit.s1_squares), ("s2", wit.s2, wit.s2_squares)):
-        if not identity_holds(
-            [(s,)], [(f, f) for f in squares], lambda: s == _sum_of_squares(squares, a1.nvars)
-        ):
+        if not identity_holds([(s,)], [(f, f) for f in squares]):
             failures.append(f"{name} = sum of its stored squares")
     if wit.s1.is_zero():
         failures.append("s1 is nonzero")
@@ -301,19 +289,13 @@ def equiv_witness_failures(a1, a2, wit):
         failures.append("s2 is nonzero")
     xp, xm = wit.x_plus, wit.x_minus
     z_id = PolyMatrix.diagonal([wit.z] * n)
-    minus_plus = identity_holds([(xm, xp)], [(z_id,)], lambda: xm @ xp == z_id)
+    minus_plus = identity_holds([(xm, xp)], [(z_id,)])
     if not minus_plus:
         failures.append("x_minus*x_plus = z*I")
     # with z nonzero the first product already implies the reverse one
-    if (not minus_plus or wit.z.is_zero()) and not identity_holds(
-        [(xp, xm)], [(z_id,)], lambda: xp @ xm == z_id
-    ):
+    if (not minus_plus or wit.z.is_zero()) and not identity_holds([(xp, xm)], [(z_id,)]):
         failures.append("x_plus*x_minus = z*I")
-    if not identity_holds(
-        [(wit.s1, a1)],
-        [(wit.s2, xp, a2, xp.transpose())],
-        lambda: wit.s1 * a1 == wit.s2 * xp.congruence(a2),
-    ):
+    if not identity_holds([(wit.s1, a1)], [(wit.s2, xp, a2, T)]):
         failures.append("s1*a1 = s2*x_plus*a2*x_plus^t")
     return failures
 
@@ -414,11 +396,7 @@ def sos_matrix_failures(a, cert):
     failures = []
     if c.is_zero():
         failures.append("c is nonzero")
-    if not identity_holds(
-        [(c, c, a)],
-        [(q.transpose(), q) for q in qs],
-        lambda: (c * c) * a == congruence_sum(n, a.nvars, [(q.transpose(), None) for q in qs]),
-    ):
+    if not identity_holds([(c, c, a)], [(q.transpose(), T) for q in qs]):
         failures.append("c^2*A = sum(Q^t*Q)")
     return failures
 
@@ -543,12 +521,8 @@ def membership_failures(element, generators, cert):
                 raise ValueError(f"coefficient must be {gdim}x{n}, got {y.rows}x{y.cols}")
             if y.nvars != nvars:
                 raise ValueError("coefficient and generators disagree on variable count")
-            terms.append((y.transpose(), prod, y))
-    if not identity_holds(
-        [(element,)],
-        [(yt, y) if g is None else (yt, g, y) for yt, g, y in terms],
-        lambda: congruence_sum(n, nvars, [(yt, g) for yt, g, _y in terms]) == element,
-    ):
+            terms.append((y.transpose(), T) if prod is None else (y.transpose(), prod, T))
+    if not identity_holds([(element,)], terms):
         return ["element = sum(y^t*G_idx*y)"]
     return []
 

@@ -58,7 +58,7 @@ from .errors import (
     NotSymmetric,
     ZeroMatrix,
 )
-from .polymat import PolyMatrix, _bareiss_step, identity_holds
+from .polymat import PolyMatrix, T, _bareiss_step, identity_holds
 
 
 @dataclass(frozen=True)
@@ -157,15 +157,13 @@ def block_step(a):
     a2 = alpha * alpha
     a2_id = PolyMatrix.diagonal([a2] * n)
     failures = []
-    plus_minus = identity_holds([(xp, xm)], [(a2_id,)], lambda: xp @ xm == a2_id)
+    plus_minus = identity_holds([(xp, xm)], [(a2_id,)])
     if not plus_minus:
         failures.append("X_plus*X_minus = alpha^2*I")
-    congruent = identity_holds([(at,)], [(xm, a, xm.transpose())], lambda: at == xm.congruence(a))
+    congruent = identity_holds([(at,)], [(xm, a, T)])
     if not congruent:
         failures.append("Atilde = X_minus*A*X_minus^t")
-    if not (plus_minus and congruent) and not identity_holds(
-        [(a2, a2, a)], [(xp, at, xp.transpose())], lambda: (a2 * a2) * a == xp.congruence(at)
-    ):
+    if not (plus_minus and congruent) and not identity_holds([(a2, a2, a)], [(xp, at, T)]):
         failures.append("alpha^4*A = X_plus*Atilde*X_plus^t")
     if failures:
         raise InternalIdentityFailure("block step identities broke: " + "; ".join(failures))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from operator import add, mul
 
 from .arith import (
@@ -163,10 +164,6 @@ class PolyMatrix:
             for j in range(cols):
                 out.append(sum_of_products(nvars, zip(row, other.entries[j::cols])))
         return PolyMatrix(self.rows, cols, out)
-
-    def congruence(self, m):
-        """X*M*X^t for X = self; see congruence_sum."""
-        return congruence_sum(self.rows, self.nvars, ((self, m),))
 
     def transpose(self):
         return PolyMatrix(
@@ -332,20 +329,24 @@ def congruence_sum(n, nvars, terms):
 # of two 2^20-bit integers takes about 0.2 s.
 _IMAGE_BITS_CAP = 2**20
 
+# the last factor of a term X*...*X^t: its first matrix, transposed
+T = "T"
 
-def identity_holds(lhs, rhs, sparse):
-    """Whether two sums of products are equal; sparse() decides when this does not.
 
-    A side is a sequence of terms, each a tuple of factors multiplied left
-    to right: PolyMatrix values (a transpose passed as one) and Polynomial
-    scalars.  In one variable each factor, its entries N/den over the lcm L
-    of its denominators, becomes the integers L/den*N(2^beta), and the sides,
-    over one common scale S, are compared as integer matrices.  The factors'
-    l1 bounds (arith._image_bounds) times their row counts bound every
-    coefficient of S*(lhs - rhs) by B < 2^(beta-1); such an integer
+def identity_holds(lhs, rhs):
+    """Whether two sums of products are equal.
+
+    A side is a sequence of terms, none for zero; a term is a tuple of
+    factors multiplied left to right: Polynomial scalars, PolyMatrix values
+    and, last, T for the term's first matrix transposed: X*M*X^t is
+    (X, M, T).  In one variable each factor, its entries N/den over the lcm
+    L of its denominators, becomes the integers L/den*N(2^beta), and the
+    sides, over one common scale S, are compared as integer matrices.  The
+    factors' l1 bounds (arith._image_bounds) times their row counts bound
+    every coefficient of S*(lhs - rhs) by B < 2^(beta-1); such an integer
     polynomial vanishes at 2^beta only if it is zero (balanced base-2^beta
     digits), so the test is exact.  More variables, or images past
-    _IMAGE_BITS_CAP, go to sparse().
+    _IMAGE_BITS_CAP, go to _sparse_holds.
     """
     stats, plans = {}, ([], [])
     common = 1
@@ -355,43 +356,39 @@ def identity_holds(lhs, rhs, sparse):
             scale = bound = 1
             term_degree = 0
             for f in term:
+                rows = f.rows if isinstance(f, PolyMatrix) else 1
+                if f is T:  # the term's first matrix, its columns as rows
+                    f = next(g for g in term if isinstance(g, PolyMatrix))
+                    rows = f.cols
                 s = stats.get(id(f))
                 if s is None:
                     if f.nvars != 1:
-                        return sparse()
-                    matrix = isinstance(f, PolyMatrix)
-                    s = _image_bounds(f.entries if matrix else (f,))
-                    s = stats[id(f)] = (s[0], s[1] * (f.rows if matrix else 1), s[2], s[3])
+                        return _sparse_holds(lhs, rhs)
+                    s = stats[id(f)] = _image_bounds(f.entries if isinstance(f, PolyMatrix) else (f,))
                     size = max(size, len(s[3]))
                 scale *= s[0]
-                bound *= s[1]
+                bound *= s[1] * rows
                 term_degree += s[2]
             plan.append((term, scale, bound))
             common = math.lcm(common, scale)
             degree = max(degree, term_degree)
     beta = sum(common // scale * bound for plan in plans for _t, scale, bound in plan).bit_length() + 1
     if beta * (degree + 1) * size > _IMAGE_BITS_CAP:
-        return sparse()
-    images = {}
+        return _sparse_holds(lhs, rhs)
+    images = {key: _images(forms, lcm, beta) for key, (lcm, _b, _d, forms) in stats.items()}
     sums = []
     for plan in plans:
         total = None
         for term, scale, _bound in plan:
             acc, value = common // scale, None
             for f in term:
-                m = images.get(id(f))
-                if m is None:
-                    lcm, _b, _d, forms = stats[id(f)]
-                    m = _images(forms, lcm, beta)
-                    if isinstance(f, PolyMatrix):
-                        m = [m[i : i + f.cols] for i in range(0, len(m), f.cols)]
-                    images[id(f)] = m
-                if not isinstance(f, PolyMatrix):
-                    acc *= m[0]
+                if isinstance(f, Polynomial):
+                    acc *= images[id(f)][0]
                 elif value is None:
-                    value = m
-                else:
-                    cols = list(zip(*m))
+                    m, c = images[id(f)], f.cols
+                    value = first = [m[i : i + c] for i in range(0, len(m), c)]
+                else:  # X^t's columns are X's rows
+                    cols = first if f is T else [images[id(f)][j :: f.cols] for j in range(f.cols)]
                     value = [[sum(map(mul, row, col)) for col in cols] for row in value]
             if value is None:
                 value = [[acc]]
@@ -399,10 +396,41 @@ def identity_holds(lhs, rhs, sparse):
                 value = [[acc * x for x in row] for row in value]
             total = value if total is None else [list(map(add, r, v)) for r, v in zip(total, value)]
         sums.append(total)
-    left, right = sums
-    if left is None or right is None:  # an empty sum is zero
-        return not any(map(any, left or right or ()))
-    return left == right
+    if None in sums:  # an empty sum is zero
+        return not any(map(any, sums[0] or sums[1] or ()))
+    return sums[0] == sums[1]
+
+
+def _sparse_holds(lhs, rhs):
+    """identity_holds by sparse products of the same terms: each term's
+    scalars first, and one congruence_sum for all of a side's scalar-free X*M*X^t."""
+    sums = []
+    for side in (lhs, rhs):
+        parts, congruences = [], []
+        for term in side:
+            scale = x = value = None  # x: the X of X*M*X^t, value: the other matrices' product
+            for f in term:
+                if isinstance(f, Polynomial):
+                    scale = f if scale is None else scale * f
+                elif x is None and term[-1] is T:
+                    x = f
+                elif f is not T:
+                    value = f if value is None else value @ f
+            if x is not None:
+                if scale is None:
+                    congruences.append((x, value))
+                    continue
+                value = congruence_sum(x.rows, x.nvars, [(x, value)])
+            if scale is not None:  # a term without matrices is its scalars' product
+                value = scale if value is None else scale * value
+            parts.append(value)
+        if congruences:
+            x = congruences[0][0]
+            parts.append(congruence_sum(x.rows, x.nvars, congruences))
+        sums.append(reduce(add, parts) if parts else None)
+    if None in sums:  # an empty sum is zero
+        return all(side is None or side.is_zero() for side in sums)
+    return sums[0] == sums[1]
 
 
 def _bareiss_step(m, k, prev, symmetric=False):

@@ -28,15 +28,19 @@ from polydiag.certificates import (
     DiagBundle,
     DiagCertificate,
     EquivWitness,
+    ModuleMembershipCertificate,
+    SosMatrixCertificate,
     bundle_certificate_failures,
     diag_certificate_failures,
     equiv_witness_failures,
+    membership_failures,
+    sos_matrix_failures,
     witness_from_diag_certificate,
 )
 from polydiag.cli import main
 from polydiag.diagonal import block_step, diagonalization_bundle, single_path_diagonalize
-from polydiag.errors import ExponentOverflow, ParseError
-from polydiag.polymat import PolyMatrix, identity_holds
+from polydiag.errors import ExponentOverflow, InternalIdentityFailure, ParseError
+from polydiag.polymat import PolyMatrix, T, congruence_sum, identity_holds
 
 from helpers import const_matrix, count_calls
 
@@ -94,14 +98,14 @@ def test_sum_of_products_equals_fold(pairs):
 ))
 def test_congruence_symmetric_matches_plain_product(case):
     m, x = case
-    assert x.congruence(m) == x @ m @ x.transpose()
+    assert congruence_sum(2, NVARS, [(x, m)]) == x @ m @ x.transpose()
 
 
 @BOUNDED
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(matrices(n, n), matrices(n, n))))
 def test_congruence_general_matches_plain_product(case):
     m, x = case
-    assert x.congruence(m) == x @ m @ x.transpose()
+    assert congruence_sum(x.rows, NVARS, [(x, m)]) == x @ m @ x.transpose()
 
 
 def test_packed_keys_round_trip_at_field_edge():
@@ -386,30 +390,138 @@ def matrices1(rows, cols):
     )
 
 
-@settings(BOUNDED, max_examples=30)
-@given(
-    st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+def identity_cases(nvars):
+    poly = polys1 if nvars == 1 else polys
+    matrix = matrices1 if nvars == 1 else matrices
+    return st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
         lambda nk: st.tuples(
-            polys1, matrices1(nk[0], nk[1]), matrices1(nk[1], nk[1]), matrices1(nk[0], nk[1]),
-            matrices1(nk[0], nk[0]), st.booleans(),
+            st.just(nvars), poly, poly, matrix(nk[0], nk[1]), matrix(nk[1], nk[1]),
+            matrix(nk[0], nk[1]), matrix(nk[0], nk[0]), st.booleans(),
         )
-    ),
-)
+    )
+
+
+def refuse(*_args):
+    raise AssertionError("a small one-variable identity went to the sparse products")
+
+
+@settings(BOUNDED, max_examples=40)
+@given(st.sampled_from((1, 2)).flatmap(identity_cases))
 def test_identity_holds_matches_sparse_products(case):
-    c, x, m, y, delta, perturb = case
-    xt, yt = x.transpose(), y.transpose()
-    total = c * (x @ m @ xt) + y @ yt
+    # the plain products are the reference, in one variable and in two
+    nvars, c, e, x, m, y, delta, perturb = case
+    xt, yt, ms = x.transpose(), y.transpose(), m + m.transpose()
+    total = c * (x @ m @ xt) + x @ ms @ xt + x @ m @ m @ xt + y @ yt + (e * c) * (y @ xt)
     z = total + delta if perturb else total
+    s = c * c + e * e + delta[0, 0] if perturb else c * c + e * e
+    with pytest.MonkeyPatch.context() as mp:
+        if nvars == 1:
+            mp.setattr(polymat, "_sparse_holds", refuse)
+        lhs = [(c, x, m, T), (x, ms, T), (x, m, m, T), (y, T), (e, y, c, xt)]
+        assert identity_holds(lhs, [(z,)]) == (total == z)
+        assert identity_holds([(z,)], lhs) == (total == z)
+        assert identity_holds([(c, c), (e, e)], [(s,)]) == (c * c + e * e == s)
+        assert identity_holds([(c, e, c)], [(c * c * e,)])
+        assert identity_holds([(s,)], []) == s.is_zero()
+        assert identity_holds([], [(z,)]) == z.is_zero()
+        assert identity_holds([(c, x, m, T), (-c, x, m, T)], [])
+        assert identity_holds([], [])
 
-    def unused():
-        raise AssertionError("a small one-variable identity went to the sparse products")
 
-    lhs = [(c, x, m, xt), (y, yt)]
-    assert identity_holds(lhs, [(z,)], unused) == (total == z)
-    assert identity_holds([(z,)], lhs, unused) == (total == z)
-    s = c * c + delta[0, 0] if perturb else c * c
-    assert identity_holds([(c, c)], [(s,)], unused) == (c * c == s)
-    assert identity_holds([(s,)], [], unused) == s.is_zero()
+def test_transpose_mark_bounds_by_the_columns():
+    # x*x^t = 8*t1^2 for the 1x8 row x = (t1, ..., t1); a bound that took x's
+    # one row for x^t's eight would pick beta = 3, where t1^3 and 8*t1^2 agree
+    x = PolyMatrix(1, 8, [parse_polynomial("t1", 1)] * 8)
+    assert identity_holds([(subject((("8*t1^2",),), 1),)], [(x, T)])
+    assert not identity_holds([(subject((("t1^3",),), 1),)], [(x, T)])
+
+
+@pytest.mark.parametrize("nvars", (1, 2))
+def test_empty_sums_are_zero(nvars):
+    # no squares and no module terms: each certificate holds for a zero subject only
+    no_squares = SosMatrixCertificate(Polynomial.one(nvars), ())
+    no_terms = ModuleMembershipCertificate((), ())
+    generators = [PolyMatrix.identity(2, nvars)]
+    zero, nonzero = PolyMatrix.zeros(2, 2, nvars), subject((("t1", "1"), ("1", "0")), nvars)
+    for run in (lambda check, *args: check(*args), sparse_reference):
+        assert run(sos_matrix_failures, zero, no_squares) == []
+        assert run(sos_matrix_failures, nonzero, no_squares) == ["c^2*A = sum(Q^t*Q)"]
+        assert run(membership_failures, zero, generators, no_terms) == []
+        assert run(membership_failures, nonzero, generators, no_terms) == [
+            "element = sum(y^t*G_idx*y)"
+        ]
+
+
+def bump(mat, index, delta_text, mirror=False):
+    """mat with delta added to entry index, and to its mirror if asked."""
+    delta = parse_polynomial(delta_text, mat.nvars)
+    i, j = divmod(index, mat.cols)
+    entries = list(mat.entries)
+    for cell in {index, j * mat.cols + i} if mirror else {index}:
+        entries[cell] = entries[cell] + delta
+    return PolyMatrix(mat.rows, mat.cols, entries)
+
+
+def block_step_failures(a, delta_text):
+    """block_step's self-check on a, its eliminated entry (1, 2) bumped by delta."""
+
+    def bent(rows, k, prev, symmetric=False):
+        polymat._bareiss_step(rows, k, prev, symmetric)
+        rows[1][2] = rows[1][2] + parse_polynomial(delta_text, prev.nvars)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagonal, "_bareiss_step", bent)
+        try:
+            block_step(a)
+        except InternalIdentityFailure as exc:
+            return str(exc)
+    return ""
+
+
+SOS_C = parse_polynomial("t1 + 1/2", 1)
+SOS_FACTORS = (subject((("t1", "1/2"),), 1), subject((("1", "-t1^2"), ("2", "t1")), 1))
+SOS_SUBJECT = congruence_sum(2, 1, [(q.transpose(), None) for q in SOS_FACTORS])
+GENERATORS = (subject((("t1", "0"), ("0", "1")), 1), subject((("1", "0"), ("0", "t1^2 + 1")), 1))
+MEMBERSHIP = ModuleMembershipCertificate(
+    ((), (1,), (1, 2)),
+    ((subject((("1", "t1"), ("0", "1")), 1),), (subject((("t1", "0"), ("1/3", "2")), 1),), ()),
+)
+ELEMENT = congruence_sum(
+    2, 1, [
+        (MEMBERSHIP.coefficients[0][0].transpose(), None),
+        (MEMBERSHIP.coefficients[1][0].transpose(), GENERATORS[0]),
+    ],
+)
+
+
+def one_variable_verifications():
+    """(check, args) for every verifier on honest and tampered one-variable inputs."""
+    deltas = ("0", "1", "-1/2*t1", "t1^2")
+    for part in ("X_plus", "X_minus", "D", "w"):
+        for index in (0, 4, 7):
+            for d in deltas:
+                yield diag_certificate_failures, (SUBJECT, tampered(GOOD, part, index, d))
+    branches = VACUOUS_BUNDLE.branches
+    for k in (0, 1, 5):
+        for part in ("X_minus", "D", "w"):
+            cert, trace = branches[k]
+            bent = (tampered(cert, part, 4, "t1"), trace)
+            bundle = DiagBundle(branches[:k] + (bent,) + branches[k + 1 :])
+            yield bundle_certificate_failures, (VACUOUS_SUBJECT, bundle)
+    for a1, a2, good in WITNESSES[::2]:  # the one-variable ones
+        for part in ("x_plus", "x_minus", "z", "s1", "s2", "subject_b"):
+            for index in range(a2.rows**2):
+                yield equiv_witness_failures, (a1, *tampered_witness(a2, good, part, index, "t1"))
+    sos = SosMatrixCertificate(SOS_C, SOS_FACTORS)
+    for d in deltas:  # a delta of 0 leaves the input honest
+        yield sos_matrix_failures, (bump(SOS_SUBJECT, 1, d, mirror=True), sos)
+        yield sos_matrix_failures, (SOS_SUBJECT, replace(sos, c=SOS_C + parse_polynomial(d, 1)))
+        bent = (SOS_FACTORS[0], bump(SOS_FACTORS[1], 2, d))
+        yield sos_matrix_failures, (SOS_SUBJECT, replace(sos, factors=bent))
+        yield membership_failures, (bump(ELEMENT, 3, d), GENERATORS, MEMBERSHIP)
+        ys = ((bump(MEMBERSHIP.coefficients[0][0], 1, d),),) + MEMBERSHIP.coefficients[1:]
+        yield membership_failures, (ELEMENT, GENERATORS, replace(MEMBERSHIP, coefficients=ys))
+        yield block_step_failures, (SUBJECT, d)
 
 
 def test_over_cap_identity_takes_sparse_path():
@@ -423,6 +535,19 @@ def test_over_cap_identity_takes_sparse_path():
             failures = diag_certificate_failures(big, bad)
             assert failures and failures == all_identity_failures(big, bad)
     assert images == []
+    # below the cap, images and sparse products give every verifier the
+    # same failure list, in the same order
+    cases = list(one_variable_verifications())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polymat, "_sparse_holds", refuse)
+        on_images = [check(*args) for check, args in cases]
+    assert on_images == [sparse_reference(check, *args) for check, args in cases]
+    failing = {check.__name__ for (check, _args), failures in zip(cases, on_images) if failures}
+    assert failing == {
+        "diag_certificate_failures", "bundle_certificate_failures", "equiv_witness_failures",
+        "sos_matrix_failures", "membership_failures", "block_step_failures",
+    }
+    assert on_images[0] == [] and block_step_failures(SUBJECT, "0") == ""
 
 
 def all_witness_failures(a1, a2, wit):
