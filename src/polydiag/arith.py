@@ -21,7 +21,8 @@ the next; one whose exponents would outgrow that raises ExponentOverflow.  A
 constructed polynomial may hold exponents below 2^31, the guard bit that
 exact_div borrows against.  sum_of_products accumulates a whole sum of
 products on plain integers over one common denominator; a single product is
-its one-pair case.
+its one-pair case.  _images maps one-variable polynomials to integers at
+t1 = 2^beta, and _from_image maps such an integer back.
 
 The text syntax (used by the file formats and the CLI) is
 
@@ -91,6 +92,15 @@ def _unpacker(nvars):
         return lambda key: ((key >> _FIELD_BITS) & _FIELD_MASK, key & _FIELD_MASK)
     shifts = [_FIELD_BITS * k for k in reversed(range(nvars))]
     return lambda key: tuple([(key >> s) & _FIELD_MASK for s in shifts])
+
+
+@lru_cache(maxsize=64)
+def _var_names(nvars):
+    """(shift of t<i>'s key field, "t<i>") for i = 1..nvars; None for one
+    variable, whose key is the exponent."""
+    if nvars == 1:
+        return None
+    return tuple((_FIELD_BITS * (nvars - i), f"t{i}") for i in range(1, nvars + 1))
 
 
 @lru_cache(maxsize=64)
@@ -274,7 +284,10 @@ class Polynomial:
         the quotient's keys come out strictly descending.  A step whose
         monomial quotient has a negative exponent proves non-divisibility.
         The remainder is kept as integers R over a scale s; a step whose
-        leading coefficient the divisor's does not divide scales R up.
+        leading coefficient the divisor's does not divide scales R up.  A
+        constant divisor only rescales the form: that division would cancel
+        the terms one by one from the top, so it raises the same
+        ExponentOverflow, at the same highest term.
         """
         divisor = self._coerce(divisor)
         if divisor is None or not isinstance(divisor, Polynomial):
@@ -288,6 +301,17 @@ class Polynomial:
         div_den, div_pairs = divisor._form
         lead_key, lead = div_pairs[0]
         high = _field_bits(nvars, _OVERFLOW_BITS)
+        if not lead_key:
+            for key, _c in num_pairs:
+                if key & high:
+                    exps = _unpacker(nvars)(key)
+                    raise ExponentOverflow(f"remainder exponent {exps} is not below 2^30")
+            # (N / num_den) / (lead / div_den), lead's sign moved to the numerators
+            if lead < 0:
+                lead, div_den = -lead, -div_den
+            if lead == 1 and div_den == 1:
+                return self
+            return _reduced(nvars, num_den * lead, [(k, c * div_den) for k, c in num_pairs])
         guard = _field_bits(nvars, _GUARD_BIT)
         # self / divisor = (div_den / num_den) * (N / M) on the numerators
         rem = dict(num_pairs)
@@ -355,13 +379,19 @@ class Polynomial:
         den, pairs = self._form
         if not pairs:
             return "0"
-        unpack = _unpacker(self.nvars)
+        fields = _var_names(self.nvars)
         gcd = math.gcd
         parts = []
         for key, c in pairs:
-            mono = "*".join(
-                [f"t{k}" if e == 1 else f"t{k}^{e}" for k, e in enumerate(unpack(key), 1) if e]
-            )
+            if fields is None:  # one variable: the key is the exponent
+                mono = "" if not key else "t1" if key == 1 else f"t1^{key}"
+            else:
+                mono = ""
+                for shift, name in fields:
+                    e = (key >> shift) & _FIELD_MASK
+                    if e:
+                        factor = name if e == 1 else f"{name}^{e}"
+                        mono = f"{mono}*{factor}" if mono else factor
             num = -c if c < 0 else c
             if den == 1:
                 mag = str(num)
@@ -492,6 +522,26 @@ def _images(forms, lcm, beta):
             prev = k
         out.append((value << beta * prev) * (lcm // den))
     return out
+
+
+def _from_image(value, beta, den):
+    """The one-variable polynomial N/den whose integer image N(2^beta) is
+    value, for den > 0 and N with every coefficient of absolute value below
+    2^(beta-1): its coefficients are value's balanced base-2^beta digits,
+    unique under that bound, read from the lowest."""
+    pairs = []
+    mask, half = (1 << beta) - 1, 1 << (beta - 1)
+    k = 0
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << beta
+        if digit:
+            pairs.append((k, digit))
+        value = (value - digit) >> beta
+        k += 1
+    pairs.reverse()
+    return _reduced(1, den, pairs)
 
 
 # ASCII digits only: \d and int() also read other scripts' digits, and int()

@@ -40,14 +40,44 @@ corner a_ii + 2*a_ij + a_jj is twice the averaged pivot value.  A branch's
 moves and compactions make one integer matrix P with an integer inverse.
 The walk eliminates [A | I], with column operations on the left n columns
 only: that leaves [B | X_minus], B = P*A*P^t, and X_plus = P^-1*X_plus'.
+
+The walk runs on one of two rings, with the same code.  In two or more
+variables its entries are Polynomials.  In one variable it packs L*[A | I]
+once, L the lcm of A's denominators, into the integers N(2^beta) of its
+integer polynomial entries N (arith._images); products, exact divisions,
+zero tests and compactions then act on Python ints, since evaluation at
+t1 = 2^beta is a ring homomorphism, and _finish unpacks each certificate
+entry once (arith._from_image).  Each step's numerator carries one more
+factor L than its divisor, so an entry of row p after s steps is
+L^(s+1) times the rational one.  beta comes from an a-priori bound.  Every
+value the walk tests for zero or unpacks is a minor of size at most n of
+some P*L*[A | I]*(P^t (+) I), or a product of such minors of total size at
+most E, combined by the rows of P^-1.  A row of L*[A | I] has l1 norm at
+most n*B + L, B from arith._image_bounds; a move at most doubles a row's
+norm by its row addition and again by its column addition, so with at most
+`moves` moves (0 on the standard route, n - 1 on the pivot routes) every
+row stays below G = (n*B + L)*4^moves, and a minor of size s has l1 norm at
+most G^s (the product of its rows' norms).  The powers of L in _finish
+give E = 2*S_n + 1 on the standard route and max(S_n, 2n - 1) on the pivot
+routes, S_n = n(n-1)/2; a row of P^-1 has l1 norm at most 2^moves and a
+corner is a sum of four entries.  So every coefficient is below
+C = 4*n*2^moves*G^E, and with beta = bits(C) + 2 below 2^(beta-1): such an
+integer polynomial is zero iff its image is, and its balanced base-2^beta
+digits are its coefficients.  One-variable walks whose largest image,
+beta*(E*deg + 1) bits, passes _WALK_BITS_CAP stay on Polynomials: there
+the big-integer products cost more than the sparse ones.  Images of
+polynomials in several variables would be dense and far larger than their
+terms, so those walks stay sparse.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
-from .arith import Polynomial
+from .arith import Polynomial, _from_image, _image_bounds, _images
 from .certificates import (
     DiagBundle, DiagCertificate, PivotTrace, bundle_certificate_failures, diag_certificate_failures
 )
@@ -59,6 +89,10 @@ from .errors import (
     ZeroMatrix,
 )
 from .polymat import PolyMatrix, T, _bareiss_step, identity_holds
+
+# A one-variable walk runs on Polynomials when its largest image,
+# beta*(E*deg + 1) bits, would pass this; set from a measured crossover.
+_WALK_BITS_CAP = 2**15
 
 
 @dataclass(frozen=True)
@@ -90,11 +124,11 @@ def _standard_form(a):
     if a.is_zero():
         raise ZeroMatrix("matrix is identically zero")
     (leaf,) = _walk(a, "standard")
-    work, _p_inv, level, _pivots, vacuous = leaf
+    ring, work, _p_inv, level, _pivots, vacuous = leaf
     if vacuous:
         raise NotStandardForm(level + 1)
-    rank = level + (not work[level][level].is_zero())
-    return StandardFormData([work[p][p] for p in range(rank)]), leaf
+    rank = level + bool(work[level][level])
+    return StandardFormData([ring.poly(work[p][p], p + 1) for p in range(rank)]), leaf
 
 
 def standard_form_check(a):
@@ -201,7 +235,7 @@ def _combine(coeffs, rows):
 def _corner_vanishes(work, level, i, j):
     # the (i, j) move's corner a_ii + 2*a_ij + a_jj (4*a_ii for i = j) at level
     a, b = level + i - 1, level + j - 1
-    return (work[a][a] + 2 * work[a][b] + work[b][b]).is_zero()
+    return not (work[a][a] + work[a][b] + work[a][b] + work[b][b])
 
 
 def _permute(work, p_inv, lo, hi, order):
@@ -270,13 +304,52 @@ def _branches(a, route, cap):
 
 
 def _walk(a, route):
-    """The leaves of route ("standard", "single" or "bundle") on a nonzero a."""
+    """The leaves of route ("standard", "single" or "bundle") on a nonzero a,
+    each led by the ring the walk ran on (_packed)."""
     n = a.rows
-    return _grow(route, _augmented(a), [[int(x == y) for y in range(n)] for x in range(n)], 0, n, ())
+    ring, rows = _packed(a, route)
+    return _grow(ring, route, rows, [[int(x == y) for y in range(n)] for x in range(n)], 0, n, ())
 
 
-def _grow(route, work, p_inv, level, end, pivots):
-    """Leaves (work, P^-1, level, pivots, vacuous), depth first.
+class _Ring(NamedTuple):
+    """The entries a walk computes on: one and zero, and poly(value, e),
+    the Polynomial of an entry over L^e (see the module docstring)."""
+
+    one: object
+    zero: object
+    poly: object
+
+
+def _as_is(value, _power):
+    return value
+
+
+def _unpacked(beta, lcm, value, power):
+    return _from_image(value, beta, lcm**power)
+
+
+def _packed(a, route):
+    """(ring, rows of [A | I] in it) for route's walk on a: the integer
+    images of L*[A | I] at t1 = 2^beta when a has one variable and its
+    largest image, beta*(E*deg + 1) bits, is at most _WALK_BITS_CAP;
+    otherwise Polynomials."""
+    n, nvars = a.rows, a.nvars
+    if nvars == 1:
+        lcm, bound, degree, forms = _image_bounds(a.entries)
+        moves = 0 if route == "standard" else n - 1
+        s_n = n * (n - 1) // 2
+        e = 2 * s_n + 1 if route == "standard" else max(s_n, 2 * n - 1)
+        g = (n * bound + lcm) << 2 * moves
+        beta = (4 * n * g**e << moves).bit_length() + 2
+        if beta * (e * degree + 1) <= _WALK_BITS_CAP:
+            images = _images(forms, lcm, beta)
+            rows = [images[r * n : (r + 1) * n] + [lcm * (r == c) for c in range(n)] for r in range(n)]
+            return _Ring(1, 0, partial(_unpacked, beta, lcm)), rows
+    return _Ring(Polynomial.one(nvars), Polynomial.zero(nvars), _as_is), _augmented(a)
+
+
+def _grow(ring, route, work, p_inv, level, end, pivots):
+    """Leaves (ring, work, P^-1, level, pivots, vacuous), depth first.
 
     A branch's state is its elimination of [B | P], B = P*A*P^t, with P^-1;
     steps span all n rows, so compacted rows keep being scaled.  Positions
@@ -290,33 +363,34 @@ def _grow(route, work, p_inv, level, end, pivots):
     """
     size = end - level
     block = range(level, end)
-    if size == 1 or all(work[x][y].is_zero() for x in block for y in block):
-        yield work, p_inv, level, pivots, False
+    if size == 1 or not any(work[x][y] for x in block for y in block):
+        yield ring, work, p_inv, level, pivots, False
         return
     choices = [(i, j) for i in range(1, size + 1) for j in range(i, size + 1)]
     if route == "standard":
         choices = [(1, 1)]
-    elif route == "single":
+    tested = ((c, _corner_vanishes(work, level, *c)) for c in choices)
+    if route == "single":
         # a nonzero block has a usable pivot: its diagonal entries are the
         # averaged (i,i) values and 2*a_ij = 2*avg_ij - a_ii - a_jj
-        choices = [next(c for c in choices if not _corner_vanishes(work, level, *c))]
-    prev = work[level - 1][level - 1] if level else Polynomial.one(work[0][0].nvars)
-    for i, j in choices:
+        tested = [next(t for t in tested if not t[1])]
+    prev = work[level - 1][level - 1] if level else ring.one
+    for (i, j), vacuous in tested:
         trace = pivots + ((i, j),)
-        if _corner_vanishes(work, level, i, j):
-            yield work, p_inv, level, trace, True
+        if vacuous:
+            yield ring, work, p_inv, level, trace, True
             continue
         w2, p_inv2 = ([row[:] for row in m] for m in (work, p_inv))
         _move(w2, p_inv2, level, end, level + i - 1, level + j - 1)
         _bareiss_step(w2, level, prev, symmetric=True)
         rest = range(level + 1, end)
-        kept = [x for x in rest if any(not w2[x][y].is_zero() for y in rest)] if route == "bundle" else []
+        kept = [x for x in rest if any(w2[x][y] for y in rest)] if route == "bundle" else []
         if 0 < len(kept) < len(rest):
             _permute(w2, p_inv2, level + 1, end, kept + [x for x in rest if x not in kept])
-        yield from _grow(route, w2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), trace)
+        yield from _grow(ring, route, w2, p_inv2, level + 1, level + 1 + (len(kept) or len(rest)), trace)
 
 
-def _finish(work, p_inv, level, pivots, vacuous, jacobi=True):
+def _finish(ring, work, p_inv, level, pivots, vacuous, jacobi=True):
     """The leaf's certificate and trace, read off its elimination.
 
     work is [B | P] after k = level steps, B = P*A*P^t: work[p][p] = M_(p+1)
@@ -330,29 +404,42 @@ def _finish(work, p_inv, level, pivots, vacuous, jacobi=True):
     j of L*S^-1 then has the denominator M_j*M_(j+1), two distinct factors
     of m.  A vacuous leaf keeps the rows of its pivots in X_minus; its
     X_plus and w are zero.
+
+    Both rings compute alike.  On the image ring, whose entry of row p is
+    L^(min(p,k)+1) times the rational one, each certificate entry is
+    unpacked once, over the power of L that its product of minors carries:
+    with S = k(k+1)/2, X_plus over L^S, X_minus over L^(S+1), D over
+    L^(2S+1) and w over L^(2S) when jacobi is false; otherwise X_plus's
+    column j over L^(S-min(j,k)), X_minus's row p over L^(min(p,k)+1), D_p
+    over L^(2p+1) and w over L^S.
     """
-    n, k, nvars = len(work), level, work[0][0].nvars
-    one, zero = Polynomial.one(nvars), Polynomial.zero(nvars)
-    rank = level + (not vacuous and not work[level][level].is_zero())
+    n, k = len(work), level
+    one, zero, poly = ring
+    rank = level + (not vacuous and bool(work[level][level]))
     minors = [work[p][p] for p in range(rank)]
     # quot[p] = m / M_p (M_0 = 1), the product of the other minors
     quot = [math.prod(minors[:j] + minors[j + 1 : k], start=one) for j in range(k)]
     m = quot[0] * minors[0] if k else one
     quot.insert(0, m)
+    sk = k * (k + 1) // 2  # m is over L^sk on the image ring
     # per row p: w / s_p and D_p; per column j < k: w / (s_j * M_(j+1))
     if jacobi:
-        w = m
+        w, w_over = m, sk
         w_over_s = [quot[min(p, k)] for p in range(n)]
         d = [s * minor for s, minor in zip([one] + minors, minors)]  # s_p = M_p below the rank
         # m / (M_j * M_(j+1)): the minors other than those two
         col = [math.prod(minors[:max(j - 1, 0)] + minors[j + 1 : k], start=one) for j in range(k)]
         x_minus = [row[n:] for row in work]
+        xp_over = [sk - min(j, k) for j in range(n)]
+        xm_over = [min(p, k) + 1 for p in range(n)]
+        d_over = [2 * p + 1 for p in range(n)]
     else:
-        w = m * m
+        w, w_over = m * m, 2 * sk
         w_over_s = [m] * n
         d = [m * (quot[p] * minors[p]) for p in range(rank)]
         col = quot[1:]
         x_minus = [[quot[min(p, k)] * x for x in work[p][n:]] for p in range(n)]
+        xp_over, xm_over, d_over = [sk] * n, [sk + 1] * n, [2 * sk + 1] * n
     x_plus = [[zero] * n for _ in range(n)]
     if vacuous:
         w, x_minus = zero, x_minus[:level] + x_plus[level:]
@@ -361,5 +448,10 @@ def _finish(work, p_inv, level, pivots, vacuous, jacobi=True):
             x_plus[i][i] = w_over_s[i]
             for j in range(min(i, k)):
                 x_plus[i][j] = col[j] * work[i][j]
-    xp, xm = PolyMatrix.from_rows(_combine(p_inv, x_plus)), PolyMatrix.from_rows(x_minus)
-    return DiagCertificate(xp, xm, PolyMatrix.diagonal(d + [zero] * (n - rank)), w), PivotTrace(pivots)
+    xp = [[poly(x, e) for x, e in zip(row, xp_over)] for row in _combine(p_inv, x_plus)]
+    xm = [[poly(x, e) for x in row] for row, e in zip(x_minus, xm_over)]
+    d = [poly(x, e) for x, e in zip(d + [zero] * (n - rank), d_over)]
+    cert = DiagCertificate(
+        PolyMatrix.from_rows(xp), PolyMatrix.from_rows(xm), PolyMatrix.diagonal(d), poly(w, w_over)
+    )
+    return cert, PivotTrace(pivots)

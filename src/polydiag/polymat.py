@@ -438,19 +438,26 @@ def _bareiss_step(m, k, prev, symmetric=False):
 
     m[i][j] becomes (m[k][k]*m[i][j] - m[i][k]*m[k][j]) / prev for each row
     i > k and column j > k of m, exact (Sylvester) when prev is the previous
-    pivot, whose variable count is used; a symmetric step computes j >= i,
-    mirrored where j is a row of m.  A zero entry whose two products are
-    both zero is left as it is."""
-    nvars, rows, cols = prev.nvars, len(m), len(m[0])
+    pivot; a symmetric step computes j >= i, mirrored where j is a row of m.
+    The entries are Polynomials, prev's variable count, or all Python ints,
+    the integer images of one-variable polynomials (diagonal._walk), whose
+    exact quotient is the image of the polynomials' quotient.  A zero entry
+    whose two products are both zero is left as it is."""
+    rows, cols = len(m), len(m[0])
     pivot_row = m[k]
+    pivot = pivot_row[k]
+    nvars = prev.nvars if isinstance(prev, Polynomial) else None
     for i in range(k + 1, rows):
         row = m[i]
         lead = -row[k]
         for j in range(i if symmetric else k + 1, cols):
             if not (row[j] or lead and pivot_row[j]):
                 continue
-            pairs = ((pivot_row[k], row[j]), (lead, pivot_row[j]))
-            row[j] = sum_of_products(nvars, pairs).exact_div(prev)
+            if nvars is None:
+                row[j] = (pivot * row[j] + lead * pivot_row[j]) // prev
+            else:
+                pairs = ((pivot, row[j]), (lead, pivot_row[j]))
+                row[j] = sum_of_products(nvars, pairs).exact_div(prev)
             if symmetric and j < rows:
                 m[j][i] = row[j]
 

@@ -669,13 +669,16 @@ def test_standard_form_eliminates_once(tmp_path, monkeypatch):
         return step(m, k, *args, symmetric=symmetric)
 
     monkeypatch.setattr(diagonal, "_bareiss_step", counted_step)
-    # one symmetric step per pivot level: full rank, then a vanishing M_2 (exit 2)
-    for text, code, levels in ((TRIDIAG, 0, 2), (VANISHING_MINORS, 2, 1)):
-        for counted in (*calls.values(), steps):
-            counted.clear()
-        assert main(["diagonalize", "--mode", "standard", put(tmp_path, "a.mat", text)]) == code
-        assert steps == [(k, True) for k in range(levels)]
-        assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 0)
+    # one symmetric step per pivot level: full rank, then a vanishing M_2
+    # (exit 2), on integer images and then on Polynomials
+    for cap in (diagonal._WALK_BITS_CAP, 0):
+        monkeypatch.setattr(diagonal, "_WALK_BITS_CAP", cap)
+        for text, code, levels in ((TRIDIAG, 0, 2), (VANISHING_MINORS, 2, 1)):
+            for counted in (*calls.values(), steps):
+                counted.clear()
+            assert main(["diagonalize", "--mode", "standard", put(tmp_path, "a.mat", text)]) == code
+            assert steps == [(k, True) for k in range(levels)]
+            assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(names, 0)
 
 
 def test_huge_nvars_refused_fast(tmp_path, capsys):

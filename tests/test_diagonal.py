@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polydiag import diagonal
 from polydiag.arith import Polynomial, parse_polynomial
+from polydiag.certificates import format_bundle_certificate, format_diag_certificate
 from polydiag.diagonal import (
     _branches,
     _standard_form,
@@ -31,6 +33,7 @@ from polydiag.polymat import PolyMatrix, parse_matrix
 
 from helpers import (
     const_matrix,
+    count_calls,
     det_cofactor,
     paper_branches,
     rand_matrix,
@@ -148,13 +151,14 @@ def test_one_elimination_matches_reference_minors(seed, n, nvars, shape):
             standard_form_check(a)
         assert info.value.p == vanishing
     else:
-        data, (work, *_) = _standard_form(a)
+        data, (ring, work, *_) = _standard_form(a)
         assert data.minors == tuple(leading[:rank])
+        # column j's entries are (j+1)-minors: over L^(j+1) on the image ring
         for j in range(rank):
-            assert work[j][j] == a.leading_principal_minor(j + 1)
+            assert ring.poly(work[j][j], j + 1) == a.leading_principal_minor(j + 1)
             for i in range(j + 1, n):
                 lead = tuple(range(1, j + 1))
-                assert work[i][j] == a.minor(lead + (i + 1,), lead + (j + 1,))
+                assert ring.poly(work[i][j], j + 1) == a.minor(lead + (i + 1,), lead + (j + 1,))
 
 
 # -- standard_form_diagonalize ----------------------------------------------
@@ -574,3 +578,73 @@ def test_producers_leave_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+# -- the two rings of the walk ---------------------------------------------
+
+
+def _ring_subject(seed, n, shape):
+    """A one-variable symmetric matrix with rational coefficients, maybe with
+    a zero row and column or a zero corner."""
+    rng = random.Random(seed)
+    a = rand_symmetric(rng, n, 1)
+    dead = rng.randrange(n) if shape == "zero row" else None
+    zero = Polynomial.zero(1)
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            scale = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+            if not (dead in (i, j) or (shape == "zero corner" and i == j == 0)):
+                rows[i][j] = rows[j][i] = a[i, j] * scale
+    return PolyMatrix.from_rows(rows)
+
+
+def _route_outputs(a):
+    """What standard_form_check and the three routes make of a: minors or
+    certificate text, or the refusal's type and message."""
+    routes = (
+        lambda: tuple(map(str, standard_form_check(a).minors)),
+        lambda: format_diag_certificate(standard_form_diagonalize(a)),
+        lambda: format_diag_certificate(single_path_diagonalize(a)),
+        lambda: format_bundle_certificate(diagonalization_bundle(a, 40)),
+    )
+    out = []
+    for route in routes:
+        try:
+            out.append(route())
+        except (ValueError, BundleTooLarge) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+@BOUNDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    shape=st.sampled_from(("random", "zero row", "zero corner")),
+)
+def test_image_walk_matches_polynomial_walk(seed, n, shape):
+    a = _ring_subject(seed, n, shape)
+    on_images = _route_outputs(a)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diagonal, "_WALK_BITS_CAP", 0)
+        assert _route_outputs(a) == on_images
+
+
+def test_walk_ring_follows_the_image_cap():
+    """Subjects past the cap, and two-variable ones, walk on Polynomials."""
+    rng = random.Random(7)
+    small, ten, two = rand_symmetric(rng, 3, 1), rand_symmetric(rng, 10, 1), rand_symmetric(rng, 3, 2)
+    big = M([[f"t1^4000 + {10**300}", "1", "0"], ["1", "t1", "1"], ["0", "1", "2"]])
+    for route in ("standard", "single", "bundle"):
+        assert diagonal._packed(small, route)[0].one == 1
+        for a in (ten, two, big):
+            assert isinstance(diagonal._packed(a, route)[0].one, Polynomial)
+    with pytest.MonkeyPatch.context() as mp:
+        images = count_calls(mp, "_images", (diagonal,))
+        single_path_diagonalize(small)
+        assert len(images) == 1
+        for a in (ten, big):
+            single_path_diagonalize(a)
+        standard_form_diagonalize(ten)
+        assert len(images) == 1

@@ -34,6 +34,7 @@ from polydiag.certificates import (
     parse_certificate,
     witness_from_diag_certificate,
 )
+from polydiag import diagonal
 from polydiag.cli import main
 from polydiag.diagonal import (
     diagonalization_bundle,
@@ -320,6 +321,20 @@ def compaction_matrices():
 
 
 def test_compaction_digest():
+    assert routes_digest(compaction_matrices(), COMPACTION_CAP) == COMPACTION_DIGEST
+
+
+# The same two digests with every walk on Polynomials: one-variable walks
+# then take the sparse ring, which the digests above leave to two variables.
+
+
+def test_routes_digest_on_polynomials(monkeypatch):
+    monkeypatch.setattr(diagonal, "_WALK_BITS_CAP", 0)
+    assert routes_digest(digest_matrices(), DIGEST_CAP) == ROUTES_DIGEST
+
+
+def test_compaction_digest_on_polynomials(monkeypatch):
+    monkeypatch.setattr(diagonal, "_WALK_BITS_CAP", 0)
     assert routes_digest(compaction_matrices(), COMPACTION_CAP) == COMPACTION_DIGEST
 
 

@@ -18,6 +18,8 @@ from polydiag import certificates, diagonal, polymat
 from polydiag.arith import (
     MAX_EXPONENT,
     Polynomial,
+    _from_image,
+    _image_bounds,
     _images,
     _pack,
     _unpacker,
@@ -133,6 +135,44 @@ def test_exponent_overflow_is_a_value_error():
     big = Polynomial(1, {(1 << 30,): 1})
     with pytest.raises(ValueError):
         big * Polynomial.one(1)
+
+
+def test_constant_division_rescales():
+    """exact_div by a constant: the quotient, and the ExponentOverflow that
+    long division raises at the highest offending term, message and all."""
+    p = Polynomial(2, {(1 << 30, 0): 1, (0, (1 << 30) + 1): 1, (1, 1): 2})
+    q = Polynomial(1, {(5,): 1, ((1 << 30) + 2,): 4, (1 << 30,): 1})
+    for dividend, exps in ((p, "(0, 1073741825)"), (q, "(1073741826,)")):
+        for divisor in (1, 3, Fraction(-2, 3), Polynomial.const(dividend.nvars, 7)):
+            with pytest.raises(ExponentOverflow) as info:
+                dividend.exact_div(divisor)
+            assert str(info.value) == f"remainder exponent {exps} is not below 2^30"
+    r = parse_polynomial("3/4*t1^2*t2 - 6*t2 + 9/2", 2)
+    for c in (1, -1, 3, Fraction(-9, 8), Fraction(1, 6)):
+        assert r.exact_div(c) * c == r
+        assert r.exact_div(Polynomial.const(2, c)) == r * Fraction(1, c)
+    with pytest.raises(ZeroDivisionError):
+        r.exact_div(0)
+    with pytest.raises(TypeError):
+        r.exact_div("t1")
+
+
+def test_from_image_inverts_images():
+    """Balanced base-2^beta digits give back every one-variable polynomial
+    whose scaled coefficients stay below 2^(beta-1), the least such beta
+    included."""
+    rng = random.Random(22)
+    for k in range(300):
+        terms = {(rng.randint(0, 8),): Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                 for _ in range(rng.randint(0, 5))}
+        if k % 3 == 0:  # a coefficient at the top of its digit range
+            terms[(rng.randint(0, 8),)] = (1 << rng.randint(1, 70)) - 1
+        p = Polynomial(1, terms)
+        lcm, bound, _degree, forms = _image_bounds([p])
+        beta = bound.bit_length() + 1
+        for b in (beta, beta + 7):
+            assert _from_image(_images(forms, lcm, b)[0], b, lcm) == p
+            assert _from_image(-_images(forms, lcm, b)[0], b, lcm) == -p
 
 
 def sympy_expr(sympy, p):
