@@ -22,7 +22,9 @@ constructed polynomial may hold exponents below 2^31, the guard bit that
 exact_div borrows against.  sum_of_products accumulates a whole sum of
 products on plain integers over one common denominator; a single product is
 its one-pair case.  _images maps one-variable polynomials to integers at
-t1 = 2^beta, and _from_image maps such an integer back.
+t1 = 2^beta, and _from_image maps such an integer back: every integer is
+the image of exactly one integer polynomial with balanced base-2^beta
+digits (_digits), so the two are inverse on those polynomials.
 
 The text syntax (used by the file formats and the CLI) is
 
@@ -153,8 +155,10 @@ class Polynomial:
         """Constant polynomial with the given rational value."""
         if nvars < 1:
             raise ValueError(f"nvars must be positive, got {nvars}")
-        value = Fraction(value)
-        return _new(nvars, value.denominator, [(0, value.numerator)] if value else [])
+        if type(value) is not int:
+            value = Fraction(value)
+            return _new(nvars, value.denominator, [(0, value.numerator)] if value else [])
+        return _new(nvars, 1, [(0, value)] if value else [])
 
     @classmethod
     def one(cls, nvars):
@@ -525,23 +529,36 @@ def _images(forms, lcm, beta):
 
 
 def _from_image(value, beta, den):
-    """The one-variable polynomial N/den whose integer image N(2^beta) is
-    value, for den > 0 and N with every coefficient of absolute value below
-    2^(beta-1): its coefficients are value's balanced base-2^beta digits,
-    unique under that bound, read from the lowest."""
+    """N/den, for den > 0 and N the one-variable integer polynomial whose
+    coefficients are value's balanced base-2^beta digits (_digits).  Its
+    image N(2^beta) is value for every integer value, so this inverts
+    _images on every polynomial whose coefficients, times den, lie in
+    [-2^(beta-1), 2^(beta-1)): those digits are unique."""
+    return _reduced(1, den, _digits(value, beta)[0])
+
+
+def _digits(value, beta):
+    """(pairs, l1) of the integer polynomial N whose digits are value's
+    balanced base-2^beta digits, each in [-2^(beta-1), 2^(beta-1)): its
+    (exponent, nonzero coefficient) pairs, top first, and the sum of its
+    coefficients' absolute values.  N(2^beta) = value for every integer
+    value, so N is the one polynomial with that image and such digits."""
     pairs = []
     mask, half = (1 << beta) - 1, 1 << (beta - 1)
-    k = 0
+    k = l1 = 0
     while value:
         digit = value & mask
         if digit >= half:
             digit -= 1 << beta
+            l1 -= digit
+        else:
+            l1 += digit
         if digit:
             pairs.append((k, digit))
         value = (value - digit) >> beta
         k += 1
     pairs.reverse()
-    return _reduced(1, den, pairs)
+    return pairs, l1
 
 
 # ASCII digits only: \d and int() also read other scripts' digits, and int()

@@ -59,11 +59,11 @@ from .errors import InternalIdentityFailure, NotSymmetric, ParseError
 from .polymat import (
     PolyMatrix,
     T,
+    _ImageContext,
     _data_lines,
     _parse_line,
     _parse_matrix_lines,
     congruence_sum,
-    format_matrix,
     identity_holds,
 )
 
@@ -208,12 +208,14 @@ class ModuleMembershipCertificate:
 # diagonalization certificate verification
 
 
-def diag_certificate_failures(a, cert):
+def diag_certificate_failures(a, cert, images=None):
     """Broken-identity list for a DiagCertificate against subject a.
 
     w^2*A = X_plus*D*X_plus^t follows from X_plus*X_minus = w*I and
     D = X_minus*A*X_minus^t, so its product is multiplied out only when one
-    of those two fails, to report whether it fails as well.
+    of those two fails, to report whether it fails as well.  All identities
+    share one polymat._ImageContext, images or a new one, so each factor is
+    bounded once; a producer passes the one its walk seeded.
     """
     n = cert.subject_dim
     if a.rows != n or a.cols != n:
@@ -223,32 +225,35 @@ def diag_certificate_failures(a, cert):
     if not a.is_symmetric():
         raise NotSymmetric("subject matrix is not symmetric")
     xp, xm, d, w = cert.X_plus, cert.X_minus, cert.D, cert.w
-    w_id = PolyMatrix.diagonal([w] * n)
+    images = _ImageContext() if images is None else images
+    w_id = images.diagonal(w, n)
     failures = []
-    plus_minus = identity_holds([(xp, xm)], [(w_id,)])
+    plus_minus = identity_holds([(xp, xm)], [(w_id,)], images)
     if not plus_minus:
         failures.append("X_plus*X_minus = w*I")
     # X_plus*X_minus = w*I with w nonzero makes X_plus invertible over the
     # rational functions, X_minus = w*X_plus^-1, so X_minus*X_plus = w*I too
-    if (not plus_minus or w.is_zero()) and not identity_holds([(xm, xp)], [(w_id,)]):
+    if (not plus_minus or w.is_zero()) and not identity_holds([(xm, xp)], [(w_id,)], images):
         failures.append("X_minus*X_plus = w*I")
     if not d.is_diagonal():
         failures.append("D is diagonal")
-    d_congruent = identity_holds([(d,)], [(xm, a, T)])
+    d_congruent = identity_holds([(d,)], [(xm, a, T)], images)
     if not d_congruent:
         failures.append("D = X_minus*A*X_minus^t")
     implied = plus_minus and d_congruent  # w^2*A = X_plus*D*X_plus^t follows
-    if not implied and not identity_holds([(w, w, a)], [(xp, d, T)]):
+    if not implied and not identity_holds([(w, w, a)], [(xp, d, T)], images):
         failures.append("w^2*A = X_plus*D*X_plus^t")
     return failures
 
 
-def bundle_certificate_failures(a, bundle):
+def bundle_certificate_failures(a, bundle, images=None):
     """Broken identities across all branches, tagged with branch numbers.
 
-    A bundle with none records its subject and is not verified against that
-    same object again (both are immutable); a bundle that is parsed, built
-    or copied with dataclasses.replace starts unverified.
+    The branches share one polymat._ImageContext, images or a new one, so
+    the subject is bounded once for all of them.  A bundle with none records
+    its subject and is not verified against that same object again (both
+    are immutable); a bundle that is parsed, built or copied with
+    dataclasses.replace starts unverified.
     """
     if a.rows != bundle.subject_dim or a.cols != bundle.subject_dim:
         raise ValueError(
@@ -256,9 +261,10 @@ def bundle_certificate_failures(a, bundle):
         )
     if bundle._verified is a:
         return []
+    images = _ImageContext() if images is None else images
     failures = []
     for k, (cert, _trace) in enumerate(bundle.branches, start=1):
-        failures.extend(f"branch {k}: {f}" for f in diag_certificate_failures(a, cert))
+        failures.extend(f"branch {k}: {f}" for f in diag_certificate_failures(a, cert, images))
     if not failures:
         object.__setattr__(bundle, "_verified", a)
     return failures
@@ -279,23 +285,24 @@ def equiv_witness_failures(a1, a2, wit):
         raise NotSymmetric("first subject is not symmetric")
     if not a2.is_symmetric():
         raise NotSymmetric("second subject is not symmetric")
+    images = _ImageContext()  # each factor bounded once for all identities
     failures = []
     for name, s, squares in (("s1", wit.s1, wit.s1_squares), ("s2", wit.s2, wit.s2_squares)):
-        if not identity_holds([(s,)], [(f, f) for f in squares]):
+        if not identity_holds([(s,)], [(f, f) for f in squares], images):
             failures.append(f"{name} = sum of its stored squares")
     if wit.s1.is_zero():
         failures.append("s1 is nonzero")
     if wit.s2.is_zero():
         failures.append("s2 is nonzero")
     xp, xm = wit.x_plus, wit.x_minus
-    z_id = PolyMatrix.diagonal([wit.z] * n)
-    minus_plus = identity_holds([(xm, xp)], [(z_id,)])
+    z_id = images.diagonal(wit.z, n)
+    minus_plus = identity_holds([(xm, xp)], [(z_id,)], images)
     if not minus_plus:
         failures.append("x_minus*x_plus = z*I")
     # with z nonzero the first product already implies the reverse one
-    if (not minus_plus or wit.z.is_zero()) and not identity_holds([(xp, xm)], [(z_id,)]):
+    if (not minus_plus or wit.z.is_zero()) and not identity_holds([(xp, xm)], [(z_id,)], images):
         failures.append("x_plus*x_minus = z*I")
-    if not identity_holds([(wit.s1, a1)], [(wit.s2, xp, a2, T)]):
+    if not identity_holds([(wit.s1, a1)], [(wit.s2, xp, a2, T)], images):
         failures.append("s1*a1 = s2*x_plus*a2*x_plus^t")
     return failures
 
@@ -614,8 +621,8 @@ class _Writer:
         return values
 
     def matrix(self, name, mat, rows=None, cols=None):
-        self.lines.append(f"[matrix {name}]")
-        self.lines += format_matrix(mat).rstrip("\n").split("\n")
+        self.lines += [f"[matrix {name}]", f"{mat.rows} {mat.cols} {mat.nvars}"]
+        self.lines += map(str, mat.entries)
         return mat
 
     def matrices(self, prefix, mats, rows, cols):

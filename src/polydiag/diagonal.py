@@ -3,7 +3,9 @@
 Three routes, all walks of one pivot recursion (_grow) whose leaves one
 _finish reads into certificates.  Each checks every certificate it returns
 exactly once, against its subject, with diag_certificate_failures (the
-bundle through bundle_certificate_failures, so it records that subject):
+bundle through bundle_certificate_failures, so it records that subject);
+a walk on integer images seeds that check with its own integers (see the
+last paragraph):
 
 - standard_form_diagonalize: one closed-form certificate for matrices in
   standard form (rank r with M_1, ..., M_r all nonzero), pivoting on the
@@ -68,16 +70,32 @@ beta*(E*deg + 1) bits, passes _WALK_BITS_CAP stay on Polynomials: there
 the big-integer products cost more than the sparse ones.  Images of
 polynomials in several variables would be dense and far larger than their
 terms, so those walks stay sparse.
+
+The check of a walk on images runs on the walk's integers, through one
+polymat._ImageContext per producer call, at the walk's beta_w.  _packed
+seeds it with the subject's images L*A(2^beta_w); _emit, as it unpacks each
+distinct certificate entry once per leaf, seeds X_plus, X_minus, D and w
+with the integers it unpacked them from, an entry over L^e lifted by
+L^(top - e) under the factor scale L^top, top the factor's largest power,
+and with each factor's l1 bound and degree read off the balanced digits.
+Every integer is the image at 2^beta_w of the one polynomial with its
+balanced base-2^beta_w digits (arith._from_image), so each seed is exactly
+the image of the entry emitted from it, whatever the walk computed.  So
+when an identity's own bound, from those digits, gives a beta no larger
+than beta_w, its seeded images decide it exactly: the difference of its
+sides has coefficients below 2^(beta-1) <= 2^(beta_w-1).  An identity
+whose bound needs more, or one with a factor that has no seed, has every
+factor imaged afresh at its own beta, as a verification of parsed text
+has.  The seeds die with the producer call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
-from .arith import Polynomial, _from_image, _image_bounds, _images
+from .arith import Polynomial, _digits, _from_image, _image_bounds, _images, _reduced
 from .certificates import (
     DiagBundle, DiagCertificate, PivotTrace, bundle_certificate_failures, diag_certificate_failures
 )
@@ -88,7 +106,7 @@ from .errors import (
     NotSymmetric,
     ZeroMatrix,
 )
-from .polymat import PolyMatrix, T, _bareiss_step, identity_holds
+from .polymat import PolyMatrix, T, _bareiss_step, _ImageContext, identity_holds
 
 # A one-variable walk runs on Polynomials when its largest image,
 # beta*(E*deg + 1) bits, would pass this; set from a measured crossover.
@@ -115,25 +133,25 @@ def _require_symmetric(a):
 
 
 def _standard_form(a):
-    """(StandardFormData, leaf) of the standard route's one leaf, or
-    NotStandardForm when the leaf is vacuous: its corner, M_(level+1),
-    vanishes below the rank."""
+    """The standard route's one leaf, or NotStandardForm when the leaf is
+    vacuous: its corner, M_(level+1), vanishes below the rank."""
     _require_symmetric(a)
     if a.rows < 2:
         raise ValueError("standard form needs dimension at least 2")
     if a.is_zero():
         raise ZeroMatrix("matrix is identically zero")
-    (leaf,) = _walk(a, "standard")
-    ring, work, _p_inv, level, _pivots, vacuous = leaf
+    (leaf,) = _walk(a, "standard")[1]
+    _ring, _work, _p_inv, level, _pivots, vacuous = leaf
     if vacuous:
         raise NotStandardForm(level + 1)
-    rank = level + bool(work[level][level])
-    return StandardFormData([ring.poly(work[p][p], p + 1) for p in range(rank)]), leaf
+    return leaf
 
 
 def standard_form_check(a):
     """Rank and leading minors, or NotStandardForm naming the first zero minor."""
-    return _standard_form(a)[0]
+    ring, work, _p_inv, level, _pivots, _vacuous = _standard_form(a)
+    rank = level + bool(work[level][level])
+    return StandardFormData([ring.poly(work[p][p], p + 1) for p in range(rank)])
 
 
 def standard_form_diagonalize(a):
@@ -143,12 +161,14 @@ def standard_form_diagonalize(a):
     has m on its diagonal and (m/M_j) * det(A[(1..j-1,i), (1..j)]) below it
     in its first k columns, w = m^2 and D = diag(w*M_p/M_(p-1), p <= r).
     """
-    return _checked(a, _finish(*_standard_form(a)[1], jacobi=False)[0])
+    leaf = _standard_form(a)
+    return _checked(a, _finish(*leaf, jacobi=False)[0], leaf[0].images)
 
 
-def _checked(a, cert):
-    """cert, once diag_certificate_failures finds no broken identity."""
-    failures = diag_certificate_failures(a, cert)
+def _checked(a, cert, images):
+    """cert, once diag_certificate_failures finds no broken identity; images
+    is the _ImageContext the walk seeded, or None."""
+    failures = diag_certificate_failures(a, cert, images)
     if failures:
         raise InternalIdentityFailure("certificate identities broke: " + "; ".join(failures))
     return cert
@@ -269,8 +289,8 @@ def single_path_diagonalize(a):
     if a.is_zero():
         raise ZeroMatrix("matrix is identically zero")
     # one pivot per level gives exactly one branch, so a cap of 1 never trips
-    ((cert, _trace),) = _branches(a, "single", cap=1)
-    return _checked(a, cert)
+    ring, ((cert, _trace),) = _branches(a, "single", cap=1)
+    return _checked(a, cert, ring.images)
 
 
 def diagonalization_bundle(a, cap_branches=10_000):
@@ -285,54 +305,58 @@ def diagonalization_bundle(a, cap_branches=10_000):
         raise ZeroMatrix("matrix is identically zero")
     if cap_branches < 1:
         raise ValueError("branch cap must be positive")
-    bundle = DiagBundle(_branches(a, "bundle", cap_branches))
-    failures = bundle_certificate_failures(a, bundle)
+    ring, branches = _branches(a, "bundle", cap_branches)
+    bundle = DiagBundle(branches)
+    failures = bundle_certificate_failures(a, bundle, ring.images)
     if failures:
         raise InternalIdentityFailure("bundle identities broke: " + "; ".join(failures))
     return bundle
 
 
 def _branches(a, route, cap):
-    """(DiagCertificate, PivotTrace) for each leaf of a pivot route; past cap
-    branches, BundleTooLarge."""
+    """(the walk's ring, [(DiagCertificate, PivotTrace) for each leaf]) of a
+    pivot route; past cap branches, BundleTooLarge."""
+    ring, leaves = _walk(a, route)
     out = []
-    for leaf in _walk(a, route):
+    for leaf in leaves:
         if len(out) >= cap:
             raise BundleTooLarge(f"branch count exceeds cap {cap}")
         out.append(_finish(*leaf))
-    return out
+    return ring, out
 
 
 def _walk(a, route):
-    """The leaves of route ("standard", "single" or "bundle") on a nonzero a,
-    each led by the ring the walk ran on (_packed)."""
+    """(ring, leaves) of route ("standard", "single" or "bundle") on a
+    nonzero a: the ring the walk runs on (_packed), and a generator of its
+    leaves, each led by that ring."""
     n = a.rows
     ring, rows = _packed(a, route)
-    return _grow(ring, route, rows, [[int(x == y) for y in range(n)] for x in range(n)], 0, n, ())
+    return ring, _grow(ring, route, rows, [[int(x == y) for y in range(n)] for x in range(n)], 0, n, ())
 
 
 class _Ring(NamedTuple):
-    """The entries a walk computes on: one and zero, and poly(value, e),
-    the Polynomial of an entry over L^e (see the module docstring)."""
+    """The entries a walk computes on: one and zero; on the image ring the
+    lcm L of the subject's denominators and the _ImageContext that holds
+    the walk's images at its beta, None on Polynomials (see the module
+    docstring)."""
 
     one: object
     zero: object
-    poly: object
+    lcm: int
+    images: object
 
-
-def _as_is(value, _power):
-    return value
-
-
-def _unpacked(beta, lcm, value, power):
-    return _from_image(value, beta, lcm**power)
+    def poly(self, value, power):
+        """The Polynomial of an entry over L^power."""
+        if self.images is None:
+            return value
+        return _from_image(value, self.images.beta, self.lcm**power)
 
 
 def _packed(a, route):
     """(ring, rows of [A | I] in it) for route's walk on a: the integer
     images of L*[A | I] at t1 = 2^beta when a has one variable and its
-    largest image, beta*(E*deg + 1) bits, is at most _WALK_BITS_CAP;
-    otherwise Polynomials."""
+    largest image, beta*(E*deg + 1) bits, is at most _WALK_BITS_CAP, with
+    a's images seeded in the ring's context; otherwise Polynomials."""
     n, nvars = a.rows, a.nvars
     if nvars == 1:
         lcm, bound, degree, forms = _image_bounds(a.entries)
@@ -343,9 +367,11 @@ def _packed(a, route):
         beta = (4 * n * g**e << moves).bit_length() + 2
         if beta * (e * degree + 1) <= _WALK_BITS_CAP:
             images = _images(forms, lcm, beta)
+            seeds = _ImageContext(beta)
+            seeds.seed(a, lcm, bound, degree, images)
             rows = [images[r * n : (r + 1) * n] + [lcm * (r == c) for c in range(n)] for r in range(n)]
-            return _Ring(1, 0, partial(_unpacked, beta, lcm)), rows
-    return _Ring(Polynomial.one(nvars), Polynomial.zero(nvars), _as_is), _augmented(a)
+            return _Ring(1, 0, lcm, seeds), rows
+    return _Ring(Polynomial.one(nvars), Polynomial.zero(nvars), 1, None), _augmented(a)
 
 
 def _grow(ring, route, work, p_inv, level, end, pivots):
@@ -406,15 +432,16 @@ def _finish(ring, work, p_inv, level, pivots, vacuous, jacobi=True):
     X_plus and w are zero.
 
     Both rings compute alike.  On the image ring, whose entry of row p is
-    L^(min(p,k)+1) times the rational one, each certificate entry is
-    unpacked once, over the power of L that its product of minors carries:
+    L^(min(p,k)+1) times the rational one, _emit unpacks each distinct
+    certificate entry once, over the power of L that its product of minors
+    carries, and seeds the check with its integer:
     with S = k(k+1)/2, X_plus over L^S, X_minus over L^(S+1), D over
     L^(2S+1) and w over L^(2S) when jacobi is false; otherwise X_plus's
     column j over L^(S-min(j,k)), X_minus's row p over L^(min(p,k)+1), D_p
     over L^(2p+1) and w over L^S.
     """
     n, k = len(work), level
-    one, zero, poly = ring
+    one, zero = ring.one, ring.zero
     rank = level + (not vacuous and bool(work[level][level]))
     minors = [work[p][p] for p in range(rank)]
     # quot[p] = m / M_p (M_0 = 1), the product of the other minors
@@ -448,10 +475,52 @@ def _finish(ring, work, p_inv, level, pivots, vacuous, jacobi=True):
             x_plus[i][i] = w_over_s[i]
             for j in range(min(i, k)):
                 x_plus[i][j] = col[j] * work[i][j]
-    xp = [[poly(x, e) for x, e in zip(row, xp_over)] for row in _combine(p_inv, x_plus)]
-    xm = [[poly(x, e) for x in row] for row, e in zip(x_minus, xm_over)]
-    d = [poly(x, e) for x, e in zip(d + [zero] * (n - rank), d_over)]
+    d += [zero] * (n - rank)
+    memo = {}
     cert = DiagCertificate(
-        PolyMatrix.from_rows(xp), PolyMatrix.from_rows(xm), PolyMatrix.diagonal(d), poly(w, w_over)
+        _emit(ring, memo, n, [x for row in _combine(p_inv, x_plus) for x in row], xp_over * n),
+        _emit(ring, memo, n, [x for row in x_minus for x in row], [e for e in xm_over for _ in range(n)]),
+        _emit(ring, memo, n, [d[p] if p == q else zero for p in range(n) for q in range(n)],
+              [e for e in d_over for _ in range(n)]),
+        _emit(ring, memo, None, [w], [w_over]),
     )
     return cert, PivotTrace(pivots)
+
+
+def _emit(ring, memo, n, values, powers):
+    """The n x n PolyMatrix, or for n None the Polynomial, whose entries,
+    row-major, are values, the entry at k over L^powers[k].
+
+    On the image ring, each distinct entry is unpacked once per leaf (memo
+    maps (value, power) to its Polynomial, l1 norm and degree), and the
+    factor is seeded in ring.images: under the scale L^top, top the largest
+    power, its images are value*L^(top - power) at the walk's beta, and its
+    bound the largest l1 norm of an entry times L^(top - power), both read
+    off the balanced digits.
+    """
+    images = ring.images
+    if images is None:
+        return PolyMatrix(n, n, values) if n else values[0]
+    beta, lcm, top = images.beta, ring.lcm, max(powers)
+    lifts = None if lcm == 1 else [lcm ** (top - e) for e in range(top + 1)]
+    zero = Polynomial.zero(1)
+    polys = []
+    bound = degree = 0
+    for x, e in zip(values, powers):
+        if not x:
+            polys.append(zero)
+            continue
+        known = memo.get((x, e))
+        if known is None:
+            pairs, l1 = _digits(x, beta)
+            known = memo[x, e] = (_reduced(1, lcm**e, pairs), l1, pairs[0][0])
+        polys.append(known[0])
+        l1 = known[1] if lifts is None else known[1] * lifts[e]
+        if l1 > bound:
+            bound = l1
+        if known[2] > degree:
+            degree = known[2]
+    image = values if lifts is None else [x * lifts[e] for x, e in zip(values, powers)]
+    f = PolyMatrix(n, n, polys) if n else polys[0]
+    images.seed(f, lcm**top, bound, degree, image)
+    return f

@@ -15,6 +15,8 @@ not identically zero.
 
 identity_holds decides the verifiers' identities: in one variable on
 integer (Kronecker) images at t1 = 2^beta, otherwise by sparse products.
+An _ImageContext carries each factor's bounds, and the producers' seeded
+images, across the identities of one verification.
 
 Matrix file format: a header line ``rows cols nvars`` (nvars at most
 MAX_NVARS) followed by rows*cols polynomial lines in row-major order.
@@ -333,24 +335,64 @@ _IMAGE_BITS_CAP = 2**20
 T = "T"
 
 
-def identity_holds(lhs, rhs):
+class _ImageContext:
+    """The factors of one verification, each bounded once: records keyed by
+    id(f), (f, scale, bound, degree, forms, image).
+
+    Holding f keeps its id from being reused while the context lives.  A
+    one-variable factor's scale S makes S*p integral for each entry p, bound
+    bounds the l1 norm of every S*p and degree their degrees.  A fresh record
+    has S the lcm of the denominators and the forms that _images reads
+    (arith._image_bounds); a seeded one (seed) holds, as image, the integers
+    S*p(2^beta) of its entries, row-major, at the context's beta.
+    """
+
+    __slots__ = ("beta", "factors")
+
+    def __init__(self, beta=0):
+        self.beta = beta
+        self.factors = {}
+
+    def seed(self, f, scale, bound, degree, image):
+        self.factors[id(f)] = (f, scale, bound, degree, None, image)
+
+    def diagonal(self, scalar, n):
+        """PolyMatrix.diagonal([scalar] * n), seeded when scalar is."""
+        mat = PolyMatrix.diagonal([scalar] * n)
+        record = self.factors.get(id(scalar))
+        if record is not None and record[5] is not None:
+            value = record[5][0]
+            self.seed(mat, *record[1:4], [value if i == j else 0 for i in range(n) for j in range(n)])
+        return mat
+
+
+def identity_holds(lhs, rhs, images=None):
     """Whether two sums of products are equal.
 
     A side is a sequence of terms, none for zero; a term is a tuple of
     factors multiplied left to right: Polynomial scalars, PolyMatrix values
     and, last, T for the term's first matrix transposed: X*M*X^t is
-    (X, M, T).  In one variable each factor, its entries N/den over the lcm
-    L of its denominators, becomes the integers L/den*N(2^beta), and the
-    sides, over one common scale S, are compared as integer matrices.  The
-    factors' l1 bounds (arith._image_bounds) times their row counts bound
-    every coefficient of S*(lhs - rhs) by B < 2^(beta-1); such an integer
+    (X, M, T).  In one variable each factor, its entries p under a scale S
+    that makes every S*p integral, becomes the integers S*p(2^beta), and the
+    sides, over one common scale, are compared as integer matrices.  The
+    factors' l1 bounds times their row counts bound every coefficient of the
+    common scale times lhs - rhs by B < 2^(beta-1); such an integer
     polynomial vanishes at 2^beta only if it is zero (balanced base-2^beta
-    digits), so the test is exact.  More variables, or images past
-    _IMAGE_BITS_CAP, go to _sparse_holds.
+    digits), so the test is exact, and so it is at any larger beta.
+
+    images, an _ImageContext, shares each factor's record across the calls
+    of one verification; without one, each call bounds its factors afresh.
+    When every factor has a seed there and B gives a beta no larger than
+    the context's, the seeds decide the identity at the context's beta;
+    otherwise each factor is imaged afresh, under its record's scale, at
+    B's own beta.  More variables, or images past _IMAGE_BITS_CAP, go to
+    _sparse_holds.
     """
-    stats, plans = {}, ([], [])
+    records = {} if images is None else images.factors
+    used, plans = {}, ([], [])
     common = 1
     degree = size = 0
+    seeded = images is not None
     for side, plan in zip((lhs, rhs), plans):
         for term in side:
             scale = bound = 1
@@ -360,22 +402,35 @@ def identity_holds(lhs, rhs):
                 if f is T:  # the term's first matrix, its columns as rows
                     f = next(g for g in term if isinstance(g, PolyMatrix))
                     rows = f.cols
-                s = stats.get(id(f))
-                if s is None:
+                key = id(f)
+                r = records.get(key)
+                if r is None:
                     if f.nvars != 1:
                         return _sparse_holds(lhs, rhs)
-                    s = stats[id(f)] = _image_bounds(f.entries if isinstance(f, PolyMatrix) else (f,))
-                    size = max(size, len(s[3]))
-                scale *= s[0]
-                bound *= s[1] * rows
-                term_degree += s[2]
+                    lcm, b, d, forms = _image_bounds(_entries(f))
+                    r = records[key] = (f, lcm, b, d, forms, None)
+                if key not in used:
+                    used[key] = r
+                    if r[5] is None:
+                        seeded = False
+                    size = max(size, len(r[4] or r[5]))
+                scale *= r[1]
+                bound *= r[2] * rows
+                term_degree += r[3]
             plan.append((term, scale, bound))
             common = math.lcm(common, scale)
             degree = max(degree, term_degree)
     beta = sum(common // scale * bound for plan in plans for _t, scale, bound in plan).bit_length() + 1
+    if seeded and beta <= images.beta:
+        beta = images.beta
+    else:
+        seeded = False
     if beta * (degree + 1) * size > _IMAGE_BITS_CAP:
         return _sparse_holds(lhs, rhs)
-    images = {key: _images(forms, lcm, beta) for key, (lcm, _b, _d, forms) in stats.items()}
+    values = {
+        key: r[5] if seeded else _images(r[4] or [p._form for p in _entries(r[0])], r[1], beta)
+        for key, r in used.items()
+    }
     sums = []
     for plan in plans:
         total = None
@@ -383,12 +438,12 @@ def identity_holds(lhs, rhs):
             acc, value = common // scale, None
             for f in term:
                 if isinstance(f, Polynomial):
-                    acc *= images[id(f)][0]
+                    acc *= values[id(f)][0]
                 elif value is None:
-                    m, c = images[id(f)], f.cols
+                    m, c = values[id(f)], f.cols
                     value = first = [m[i : i + c] for i in range(0, len(m), c)]
                 else:  # X^t's columns are X's rows
-                    cols = first if f is T else [images[id(f)][j :: f.cols] for j in range(f.cols)]
+                    cols = first if f is T else [values[id(f)][j :: f.cols] for j in range(f.cols)]
                     value = [[sum(map(mul, row, col)) for col in cols] for row in value]
             if value is None:
                 value = [[acc]]
@@ -399,6 +454,11 @@ def identity_holds(lhs, rhs):
     if None in sums:  # an empty sum is zero
         return not any(map(any, sums[0] or sums[1] or ()))
     return sums[0] == sums[1]
+
+
+def _entries(f):
+    """A factor's entries, row-major: a Polynomial is its one entry."""
+    return f.entries if isinstance(f, PolyMatrix) else (f,)
 
 
 def _sparse_holds(lhs, rhs):

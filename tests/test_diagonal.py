@@ -10,9 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydiag import diagonal
+from polydiag import certificates, diagonal, polymat
 from polydiag.arith import Polynomial, parse_polynomial
-from polydiag.certificates import format_bundle_certificate, format_diag_certificate
+from polydiag.certificates import (
+    diag_certificate_failures,
+    format_bundle_certificate,
+    format_diag_certificate,
+    parse_certificate,
+)
 from polydiag.diagonal import (
     _branches,
     _standard_form,
@@ -25,6 +30,7 @@ from polydiag.diagonal import (
 )
 from polydiag.errors import (
     BundleTooLarge,
+    InternalIdentityFailure,
     NotStandardForm,
     NotSymmetric,
     ZeroMatrix,
@@ -151,7 +157,7 @@ def test_one_elimination_matches_reference_minors(seed, n, nvars, shape):
             standard_form_check(a)
         assert info.value.p == vanishing
     else:
-        data, (ring, work, *_) = _standard_form(a)
+        data, (ring, work, *_) = standard_form_check(a), _standard_form(a)
         assert data.minors == tuple(leading[:rank])
         # column j's entries are (j+1)-minors: over L^(j+1) on the image ring
         for j in range(rank):
@@ -558,7 +564,7 @@ def test_branches_follow_paper_recursion(seed, n, nvars, shape, bundle):
     # the reference's 4 x 4 two-variable bundles take seconds each
     bundle = bundle and (n < 4 or nvars == 1)
     reference = paper_branches(a, bundle)
-    branches = _branches(a, "bundle" if bundle else "single", cap=10_000)
+    _ring, branches = _branches(a, "bundle" if bundle else "single", cap=10_000)
     assert [ref[4:] for ref in reference] == [(t.pivots, t.scales) for _c, t in branches]
     for ref, (cert, _trace) in zip(reference, branches):
         assert cert.w.is_zero() == ref[3].is_zero()
@@ -583,9 +589,9 @@ def test_producers_leave_no_reference_cycles():
 # -- the two rings of the walk ---------------------------------------------
 
 
-def _ring_subject(seed, n, shape):
-    """A one-variable symmetric matrix with rational coefficients, maybe with
-    a zero row and column or a zero corner."""
+def _ring_subject(seed, n, shape, rational=True):
+    """A one-variable symmetric matrix with rational coefficients, or integer
+    ones, maybe with a zero row and column or a zero corner."""
     rng = random.Random(seed)
     a = rand_symmetric(rng, n, 1)
     dead = rng.randrange(n) if shape == "zero row" else None
@@ -594,6 +600,7 @@ def _ring_subject(seed, n, shape):
     for i in range(n):
         for j in range(i, n):
             scale = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+            scale = scale if rational else scale.numerator
             if not (dead in (i, j) or (shape == "zero corner" and i == j == 0)):
                 rows[i][j] = rows[j][i] = a[i, j] * scale
     return PolyMatrix.from_rows(rows)
@@ -648,3 +655,114 @@ def test_walk_ring_follows_the_image_cap():
             single_path_diagonalize(a)
         standard_form_diagonalize(ten)
         assert len(images) == 1
+
+
+# -- the producers' seeded checks --------------------------------------------
+
+PRODUCERS = {
+    "standard": lambda a: format_diag_certificate(standard_form_diagonalize(a)),
+    "single": lambda a: format_diag_certificate(single_path_diagonalize(a)),
+    "bundle": lambda a: format_bundle_certificate(diagonalization_bundle(a, 40)),
+}
+
+
+def _produce_recording(route, a):
+    """(the route's certificate text, or its refusal's type and message, and
+    (subject, certificate, image context, failures) for each check it ran)."""
+    checks = []
+    check = certificates.diag_certificate_failures
+
+    def recorded(subject, cert, images=None):
+        failures = check(subject, cert, images)
+        checks.append((subject, cert, images, failures))
+        return failures
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (certificates, diagonal):
+            mp.setattr(module, "diag_certificate_failures", recorded)
+        try:
+            out = PRODUCERS[route](a)
+        except (ValueError, BundleTooLarge, InternalIdentityFailure) as exc:
+            out = f"{type(exc).__name__}: {exc}"
+    return out, checks
+
+
+def _assert_checks_match_parsed(checks, seeded):
+    """Each recorded check, seeded by the walk when seeded is true, found
+    what diag_certificate_failures finds on the certificate's text."""
+    for subject, cert, images, failures in checks:
+        assert (images is not None and images.beta > 0) == seeded
+        parsed = parse_certificate(format_diag_certificate(cert))[1]
+        assert diag_certificate_failures(subject, parsed) == failures
+
+
+@BOUNDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    shape=st.sampled_from(("random", "zero row", "zero corner")),
+    rational=st.booleans(),
+)
+def test_seeded_checks_match_parsed_certificates(seed, n, shape, rational):
+    """Every identity the producers check on their walk's own integers is
+    decided there, and as on the certificate parsed back from its text."""
+    a = _ring_subject(seed, n, shape, rational)
+    for route in PRODUCERS:
+        with pytest.MonkeyPatch.context() as mp:
+            fresh = count_calls(mp, "_images", (polymat,))
+            _out, checks = _produce_recording(route, a)
+        assert fresh == []
+        _assert_checks_match_parsed(checks, seeded=True)
+
+
+def _bent_step(rows, k, prev, symmetric=False):
+    """polymat._bareiss_step, then the last pivot bumped by one after the
+    walk's last step: a walk that emits a wrong certificate."""
+    polymat._bareiss_step(rows, k, prev, symmetric)
+    last = len(rows) - 1
+    if k == last - 1:
+        rows[last][last] = rows[last][last] + 1
+
+
+@pytest.mark.parametrize("rational", (False, True))
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("route", tuple(PRODUCERS))
+def test_bent_walk_fails_alike_on_both_rings(route, n, rational):
+    """A bent walk raises the same InternalIdentityFailure text on integer
+    images, checked on its seeds, and on Polynomials."""
+    a = _ring_subject(11, n, "random", rational)
+    outs = []
+    for cap in (diagonal._WALK_BITS_CAP, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diagonal, "_bareiss_step", _bent_step)
+            mp.setattr(diagonal, "_WALK_BITS_CAP", cap)
+            out, checks = _produce_recording(route, a)
+        _assert_checks_match_parsed(checks, seeded=bool(cap))
+        assert any(failures for *_, failures in checks)
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("InternalIdentityFailure: ")
+
+
+@pytest.mark.parametrize("rational", (False, True))
+@pytest.mark.parametrize("route", tuple(PRODUCERS))
+def test_seeds_below_the_bound_fall_back_to_fresh_images(route, rational):
+    """With the seeds' beta read below every identity's own bound, each
+    identity is imaged afresh, and the certificates stay byte-identical."""
+    a = _ring_subject(5, 3, "random", rational)  # in standard form, 12 branches
+    honest, _checks = _produce_recording(route, a)
+    holds = certificates.identity_holds
+
+    def low_seeds(lhs, rhs, images=None):
+        saved, images.beta = images.beta, 2
+        try:
+            return holds(lhs, rhs, images)
+        finally:
+            images.beta = saved
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificates, "identity_holds", low_seeds)
+        fresh = count_calls(mp, "_images", (polymat,))
+        assert _produce_recording(route, a)[0] == honest
+    assert fresh
+    assert not honest.startswith(("NotStandardForm", "InternalIdentityFailure"))

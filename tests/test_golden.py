@@ -80,6 +80,11 @@ CASES = [
     ("diag101-single", ["diagonalize", "--mode", "single", "diag101.mat"], 0),
     # the 18-branch tridiagonal bundle of test_bundle_branch_counts
     ("a3-bundle", ["diagonalize", "--mode", "bundle", "a3.mat"], 0),
+    # a subject with rational coefficients (L = 16): the one-variable walk
+    # carries powers of L, and the checks scale each entry by them
+    ("sos-standard", ["diagonalize", "--mode", "standard", "sos.mat"], 0),
+    ("sos-single", ["diagonalize", "--mode", "single", "sos.mat"], 0),
+    ("sos-bundle", ["diagonalize", "--mode", "bundle", "sos.mat"], 0),
 ]
 
 
@@ -110,6 +115,9 @@ CERTS = [
     ("diag101-single.out", "diag", "diag101.mat"),
     ("diag-bundle.out", "bundle", "a.mat"),
     ("a3-bundle.out", "bundle", "a3.mat"),
+    ("sos-standard.out", "diag", "sos.mat"),
+    ("sos-single.out", "diag", "sos.mat"),
+    ("sos-bundle.out", "bundle", "sos.mat"),
     ("equiv.cert", "equiv", "a.mat"),
     ("sos.cert", "sos", "sos.mat"),
     ("membership.cert", "membership", "membership.mat"),

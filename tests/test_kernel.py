@@ -18,6 +18,7 @@ from polydiag import certificates, diagonal, polymat
 from polydiag.arith import (
     MAX_EXPONENT,
     Polynomial,
+    _digits,
     _from_image,
     _image_bounds,
     _images,
@@ -42,7 +43,7 @@ from polydiag.certificates import (
 from polydiag.cli import main
 from polydiag.diagonal import block_step, diagonalization_bundle, single_path_diagonalize
 from polydiag.errors import ExponentOverflow, InternalIdentityFailure, ParseError
-from polydiag.polymat import PolyMatrix, T, congruence_sum, identity_holds
+from polydiag.polymat import PolyMatrix, T, _ImageContext, congruence_sum, identity_holds
 
 from helpers import const_matrix, count_calls
 
@@ -173,6 +174,46 @@ def test_from_image_inverts_images():
         for b in (beta, beta + 7):
             assert _from_image(_images(forms, lcm, b)[0], b, lcm) == p
             assert _from_image(-_images(forms, lcm, b)[0], b, lcm) == -p
+
+
+def _edge_integer(rng, beta, shape):
+    """A signed integer whose balanced base-2^beta digits take one shape."""
+    half = 1 << (beta - 1)
+    count = rng.randint(1, max(1, 3000 // beta))
+    if shape == "random":
+        return rng.choice((1, -1)) * rng.getrandbits(rng.randint(1, 3000))
+    if shape == "top":  # digits at the ends of [-2^(beta-1), 2^(beta-1)), and one past
+        ends = (-half, half - 1, half, -half - 1)
+        digits = [rng.choice(ends) for _ in range(count)]
+    elif shape == "sparse":  # mostly zero digits, zero runs at both ends
+        digits = [rng.choice((0, 0, 0, rng.randint(-half, half - 1))) for _ in range(count)]
+        digits = [0] * rng.randint(0, 3) + digits + [0] * rng.randint(0, 3)
+    else:  # small: one or two digits
+        return rng.randint(-(1 << (2 * beta)), 1 << (2 * beta))
+    return sum(d << (beta * k) for k, d in enumerate(digits))
+
+
+def test_from_image_inverts_images_on_every_integer():
+    """Every integer is the image at 2^beta of the one polynomial that
+    _from_image reads off it, whatever its size: den times that polynomial
+    has value's balanced digits, each in [-2^(beta-1), 2^(beta-1)), as
+    coefficients, and _digits' l1 is their absolute sum.  The producers'
+    seeded checks rest on this: a walk integer is the image of the
+    polynomial emitted from it."""
+    rng = random.Random(23)
+    shapes = ("random", "top", "sparse", "small")
+    for k in range(400):
+        beta = rng.choice((2, 3, 64)) if k % 4 == 0 else rng.randint(2, 64)
+        den = 1 if k % 2 else rng.randint(2, 10**9)
+        value = _edge_integer(rng, beta, shapes[k % 4])
+        for v in (value, -value, 0):
+            p = _from_image(v, beta, den)
+            assert _images([p._form], den, beta) == [v]
+            pairs, l1 = _digits(v, beta)
+            assert p * den == Polynomial(1, {(e,): c for e, c in pairs})
+            assert all(-(1 << (beta - 1)) <= c < 1 << (beta - 1) and c for _e, c in pairs)
+            assert l1 == sum(abs(c) for _e, c in pairs)
+            assert [e for e, _c in pairs] == sorted({e for e, _c in pairs}, reverse=True)
 
 
 def sympy_expr(sympy, p):
@@ -381,6 +422,26 @@ def test_image_collision_is_rejected():
                 assert failures, (beta, k, part)
                 assert failures == all_identity_failures(SUBJECT, bad)
                 assert failures == sparse_reference(diag_certificate_failures, SUBJECT, bad)
+
+
+def test_seeds_decide_only_identities_all_of_whose_factors_they_hold():
+    """Seeds at a beta below an identity's own bound do not decide it: a
+    difference such as 2^beta - t1 vanishes there.  Nor do seeds decide an
+    identity with a factor that has none, at any beta.  Either way every
+    identity is decided afresh, and the failures are those of the full
+    products."""
+    for beta, unseeded in ((8, None), (40, None), (400, "X_minus"), (400, "w")):
+        for part, index in (("D", 0), ("X_plus", 4), ("X_minus", 3), ("w", 0)):
+            bad = tampered(GOOD, part, index, f"{2**beta} - t1")
+            images = _ImageContext(beta)
+            for name in ("subject", "X_plus", "X_minus", "D", "w"):
+                f = SUBJECT if name == "subject" else getattr(bad, name)
+                entries = f.entries if isinstance(f, PolyMatrix) else (f,)
+                lcm, bound, degree, forms = _image_bounds(entries)
+                if name != unseeded:
+                    images.seed(f, lcm, bound, degree, _images(forms, lcm, beta))
+            failures = diag_certificate_failures(SUBJECT, bad, images)
+            assert failures and failures == all_identity_failures(SUBJECT, bad), (beta, part)
 
 
 RATIONAL_SUBJECT = subject(
