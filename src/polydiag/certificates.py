@@ -215,17 +215,20 @@ def diag_certificate_failures(a, cert, images=None):
     D = X_minus*A*X_minus^t, so its product is multiplied out only when one
     of those two fails, to report whether it fails as well.  All identities
     share one polymat._ImageContext, images or a new one, so each factor is
-    bounded once; a producer passes the one its walk seeded.
+    bounded once, and the subject is tested for symmetry once; a producer
+    passes the one its walk seeded.
     """
     n = cert.subject_dim
     if a.rows != n or a.cols != n:
         raise ValueError(f"subject is {a.rows}x{a.cols}, certificate claims dimension {n}")
     if a.nvars != cert.w.nvars:
         raise ValueError("subject and certificate disagree on variable count")
-    if not a.is_symmetric():
-        raise NotSymmetric("subject matrix is not symmetric")
-    xp, xm, d, w = cert.X_plus, cert.X_minus, cert.D, cert.w
     images = _ImageContext() if images is None else images
+    if images.symmetric is not a:  # a bundle's branches share the test
+        if not a.is_symmetric():
+            raise NotSymmetric("subject matrix is not symmetric")
+        images.symmetric = a
+    xp, xm, d, w = cert.X_plus, cert.X_minus, cert.D, cert.w
     w_id = images.diagonal(w, n)
     failures = []
     plus_minus = identity_holds([(xp, xm)], [(w_id,)], images)
@@ -250,10 +253,10 @@ def bundle_certificate_failures(a, bundle, images=None):
     """Broken identities across all branches, tagged with branch numbers.
 
     The branches share one polymat._ImageContext, images or a new one, so
-    the subject is bounded once for all of them.  A bundle with none records
-    its subject and is not verified against that same object again (both
-    are immutable); a bundle that is parsed, built or copied with
-    dataclasses.replace starts unverified.
+    the subject is bounded, and tested for symmetry, once for all of them.
+    A bundle with none records its subject and is not verified against that
+    same object again (both are immutable); a bundle that is parsed, built
+    or copied with dataclasses.replace starts unverified.
     """
     if a.rows != bundle.subject_dim or a.cols != bundle.subject_dim:
         raise ValueError(

@@ -344,14 +344,17 @@ class _ImageContext:
     bounds the l1 norm of every S*p and degree their degrees.  A fresh record
     has S the lcm of the denominators and the forms that _images reads
     (arith._image_bounds); a seeded one (seed) holds, as image, the integers
-    S*p(2^beta) of its entries, row-major, at the context's beta.
+    S*p(2^beta) of its entries, row-major, at the context's beta.  symmetric
+    is the subject last found symmetric in this context, so that the
+    branches of a bundle test it once.
     """
 
-    __slots__ = ("beta", "factors")
+    __slots__ = ("beta", "factors", "symmetric")
 
     def __init__(self, beta=0):
         self.beta = beta
         self.factors = {}
+        self.symmetric = None
 
     def seed(self, f, scale, bound, degree, image):
         self.factors[id(f)] = (f, scale, bound, degree, None, image)

@@ -131,6 +131,29 @@ def test_verify_subject_preconditions():
         diag_certificate_failures(M([["t1", "1"], ["0", "t1"]]), cert)
 
 
+def test_bundle_tests_its_subject_for_symmetry_once(monkeypatch):
+    """A bundle's branches share one symmetry test of the subject; a
+    subject that is not symmetric is refused as a single certificate's is."""
+    bundle = diagonalization_bundle(SUBJECT)
+    assert len(bundle.branches) > 1
+    tested = []
+    is_symmetric = PolyMatrix.is_symmetric
+
+    def counted(m):
+        tested.append(m)
+        return is_symmetric(m)
+
+    monkeypatch.setattr(PolyMatrix, "is_symmetric", counted)
+    same = PolyMatrix(SUBJECT.rows, SUBJECT.cols, SUBJECT.entries)
+    assert bundle_certificate_failures(same, bundle) == []
+    assert tested == [same]
+    lopsided = M([["t1", "1"], ["0", "t1"]])
+    with pytest.raises(NotSymmetric, match="^subject matrix is not symmetric$"):
+        bundle_certificate_failures(lopsided, bundle)
+    with pytest.raises(NotSymmetric, match="^subject matrix is not symmetric$"):
+        diag_certificate_failures(lopsided, bundle.branches[0][0])
+
+
 def test_bundle_failures_name_the_branch():
     bundle = diagonalization_bundle(SUBJECT)
     cert, trace = bundle.branches[1]

@@ -5,13 +5,16 @@ run sees the same cases.
 """
 
 import random
+import tracemalloc
+from collections import deque
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polydiag import certificates, diagonal
+from polydiag import certificates, diagonal, positivity
 from polydiag.arith import Polynomial, parse_polynomial
 from polydiag.diagonal import diagonalization_bundle
 from polydiag.errors import DimensionCap, NotSymmetric
@@ -326,11 +329,12 @@ def test_psd_on_grid_nvars_mismatch():
 
 @st.composite
 def grid_cases(draw):
-    """(matrix, spec, diagonal polynomials): a 1-2 variable symmetric matrix,
-    a Gram matrix G^t G or one with a polynomial added to its corner entry,
-    over a grid whose steps are 3/5 or 1/6 and whose coordinates may be
-    negative."""
-    nvars = draw(st.integers(1, 2))
+    """(matrix, spec, diagonal polynomials, block): a 1-3 variable symmetric
+    matrix, a Gram matrix G^t G or one with a polynomial added to its corner
+    entry, over a grid whose steps are 3/5 or 1/6 and whose coordinates may
+    be negative; the diagonal polynomials may repeat each other or the
+    matrix's entries, and the sweep runs in blocks of the given size."""
+    nvars = draw(st.integers(1, 3))
     polys = st.dictionaries(
         st.tuples(*[st.integers(0, 3)] * nvars),
         st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
@@ -357,23 +361,26 @@ def grid_cases(draw):
     for _ in range(nvars):
         step = draw(st.sampled_from([Fraction(3, 5), Fraction(1, 6)]))
         low = Fraction(draw(st.integers(-8, 2)), draw(st.sampled_from([1, 2, 5])))
-        count = draw(st.integers(1, 8 if nvars == 1 else 5))
+        count = draw(st.integers(1, {1: 8, 2: 5, 3: 3}[nvars]))
         axes.append((low, low + (count - 1) * step, count))
-    diag = draw(st.lists(polys, min_size=1, max_size=3))
-    return a, GridSpec(tuple(axes)), diag
+    diag = draw(st.lists(st.one_of(polys, st.sampled_from(a.entries)), min_size=1, max_size=4))
+    diag += draw(st.lists(st.sampled_from(diag), max_size=2))
+    return a, GridSpec(tuple(axes)), diag, draw(st.sampled_from([1, 2, 3, 1024]))
 
 
 @BOUNDED
 @given(grid_cases())
 def test_grid_sweeps_equal_pointwise_oracle(case):
-    a, spec, diag = case
+    a, spec, diag, block = case
     points = generate_grid(spec)
     oracle = {s: psd_rational(eval_matrix(a, s)) for s in points}
-    report = psd_on_grid(a, spec)
-    assert report.total_points == len(points)
-    assert report.non_psd_points == tuple(s for s in points if not oracle[s])
     flags = {s: all(p.evaluate(s) >= 0 for p in diag) for s in points}
-    assert list(_grid_sweep(a, diag, spec)) == [(s, oracle[s], flags[s]) for s in points]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(positivity, "_LINE_BLOCK", block)
+        report = psd_on_grid(a, spec)
+        assert report.total_points == len(points)
+        assert report.non_psd_points == tuple(s for s in points if not oracle[s])
+        assert list(_grid_sweep(a, diag, spec)) == [(s, oracle[s], flags[s]) for s in points]
 
 
 def _sweeps(a, spec):
@@ -424,6 +431,112 @@ def test_grid_symmetric_at_some_points_only():
         for sweep in _sweeps(a, GridSpec(((0, 2, 3),))):
             with pytest.raises(NotSymmetric):
                 sweep()
+
+
+# -- the sweep line by line, in blocks ----------------------------------------
+
+
+def _pointwise(a, extra, spec):
+    """The (point, psd, extra_ok) triples the sweep must give, by Fractions."""
+    return [
+        (s, psd_rational(eval_matrix(a, s)), all(p.evaluate(s) >= 0 for p in extra))
+        for s in generate_grid(spec)
+    ]
+
+
+def _swept(a, extra, spec):
+    """(the triples the sweep yielded, the exception it raised or None)."""
+    triples = []
+    try:
+        for triple in _grid_sweep(a, extra, spec):
+            triples.append(triple)
+    except (NotSymmetric, DimensionCap) as exc:
+        return triples, exc
+    return triples, None
+
+
+def test_line_sweep_long_lines():
+    """Lines longer than the block the module uses, on one and two axes; the
+    extras are a11, a22, a repeat and a polynomial of their own."""
+    a = M([["t1^2 - 1/4", "t1"], ["t1", "2 - t1"]])
+    extra = [a[0, 0], a[1, 1], a[0, 0], P("t1 - 1/2")]
+    spec = GridSpec(((-3, 3, 2 * positivity._LINE_BLOCK + 5),))
+    assert list(_grid_sweep(a, extra, spec)) == _pointwise(a, extra, spec)
+    a2 = M([["t1^2 + t2", "t1*t2"], ["t1*t2", "1 - t2^2"]], nvars=2)
+    spec2 = GridSpec(((-1, 1, 2), (-2, 2, positivity._LINE_BLOCK + 77)))
+    extra2 = [a2[1, 1], P("t1 - t2", 2)]
+    assert list(_grid_sweep(a2, extra2, spec2)) == _pointwise(a2, extra2, spec2)
+
+
+def _only_at(k, count):
+    """t1 plus a polynomial that vanishes at t1 = 0, 1, ..., count - 1 except
+    at t1 = k: t1 there, and only there."""
+    p = P("1")
+    for j in range(count):
+        if j != k:
+            p = p * P(f"t1 - {j}")
+    return P("t1") + p
+
+
+def test_line_sweep_asymmetric_in_second_block(monkeypatch):
+    """A(s) fails to be symmetric at one point only, the third of the second
+    block: NotSymmetric is raised there, after every earlier triple."""
+    monkeypatch.setattr(positivity, "_LINE_BLOCK", 4)
+    spec = GridSpec(((0, 9, 10),))
+    for n, (i, j) in ((2, (0, 1)), (3, (1, 2))):
+        rows = [[P("1 + t1") if r == c else P("0") for c in range(n)] for r in range(n)]
+        rows[i][j], rows[j][i] = P("t1"), _only_at(6, 10)
+        a = PolyMatrix.from_rows(rows)
+        extra = [a[0, 0], P("t1 - 5")]
+        triples, exc = _swept(a, extra, spec)
+        assert isinstance(exc, NotSymmetric)
+        assert triples == _pointwise(a, extra, GridSpec(((0, 5, 6),)))
+    # on two axes, from the first point of the second line on: (1, 0)
+    a = M([["1", "t2"], ["t2 + t1*t2 - 3*t1", "1"]], nvars=2)
+    triples, exc = _swept(a, (), GridSpec(((0, 1, 2), (0, 5, 6))))
+    assert isinstance(exc, NotSymmetric)
+    assert triples == _pointwise(a, (), GridSpec(((0, 0, 1), (0, 5, 6))))
+
+
+def test_line_sweep_dimension_cap_order(monkeypatch):
+    """At n = 13 the cap is raised at the first point the sweep decides: the
+    grid cap and a non-symmetric first point come before it, a later
+    non-symmetric point, even in another block, after it."""
+    monkeypatch.setattr(positivity, "_LINE_BLOCK", 4)
+    eye = PolyMatrix.identity(13, 1).entries
+    later = PolyMatrix(13, 13, (eye[0], P("t1")) + eye[2:13] + (_only_at(6, 10),) + eye[14:])
+    first = PolyMatrix(13, 13, (eye[0], P("1")) + eye[2:])
+    for sweep in _sweeps(later, GridSpec(((0, 9, 10),))):
+        with pytest.raises(DimensionCap, match="capped at dimension 12, got 13"):
+            sweep()
+    for sweep in _sweeps(first, GridSpec(((0, 9, 10),))):
+        with pytest.raises(NotSymmetric):
+            sweep()
+    for sweep in _sweeps(later, GridSpec(((0, 9, 100_001),))):
+        with pytest.raises(ValueError, match="exceeding the cap"):
+            sweep()
+
+
+def test_line_sweep_memory_is_bounded():
+    """A 100,000-point line is evaluated a block at a time: the sweep's peak
+    stays within 1.7 times that of the grid's own points, generate_grid's,
+    where evaluating the whole line at once reaches about 1.9 times.  Both
+    reach their peak before the third block, so the sweep is run that far."""
+    a = M([["t1^2 + 1", "t1"], ["t1", "1"]])
+    spec = GridSpec(((-10, 10, 100_000),))
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    baseline = peak(lambda: generate_grid(spec))
+    sweep = _grid_sweep(a, (), spec)
+    swept = peak(lambda: deque(islice(sweep, 3 * positivity._LINE_BLOCK), maxlen=0))
+    assert swept <= 1.7 * baseline, (swept, baseline)
 
 
 # -- check_bundle_equivalence --------------------------------------------------------
