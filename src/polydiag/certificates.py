@@ -32,8 +32,8 @@ each G_j is an ascending product of the B_i.
 Every verifier has a *_failures companion that returns the list of broken
 identities (empty means the certificate verifies), so callers can report
 exactly what failed.  Each identity is stated once, as two sums of
-products for polymat.identity_holds, which decides it exactly: on integer
-images in one variable, otherwise by sparse products of the same terms.
+products for polymat.identity_holds, which decides it exactly with one
+routine: on integer images in one variable, otherwise on sparse products.
 
 Certificate files are sectioned text: a `[meta]` section with `key value`
 lines (kind, dim, nvars <= MAX_NVARS, per-kind counts), `[matrix <name>]`

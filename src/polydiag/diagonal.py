@@ -3,9 +3,10 @@
 Three routes, all walks of one pivot recursion (_grow) whose leaves one
 _finish reads into certificates.  Each checks every certificate it returns
 exactly once, against its subject, with diag_certificate_failures (the
-bundle through bundle_certificate_failures, so it records that subject);
-a walk on integer images seeds that check with its own integers (see the
-last paragraph):
+bundle through bundle_certificate_failures, so it records that subject),
+in the walk's _ImageContext, which records the producer's own symmetry
+test of the subject, so the check does not repeat it; a walk on integer
+images seeds that context with its own integers (see the last paragraph):
 
 - standard_form_diagonalize: one closed-form certificate for matrices in
   standard form (rank r with M_1, ..., M_r all nonzero), pivoting on the
@@ -167,7 +168,7 @@ def standard_form_diagonalize(a):
 
 def _checked(a, cert, images):
     """cert, once diag_certificate_failures finds no broken identity; images
-    is the _ImageContext the walk seeded, or None."""
+    is the walk's _ImageContext."""
     failures = diag_certificate_failures(a, cert, images)
     if failures:
         raise InternalIdentityFailure("certificate identities broke: " + "; ".join(failures))
@@ -335,10 +336,9 @@ def _walk(a, route):
 
 
 class _Ring(NamedTuple):
-    """The entries a walk computes on: one and zero; on the image ring the
-    lcm L of the subject's denominators and the _ImageContext that holds
-    the walk's images at its beta, None on Polynomials (see the module
-    docstring)."""
+    """The entries a walk computes on: one and zero; the lcm L of the
+    subject's denominators on the image ring; and the _ImageContext of the
+    check, beta 0 on Polynomials (see the module docstring)."""
 
     one: object
     zero: object
@@ -347,7 +347,7 @@ class _Ring(NamedTuple):
 
     def poly(self, value, power):
         """The Polynomial of an entry over L^power."""
-        if self.images is None:
+        if not self.images.beta:
             return value
         return _from_image(value, self.images.beta, self.lcm**power)
 
@@ -358,6 +358,8 @@ def _packed(a, route):
     largest image, beta*(E*deg + 1) bits, is at most _WALK_BITS_CAP, with
     a's images seeded in the ring's context; otherwise Polynomials."""
     n, nvars = a.rows, a.nvars
+    context = _ImageContext()
+    context.symmetric = a  # the producers test a for symmetry before they walk
     if nvars == 1:
         lcm, bound, degree, forms = _image_bounds(a.entries)
         moves = 0 if route == "standard" else n - 1
@@ -367,11 +369,11 @@ def _packed(a, route):
         beta = (4 * n * g**e << moves).bit_length() + 2
         if beta * (e * degree + 1) <= _WALK_BITS_CAP:
             images = _images(forms, lcm, beta)
-            seeds = _ImageContext(beta)
-            seeds.seed(a, lcm, bound, degree, images)
+            context.beta = beta
+            context.seed(a, lcm, bound, degree, images)
             rows = [images[r * n : (r + 1) * n] + [lcm * (r == c) for c in range(n)] for r in range(n)]
-            return _Ring(1, 0, lcm, seeds), rows
-    return _Ring(Polynomial.one(nvars), Polynomial.zero(nvars), 1, None), _augmented(a)
+            return _Ring(1, 0, lcm, context), rows
+    return _Ring(Polynomial.one(nvars), Polynomial.zero(nvars), 1, context), _augmented(a)
 
 
 def _grow(ring, route, work, p_inv, level, end, pivots):
@@ -499,7 +501,7 @@ def _emit(ring, memo, n, values, powers):
     off the balanced digits.
     """
     images = ring.images
-    if images is None:
+    if not images.beta:
         return PolyMatrix(n, n, values) if n else values[0]
     beta, lcm, top = images.beta, ring.lcm, max(powers)
     lifts = None if lcm == 1 else [lcm ** (top - e) for e in range(top + 1)]

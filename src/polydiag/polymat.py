@@ -13,10 +13,11 @@ division is exact (Sylvester's identity), so no rational functions
 appear.  The generic rank is the largest p with some p x p minor that is
 not identically zero.
 
-identity_holds decides the verifiers' identities: in one variable on
-integer (Kronecker) images at t1 = 2^beta, otherwise by sparse products.
-An _ImageContext carries each factor's bounds, and the producers' seeded
-images, across the identities of one verification.
+identity_holds decides the verifiers' identities, and congruence_sum
+builds sums X*M*X^t, with one product routine, _sum_of_terms, on one of
+two rings: integer (Kronecker) images at t1 = 2^beta in one variable,
+otherwise Polynomials.  An _ImageContext carries each factor's bounds, and
+the producers' seeded images, across the identities of one verification.
 
 Matrix file format: a header line ``rows cols nvars`` (nvars at most
 MAX_NVARS) followed by rows*cols polynomial lines in row-major order.
@@ -28,7 +29,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
+from itertools import chain, repeat
 from operator import add, mul
 
 from .arith import (
@@ -295,37 +297,16 @@ class PolyMatrix:
 
 def congruence_sum(n, nvars, terms):
     """The n x n sum of X*M*X^t over the pairs (X, M) of terms, each X with
-    n rows and each M square, None standing for the identity.
-
-    Each entry is one sum_of_products over all terms, of row i of X*M against
-    row j of X.  When every M is symmetric, so is the sum: only its upper
-    triangle is multiplied, and then mirrored.
-    """
-    parts = []
-    symmetric = True
+    n rows and each M square, None standing for the identity: the product
+    routine on Polynomials (upper triangle only when every M is symmetric)."""
     for x, m in terms:
         if x.rows != n or (m is not None and m.rows != m.cols):
             raise ValueError(f"X*M*X^t needs an X with {n} rows and a square M")
-        if m is not None:
-            symmetric = symmetric and m.is_symmetric()
-        parts.append(((x if m is None else x @ m).entries, x.entries, x.cols))
-    out = [None] * (n * n)
-    for i in range(n):
-        for j in range(i if symmetric else 0, n):
-            out[i * n + j] = sum_of_products(
-                nvars,
-                [
-                    pair
-                    for xm, x, k in parts
-                    for pair in zip(xm[i * k : (i + 1) * k], x[j * k : (j + 1) * k])
-                ],
-            )
-            if symmetric:
-                out[j * n + i] = out[i * n + j]
-    return PolyMatrix(n, n, out)
+    out = _polynomial_sum([(x, T) if m is None else (x, m, T) for x, m in terms], nvars)
+    return PolyMatrix.zeros(n, n, nvars) if out is None else PolyMatrix(n, n, out)
 
 
-# identity_holds leaves to sparse products an identity whose images would
+# identity_holds decides on Polynomials an identity whose images would
 # pass this many bits: beta * (largest term degree + 1) * (most entries of
 # a factor).  The test suite and the benchmark stay below 2^19; one product
 # of two 2^20-bit integers takes about 0.2 s.
@@ -346,7 +327,7 @@ class _ImageContext:
     (arith._image_bounds); a seeded one (seed) holds, as image, the integers
     S*p(2^beta) of its entries, row-major, at the context's beta.  symmetric
     is the subject last found symmetric in this context, so that the
-    branches of a bundle test it once.
+    branches of a bundle, or a producer and its check, test it once.
     """
 
     __slots__ = ("beta", "factors", "symmetric")
@@ -375,88 +356,74 @@ def identity_holds(lhs, rhs, images=None):
     A side is a sequence of terms, none for zero; a term is a tuple of
     factors multiplied left to right: Polynomial scalars, PolyMatrix values
     and, last, T for the term's first matrix transposed: X*M*X^t is
-    (X, M, T).  In one variable each factor, its entries p under a scale S
-    that makes every S*p integral, becomes the integers S*p(2^beta), and the
-    sides, over one common scale, are compared as integer matrices.  The
-    factors' l1 bounds times their row counts bound every coefficient of the
-    common scale times lhs - rhs by B < 2^(beta-1); such an integer
-    polynomial vanishes at 2^beta only if it is zero (balanced base-2^beta
-    digits), so the test is exact, and so it is at any larger beta.
+    (X, M, T); each side is one _sum_of_terms.  In one variable each factor,
+    its entries p under a scale S that makes every S*p integral, becomes the
+    integers S*p(2^beta), and the sides, over one common scale, are compared
+    as integer matrices.  The factors' l1 bounds times their row counts
+    bound every coefficient of the common scale times lhs - rhs by
+    B < 2^(beta-1); such an integer polynomial vanishes at 2^beta only if it
+    is zero (balanced base-2^beta digits), so the test is exact, and so it
+    is at any larger beta.
 
     images, an _ImageContext, shares each factor's record across the calls
     of one verification; without one, each call bounds its factors afresh.
     When every factor has a seed there and B gives a beta no larger than
     the context's, the seeds decide the identity at the context's beta;
     otherwise each factor is imaged afresh, under its record's scale, at
-    B's own beta.  More variables, or images past _IMAGE_BITS_CAP, go to
-    _sparse_holds.
+    B's own beta.  More variables, or images past _IMAGE_BITS_CAP, take the
+    ring of Polynomials: the same terms, multiplied by sparse products.
     """
     records = {} if images is None else images.factors
-    used, plans = {}, ([], [])
-    common = 1
-    degree = size = 0
+    used, plans, bounds = {}, ([], []), []
+    common, degree, size = 1, 0, 0
     seeded = images is not None
     for side, plan in zip((lhs, rhs), plans):
         for term in side:
             scale = bound = 1
-            term_degree = 0
+            term_degree, first = 0, None
             for f in term:
-                rows = f.rows if isinstance(f, PolyMatrix) else 1
                 if f is T:  # the term's first matrix, its columns as rows
-                    f = next(g for g in term if isinstance(g, PolyMatrix))
-                    rows = f.cols
+                    f, rows = first, first.cols
+                elif isinstance(f, PolyMatrix):
+                    first, rows = first or f, f.rows
+                else:
+                    rows = 1
                 key = id(f)
                 r = records.get(key)
                 if r is None:
                     if f.nvars != 1:
-                        return _sparse_holds(lhs, rhs)
+                        return _sums_agree([_polynomial_sum(side, f.nvars) for side in (lhs, rhs)])
                     lcm, b, d, forms = _image_bounds(_entries(f))
                     r = records[key] = (f, lcm, b, d, forms, None)
                 if key not in used:
                     used[key] = r
-                    if r[5] is None:
-                        seeded = False
+                    seeded = seeded and r[5] is not None
                     size = max(size, len(r[4] or r[5]))
                 scale *= r[1]
                 bound *= r[2] * rows
                 term_degree += r[3]
-            plan.append((term, scale, bound))
+            plan.append((term, scale))
+            bounds.append(bound)
             common = math.lcm(common, scale)
             degree = max(degree, term_degree)
-    beta = sum(common // scale * bound for plan in plans for _t, scale, bound in plan).bit_length() + 1
+    beta = sum(common // scale * b for (_t, scale), b in zip(plans[0] + plans[1], bounds)).bit_length() + 1
     if seeded and beta <= images.beta:
         beta = images.beta
     else:
         seeded = False
     if beta * (degree + 1) * size > _IMAGE_BITS_CAP:
-        return _sparse_holds(lhs, rhs)
+        return _sums_agree([_polynomial_sum(side, 1) for side in (lhs, rhs)])
     values = {
         key: r[5] if seeded else _images(r[4] or [p._form for p in _entries(r[0])], r[1], beta)
         for key, r in used.items()
     }
-    sums = []
-    for plan in plans:
-        total = None
-        for term, scale, _bound in plan:
-            acc, value = common // scale, None
-            for f in term:
-                if isinstance(f, Polynomial):
-                    acc *= values[id(f)][0]
-                elif value is None:
-                    m, c = values[id(f)], f.cols
-                    value = first = [m[i : i + c] for i in range(0, len(m), c)]
-                else:  # X^t's columns are X's rows
-                    cols = first if f is T else [values[id(f)][j :: f.cols] for j in range(f.cols)]
-                    value = [[sum(map(mul, row, col)) for col in cols] for row in value]
-            if value is None:
-                value = [[acc]]
-            elif acc != 1:
-                value = [[acc * x for x in row] for row in value]
-            total = value if total is None else [list(map(add, r, v)) for r, v in zip(total, value)]
-        sums.append(total)
-    if None in sums:  # an empty sum is zero
-        return not any(map(any, sums[0] or sums[1] or ()))
-    return sums[0] == sums[1]
+    dots = lambda rows, cols: [[sum(map(mul, r, c)) for c in cols] for r in rows]
+    return _sums_agree([_sum_of_terms(plan, common, values, dots) for plan in plans])
+
+
+def _sums_agree(sums):
+    """Whether the entries of two sums, None for an empty one (zero), are equal."""
+    return not any(sums[0] or sums[1] or ()) if None in sums else sums[0] == sums[1]
 
 
 def _entries(f):
@@ -464,36 +431,65 @@ def _entries(f):
     return f.entries if isinstance(f, PolyMatrix) else (f,)
 
 
-def _sparse_holds(lhs, rhs):
-    """identity_holds by sparse products of the same terms: each term's
-    scalars first, and one congruence_sum for all of a side's scalar-free X*M*X^t."""
-    sums = []
-    for side in (lhs, rhs):
-        parts, congruences = [], []
-        for term in side:
-            scale = x = value = None  # x: the X of X*M*X^t, value: the other matrices' product
-            for f in term:
-                if isinstance(f, Polynomial):
-                    scale = f if scale is None else scale * f
-                elif x is None and term[-1] is T:
-                    x = f
-                elif f is not T:
-                    value = f if value is None else value @ f
-            if x is not None:
-                if scale is None:
-                    congruences.append((x, value))
-                    continue
-                value = congruence_sum(x.rows, x.nvars, [(x, value)])
-            if scale is not None:  # a term without matrices is its scalars' product
-                value = scale if value is None else scale * value
-            parts.append(value)
-        if congruences:
-            x = congruences[0][0]
-            parts.append(congruence_sum(x.rows, x.nvars, congruences))
-        sums.append(reduce(add, parts) if parts else None)
-    if None in sums:  # an empty sum is zero
-        return all(side is None or side.is_zero() for side in sums)
-    return sums[0] == sums[1]
+def _sum_of_terms(terms, common, entries, dots):
+    """The entries, row-major, of a sum of terms on one ring; None for none.
+
+    terms holds (term, scale) pairs, a term as identity_holds takes it, to
+    be multiplied by the integer common // scale; entries maps id(f) to a
+    factor's ring entries, row-major; dots(rows, columns) gives the ring's
+    dot products of each row with each column.  Scalars scale a term's
+    first matrix; a term of scalars only, or of one matrix, is added as it
+    is, and the pairs of the others meet in one dot per entry: row i of the
+    product of all but the last matrix against column j of the last, in
+    the upper triangle only when every term is X*M*X^t, M symmetric or none.
+    """
+    lone, parts, symmetric = [], [], True
+    for term, scale in terms:
+        scalars, mats = [common // scale] if scale != common else [], []
+        for f in term:
+            if type(f) is PolyMatrix:
+                mats.append((entries[id(f)], f.cols))
+            elif f is not T:
+                scalars.append(entries[id(f)][0])
+        if not mats:
+            lone.append([reduce(mul, scalars)])
+            continue
+        (x, k), middle = mats[0], mats[1:]
+        scaled = list(map(mul, x, repeat(reduce(mul, scalars), len(x)))) if scalars else x
+        if not middle and term[-1] is not T:
+            lone.append(scaled)
+            continue
+        rows = [scaled[i : i + k] for i in range(0, len(x), k)]
+        if term[-1] is T:  # X^t's columns are X's rows
+            columns = rows if scaled is x else [x[i : i + k] for i in range(0, len(x), k)]
+            symmetric = symmetric and len(middle) < 2
+        else:
+            r, c = middle.pop()
+            columns, symmetric = [r[j::c] for j in range(c)], False
+        for m, c in middle:
+            cols = [m[j::c] for j in range(c)]
+            symmetric = symmetric and sum(cols, []) == m  # M's columns are its rows
+            rows = dots(rows, cols)
+        parts.append((rows, columns))
+    if parts:  # row i of each product joined, and column j of each last matrix
+        rows, columns = parts[0] if len(parts) == 1 else (
+            [sum(lines, []) for lines in zip(*side)] for side in zip(*parts))
+        n = len(columns)
+        if symmetric and not lone:
+            out = [None] * (n * n)
+            for i, row in enumerate(rows):  # row i from the diagonal on, and column i down
+                out[i * n + i : (i + 1) * n] = out[i * n + i :: n] = dots((row,), columns[i:])[0]
+        else:
+            out = [*chain.from_iterable(dots(rows, columns))]
+        lone.append(out)
+    return lone[0] if len(lone) == 1 else [*reduce(partial(map, add), lone)] if lone else None
+
+
+def _polynomial_sum(terms, nvars):
+    """_sum_of_terms on Polynomials: one sum_of_products per dot."""
+    entries = {id(f): list(_entries(f)) for term in terms for f in term if f is not T}
+    dots = lambda rows, cols: [[sum_of_products(nvars, zip(r, c)) for c in cols] for r in rows]
+    return _sum_of_terms([(term, 1) for term in terms], 1, entries, dots)
 
 
 def _bareiss_step(m, k, prev, symmetric=False):

@@ -271,19 +271,14 @@ def _grid_sweep(a, extra, spec):
     n = a.rows
     # A(point) is symmetric iff each (j, i) whose polynomial differs from
     # that of (i, j) takes the same value there
-    asym = [(i, j) for i in range(n) for j in range(i + 1, n) if a[j, i] != a[i, j]]
+    asym = [(i, j) for i in range(n) for j in range(i + 1, n) if a[j, i]._form != a[i, j]._form]
     polys = [a[i, j] for i in range(n) for j in range(i, n)]
     polys += [a[j, i] for i, j in asym] + list(extra)
-    den = 1
-    for p in polys:
-        den = math.lcm(den, p._form[0])
-    unpack = _unpacker(a.nvars)
-    monos = {}
-    sums = []
-    for p in polys:
-        d, pairs = p._form
-        scale = den // d
-        sums.append([(c * scale, monos.setdefault(unpack(k), len(monos))) for k, c in pairs])
+    den = math.lcm(*(p._form[0] for p in polys))
+    keys, sums = {}, []  # keys: packed monomial -> its index
+    for d, pairs in (p._form for p in polys):
+        sums.append([(c * (den // d), keys.setdefault(k, len(keys))) for k, c in pairs])
+    monos = list(map(_unpacker(a.nvars), keys))
     tops = [max((m[v] for m in monos), default=0) for v in range(a.nvars)]
     # each axis as (numerators, denominators) of its values
     coords = [([x.numerator for x in xs], [x.denominator for x in xs]) for xs in axis_values]
@@ -300,26 +295,18 @@ def _grid_sweep(a, extra, spec):
     entry_at = {tuple(s): k for k, s in enumerate(sums[:width])} if unique else {}
     extra_entries = sorted({entry_at[key] for key in unique if key in entry_at})
     extra_sums = sorted((s for key, s in unique.items() if key not in entry_at), key=len)
-    # per outer axis value x = num/q: the factor num^e * q^(top - e) it puts in each monomial
+    # per outer axis value: the factor it puts in each monomial
     outer_columns = []
     for v, (nums, dens) in enumerate(coords[:-1]):
-        exps = [m[v] for m in monos]
-        distinct = set(exps)
-        top = tops[v]
-        columns = []
-        for num, q in zip(nums, dens):
-            factor = {e: num**e * q ** (top - e) for e in distinct}
-            columns.append([factor[e] for e in exps])
-        outer_columns.append(columns)
+        columns = _factor_columns(nums, dens, tops[v], [m[v] for m in monos])
+        outer_columns.append([[col[x] for col in columns] for x in range(len(nums))])
     # the last axis: per monomial, its factor at each point of the line, in blocks
     nums, dens = coords[-1]
     exps = [m[-1] for m in monos]
-    top = tops[-1]
     blocks = []
     for start in range(0, len(nums), _LINE_BLOCK):
         part = slice(start, start + _LINE_BLOCK)
-        line = {e: [num**e * q ** (top - e) for num, q in zip(nums[part], dens[part])] for e in set(exps)}
-        blocks.append((axis_values[-1][part], [line[e] for e in exps]))
+        blocks.append((axis_values[-1][part], _factor_columns(nums[part], dens[part], tops[-1], exps)))
     for outer, factors in zip(
         itertools.product(*axis_values[:-1]), itertools.product(*outer_columns)
     ):
@@ -352,6 +339,16 @@ def _grid_sweep(a, extra, spec):
                 yield (*outer, x), psd, extra_ok
             if stop < size:
                 raise NotSymmetric(_NOT_SYMMETRIC)
+
+
+def _factor_columns(nums, dens, top, exps):
+    """Per exponent e of exps, the column of num^e * q^(top - e) over an
+    axis's points num/q; each distinct e once, by C-level map."""
+    columns = {
+        e: list(map(mul, map(pow, nums, itertools.repeat(e)), map(pow, dens, itertools.repeat(top - e))))
+        for e in set(exps)
+    }
+    return [columns[e] for e in exps]
 
 
 def _along(terms, columns, size):

@@ -657,6 +657,33 @@ def test_walk_ring_follows_the_image_cap():
         assert len(images) == 1
 
 
+def test_producers_test_their_subject_for_symmetry_once(monkeypatch):
+    """A producer tests its subject for symmetry once per call, on either
+    ring: its check reads that test off the walk's context."""
+    subjects = (
+        M([["t1", "1", "0"], ["1", "t1^2", "t1"], ["0", "t1", "2"]]),
+        M([["t1", "t2", "0"], ["t2", "t1*t2", "1"], ["0", "1", "t2^2"]], 2),
+    )
+    tested = []
+    is_symmetric = PolyMatrix.is_symmetric
+
+    def counted(m):
+        tested.append(m)
+        return is_symmetric(m)
+
+    monkeypatch.setattr(PolyMatrix, "is_symmetric", counted)
+    rings = set()
+    for cap in (diagonal._WALK_BITS_CAP, 0):
+        monkeypatch.setattr(diagonal, "_WALK_BITS_CAP", cap)
+        for a in subjects:
+            rings.add(type(diagonal._packed(a, "single")[0].one))
+            for produce in (standard_form_diagonalize, single_path_diagonalize, diagonalization_bundle):
+                tested.clear()
+                produce(a)
+                assert tested == [a], (produce.__name__, cap, a.nvars)
+    assert rings == {int, Polynomial}
+
+
 # -- the producers' seeded checks --------------------------------------------
 
 PRODUCERS = {

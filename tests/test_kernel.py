@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydiag import certificates, diagonal, polymat
+from polydiag import arith, certificates, diagonal, polymat
 from polydiag.arith import (
     MAX_EXPONENT,
     Polynomial,
@@ -506,6 +506,30 @@ def refuse(*_args):
     raise AssertionError("a small one-variable identity went to the sparse products")
 
 
+def refuse_sparse_identities(mp):
+    """polymat.sum_of_products refused while the verifiers' identity_holds
+    runs; the products around it (a generator product, block_step's
+    elimination) go through."""
+    deciding = []
+    holds, product = polymat.identity_holds, polymat.sum_of_products
+
+    def guarded_holds(*args):
+        deciding.append(args)
+        try:
+            return holds(*args)
+        finally:
+            deciding.pop()
+
+    def guarded_product(*args):
+        if deciding:
+            refuse()
+        return product(*args)
+
+    for module in (certificates, diagonal):
+        mp.setattr(module, "identity_holds", guarded_holds)
+    mp.setattr(polymat, "sum_of_products", guarded_product)
+
+
 @settings(BOUNDED, max_examples=40)
 @given(st.sampled_from((1, 2)).flatmap(identity_cases))
 def test_identity_holds_matches_sparse_products(case):
@@ -517,7 +541,7 @@ def test_identity_holds_matches_sparse_products(case):
     s = c * c + e * e + delta[0, 0] if perturb else c * c + e * e
     with pytest.MonkeyPatch.context() as mp:
         if nvars == 1:
-            mp.setattr(polymat, "_sparse_holds", refuse)
+            mp.setattr(polymat, "sum_of_products", refuse)
         lhs = [(c, x, m, T), (x, ms, T), (x, m, m, T), (y, T), (e, y, c, xt)]
         assert identity_holds(lhs, [(z,)]) == (total == z)
         assert identity_holds([(z,)], lhs) == (total == z)
@@ -640,7 +664,7 @@ def test_over_cap_identity_takes_sparse_path():
     # same failure list, in the same order
     cases = list(one_variable_verifications())
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polymat, "_sparse_holds", refuse)
+        refuse_sparse_identities(mp)
         on_images = [check(*args) for check, args in cases]
     assert on_images == [sparse_reference(check, *args) for check, args in cases]
     failing = {check.__name__ for (check, _args), failures in zip(cases, on_images) if failures}
@@ -716,6 +740,47 @@ def test_witness_failure_lists_match_full_check(part, delta_text):
         for index in range(a2.rows**2):
             b, wit = tampered_witness(a2, good, part, index, delta_text)
             assert equiv_witness_failures(a1, b, wit) == all_witness_failures(a1, b, wit)
+
+
+# (sum_of_products calls, term pairs) of two-variable verifications: as the
+# three product loops that polymat._sum_of_terms replaced issued them, and
+# as the routine issues them now; it may issue fewer, never more
+SPARSE_PRODUCTS = {  # name: (before, now)
+    "diag": ((24, 47), (24, 47)),
+    "diag, D tampered": ((49, 115), (49, 115)),
+    "bundle": ((432, 2990), (432, 2990)),
+    "equiv": ((44, 108), (44, 95)),
+}
+
+
+def test_sparse_verifications_issue_no_more_products(monkeypatch):
+    issued = []
+    product = polymat.sum_of_products
+
+    def counted(nvars, pairs):
+        pairs = list(pairs)
+        issued.append(sum(len(p._form[1]) * len(q._form[1]) for p, q in pairs))
+        return product(nvars, pairs)
+
+    for module in (arith, polymat):
+        monkeypatch.setattr(module, "sum_of_products", counted)
+    d = GOOD_2VARS.D
+    bent = replace(GOOD_2VARS, D=PolyMatrix(3, 3, (d[0, 0] + parse_polynomial("t1", 2),) + d.entries[1:]))
+    bundle = DiagBundle(diagonalization_bundle(SUBJECT_2VARS).branches)
+    witness = witness_from_diag_certificate(GOOD_2VARS)
+    runs = {
+        "diag": lambda: diag_certificate_failures(SUBJECT_2VARS, GOOD_2VARS),
+        "diag, D tampered": lambda: diag_certificate_failures(SUBJECT_2VARS, bent),
+        "bundle": lambda: bundle_certificate_failures(SUBJECT_2VARS, bundle),
+        "equiv": lambda: equiv_witness_failures(SUBJECT_2VARS, GOOD_2VARS.D, witness),
+    }
+    for name, run in runs.items():
+        issued.clear()
+        failures = run()
+        assert bool(failures) == (name == "diag, D tampered")
+        (calls, pairs), now = SPARSE_PRODUCTS[name]
+        assert (len(issued), sum(issued)) == now, name
+        assert now[0] <= calls and now[1] <= pairs
 
 
 def test_implied_third_identity_is_not_multiplied_out(monkeypatch):
