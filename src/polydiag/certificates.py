@@ -61,6 +61,7 @@ from .polymat import (
     T,
     _ImageContext,
     _data_lines,
+    _matrix_lines,
     _parse_line,
     _parse_matrix_lines,
     congruence_sum,
@@ -109,7 +110,7 @@ class PivotTrace:
     def __post_init__(self):
         object.__setattr__(self, "pivots", tuple(tuple(p) for p in self.pivots))
         for i, j in self.pivots:
-            if not (isinstance(i, int) and isinstance(j, int) and 1 <= i <= j):
+            if not (type(i) is type(j) is int and 1 <= i <= j):  # a bool would print as True
                 raise ValueError(f"bad pivot pair ({i},{j})")
 
     @property
@@ -198,7 +199,7 @@ class ModuleMembershipCertificate:
         if len(self.generator_index_sets) != len(self.coefficients):
             raise ValueError("index set and coefficient counts differ")
         for idx in self.generator_index_sets:
-            if any(not (isinstance(k, int) and k >= 1) for k in idx):
+            if any(not (type(k) is int and k >= 1) for k in idx):
                 raise ValueError(f"bad index set {idx}")
             if any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"index set {idx} is not strictly ascending")
@@ -624,8 +625,7 @@ class _Writer:
         return values
 
     def matrix(self, name, mat, rows=None, cols=None):
-        self.lines += [f"[matrix {name}]", f"{mat.rows} {mat.cols} {mat.nvars}"]
-        self.lines += map(str, mat.entries)
+        self.lines += [f"[matrix {name}]", *_matrix_lines(mat)]
         return mat
 
     def matrices(self, prefix, mats, rows, cols):

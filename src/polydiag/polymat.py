@@ -7,17 +7,20 @@ usual determinant notation.
 
 Determinants and the generic rank share one fully pivoted fraction-free
 (Bareiss) elimination.  Its step _bareiss_step is the package's only
-elimination step: the diagonal module's three routes and its block_step
-take it in symmetric form; it reads its sizes off its operands.  Every
+elimination step: the diagonal module's three routes and block_step, and
+the positivity module's PSD oracle, take it in symmetric form, which reads
+only the entries on or above the diagonal and mirrors what it writes; it
+reads its sizes off its operands.  Every
 division is exact (Sylvester's identity), so no rational functions
 appear.  The generic rank is the largest p with some p x p minor that is
 not identically zero.
 
-identity_holds decides the verifiers' identities, and congruence_sum
-builds sums X*M*X^t, with one product routine, _sum_of_terms, on one of
-two rings: integer (Kronecker) images at t1 = 2^beta in one variable,
-otherwise Polynomials.  An _ImageContext carries each factor's bounds, and
-the producers' seeded images, across the identities of one verification.
+identity_holds decides the verifiers' identities, congruence_sum builds
+sums X*M*X^t and @ multiplies two matrices, with one product routine,
+_sum_of_terms, on one of two rings: integer (Kronecker) images at
+t1 = 2^beta in one variable, otherwise Polynomials.  An _ImageContext
+carries each factor's bounds, and the producers' seeded images, across the
+identities of one verification.
 
 Matrix file format: a header line ``rows cols nvars`` (nvars at most
 MAX_NVARS) followed by rows*cols polynomial lines in row-major order.
@@ -159,15 +162,7 @@ class PolyMatrix:
             )
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch in matrix product")
-        nvars = self.nvars
-        inner = self.cols
-        cols = other.cols
-        out = []
-        for i in range(self.rows):
-            row = self.entries[i * inner : (i + 1) * inner]
-            for j in range(cols):
-                out.append(sum_of_products(nvars, zip(row, other.entries[j::cols])))
-        return PolyMatrix(self.rows, cols, out)
+        return PolyMatrix(self.rows, other.cols, _polynomial_sum([(self, other)], self.nvars))
 
     def transpose(self):
         return PolyMatrix(
@@ -497,10 +492,12 @@ def _bareiss_step(m, k, prev, symmetric=False):
 
     m[i][j] becomes (m[k][k]*m[i][j] - m[i][k]*m[k][j]) / prev for each row
     i > k and column j > k of m, exact (Sylvester) when prev is the previous
-    pivot; a symmetric step computes j >= i, mirrored where j is a row of m.
-    The entries are Polynomials, prev's variable count, or all Python ints,
-    the integer images of one-variable polynomials (diagonal._walk), whose
-    exact quotient is the image of the polynomials' quotient.  A zero entry
+    pivot.  A symmetric step reads m[k][i] for m[i][k] and computes j >= i
+    only, mirrored where j is a row of m: it reads no entry below the
+    diagonal, which may hold anything.  The entries are Polynomials, prev's
+    variable count, or all Python ints, the integer images of one-variable
+    polynomials (diagonal._walk), whose exact quotient is the image of the
+    polynomials' quotient.  A zero entry
     whose two products are both zero is left as it is."""
     rows, cols = len(m), len(m[0])
     pivot_row = m[k]
@@ -508,7 +505,7 @@ def _bareiss_step(m, k, prev, symmetric=False):
     nvars = prev.nvars if isinstance(prev, Polynomial) else None
     for i in range(k + 1, rows):
         row = m[i]
-        lead = -row[k]
+        lead = -pivot_row[i] if symmetric else -row[k]
         for j in range(i if symmetric else k + 1, cols):
             if not (row[j] or lead and pivot_row[j]):
                 continue
@@ -523,9 +520,12 @@ def _bareiss_step(m, k, prev, symmetric=False):
 
 def format_matrix(a):
     """Matrix file text: header line then one polynomial per entry, row-major."""
-    lines = [f"{a.rows} {a.cols} {a.nvars}"]
-    lines.extend(str(p) for p in a.entries)
-    return "\n".join(lines) + "\n"
+    return "\n".join(_matrix_lines(a)) + "\n"
+
+
+def _matrix_lines(a):
+    """Matrix file text as lines, also a certificate's matrix section's."""
+    return [f"{a.rows} {a.cols} {a.nvars}", *map(str, a.entries)]
 
 
 def _data_lines(text):

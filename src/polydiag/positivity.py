@@ -9,7 +9,10 @@ gives a 2 x 2 principal minor < 0.  Bareiss's fraction-free elimination
 complement times the last nonzero pivot, a positive scalar; by Sylvester's
 identity each division is exact.  So the criterion is decided exactly, with
 no rounding, in O(n^3) integer operations; it serves as the independent
-oracle everything else is measured against.  The oracle is capped at
+oracle everything else is measured against.  Its steps are those the
+certificates are read off, polymat._bareiss_step's, but their identities
+are verified without it, so a faulty step shows as a failed verification
+or a disagreement, not as a false agreement.  The oracle is capped at
 n = 12.
 
 Grids are finite tensor products of equally spaced rational points, a
@@ -25,9 +28,9 @@ changes neither the PSD verdict nor any sign.  They walk the grid one line
 at a time, a line being the points that differ in the last coordinate
 only, in generate_grid order: each entry of A is evaluated along a line,
 in blocks of at most _LINE_BLOCK points, and each point then hands its
-upper triangle to the elimination.  A bundle's diagonal entries that equal
-a triangle entry read its value; the others are evaluated per point, so
-that the test stops at the first negative one.
+upper triangle, zeros below it, to the elimination.  A bundle's diagonal
+entries that equal a triangle entry read its value; the others are
+evaluated per point, so that the test stops at the first negative one.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from operator import add, and_, mul
 from .arith import _unpacker
 from .certificates import bundle_certificate_failures
 from .errors import DimensionCap, NotSymmetric
+from .polymat import _bareiss_step
 
 _PSD_DIMENSION_CAP = 12
 _GRID_CAP = 100_000
@@ -86,12 +90,12 @@ class GridSpec:
     axes: tuple
 
     def __post_init__(self):
-        axes = tuple(
-            (Fraction(low), Fraction(high), int(count)) for low, high, count in self.axes
-        )
+        axes = tuple((Fraction(low), Fraction(high), count) for low, high, count in self.axes)
         if not axes:
             raise ValueError("grid needs at least one axis")
         for low, high, count in axes:
+            if type(count) is not int:  # int() would truncate 2.9 and pass True
+                raise ValueError(f"axis count must be an integer, got {count!r}")
             if count < 1:
                 raise ValueError(f"axis count must be at least 1, got {count}")
             if low > high:
@@ -156,49 +160,40 @@ def eval_matrix(a, point):
     return RationalMatrix(a.rows, tuple(p.evaluate(point) for p in a.entries))
 
 
-def _psd_int(tri):
-    """True iff the symmetric integer matrix with upper triangle ``tri`` is PSD.
+def _psd_int(rows):
+    """True iff the symmetric integer matrix whose upper triangle ``rows``
+    hold, n lists of n ints read on and above the diagonal only, is PSD.
 
-    Row k of tri holds a_kj for j >= k, and its first entry is the pivot p
-    of one fraction-free symmetric elimination.  p < 0 rejects.  p = 0
-    rejects unless the rest of row k is zero too; a zero row is skipped and
-    the last nonzero pivot stays the divisor.  Otherwise every later row is
-    replaced by a_ij = (p * a_ij - a_ki * a_kj) // prev, with prev the last
-    nonzero pivot (1 at first), an exact division.  tri is consumed: its
-    rows are replaced as the elimination goes.
+    Entry k of row k is the pivot p of one symmetric fraction-free
+    elimination, whose steps are polymat._bareiss_step's and overwrite rows.
+    p < 0 rejects.  p = 0 rejects unless the rest of row k is zero too; a
+    zero row is skipped and the last nonzero pivot stays the divisor of the
+    next step (1 at first).
     """
-    n = len(tri)
+    n = len(rows)
     if n > _PSD_DIMENSION_CAP:
         raise DimensionCap(f"PSD oracle is capped at dimension {_PSD_DIMENSION_CAP}, got {n}")
     prev = 1
-    for k in range(n):
-        pivot_row = tri[k]
-        p = pivot_row[0]
-        if p < 0:
+    for k, row in enumerate(rows):
+        p = row[k]
+        if p < 0 or not p and any(row[k:]):  # a zero pivot needs a zero row
             return False
-        if not p:
-            if any(pivot_row):
-                return False
-            continue
-        # pivot_row[i - k:] is a_kj for j >= i, and its first entry a_ki
-        for i in range(k + 1, n):
-            tail = pivot_row[i - k :]
-            c = tail[0]
-            tri[i] = [(p * x - c * y) // prev for x, y in zip(tri[i], tail)]
-        prev = p
+        if p:
+            _bareiss_step(rows, k, prev, symmetric=True)
+            prev = p
     return True
 
 
 def psd_rational(m):
     """True iff the symmetric rational matrix m is positive semidefinite:
-    _psd_int on the upper triangle of m times the lcm of its denominators."""
+    _psd_int on m times the lcm of its denominators."""
     if not m.is_symmetric():
         raise NotSymmetric(_NOT_SYMMETRIC)
     den = 1
     for e in m.entries:
         den = math.lcm(den, e.denominator)
     ints = [e.numerator * (den // e.denominator) for e in m.entries]
-    return _psd_int([ints[k * m.n + k : (k + 1) * m.n] for k in range(m.n)])
+    return _psd_int([ints[k * m.n : (k + 1) * m.n] for k in range(m.n)])
 
 
 def _axis_values(spec):
@@ -284,10 +279,10 @@ def _grid_sweep(a, extra, spec):
     coords = [([x.numerator for x in xs], [x.denominator for x in xs]) for xs in axis_values]
     _check_grid_bits(sums, tops, coords)
     width = n * (n + 1) // 2
-    # triangle entry k of row i is column starts[i] + k; a mirror's column
-    # follows the triangle's
+    # triangle entry k of row i is column starts[i] + k, and _psd_int gets
+    # it after i zeros; a mirror's column follows the triangle's
     starts = list(itertools.accumulate(range(n, 0, -1), initial=0))
-    row_slices = list(zip(starts, starts[1:]))
+    row_slices = [((0,) * i, s, e) for i, (s, e) in enumerate(zip(starts, starts[1:]))]
     mirrors = [(starts[i] + j - i, width + k) for k, (i, j) in enumerate(asym)]
     evaluated = sums[: width + len(asym)]
     # each extra once: a triangle entry's value, or its own terms
@@ -331,7 +326,7 @@ def _grid_sweep(a, extra, spec):
                 entries_ok = list(map(and_, entries_ok, map((0).__le__, block[k])))
             extra_cols = [[(c, columns[m]) for c, m in terms] for terms in extras]
             for i, (x, vals) in enumerate(zip(values[:stop], zip(*block))):
-                psd = _psd_int([vals[s:e] for s, e in row_slices])
+                psd = _psd_int([[*pad, *vals[s:e]] for pad, s, e in row_slices])
                 extra_ok = entries_ok[i] and (
                     not extra_cols
                     or all(sum([c * col[i] for c, col in terms]) >= 0 for terms in extra_cols)

@@ -206,6 +206,13 @@ def test_certificate_shape_validation():
         DiagBundle(())
 
 
+@pytest.mark.parametrize("pair", [(True, True), (1, True), (1.0, 2), (1, "2")])
+def test_pivot_trace_refuses_what_is_not_an_int(pair):
+    # the writer would print True as "True", which parse_certificate refuses
+    with pytest.raises(ValueError, match="^bad pivot pair"):
+        PivotTrace((pair,))
+
+
 # -- equivalence witnesses ------------------------------------------------------
 
 
@@ -475,6 +482,13 @@ def test_membership_preconditions():
         membership_failures(y.transpose() @ y, [b], bad)
     with pytest.raises(ValueError):
         ModuleMembershipCertificate(((2, 1),), ((y,),))
+
+
+@pytest.mark.parametrize("idx", [(True,), (1, True), (1.0,), ("1",)])
+def test_membership_index_sets_refuse_what_is_not_an_int(idx):
+    y = M([["1", "t1"], ["0", "1"]])
+    with pytest.raises(ValueError, match="^bad index set"):
+        ModuleMembershipCertificate((idx,), ((y,),))
 
 
 def test_membership_refuses_too_many_generators(monkeypatch):

@@ -227,6 +227,61 @@ def test_bareiss_step_leaves_entries_of_two_zero_products(monkeypatch):
     assert rows[2][2] == P("t1^2 - 1")
 
 
+def test_symmetric_bareiss_step_reads_only_the_upper_triangle():
+    """Zeros in the strict lower triangle leave every step's upper trailing
+    block as on the full matrix, on ints and on Polynomials, also with the
+    walk's identity block to the right."""
+    rng = random.Random(2601)
+    for nvars in (None, 1, 2):
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            if nvars is None:
+                a = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        a[i][j] = a[j][i] = rng.randint(-9, 9)
+                zero, prev = 0, 1
+            else:
+                a = [list(rand_symmetric(rng, n, nvars).row(i)) for i in range(n)]
+                zero, prev = Polynomial.zero(nvars), Polynomial.one(nvars)
+            wide = rng.random() < 0.5  # [A | I], as the walk eliminates it
+            full = [row + [prev if i == j else zero for j in range(n)] * wide for i, row in enumerate(a)]
+            upper = [[zero] * i + row[i:] for i, row in enumerate(full)]
+            for k in range(n - 1):
+                if not full[k][k]:
+                    break
+                polymat._bareiss_step(full, k, prev, symmetric=True)
+                polymat._bareiss_step(upper, k, prev, symmetric=True)
+                assert [row[i:] for i, row in enumerate(upper)] == [row[i:] for i, row in enumerate(full)]
+                prev = full[k][k]
+
+
+def test_matmul_takes_one_sum_of_products_per_entry(monkeypatch):
+    """A @ B issues rows * cols sparse products and matches the entrywise
+    sums of products, on rectangular, zero-entry and two-variable shapes."""
+    rng = random.Random(2602)
+    zero_row = PolyMatrix.from_rows([[P("0"), P("0"), P("0")], [P("t1"), P("0"), P("1 - t1")]])
+    cases = [
+        (rand_matrix(rng, 2, 3, 1), rand_matrix(rng, 3, 4, 1)),
+        (rand_matrix(rng, 1, 3, 1), rand_matrix(rng, 3, 1, 1)),
+        (zero_row, PolyMatrix.zeros(3, 2, 1)),
+        (zero_row, zero_row.transpose()),
+        (rand_matrix(rng, 3, 2, 2), rand_matrix(rng, 2, 3, 2)),
+        (rand_matrix(rng, 2, 2, 2), PolyMatrix.identity(2, 2)),
+    ]
+    products = count_calls(monkeypatch, "sum_of_products", (polymat,))
+    for a, b in cases:
+        products.clear()
+        got = a @ b
+        assert len(products) == a.rows * b.cols
+        zero = Polynomial.zero(a.nvars)
+        expected = [
+            [sum((a[i, l] * b[l, j] for l in range(a.cols)), zero) for j in range(b.cols)]
+            for i in range(a.rows)
+        ]
+        assert got == PolyMatrix.from_rows(expected)
+
+
 def test_symmetry_and_diagonal_predicates():
     assert M([["t1", "1"], ["1", "0"]]).is_symmetric()
     assert not M([["t1", "1"], ["0", "t1"]]).is_symmetric()

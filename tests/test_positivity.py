@@ -166,9 +166,20 @@ def integer_symmetric(draw):
 @example([[4, 2, 2], [2, 1, 1], [2, 1, 3]])
 def test_psd_int_equals_berkowitz_and_minors(rows):
     expected = psd_berkowitz(rows)
-    assert _psd_int([row[k:] for k, row in enumerate(rows)]) == expected
+    # only the upper triangle is read: the rows come with zeros below it
+    assert _psd_int([[0] * k + row[k:] for k, row in enumerate(rows)]) == expected
     if len(rows) <= 7:
         assert psd_principal_minors(R(rows)) == expected
+
+
+def test_psd_rational_takes_one_bareiss_step_per_nonzero_pivot(monkeypatch):
+    steps = count_calls(monkeypatch, "_bareiss_step", (positivity,))
+    assert psd_rational(R([[2, 0, 0], [0, 0, 0], [0, 0, 3]]))
+    assert [args[1] for args in steps] == [0, 2]  # the zero row is skipped
+    steps.clear()
+    g = [[1, 2, 0], [0, 1, -1], [3, 0, 1]]  # invertible, so every pivot is positive
+    assert psd_rational(R([[sum(r[i] * r[j] for r in g) for j in range(3)] for i in range(3)]))
+    assert [args[1] for args in steps] == [0, 1, 2]
 
 
 def test_psd_permutation_invariant():
@@ -278,6 +289,13 @@ def test_grid_validation():
         GridSpec(((1, 0, 3),))
     with pytest.raises(ValueError):
         GridSpec(((0, 1, 0),))
+
+
+@pytest.mark.parametrize("count", [2.9, True, "3", Fraction(3)])
+def test_grid_count_must_be_an_int(count):
+    # int() would have made 2.9 a 2-point axis and let True and "3" pass
+    with pytest.raises(ValueError, match="^axis count must be an integer, got "):
+        GridSpec(((0, 1, count),))
 
 
 # -- matrix evaluation -------------------------------------------------------------
