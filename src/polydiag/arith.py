@@ -613,6 +613,8 @@ def parse_polynomial(text, nvars):
     _scan builds the polynomial.  Text that it refuses goes to _walk, which
     raises the ParseError of the first fault.
     """
+    if nvars < 1:
+        raise ValueError(f"nvars must be positive, got {nvars}")
     poly = _scan(text, nvars)
     if type(poly) is int:
         _walk(text, nvars, poly)

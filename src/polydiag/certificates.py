@@ -209,6 +209,12 @@ class ModuleMembershipCertificate:
 # diagonalization certificate verification
 
 
+def _require(failures, error, what):
+    """Raise error("<what>: <failures joined by '; '>") unless failures is empty."""
+    if failures:
+        raise error(f"{what}: " + "; ".join(failures))
+
+
 def diag_certificate_failures(a, cert, images=None):
     """Broken-identity list for a DiagCertificate against subject a.
 
@@ -319,9 +325,7 @@ def symmetrize_witness(a1, a2, wit):
     so the roles of x_plus and x_minus swap and s1' = s2*z^2 picks up the
     square factor z on each stored square.
     """
-    fails = equiv_witness_failures(a1, a2, wit)
-    if fails:
-        raise ValueError("input witness does not verify: " + "; ".join(fails))
+    _require(equiv_witness_failures(a1, a2, wit), ValueError, "input witness does not verify")
     if wit.z.is_zero():
         raise ValueError("cannot symmetrize a witness whose z is identically zero")
     out = EquivWitness(
@@ -333,9 +337,7 @@ def symmetrize_witness(a1, a2, wit):
         x_plus=wit.x_minus,
         x_minus=wit.x_plus,
     )
-    back = equiv_witness_failures(a2, a1, out)
-    if back:
-        raise InternalIdentityFailure("symmetrized witness broke: " + "; ".join(back))
+    _require(equiv_witness_failures(a2, a1, out), InternalIdentityFailure, "symmetrized witness broke")
     return out
 
 
@@ -346,12 +348,8 @@ def compose_witnesses(a1, a2, a3, w12, w23):
     factors pairwise (the product of two sums of squares is the sum of the
     pairwise-product squares) and multiplies the congruence factors.
     """
-    fails = equiv_witness_failures(a1, a2, w12)
-    if fails:
-        raise ValueError("first witness does not verify: " + "; ".join(fails))
-    fails = equiv_witness_failures(a2, a3, w23)
-    if fails:
-        raise ValueError("second witness does not verify: " + "; ".join(fails))
+    _require(equiv_witness_failures(a1, a2, w12), ValueError, "first witness does not verify")
+    _require(equiv_witness_failures(a2, a3, w23), ValueError, "second witness does not verify")
     out = EquivWitness(
         s1=w23.s1 * w12.s1,
         s1_squares=tuple(f * g for f in w12.s1_squares for g in w23.s1_squares),
@@ -361,9 +359,7 @@ def compose_witnesses(a1, a2, a3, w12, w23):
         x_plus=w12.x_plus @ w23.x_plus,
         x_minus=w23.x_minus @ w12.x_minus,
     )
-    back = equiv_witness_failures(a1, a3, out)
-    if back:
-        raise InternalIdentityFailure("composed witness broke: " + "; ".join(back))
+    _require(equiv_witness_failures(a1, a3, out), InternalIdentityFailure, "composed witness broke")
     return out
 
 
@@ -609,28 +605,38 @@ _SCALE_RE = re.compile(r"^(-?\d+)/(\d+)$")
 # given; with a _Reader and no payload it parses the same sections in the
 # same order and builds the payload.  A layout hands each section
 # `p and p.part`: the part to write, or None when reading.  items(key, values)
-# walks a run counted by the meta key `key`; check(ok, message) is a parse
-# check that the writer skips.
+# walks a run counted by the meta key `key`; check(ok, message) refuses what
+# the reader cannot read back: a ParseError on reading, a ValueError on writing.
+
+
+def _check_matrix(io, name, mat, rows, cols):
+    """io.check of section [matrix name]: mat's nvars, and shape when rows is given."""
+    if mat.nvars != io.nvars:
+        io.check(False, f"section [matrix {name}]: expected nvars {io.nvars}, got {mat.nvars}")
+    if rows is not None and (mat.rows, mat.cols) != (rows, cols):
+        io.check(False, f"section [matrix {name}]: expected {rows}x{cols}, got {mat.rows}x{mat.cols}")
 
 
 class _Writer:
     """Emits each section a layout names from the payload's parts."""
 
-    def __init__(self):
+    def __init__(self, nvars):
         self.lines = []
         self.counts = {}
+        self.nvars = nvars
 
     def items(self, key, values):
         self.counts[key] = len(values)
         return values
 
     def matrix(self, name, mat, rows=None, cols=None):
+        _check_matrix(self, name, mat, rows, cols)
         self.lines += [f"[matrix {name}]", *_matrix_lines(mat)]
         return mat
 
     def matrices(self, prefix, mats, rows, cols):
         for l, mat in enumerate(mats, start=1):
-            self.matrix(f"{prefix}_{l}", mat)
+            self.matrix(f"{prefix}_{l}", mat, rows, cols)
         return mats
 
     def poly(self, name, poly):
@@ -648,7 +654,8 @@ class _Writer:
         return idx
 
     def check(self, ok, message):
-        pass
+        if not ok:
+            raise ValueError(message)
 
 
 class _Reader:
@@ -690,14 +697,7 @@ class _Reader:
             )
         except ParseError as exc:
             raise ParseError(f"section [matrix {name}] near line {lineno}: {exc}") from None
-        if mat.nvars != self.nvars:
-            raise ParseError(
-                f"section [matrix {name}]: expected nvars {self.nvars}, got {mat.nvars}"
-            )
-        if rows is not None and (mat.rows, mat.cols) != (rows, cols):
-            raise ParseError(
-                f"section [matrix {name}]: expected {rows}x{cols}, got {mat.rows}x{mat.cols}"
-            )
+        _check_matrix(self, name, mat, rows, cols)
         return mat
 
     def matrices(self, prefix, _mats, rows, cols):
@@ -892,7 +892,7 @@ _KINDS = {
 def _format(kind, payload):
     spec = _KINDS[kind]
     dim, nvars = spec.shape(payload)
-    out = _Writer()
+    out = _Writer(nvars)
     spec.layout(out, dim, payload)
     meta = [("kind", kind), ("dim", dim), ("nvars", nvars)]
     meta += [(key, out.counts[key]) for key in spec.counts]

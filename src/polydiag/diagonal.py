@@ -1,12 +1,12 @@
 """Exact congruence diagonalization of symmetric polynomial matrices.
 
 Three routes, all walks of one pivot recursion (_grow) whose leaves one
-_finish reads into certificates.  Each checks every certificate it returns
-exactly once, against its subject, with diag_certificate_failures (the
-bundle through bundle_certificate_failures, so it records that subject),
-in the walk's _ImageContext, which records the producer's own symmetry
-test of the subject, so the check does not repeat it; a walk on integer
-images seeds that context with its own integers (see the last paragraph):
+_finish reads into certificates.  _walk tests their preconditions once.
+Each route checks every certificate it returns once, against its subject,
+with diag_certificate_failures (the bundle through
+bundle_certificate_failures, so it records that subject), in the walk's
+ring: one polymat._ImageContext per call, which holds _walk's symmetry
+test and, on integer images, the walk's integers (see the last paragraph):
 
 - standard_form_diagonalize: one closed-form certificate for matrices in
   standard form (rank r with M_1, ..., M_r all nonzero), pivoting on the
@@ -72,41 +72,34 @@ the big-integer products cost more than the sparse ones.  Images of
 polynomials in several variables would be dense and far larger than their
 terms, so those walks stay sparse.
 
-The check of a walk on images runs on the walk's integers, through one
-polymat._ImageContext per producer call, at the walk's beta_w.  _packed
-seeds it with the subject's images L*A(2^beta_w); _emit, as it unpacks each
-distinct certificate entry once per leaf, seeds X_plus, X_minus, D and w
-with the integers it unpacked them from, an entry over L^e lifted by
-L^(top - e) under the factor scale L^top, top the factor's largest power,
-and with each factor's l1 bound and degree read off the balanced digits.
-Every integer is the image at 2^beta_w of the one polynomial with its
-balanced base-2^beta_w digits (arith._from_image), so each seed is exactly
-the image of the entry emitted from it, whatever the walk computed.  So
-when an identity's own bound, from those digits, gives a beta no larger
-than beta_w, its seeded images decide it exactly: the difference of its
-sides has coefficients below 2^(beta-1) <= 2^(beta_w-1).  An identity
-whose bound needs more, or one with a factor that has no seed, has every
-factor imaged afresh at its own beta, as a verification of parsed text
-has.  The seeds die with the producer call.
+The check of a walk on images runs in the walk's ring, on its integers at
+its beta_w.  _packed seeds the ring with the subject's images
+L*A(2^beta_w); _emit, as it unpacks each distinct certificate entry once
+per leaf, seeds X_plus, X_minus, D and w with the integers it unpacked
+them from, an entry over L^e lifted by L^(top - e) under the factor scale
+L^top, top the factor's largest power, and with each factor's l1 bound and
+degree read off the balanced digits.  Every integer is the image at
+2^beta_w of the one polynomial with its balanced base-2^beta_w digits
+(arith._from_image), so each seed is exactly the image of the entry
+emitted from it, whatever the walk computed.  So when an identity's own
+bound, from those digits, gives a beta no larger than beta_w, its seeded
+images decide it exactly: the difference of its sides has coefficients
+below 2^(beta-1) <= 2^(beta_w-1).  An identity whose bound needs more, or
+one with a factor that has no seed, has every factor imaged afresh at its
+own beta, as a verification of parsed text has.  The seeds die with the
+producer call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .arith import Polynomial, _digits, _from_image, _image_bounds, _images, _reduced
+from .arith import Polynomial, _digits, _image_bounds, _images, _reduced
 from .certificates import (
-    DiagBundle, DiagCertificate, PivotTrace, bundle_certificate_failures, diag_certificate_failures
+    DiagBundle, DiagCertificate, PivotTrace, _require, bundle_certificate_failures, diag_certificate_failures
 )
-from .errors import (
-    BundleTooLarge,
-    InternalIdentityFailure,
-    NotStandardForm,
-    NotSymmetric,
-    ZeroMatrix,
-)
+from .errors import BundleTooLarge, InternalIdentityFailure, NotStandardForm, NotSymmetric, ZeroMatrix
 from .polymat import PolyMatrix, T, _bareiss_step, _ImageContext, identity_holds
 
 # A one-variable walk runs on Polynomials when its largest image,
@@ -136,11 +129,6 @@ def _require_symmetric(a):
 def _standard_form(a):
     """The standard route's one leaf, or NotStandardForm when the leaf is
     vacuous: its corner, M_(level+1), vanishes below the rank."""
-    _require_symmetric(a)
-    if a.rows < 2:
-        raise ValueError("standard form needs dimension at least 2")
-    if a.is_zero():
-        raise ZeroMatrix("matrix is identically zero")
     (leaf,) = _walk(a, "standard")[1]
     _ring, _work, _p_inv, level, _pivots, vacuous = leaf
     if vacuous:
@@ -163,15 +151,8 @@ def standard_form_diagonalize(a):
     in its first k columns, w = m^2 and D = diag(w*M_p/M_(p-1), p <= r).
     """
     leaf = _standard_form(a)
-    return _checked(a, _finish(*leaf, jacobi=False)[0], leaf[0].images)
-
-
-def _checked(a, cert, images):
-    """cert, once diag_certificate_failures finds no broken identity; images
-    is the walk's _ImageContext."""
-    failures = diag_certificate_failures(a, cert, images)
-    if failures:
-        raise InternalIdentityFailure("certificate identities broke: " + "; ".join(failures))
+    cert = _finish(*leaf, jacobi=False)[0]
+    _require(diag_certificate_failures(a, cert, leaf[0]), InternalIdentityFailure, "certificate identities broke")
     return cert
 
 
@@ -220,8 +201,7 @@ def block_step(a):
         failures.append("Atilde = X_minus*A*X_minus^t")
     if not (plus_minus and congruent) and not identity_holds([(a2, a2, a)], [(xp, at, T)]):
         failures.append("alpha^4*A = X_plus*Atilde*X_plus^t")
-    if failures:
-        raise InternalIdentityFailure("block step identities broke: " + "; ".join(failures))
+    _require(failures, InternalIdentityFailure, "block step identities broke")
     return at, xp, xm, alpha
 
 
@@ -286,12 +266,10 @@ def single_path_diagonalize(a):
     """One certificate for any nonzero symmetric matrix: each level pivots on
     the first (i, j) in lexicographic order whose averaged pivot value is
     not identically zero, until the trailing block is zero or 1 x 1."""
-    _require_symmetric(a)
-    if a.is_zero():
-        raise ZeroMatrix("matrix is identically zero")
     # one pivot per level gives exactly one branch, so a cap of 1 never trips
     ring, ((cert, _trace),) = _branches(a, "single", cap=1)
-    return _checked(a, cert, ring.images)
+    _require(diag_certificate_failures(a, cert, ring), InternalIdentityFailure, "certificate identities broke")
+    return cert
 
 
 def diagonalization_bundle(a, cap_branches=10_000):
@@ -301,23 +279,18 @@ def diagonalization_bundle(a, cap_branches=10_000):
     and columns of the trailing block are compacted away, and a branch ends
     when that block is identically zero.  BundleTooLarge past cap_branches.
     """
-    _require_symmetric(a)
-    if a.is_zero():
-        raise ZeroMatrix("matrix is identically zero")
-    if cap_branches < 1:
-        raise ValueError("branch cap must be positive")
     ring, branches = _branches(a, "bundle", cap_branches)
     bundle = DiagBundle(branches)
-    failures = bundle_certificate_failures(a, bundle, ring.images)
-    if failures:
-        raise InternalIdentityFailure("bundle identities broke: " + "; ".join(failures))
+    _require(bundle_certificate_failures(a, bundle, ring), InternalIdentityFailure, "bundle identities broke")
     return bundle
 
 
 def _branches(a, route, cap):
     """(the walk's ring, [(DiagCertificate, PivotTrace) for each leaf]) of a
-    pivot route; past cap branches, BundleTooLarge."""
+    pivot route; a cap below 1 is refused, and past cap, BundleTooLarge."""
     ring, leaves = _walk(a, route)
+    if cap < 1:
+        raise ValueError("branch cap must be positive")
     out = []
     for leaf in leaves:
         if len(out) >= cap:
@@ -327,39 +300,28 @@ def _branches(a, route, cap):
 
 
 def _walk(a, route):
-    """(ring, leaves) of route ("standard", "single" or "bundle") on a
-    nonzero a: the ring the walk runs on (_packed), and a generator of its
-    leaves, each led by that ring."""
+    """The walk's ring (_packed) and a generator of its leaves, for route
+    ("standard", "single" or "bundle") on a, after testing in this order that
+    a is symmetric, of dimension 2 or more on the standard route, and nonzero."""
+    _require_symmetric(a)
     n = a.rows
+    if route == "standard" and n < 2:
+        raise ValueError("standard form needs dimension at least 2")
+    if a.is_zero():
+        raise ZeroMatrix("matrix is identically zero")
     ring, rows = _packed(a, route)
     return ring, _grow(ring, route, rows, [[int(x == y) for y in range(n)] for x in range(n)], 0, n, ())
 
 
-class _Ring(NamedTuple):
-    """The entries a walk computes on: one and zero; the lcm L of the
-    subject's denominators on the image ring; and the _ImageContext of the
-    check, beta 0 on Polynomials (see the module docstring)."""
-
-    one: object
-    zero: object
-    lcm: int
-    images: object
-
-    def poly(self, value, power):
-        """The Polynomial of an entry over L^power."""
-        if not self.images.beta:
-            return value
-        return _from_image(value, self.images.beta, self.lcm**power)
-
-
 def _packed(a, route):
-    """(ring, rows of [A | I] in it) for route's walk on a: the integer
+    """(ring, rows of [A | I] in it) for route's walk on a.  The ring is the
+    producer call's _ImageContext, which its check shares: the integer
     images of L*[A | I] at t1 = 2^beta when a has one variable and its
     largest image, beta*(E*deg + 1) bits, is at most _WALK_BITS_CAP, with
-    a's images seeded in the ring's context; otherwise Polynomials."""
+    a's images seeded in it; otherwise Polynomials, at beta 0."""
     n, nvars = a.rows, a.nvars
-    context = _ImageContext()
-    context.symmetric = a  # the producers test a for symmetry before they walk
+    ring = _ImageContext()
+    ring.symmetric = a  # _walk tests a for symmetry before it packs
     if nvars == 1:
         lcm, bound, degree, forms = _image_bounds(a.entries)
         moves = 0 if route == "standard" else n - 1
@@ -369,11 +331,12 @@ def _packed(a, route):
         beta = (4 * n * g**e << moves).bit_length() + 2
         if beta * (e * degree + 1) <= _WALK_BITS_CAP:
             images = _images(forms, lcm, beta)
-            context.beta = beta
-            context.seed(a, lcm, bound, degree, images)
+            ring.beta, ring.lcm = beta, lcm
+            ring.seed(a, lcm, bound, degree, images)
             rows = [images[r * n : (r + 1) * n] + [lcm * (r == c) for c in range(n)] for r in range(n)]
-            return _Ring(1, 0, lcm, context), rows
-    return _Ring(Polynomial.one(nvars), Polynomial.zero(nvars), 1, context), _augmented(a)
+            return ring, rows
+    ring.one, ring.zero = Polynomial.one(nvars), Polynomial.zero(nvars)
+    return ring, _augmented(a)
 
 
 def _grow(ring, route, work, p_inv, level, end, pivots):
@@ -495,15 +458,14 @@ def _emit(ring, memo, n, values, powers):
 
     On the image ring, each distinct entry is unpacked once per leaf (memo
     maps (value, power) to its Polynomial, l1 norm and degree), and the
-    factor is seeded in ring.images: under the scale L^top, top the largest
+    factor is seeded in the ring: under the scale L^top, top the largest
     power, its images are value*L^(top - power) at the walk's beta, and its
     bound the largest l1 norm of an entry times L^(top - power), both read
     off the balanced digits.
     """
-    images = ring.images
-    if not images.beta:
+    if not ring.beta:
         return PolyMatrix(n, n, values) if n else values[0]
-    beta, lcm, top = images.beta, ring.lcm, max(powers)
+    beta, lcm, top = ring.beta, ring.lcm, max(powers)
     lifts = None if lcm == 1 else [lcm ** (top - e) for e in range(top + 1)]
     zero = Polynomial.zero(1)
     polys = []
@@ -524,5 +486,5 @@ def _emit(ring, memo, n, values, powers):
             degree = known[2]
     image = values if lifts is None else [x * lifts[e] for x, e in zip(values, powers)]
     f = PolyMatrix(n, n, polys) if n else polys[0]
-    images.seed(f, lcm**top, bound, degree, image)
+    ring.seed(f, lcm**top, bound, degree, image)
     return f

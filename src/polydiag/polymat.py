@@ -37,7 +37,7 @@ from itertools import chain, repeat
 from operator import add, mul
 
 from .arith import (
-    MAX_NVARS, Polynomial, _decimal_int, _image_bounds, _images, parse_polynomial, sum_of_products
+    MAX_NVARS, Polynomial, _decimal_int, _from_image, _image_bounds, _images, parse_polynomial, sum_of_products
 )
 from .errors import ParseError
 
@@ -322,15 +322,25 @@ class _ImageContext:
     (arith._image_bounds); a seeded one (seed) holds, as image, the integers
     S*p(2^beta) of its entries, row-major, at the context's beta.  symmetric
     is the subject last found symmetric in this context, so that the
-    branches of a bundle, or a producer and its check, test it once.
+    branches of a bundle, or a producer and its check, test it once.  A
+    producer's context is its walk's ring (diagonal._packed): lcm is the lcm
+    L of the subject's denominators, one and zero are ints, or Polynomials
+    at beta 0.
     """
 
-    __slots__ = ("beta", "factors", "symmetric")
+    __slots__ = ("beta", "factors", "symmetric", "lcm", "one", "zero")
 
     def __init__(self, beta=0):
         self.beta = beta
         self.factors = {}
         self.symmetric = None
+        self.lcm, self.one, self.zero = 1, 1, 0
+
+    def poly(self, value, power):
+        """The Polynomial of a walk's entry over L^power."""
+        if not self.beta:
+            return value
+        return _from_image(value, self.beta, self.lcm**power)
 
     def seed(self, f, scale, bound, degree, image):
         self.factors[id(f)] = (f, scale, bound, degree, None, image)

@@ -297,6 +297,49 @@ def test_parse_rejects_variable_out_of_range():
         P("t3", 2)
 
 
+@pytest.mark.parametrize("nvars", [0, -1])
+def test_parse_refuses_a_variable_count_below_one(nvars):
+    """The text refuses nvars < 1 as Polynomial(nvars) and const do, before
+    it is scanned: "3" reads in no ring, and neither does text that the
+    grammar refuses."""
+    for make in (Polynomial, lambda n: Polynomial.const(n, 3), lambda n: P("3", n), lambda n: P("t1 +", n)):
+        with pytest.raises(ValueError) as info:
+            make(nvars)
+        assert str(info.value) == f"nvars must be positive, got {nvars}"
+
+
+def test_a_number_minus_a_polynomial():
+    p = P("t1^2 - 1/2")
+    assert 3 - p == P("-t1^2 + 7/2")
+    assert Fraction(1, 2) - p == P("-t1^2 + 1")
+    assert 0 - p == -p
+
+
+# description: (call, exception type, its text)
+REFUSALS = {
+    "exponent tuple of another length": (
+        lambda: Polynomial(2, {(1,): 1}), ValueError, "exponent tuple (1,) has length 1, expected 2"),
+    "assignment": (lambda: setattr(P("t1"), "nvars", 2), AttributeError, "Polynomial is immutable"),
+    "variable past nvars": (
+        lambda: Polynomial.variable(2, 3), ValueError, "variable index 3 out of range for nvars=2"),
+    "negative power": (lambda: P("t1") ** -1, ValueError, "exponent must be a nonnegative integer, got -1"),
+    "a polynomial plus text": (
+        lambda: P("t1") + "1", TypeError, "unsupported operand type(s) for +: 'Polynomial' and 'str'"),
+    "a polynomial minus text": (
+        lambda: P("t1") - "1", TypeError, "unsupported operand type(s) for -: 'Polynomial' and 'str'"),
+    "text minus a polynomial": (
+        lambda: "1" - P("t1"), TypeError, "unsupported operand type(s) for -: 'str' and 'Polynomial'"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusals_name_their_fault(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_exact_div_round_trip():
     rng = random.Random(106)
     done = 0

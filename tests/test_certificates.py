@@ -588,6 +588,152 @@ def test_choi_fixture_values():
     assert at == [[2, 1], [1, 2]]
 
 
+# -- refusals ---------------------------------------------------------------------
+
+I2, I3 = PolyMatrix.identity(2, 1), PolyMatrix.identity(3, 1)
+I2_2VARS = PolyMatrix.identity(2, 2)
+ONE = Polynomial.one(1)
+ASYMMETRIC = M([["1", "t1"], ["0", "1"]])
+Y = M([["1", "t1"], ["0", "1"]])
+B = PolyMatrix.diagonal([P("t1"), P("1")])
+
+
+def _forged(call, *inputs):
+    """call, with equiv_witness_failures passing inputs and refusing the rest."""
+    real = certificates.equiv_witness_failures
+    verify = lambda a1, a2, wit: real(a1, a2, wit) if any(wit is w for w in inputs) else ["forged"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificates, "equiv_witness_failures", verify)
+        return call()
+
+
+def _symmetrized():
+    wit = trivial_witness(SUBJECT)
+    return _forged(lambda: symmetrize_witness(SUBJECT, SUBJECT, wit), wit)
+
+
+def _composed():
+    wit = trivial_witness(SUBJECT)
+    return _forged(lambda: compose_witnesses(SUBJECT, SUBJECT, SUBJECT, wit, wit), wit)
+
+
+# description: (call, exception type, its text)
+REFUSALS = {
+    "diag parts in two variable counts": (
+        lambda: DiagCertificate(I2, I2, I2, Polynomial.one(2)),
+        ValueError, "certificate parts disagree on variable count"),
+    "bundle branch not a pair of types": (
+        lambda: DiagBundle(((DiagCertificate(I2, I2, I2, ONE), "1 1"),)),
+        TypeError, "branches must be (DiagCertificate, PivotTrace) pairs"),
+    "bundle branches of two dimensions": (
+        lambda: DiagBundle(((DiagCertificate(I2, I2, I2, ONE), PivotTrace(())),
+                               (DiagCertificate(I3, I3, I3, ONE), PivotTrace(())))),
+        ValueError, "branch dimension disagrees with bundle subject"),
+    "witness x_plus and x_minus of two sizes": (
+        lambda: EquivWitness(ONE, (ONE,), ONE, (ONE,), ONE, I2, I3),
+        ValueError, "x_plus and x_minus must be square of equal dimension"),
+    "sos factors of two column counts": (
+        lambda: SosMatrixCertificate(ONE, (M([["1", "0"]]), M([["1", "0", "0"]]))),
+        ValueError, "factors must share column count and variable count"),
+    "membership counts differ": (
+        lambda: ModuleMembershipCertificate(((1,), (2,)), ((Y,),)),
+        ValueError, "index set and coefficient counts differ"),
+    "bundle against a subject of another dimension": (
+        lambda: bundle_certificate_failures(I3, diagonalization_bundle(SUBJECT)),
+        ValueError, "subject is 3x3, bundle claims dimension 2"),
+    "witness against a subject of another dimension": (
+        lambda: equiv_witness_failures(I3, SUBJECT, trivial_witness(SUBJECT)),
+        ValueError, "witness dimension does not match the subjects"),
+    "witness subjects in two variable counts": (
+        lambda: equiv_witness_failures(SUBJECT, I2_2VARS, trivial_witness(SUBJECT)),
+        ValueError, "subjects and witness disagree on variable count"),
+    "witness first subject asymmetric": (
+        lambda: equiv_witness_failures(ASYMMETRIC, SUBJECT, trivial_witness(SUBJECT)),
+        NotSymmetric, "first subject is not symmetric"),
+    "witness second subject asymmetric": (
+        lambda: equiv_witness_failures(SUBJECT, ASYMMETRIC, trivial_witness(SUBJECT)),
+        NotSymmetric, "second subject is not symmetric"),
+    "symmetrized witness fails its check": (
+        _symmetrized, InternalIdentityFailure, "symmetrized witness broke: forged"),
+    "composed witness fails its check": (
+        _composed, InternalIdentityFailure, "composed witness broke: forged"),
+    "sos subject not square": (
+        lambda: sos_matrix_failures(M([["1", "0"]]), SosMatrixCertificate(ONE, (M([["1", "0"]]),))),
+        ValueError, "subject must be square"),
+    "sos factor in another variable count": (
+        lambda: sos_matrix_failures(I2_2VARS, SosMatrixCertificate(ONE, (M([["1", "0"]]),))),
+        ValueError, "factor and subject disagree on variable count"),
+    "sos scalar in another variable count": (
+        lambda: sos_matrix_failures(I2, SosMatrixCertificate(Polynomial.one(2), ())),
+        ValueError, "scalar c and subject disagree on variable count"),
+    "generators of two dimensions": (
+        lambda: tmodule_generators([B, I3]),
+        ValueError, "generator matrices must share dimension and variable count"),
+    "module element of no generators": (
+        lambda: construct_module_element([], []),
+        ValueError, "no module generators"),
+    "module generators in two variable counts": (
+        lambda: construct_module_element([I2, I2_2VARS], []),
+        ValueError, "module generators must share variable count"),
+    "module coefficient row too long": (
+        lambda: construct_module_element([I2], [[Y, Y]]),
+        ValueError, "each coefficient row needs 1 entries"),
+    "module coefficient of the wrong row count": (
+        lambda: construct_module_element([I2], [[I3]]),
+        ValueError, "coefficient is 3x3, generator dimension is 2"),
+    "module coefficients of two column counts": (
+        lambda: construct_module_element([I2], [[Y], [M([["1", "0", "0"], ["0", "1", "0"]])]]),
+        ValueError, "coefficient column counts disagree"),
+    "membership of no generators": (
+        lambda: membership_failures(I2, [], ModuleMembershipCertificate(((),), ((Y,),))),
+        ValueError, "no generator matrices"),
+    "membership generators of two dimensions": (
+        lambda: membership_failures(I2, [B, I3], ModuleMembershipCertificate(((),), ((Y,),))),
+        ValueError, "generator matrices must share dimension and variable count"),
+    "membership element in another variable count": (
+        lambda: membership_failures(I2_2VARS, [B], ModuleMembershipCertificate(((),), ((Y,),))),
+        ValueError, "element and generators disagree on variable count"),
+    "membership element not square": (
+        lambda: membership_failures(M([["1", "0"]]), [B], ModuleMembershipCertificate(((),), ((Y,),))),
+        ValueError, "element must be square"),
+    "membership coefficient in another variable count": (
+        lambda: membership_failures(I2, [B], ModuleMembershipCertificate(((1,),), ((I2_2VARS,),))),
+        ValueError, "coefficient and generators disagree on variable count"),
+    "knk of dimension 0": (
+        lambda: knk_element(0, 2, [], []),
+        ValueError, "dimensions must be positive"),
+    "knk factor of the wrong shape": (
+        lambda: knk_element(2, 3, [I2], [I2]),
+        ValueError, "expected 2x3 factor, got 2x2"),
+    "knk entries in two variable counts": (
+        lambda: knk_element(2, 2, [I2], [I2_2VARS]),
+        ValueError, "entries disagree on variable count"),
+    "equiv file without squares": (
+        lambda: format_equiv_certificate(EquivCertificatePackage(
+            EquivWitness(ONE, (), ONE, (ONE,), ONE, I2, I2), SUBJECT)),
+        ValueError, "cannot serialize a witness without square decompositions"),
+    "sos file without factors": (
+        lambda: format_sos_certificate(SosMatrixCertificate(ONE, ())),
+        ValueError, "cannot serialize an SOS certificate without factors"),
+    "membership file without generators": (
+        lambda: format_membership_certificate(MembershipCertificatePackage(
+            ModuleMembershipCertificate(((),), ((Y,),)), ())),
+        ValueError, "cannot serialize a membership certificate without generators"),
+    "membership file without coefficients": (
+        lambda: format_membership_certificate(MembershipCertificatePackage(
+            ModuleMembershipCertificate(((),), ((),)), (B,))),
+        ValueError, "cannot serialize a membership certificate without coefficients"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusals_name_their_fault(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 # -- certificate file format ------------------------------------------------------
 
 
@@ -731,6 +877,84 @@ def test_parse_rejects_bad_membership_sections():
         parse_certificate(good.replace("[indexset 1]\n1", "[indexset 1]\n0", 1))
     with pytest.raises(ParseError, match="exceeds generator count"):
         parse_certificate(good.replace("[indexset 1]\n1", "[indexset 1]\n2", 1))
+
+
+def _retraced(pivots):
+    """SUBJECT's bundle with its first branch's trace replaced by pivots."""
+    (cert, _trace), *rest = diagonalization_bundle(SUBJECT).branches
+    return "bundle", DiagBundle(((cert, PivotTrace(pivots)), *rest))
+
+
+def _member(idx=(1,), ys=(Y,), gens=(B,)):
+    """A membership package of one term, by default all_kind_fixtures' own."""
+    return "membership", MembershipCertificatePackage(ModuleMembershipCertificate((idx,), (ys,)), gens)
+
+
+def _equiv(subject_b):
+    wit = witness_from_diag_certificate(single_path_diagonalize(SUBJECT))
+    return "equiv", EquivCertificatePackage(wit, subject_b)
+
+
+# Payloads whose file parse_certificate would refuse, and its message
+WRITER_REFUSALS = {
+    "trace longer than dim - 1": (
+        lambda: _retraced(((1, 1), (1, 1), (1, 1))),
+        "section [trace 1]: 3 pivots for dim 2, at most 1 fit",
+    ),
+    "pivot outside its block": (
+        lambda: _retraced(((1, 3),)),
+        "section [trace 1]: pivot (1,3) outside its 2x2 block",
+    ),
+    "coefficient of the wrong shape": (
+        lambda: _member(ys=(M([["1", "t1"], ["0", "1"], ["1", "0"]]),)),
+        "section [matrix coeff_1_1]: expected 2x2, got 3x2",
+    ),
+    "coefficient in two variables": (
+        lambda: _member(ys=(M([["1", "t2"], ["0", "1"]], 2),)),
+        "section [matrix coeff_1_1]: expected nvars 1, got 2",
+    ),
+    "index past the generator count": (
+        lambda: _member(idx=(2,)),
+        "section [indexset 1]: index exceeds generator count 1",
+    ),
+    "non-square generator": (
+        lambda: _member(gens=(M([["t1", "0", "0"], ["0", "1", "0"]]),)),
+        "section [matrix generator_1]: generators must be square",
+    ),
+    "generators of two dimensions": (
+        lambda: _member(gens=(B, I3)),
+        "section [matrix generator_2]: generators must share dimension",
+    ),
+    "generator in two variables": (
+        lambda: _member(gens=(B, I2_2VARS)),
+        "section [matrix generator_2]: expected nvars 1, got 2",
+    ),
+    "asymmetric second subject": (
+        lambda: _equiv(ASYMMETRIC),
+        "section [matrix subject_b]: second subject is not symmetric",
+    ),
+    "second subject of the wrong dimension": (
+        lambda: _equiv(I3),
+        "section [matrix subject_b]: expected 2x2, got 3x3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(WRITER_REFUSALS))
+def test_writer_refuses_what_its_reader_refuses(case, monkeypatch):
+    """format_* raises a ValueError with the reader's message instead of
+    writing a file that parse_certificate refuses."""
+    build, message = WRITER_REFUSALS[case]
+    kind_obj = build()
+    with pytest.raises(ValueError) as info:
+        emit(kind_obj)
+    assert (type(info.value), str(info.value)) == (ValueError, message)
+    with monkeypatch.context() as mp:  # the file an unchecked writer emits
+        mp.setattr(certificates._Writer, "check", lambda self, ok, message: None)
+        text = emit(kind_obj)
+    with pytest.raises(ParseError) as info:
+        parse_certificate(text)
+    assert str(info.value) == message
 
 
 def test_parse_rejects_wrong_factor_columns():

@@ -281,6 +281,66 @@ def test_block_step_rejections():
         block_step(M([["t1"]]))
 
 
+BLOCK_STEP_IDENTITIES = (
+    "X_plus*X_minus = alpha^2*I",
+    "Atilde = X_minus*A*X_minus^t",
+    "alpha^4*A = X_plus*Atilde*X_plus^t",
+)
+
+
+@pytest.mark.parametrize("broken,reported", [
+    ({0}, (0,)),  # the third identity is multiplied out, and holds
+    ({1}, (1,)),
+    ({0, 2}, (0, 2)),
+    ({0, 1, 2}, (0, 1, 2)),
+])
+def test_block_step_names_the_identities_that_broke(monkeypatch, broken, reported):
+    """identity_holds decides block_step's identities in the docstring's
+    order, the third only when one of the first two fails; those forged
+    false are named, in that order, by one InternalIdentityFailure."""
+    calls = []
+    real = diagonal.identity_holds
+
+    def forged(lhs, rhs, images=None):
+        calls.append(len(calls))
+        return real(lhs, rhs, images) and calls[-1] not in broken
+
+    monkeypatch.setattr(diagonal, "identity_holds", forged)
+    with pytest.raises(InternalIdentityFailure) as info:
+        block_step(M([["t1", "1"], ["1", "t1^2"]]))
+    names = "; ".join(BLOCK_STEP_IDENTITIES[k] for k in reported)
+    assert str(info.value) == f"block step identities broke: {names}"
+    assert calls == [0, 1, 2]
+
+
+ZERO_1X1 = PolyMatrix.zeros(1, 1, 1)
+ROW = PolyMatrix.zeros(1, 2, 1)
+
+
+# (producer, subject, exception type, its text): the producers test their
+# preconditions in one order, symmetric, then the standard route's
+# dimension, then nonzero, then the bundle's cap
+PRECONDITIONS = [
+    (standard_form_check, ROW, NotSymmetric, "matrix must be symmetric"),
+    (standard_form_diagonalize, ROW, NotSymmetric, "matrix must be symmetric"),
+    (single_path_diagonalize, ROW, NotSymmetric, "matrix must be symmetric"),
+    (lambda a: diagonalization_bundle(a, 0), ROW, NotSymmetric, "matrix must be symmetric"),
+    (standard_form_check, ZERO_1X1, ValueError, "standard form needs dimension at least 2"),
+    (standard_form_diagonalize, ZERO_1X1, ValueError, "standard form needs dimension at least 2"),
+    (standard_form_diagonalize, PolyMatrix.zeros(2, 2, 1), ZeroMatrix, "matrix is identically zero"),
+    (single_path_diagonalize, ZERO_1X1, ZeroMatrix, "matrix is identically zero"),
+    (lambda a: diagonalization_bundle(a, 0), ZERO_1X1, ZeroMatrix, "matrix is identically zero"),
+    (lambda a: diagonalization_bundle(a, 0), M([["t1"]]), ValueError, "branch cap must be positive"),
+]
+
+
+@pytest.mark.parametrize("produce,a,error,message", PRECONDITIONS)
+def test_producers_refuse_in_one_order(produce, a, error, message):
+    with pytest.raises(error) as info:
+        produce(a)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 # -- pivot_congruence ---------------------------------------------------------
 
 

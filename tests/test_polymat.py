@@ -302,6 +302,36 @@ def test_dimension_mismatch_rejected():
         a @ PolyMatrix.identity(2, 2)
 
 
+# description: (call, exception type, its text)
+REFUSALS = {
+    "no rows": (lambda: PolyMatrix(0, 1, []), ValueError, "matrix dimensions must be positive, got 0x1"),
+    "no columns": (lambda: PolyMatrix(2, 0, []), ValueError, "matrix dimensions must be positive, got 2x0"),
+    "too few entries": (lambda: PolyMatrix(1, 2, [P("1")]), ValueError, "expected 2 entries, got 1"),
+    "an entry not a Polynomial": (
+        lambda: PolyMatrix(1, 2, [P("1"), 1]), TypeError, "entries must be Polynomial values"),
+    "entries in two variable counts": (
+        lambda: PolyMatrix(1, 2, [P("1"), P("1", 2)]), ValueError, "entries must share one variable count"),
+    "assignment": (
+        lambda: setattr(PolyMatrix.identity(1, 1), "rows", 2), AttributeError, "PolyMatrix is immutable"),
+    "from no rows": (lambda: PolyMatrix.from_rows([]), ValueError, "no rows"),
+    "from ragged rows": (lambda: PolyMatrix.from_rows([[P("1")], [P("1"), P("2")]]), ValueError, "ragged rows"),
+    "diagonal of nothing": (lambda: PolyMatrix.diagonal([]), ValueError, "no diagonal entries"),
+    "diagonal entries of a row": (lambda: M([["1", "2"]]).diagonal_entries(), ValueError, "not square"),
+    "empty minor": (lambda: PolyMatrix.identity(2, 1).minor((), ()), ValueError, "row index tuple is empty"),
+    "leading minor of a row": (
+        lambda: M([["1", "2"]]).leading_principal_minor(1),
+        ValueError, "leading principal minors need a square matrix"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_refusals_name_their_fault(case):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_getitem_bounds():
     a = PolyMatrix.identity(2, 1)
     assert a[0, 0] == Polynomial.one(1)
