@@ -60,9 +60,9 @@ from .polymat import (
     PolyMatrix,
     T,
     _ImageContext,
+    _LineMemo,
     _data_lines,
     _matrix_lines,
-    _parse_line,
     _parse_matrix_lines,
     congruence_sum,
     identity_holds,
@@ -640,6 +640,8 @@ class _Writer:
         return mats
 
     def poly(self, name, poly):
+        if poly.nvars != self.nvars:
+            self.check(False, f"section [poly {name}]: expected nvars {self.nvars}, got {poly.nvars}")
         self.lines += [f"[poly {name}]", str(poly)]
         return poly
 
@@ -659,44 +661,43 @@ class _Writer:
 
 
 class _Reader:
-    """Parses each section a layout names, in file order, with its checks."""
+    """Parses each section a layout names, in file order, with its checks;
+    lineno(k) numbers the data line lines[k] for a ParseError."""
 
-    def __init__(self, sections):
-        self.sections = sections
+    def __init__(self, text):
+        self.lines, self.lineno, self.sections = _split_sections(text)
         self.pos = 0
         self.nvars = None
         self.counts = {}
-        self.memo = {}  # one polynomial per distinct line of the file
+        self.memo = _LineMemo()  # each distinct header and polynomial line, parsed once
 
     def expect(self, tag, name):
         if self.pos >= len(self.sections):
             raise ParseError(f"missing section [{tag} {name}]".replace(" ]", "]"))
-        got_tag, got_name, body, lineno = self.sections[self.pos]
+        got_tag, got_name, start, end = self.sections[self.pos]
         if got_tag != tag or got_name != name:
             want = f"[{tag} {name}]" if name else f"[{tag}]"
             raise ParseError(
-                f"line {lineno}: expected section {want}, found [{got_tag} {got_name}]"
+                f"line {self.lineno(start)}: expected section {want}, found [{got_tag} {got_name}]"
             )
         self.pos += 1
-        return body, lineno
+        return self.lines[start + 1 : end], start
 
     def done(self):
         if self.pos != len(self.sections):
-            _tag, _name, _body, lineno = self.sections[self.pos]
-            raise ParseError(f"line {lineno}: unexpected extra section [{_tag} {_name}]")
+            _tag, _name, start, _end = self.sections[self.pos]
+            raise ParseError(f"line {self.lineno(start)}: unexpected extra section [{_tag} {_name}]")
 
     def items(self, key, _values):
         return itertools.repeat(None, self.counts[key])
 
     def matrix(self, name, _mat, rows=None, cols=None):
-        body, lineno = self.expect("matrix", name)
+        body, start = self.expect("matrix", name)
         try:
             # numbered from the section's first data line, as a matrix file's
-            mat = _parse_matrix_lines(
-                [(k, line) for k, (_ln, line) in enumerate(body, 1)], self.memo
-            )
+            mat = _parse_matrix_lines(body, self.memo)
         except ParseError as exc:
-            raise ParseError(f"section [matrix {name}] near line {lineno}: {exc}") from None
+            raise ParseError(f"section [matrix {name}] near line {self.lineno(start)}: {exc}") from None
         _check_matrix(self, name, mat, rows, cols)
         return mat
 
@@ -711,58 +712,74 @@ class _Reader:
         return tuple(mats)
 
     def _one_line(self, tag, name):
-        """(lineno, line) of the one data line of section [tag name]."""
-        body, lineno = self.expect(tag, name)
+        """(k, lines[k]) of the one data line of section [tag name]."""
+        body, start = self.expect(tag, name)
         if len(body) != 1:
-            raise ParseError(f"section [{tag} {name}] near line {lineno} must hold exactly one line")
-        return body[0]
+            raise ParseError(f"section [{tag} {name}] near line {self.lineno(start)} must hold exactly one line")
+        return start + 1, body[0]
+
+    def _numbered(self, k, read, line):
+        """read(line), a ParseError from it prefixed with lines[k]'s number."""
+        try:
+            return read(line)
+        except ParseError as exc:
+            raise ParseError(f"line {self.lineno(k)}: {exc}") from None
 
     def poly(self, name, _poly):
-        return _parse_line(self.memo, self.nvars, *self._one_line("poly", name))
+        k, line = self._one_line("poly", name)
+        return self._numbered(k, lambda line: self.memo[self.nvars, line], line)
 
     def trace(self, name, _trace):
-        body, _lineno = self.expect("trace", name)
-        pivots = []
-        for ln, line in body:
-            fields = line.split()
-            if len(fields) != 3:
-                raise ParseError(f"line {ln}: trace lines are 'i j num/den', got {line!r}")
-            try:
-                i, j = _decimal_int(fields[0]), _decimal_int(fields[1])
-            except ValueError:
-                raise ParseError(f"line {ln}: bad pivot indices in {line!r}") from None
-            m = _SCALE_RE.match(fields[2])
-            if not m:
-                raise ParseError(f"line {ln}: bad scale {fields[2]!r}, expected num/den")
-            num, den = (_int_literal(g, "line", ln) for g in m.groups())
-            if den == 0:
-                raise ParseError(f"line {ln}: zero denominator in scale")
-            if not 1 <= i <= j:
-                raise ParseError(f"line {ln}: pivot pair ({i},{j}) must satisfy 1 <= i <= j")
-            if num <= 0:
-                raise ParseError(f"line {ln}: pivot scale must be positive")
-            # only the written form, so that the file re-formats to its own bytes
-            scale = PivotTrace(((i, j),)).scales[0]
-            if fields[2] != f"{scale.numerator}/{scale.denominator}":
-                raise ParseError(f"line {ln}: pivot ({i},{j}) has scale {scale}, got {fields[2]}")
-            pivots.append((i, j))
+        body, start = self.expect("trace", name)
+        pivots = [self._numbered(k, _pivot, line) for k, line in enumerate(body, start + 1)]
         return PivotTrace(tuple(pivots))
 
     def indexset(self, name, _idx):
-        ln, line = self._one_line("indexset", name)
-        if line == "-":
-            return ()
-        try:
-            idx = tuple(_decimal_int(f) for f in line.split())
-        except ValueError:
-            raise ParseError(f"line {ln}: bad index set {line!r}") from None
-        if any(k < 1 for k in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ParseError(f"line {ln}: index set must be ascending positive integers")
-        return idx
+        k, line = self._one_line("indexset", name)
+        return self._numbered(k, _index_set, line)
 
     def check(self, ok, message):
         if not ok:
             raise ParseError(message)
+
+
+def _pivot(line):
+    """(i, j) of a trace line 'i j num/den'."""
+    fields = line.split()
+    if len(fields) != 3:
+        raise ParseError(f"trace lines are 'i j num/den', got {line!r}")
+    try:
+        i, j = _decimal_int(fields[0]), _decimal_int(fields[1])
+    except ValueError:
+        raise ParseError(f"bad pivot indices in {line!r}") from None
+    m = _SCALE_RE.match(fields[2])
+    if not m:
+        raise ParseError(f"bad scale {fields[2]!r}, expected num/den")
+    num, den = map(_int_literal, m.groups())
+    if den == 0:
+        raise ParseError("zero denominator in scale")
+    if not 1 <= i <= j:
+        raise ParseError(f"pivot pair ({i},{j}) must satisfy 1 <= i <= j")
+    if num <= 0:
+        raise ParseError("pivot scale must be positive")
+    # only the written form, so that the file re-formats to its own bytes
+    scale = PivotTrace(((i, j),)).scales[0]
+    if fields[2] != f"{scale.numerator}/{scale.denominator}":
+        raise ParseError(f"pivot ({i},{j}) has scale {scale}, got {fields[2]}")
+    return i, j
+
+
+def _index_set(line):
+    """The indices of an [indexset] line, '-' for none."""
+    if line == "-":
+        return ()
+    try:
+        idx = tuple(_decimal_int(f) for f in line.split())
+    except ValueError:
+        raise ParseError(f"bad index set {line!r}") from None
+    if any(k < 1 for k in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
+        raise ParseError("index set must be ascending positive integers")
+    return idx
 
 
 def _diag_layout(io, dim, cert):
@@ -930,49 +947,48 @@ def format_membership_certificate(pkg):
 
 
 def _split_sections(text):
-    """(tag, name, body_lines, lineno) per section; comments/blanks dropped."""
-    sections = []
-    current = None
-    for lineno, line in _data_lines(text):
-        m = _SECTION_RE.match(line) if line[0] == "[" else None
-        if m:
-            current = (m.group(1), m.group(2) or "", [], lineno)
-            sections.append(current)
-        else:
-            if current is None:
-                raise ParseError(f"line {lineno}: data before the first section header")
-            current[2].append((lineno, line))
-    return sections
+    """(lines, lineno, sections): _data_lines(text), and (tag, name, start,
+    end) per section: its header is lines[start], its body lines[start + 1:end].
+    A line that starts with '[' but is no header is a body line."""
+    lines, lineno = _data_lines(text)
+    heads = [(k, m) for k, line in enumerate(lines) if line[0] == "[" and (m := _SECTION_RE.match(line))]
+    if lines and not (heads and heads[0][0] == 0):
+        raise ParseError(f"line {lineno(0)}: data before the first section header")
+    ends = [k for k, _m in heads[1:]] + [len(lines)]
+    return lines, lineno, [(m[1], m[2] or "", k, end) for (k, m), end in zip(heads, ends)]
 
 
-def _parse_meta(body, lineno, required, optional=()):
+def _parse_meta(reader, body, start, required, optional=()):
+    """key -> (k, value) of a [meta] section lines[start]; body is its lines."""
     seen = {}
-    for ln, line in body:
+    for k, line in enumerate(body, start + 1):
         fields = line.split(None, 1)
         if len(fields) != 2:
-            raise ParseError(f"line {ln}: meta lines are 'key value', got {line!r}")
+            raise ParseError(f"line {reader.lineno(k)}: meta lines are 'key value', got {line!r}")
         key, value = fields
         if key in seen:
-            raise ParseError(f"line {ln}: duplicate meta key {key!r}")
+            raise ParseError(f"line {reader.lineno(k)}: duplicate meta key {key!r}")
         if key not in required and key not in optional:
-            raise ParseError(f"line {ln}: unknown meta key {key!r}")
-        seen[key] = (ln, value)
+            raise ParseError(f"line {reader.lineno(k)}: unknown meta key {key!r}")
+        seen[key] = (k, value)
     for key in required:
         if key not in seen:
-            raise ParseError(f"meta section at line {lineno} is missing key {key!r}")
+            raise ParseError(f"meta section at line {reader.lineno(start)} is missing key {key!r}")
     return seen
 
 
-def _meta_int(seen, key, minimum=1, maximum=None):
-    ln, value = seen[key]
+def _meta_int(reader, seen, key, minimum=1, maximum=None):
+    k, value = seen[key]
     try:
         n = _decimal_int(value)
     except ValueError:
-        raise ParseError(f"line {ln}: meta key {key!r} must be an integer, got {value!r}") from None
+        raise ParseError(
+            f"line {reader.lineno(k)}: meta key {key!r} must be an integer, got {value!r}"
+        ) from None
     if n < minimum:
-        raise ParseError(f"line {ln}: meta key {key!r} must be >= {minimum}, got {n}")
+        raise ParseError(f"line {reader.lineno(k)}: meta key {key!r} must be >= {minimum}, got {n}")
     if maximum is not None and n > maximum:
-        raise ParseError(f"line {ln}: meta key {key!r} must be <= {maximum}, got {n}")
+        raise ParseError(f"line {reader.lineno(k)}: meta key {key!r} must be <= {maximum}, got {n}")
     return n
 
 
@@ -983,30 +999,24 @@ def parse_certificate(text):
     equiv -> EquivCertificatePackage, sos -> SosMatrixCertificate,
     membership -> MembershipCertificatePackage.
     """
-    sections = _split_sections(text)
-    if not sections:
+    reader = _Reader(text)
+    if not reader.sections:
         raise ParseError("empty certificate file")
-    reader = _Reader(sections)
-    body, lineno = reader.expect("meta", "")
-    meta = _parse_meta(
-        body,
-        lineno,
-        required=("kind", "dim", "nvars"),
-        optional=[key for spec in _KINDS.values() for key in spec.counts],
-    )
-    ln, kind = meta["kind"]
+    optional = [key for spec in _KINDS.values() for key in spec.counts]
+    meta = _parse_meta(reader, *reader.expect("meta", ""), ("kind", "dim", "nvars"), optional)
+    k, kind = meta["kind"]
     if kind not in _KINDS:
-        raise ParseError(f"line {ln}: unknown certificate kind {kind!r}")
+        raise ParseError(f"line {reader.lineno(k)}: unknown certificate kind {kind!r}")
     spec = _KINDS[kind]
-    for key, (ln, _value) in meta.items():
+    for key, (k, _value) in meta.items():
         if key not in ("kind", "dim", "nvars") and key not in spec.counts:
-            raise ParseError(f"line {ln}: meta key {key!r} does not belong to kind {kind!r}")
-    dim = _meta_int(meta, "dim")
-    reader.nvars = _meta_int(meta, "nvars", maximum=MAX_NVARS)
+            raise ParseError(f"line {reader.lineno(k)}: meta key {key!r} does not belong to kind {kind!r}")
+    dim = _meta_int(reader, meta, "dim")
+    reader.nvars = _meta_int(reader, meta, "nvars", maximum=MAX_NVARS)
     for key in spec.counts:
         if key not in meta:
             raise ParseError(f"meta section is missing key {key!r} for kind {kind!r}")
-        reader.counts[key] = _meta_int(meta, key)
+        reader.counts[key] = _meta_int(reader, meta, key)
     payload = spec.layout(reader, dim, None)
     reader.done()
     return kind, payload

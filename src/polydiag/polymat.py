@@ -53,16 +53,26 @@ class PolyMatrix:
             raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        nvars = entries[0].nvars
+        nvars = getattr(entries[0], "nvars", None)  # the loop refuses a non-Polynomial
         for p in entries:
             if not isinstance(p, Polynomial):
                 raise TypeError("entries must be Polynomial values")
             if p.nvars != nvars:
                 raise ValueError("entries must share one variable count")
+        self._set(rows, cols, nvars, entries)
+
+    def _set(self, rows, cols, nvars, entries):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "entries", entries)
+
+    @classmethod
+    def _parsed(cls, rows, cols, nvars, entries):
+        """PolyMatrix(rows, cols, entries) of a parser's Polynomials, without its checks."""
+        m = object.__new__(cls)
+        m._set(rows, cols, nvars, tuple(entries))
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -539,66 +549,77 @@ def _matrix_lines(a):
 
 
 def _data_lines(text):
-    """(lineno, stripped line) per line of text that is neither blank nor a
-    ``#`` comment; lineno is 1-based.
+    """(lines, lineno): the stripped lines of text that are neither blank nor
+    a ``#`` comment, and lineno(k), the 1-based line number of lines[k],
+    counted only when a ParseError asks for it.
 
     Lines break at \\r\\n, \\r and \\n only, as a universal-newline read
     gives them; str.splitlines() would also break at \\v, \\f, \\x1c-\\x1e,
     \\x85, \\u2028 and \\u2029, which are whitespace inside a line here.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return [
-        (lineno, line)
-        for lineno, line in enumerate(map(str.strip, lines), start=1)
-        if line and not line.startswith("#")
-    ]
+    raw = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = [line for line in map(str.strip, raw) if line and line[0] != "#"]
+
+    def lineno(k):
+        return [n for n, line in enumerate(map(str.strip, raw), 1) if line and line[0] != "#"][k]
+
+    return lines, lineno
 
 
 def parse_matrix(text):
     """Parse the matrix file format; raises ParseError with a line number."""
-    return _parse_matrix_lines(_data_lines(text), {})
+    lines, lineno = _data_lines(text)
+    return _parse_matrix_lines(lines, _LineMemo(), lineno)
 
 
-def _parse_line(memo, nvars, lineno, line):
-    """parse_polynomial(line, nvars), parsed once per parse of a file: memo
-    maps (nvars, line) to the polynomial of each line parsed so far.
+class _LineMemo(dict):
+    """One parse call's parsed lines: header line (a str) -> (rows, cols,
+    nvars), (nvars, line) -> parse_polynomial(line, nvars), parsed at the
+    first lookup.  A line that fails is not stored, so it fails at its first
+    occurrence; Polynomials are immutable, so repeated lines share one."""
 
-    Polynomials are immutable, so repeated lines share one.  A line that
-    fails is not stored, so each failure is raised at its first line, which
-    the ParseError names.
-    """
-    poly = memo.get((nvars, line))
-    if poly is None:
-        try:
-            poly = memo[nvars, line] = parse_polynomial(line, nvars)
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-    return poly
+    def __missing__(self, key):
+        value = self[key] = _matrix_shape(key) if type(key) is str else parse_polynomial(key[1], key[0])
+        return value
 
 
-def _parse_matrix_lines(lines, memo):
-    """The matrix whose file has the data lines ``lines``, as _data_lines
-    gives them, its entries parsed through memo (see _parse_line); each
-    ParseError names the line's number."""
-    if not lines:
-        raise ParseError("empty matrix file")
-    lineno, header = lines[0]
+def _matrix_shape(header):
+    """(rows, cols, nvars) of a matrix header line."""
     fields = header.split()
     if len(fields) != 3:
-        raise ParseError(f"line {lineno}: header must be 'rows cols nvars', got {header!r}")
+        raise ParseError(f"header must be 'rows cols nvars', got {header!r}")
     try:
         rows, cols, nvars = (_decimal_int(f) for f in fields)
     except ValueError:
-        raise ParseError(f"line {lineno}: header must hold three integers, got {header!r}") from None
+        raise ParseError(f"header must hold three integers, got {header!r}") from None
     if rows < 1 or cols < 1 or nvars < 1:
-        raise ParseError(f"line {lineno}: header values must be positive, got {header!r}")
+        raise ParseError(f"header values must be positive, got {header!r}")
     if nvars > MAX_NVARS:
-        raise ParseError(f"line {lineno}: nvars {nvars} exceeds the maximum {MAX_NVARS}")
-    body = lines[1:]
-    if len(body) < rows * cols:
-        raise ParseError(f"expected {rows * cols} entries, file ends after {len(body)}")
-    if len(body) > rows * cols:
-        extra_lineno = body[rows * cols][0]
-        raise ParseError(f"line {extra_lineno}: trailing data past {rows * cols} entries")
-    entries = [_parse_line(memo, nvars, lineno, line) for lineno, line in body]
-    return PolyMatrix(rows, cols, entries)
+        raise ParseError(f"nvars {nvars} exceeds the maximum {MAX_NVARS}")
+    return rows, cols, nvars
+
+
+def _parse_matrix_lines(lines, memo, lineno=(1).__add__):
+    """The matrix whose file has the data lines ``lines``, as _data_lines
+    gives them, parsed through memo, a _LineMemo: each distinct header and
+    entry line is parsed once per memo, and the entries are taken in one
+    pass of lookups.  A ParseError names lineno(k) for lines[k]; by default
+    k + 1, as a certificate's matrix section numbers its lines."""
+    if not lines:
+        raise ParseError("empty matrix file")
+    try:
+        rows, cols, nvars = memo[lines[0]]
+    except ParseError as exc:
+        raise ParseError(f"line {lineno(0)}: {exc}") from None
+    n = rows * cols
+    if len(lines) <= n:
+        raise ParseError(f"expected {n} entries, file ends after {len(lines) - 1}")
+    if len(lines) > n + 1:
+        raise ParseError(f"line {lineno(n + 1)}: trailing data past {n} entries")
+    try:
+        entries = [memo[nvars, line] for line in lines[1:]]
+    except ParseError as exc:
+        # every line before the one that failed is in memo now, and it is not
+        k = next(k for k, line in enumerate(lines) if k and (nvars, line) not in memo)
+        raise ParseError(f"line {lineno(k)}: {exc}") from None
+    return PolyMatrix._parsed(rows, cols, nvars, entries)

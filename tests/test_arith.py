@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polydiag import arith
@@ -252,6 +252,34 @@ def test_scan_agrees_with_walker(text, nvars):
         assert str(info.value) == str(exc)
     else:
         assert parse_polynomial(text, nvars) == reference_parse(text, nvars)
+
+
+@st.composite
+def spaced_poly_text(draw):
+    """Terms whose factors '*' joins with whitespace on either side and
+    often repeat a variable, as in ``t1^2 * t1``, so that a term's first
+    factor and the factors after it fold into one key."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = draw(st.lists(FACTOR, min_size=1, max_size=4))
+        factors += draw(st.lists(st.sampled_from(factors), max_size=2))  # the same variable again
+        text = factors[0] + "".join(draw(SPACE) + "*" + draw(SPACE) + f for f in factors[1:])
+        coeff = draw(st.sampled_from(("",) * 3 + ("3", "1/2", "12 / 8")))
+        terms.append(coeff + draw(st.sampled_from(("", "*", " * "))) + text if coeff else text)
+    signs = [draw(st.sampled_from(("", "-")))] + [
+        draw(SPACE) + draw(st.sampled_from("+-")) + draw(SPACE) for _ in terms[1:]
+    ]
+    return "".join(sign + term for sign, term in zip(signs, terms))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(spaced_poly_text(), st.sampled_from((1, 2, 2, 3)))
+@example("t1^2 * t1", 1)
+@example(f"t1^{MAX_EXPONENT}*t1", 1)
+@example(f"t1^{MAX_EXPONENT - 1} *  t2 *t1 - 2 * t2^2\t*\tt2", 2)
+def test_scan_agrees_with_walker_on_spaced_repeated_factors(text, nvars):
+    """What test_scan_agrees_with_walker asserts, on these texts."""
+    test_scan_agrees_with_walker.hypothesis.inner_test(text, nvars)
 
 
 def test_parse_long_line_in_linear_time(monkeypatch):

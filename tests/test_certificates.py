@@ -957,6 +957,30 @@ def test_writer_refuses_what_its_reader_refuses(case, monkeypatch):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "s1,unchecked",
+    [
+        ("t2^2", "line 15: column 1: unknown variable t2 (nvars=1)"),
+        ("t1^2", "t1^2 in 1 variable"),  # read back silently as another polynomial
+    ],
+)
+def test_writer_refuses_a_poly_of_another_variable_count(s1, unchecked, monkeypatch):
+    kind, pkg = _equiv(single_path_diagonalize(SUBJECT).D)
+    pkg = replace(pkg, witness=replace(pkg.witness, s1=P(s1, 2)))
+    with pytest.raises(ValueError) as info:
+        emit((kind, pkg))
+    assert (type(info.value), str(info.value)) == (ValueError, "section [poly s1]: expected nvars 1, got 2")
+    with monkeypatch.context() as mp:  # the file an unchecked writer emits
+        mp.setattr(certificates._Writer, "check", lambda self, ok, message: None)
+        text = emit((kind, pkg))
+    try:
+        s1_read = parse_certificate(text)[1].witness.s1
+        got = f"{s1_read} in {s1_read.nvars} variable"
+    except ParseError as exc:
+        got = str(exc)
+    assert got == unchecked
+
+
 def test_parse_rejects_wrong_factor_columns():
     sos = SosMatrixCertificate(P("1"), (M([["t1", "1"]]),))
     good = format_sos_certificate(sos)

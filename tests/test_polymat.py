@@ -309,6 +309,8 @@ REFUSALS = {
     "too few entries": (lambda: PolyMatrix(1, 2, [P("1")]), ValueError, "expected 2 entries, got 1"),
     "an entry not a Polynomial": (
         lambda: PolyMatrix(1, 2, [P("1"), 1]), TypeError, "entries must be Polynomial values"),
+    "a first entry not a Polynomial": (
+        lambda: PolyMatrix(1, 1, [3]), TypeError, "entries must be Polynomial values"),
     "entries in two variable counts": (
         lambda: PolyMatrix(1, 2, [P("1"), P("1", 2)]), ValueError, "entries must share one variable count"),
     "assignment": (
@@ -405,12 +407,13 @@ def test_parse_matrix_parses_each_distinct_line_once(monkeypatch):
     with pytest.raises(ParseError) as info:
         parse_matrix("2 2 1\nt1\nt2\n1\nt2\n")
     assert str(info.value) == "line 3: column 1: unknown variable t2 (nvars=1)"
-    # one memo holds a line once per variable count
-    memo = {}
-    assert polymat._parse_line(memo, 2, 1, "t2").nvars == 2
+    # one memo holds a line once per variable count, and not a line that fails
+    memo = polymat._LineMemo()
+    assert memo[2, "t2"].nvars == 2
     with pytest.raises(ParseError) as info:
-        polymat._parse_line(memo, 1, 7, "t2")
-    assert str(info.value) == "line 7: column 1: unknown variable t2 (nvars=1)"
+        memo[1, "t2"]
+    assert str(info.value) == "column 1: unknown variable t2 (nvars=1)"
+    assert list(memo) == [(2, "t2")]
 
 
 def test_parse_matrix_errors_carry_line_numbers():
