@@ -102,7 +102,8 @@ class PivotTrace:
     pivots: (i, j) pairs with i <= j, 1-based into the matrix current at
     each recursion level (after compaction of zero rows/columns).
     scales: per pivot, the factor relating the pivoted (1,1) entry to the
-    averaged pivot value, read off the pivot: 1 for i = j, 2 for i < j.
+    averaged pivot value, read off the pivot by scale(i, j), the one
+    statement of the rule: 1 for i = j, 2 for i < j.
     """
 
     pivots: tuple
@@ -113,9 +114,14 @@ class PivotTrace:
             if not (type(i) is type(j) is int and 1 <= i <= j):  # a bool would print as True
                 raise ValueError(f"bad pivot pair ({i},{j})")
 
+    @staticmethod
+    def scale(i, j):
+        """The scale of pivot (i, j), as an int."""
+        return 1 if i == j else 2
+
     @property
     def scales(self):
-        return tuple(Fraction(1 if i == j else 2) for i, j in self.pivots)
+        return tuple(Fraction(self.scale(i, j)) for i, j in self.pivots)
 
 
 @dataclass(frozen=True)
@@ -647,8 +653,7 @@ class _Writer:
 
     def trace(self, name, trace):
         self.lines.append(f"[trace {name}]")
-        for (i, j), s in zip(trace.pivots, trace.scales):
-            self.lines.append(f"{i} {j} {s.numerator}/{s.denominator}")
+        self.lines += [f"{i} {j} {PivotTrace.scale(i, j)}/1" for i, j in trace.pivots]
         return trace
 
     def indexset(self, name, idx):
@@ -671,28 +676,25 @@ class _Reader:
         self.counts = {}
         self.memo = _LineMemo()  # each distinct header and polynomial line, parsed once
 
-    def expect(self, tag, name):
+    def expect(self, header):
         if self.pos >= len(self.sections):
-            raise ParseError(f"missing section [{tag} {name}]".replace(" ]", "]"))
-        got_tag, got_name, start, end = self.sections[self.pos]
-        if got_tag != tag or got_name != name:
-            want = f"[{tag} {name}]" if name else f"[{tag}]"
-            raise ParseError(
-                f"line {self.lineno(start)}: expected section {want}, found [{got_tag} {got_name}]"
-            )
+            raise ParseError(f"missing section {header}")
+        got, start, end = self.sections[self.pos]
+        if got != header:
+            raise ParseError(f"line {self.lineno(start)}: expected section {header}, found {got}")
         self.pos += 1
         return self.lines[start + 1 : end], start
 
     def done(self):
         if self.pos != len(self.sections):
-            _tag, _name, start, _end = self.sections[self.pos]
-            raise ParseError(f"line {self.lineno(start)}: unexpected extra section [{_tag} {_name}]")
+            got, start, _end = self.sections[self.pos]
+            raise ParseError(f"line {self.lineno(start)}: unexpected extra section {got}")
 
     def items(self, key, _values):
         return itertools.repeat(None, self.counts[key])
 
     def matrix(self, name, _mat, rows=None, cols=None):
-        body, start = self.expect("matrix", name)
+        body, start = self.expect(f"[matrix {name}]")
         try:
             # numbered from the section's first data line, as a matrix file's
             mat = _parse_matrix_lines(body, self.memo)
@@ -704,39 +706,36 @@ class _Reader:
     def matrices(self, prefix, _mats, rows, cols):
         """The run of sections [matrix <prefix>_1], [matrix <prefix>_2], ..."""
         mats = []
-        while self.pos < len(self.sections) and self.sections[self.pos][:2] == (
-            "matrix",
-            f"{prefix}_{len(mats) + 1}",
+        while (
+            self.pos < len(self.sections)
+            and self.sections[self.pos][0] == f"[matrix {prefix}_{len(mats) + 1}]"
         ):
             mats.append(self.matrix(f"{prefix}_{len(mats) + 1}", None, rows, cols))
         return tuple(mats)
 
-    def _one_line(self, tag, name):
-        """(k, lines[k]) of the one data line of section [tag name]."""
-        body, start = self.expect(tag, name)
-        if len(body) != 1:
-            raise ParseError(f"section [{tag} {name}] near line {self.lineno(start)} must hold exactly one line")
-        return start + 1, body[0]
-
-    def _numbered(self, k, read, line):
-        """read(line), a ParseError from it prefixed with lines[k]'s number."""
-        try:
-            return read(line)
-        except ParseError as exc:
-            raise ParseError(f"line {self.lineno(k)}: {exc}") from None
+    def _read(self, header, read, one_line=True):
+        """[read(line) for each body line of section header], a ParseError from
+        read prefixed with its line's number; one_line: the section must hold
+        exactly one line, tested before any line is read."""
+        body, start = self.expect(header)
+        if one_line and len(body) != 1:
+            raise ParseError(f"section {header} near line {self.lineno(start)} must hold exactly one line")
+        values = []
+        for k, line in enumerate(body, start + 1):
+            try:
+                values.append(read(line))
+            except ParseError as exc:
+                raise ParseError(f"line {self.lineno(k)}: {exc}") from None
+        return values
 
     def poly(self, name, _poly):
-        k, line = self._one_line("poly", name)
-        return self._numbered(k, lambda line: self.memo[self.nvars, line], line)
+        return self._read(f"[poly {name}]", lambda line: self.memo[self.nvars, line])[0]
 
     def trace(self, name, _trace):
-        body, start = self.expect("trace", name)
-        pivots = [self._numbered(k, _pivot, line) for k, line in enumerate(body, start + 1)]
-        return PivotTrace(tuple(pivots))
+        return PivotTrace(tuple(self._read(f"[trace {name}]", _pivot, one_line=False)))
 
     def indexset(self, name, _idx):
-        k, line = self._one_line("indexset", name)
-        return self._numbered(k, _index_set, line)
+        return self._read(f"[indexset {name}]", _index_set)[0]
 
     def check(self, ok, message):
         if not ok:
@@ -763,8 +762,8 @@ def _pivot(line):
     if num <= 0:
         raise ParseError("pivot scale must be positive")
     # only the written form, so that the file re-formats to its own bytes
-    scale = PivotTrace(((i, j),)).scales[0]
-    if fields[2] != f"{scale.numerator}/{scale.denominator}":
+    scale = PivotTrace.scale(i, j)
+    if fields[2] != f"{scale}/1":
         raise ParseError(f"pivot ({i},{j}) has scale {scale}, got {fields[2]}")
     return i, j
 
@@ -947,15 +946,18 @@ def format_membership_certificate(pkg):
 
 
 def _split_sections(text):
-    """(lines, lineno, sections): _data_lines(text), and (tag, name, start,
-    end) per section: its header is lines[start], its body lines[start + 1:end].
-    A line that starts with '[' but is no header is a body line."""
+    """(lines, lineno, sections): _data_lines(text), and (header, start, end)
+    per section: its header is lines[start] as the writer writes it, [tag
+    name] or [tag], and its body lines[start + 1:end].  A line that starts
+    with '[' but is no header is a body line."""
     lines, lineno = _data_lines(text)
     heads = [(k, m) for k, line in enumerate(lines) if line[0] == "[" and (m := _SECTION_RE.match(line))]
     if lines and not (heads and heads[0][0] == 0):
         raise ParseError(f"line {lineno(0)}: data before the first section header")
     ends = [k for k, _m in heads[1:]] + [len(lines)]
-    return lines, lineno, [(m[1], m[2] or "", k, end) for (k, m), end in zip(heads, ends)]
+    return lines, lineno, [
+        (f"[{m[1]} {m[2]}]" if m[2] else f"[{m[1]}]", k, end) for (k, m), end in zip(heads, ends)
+    ]
 
 
 def _parse_meta(reader, body, start, required, optional=()):
@@ -1003,7 +1005,7 @@ def parse_certificate(text):
     if not reader.sections:
         raise ParseError("empty certificate file")
     optional = [key for spec in _KINDS.values() for key in spec.counts]
-    meta = _parse_meta(reader, *reader.expect("meta", ""), ("kind", "dim", "nvars"), optional)
+    meta = _parse_meta(reader, *reader.expect("[meta]"), ("kind", "dim", "nvars"), optional)
     k, kind = meta["kind"]
     if kind not in _KINDS:
         raise ParseError(f"line {reader.lineno(k)}: unknown certificate kind {kind!r}")

@@ -1011,6 +1011,12 @@ MALFORMED = [
      'line 2: expected section [meta], found [poly w]'),
     ('diag-single', '[poly w]\nt1^2\n', '[poly w]\nt1^2\n[poly extra]\n1\n',
      'line 26: unexpected extra section [poly extra]'),
+    ('diag-single', '[matrix X_plus]', '[meta]',
+     'line 6: expected section [matrix X_plus], found [meta]'),
+    ('diag-single', '[meta]', '[matrix]',
+     'line 2: expected section [meta], found [matrix]'),
+    ('diag-single', '[poly w]\nt1^2\n', '[poly w]\nt1^2\n[meta]\n',
+     'line 26: unexpected extra section [meta]'),
     ('diag-single', 'kind diag\n', 'kind diag\nflavor\n',
      "line 4: meta lines are 'key value', got 'flavor'"),
     ('diag-single', 'kind diag\n', 'kind diag\nkind diag\n',
