@@ -492,7 +492,7 @@ def test_oracle_digest():
 # take most of a minute.  The digest was computed before the readers moved
 # to one pass over a file's lines.
 
-READER_DIGEST = "8b7c45ca130c9eca9874afdadeffe8bf5179edeea15722599ff497a6060cb93c"
+READER_DIGEST = "2af764af54f4176d5685695096c265f152f1f72cbb277912308135e4d49f1d75"
 
 
 def reader_mutations(lines, hostile):
