@@ -97,15 +97,6 @@ def _unpacker(nvars):
 
 
 @lru_cache(maxsize=64)
-def _var_names(nvars):
-    """(shift of t<i>'s key field, "t<i>") for i = 1..nvars; None for one
-    variable, whose key is the exponent."""
-    if nvars == 1:
-        return None
-    return tuple((_FIELD_BITS * (nvars - i), f"t{i}") for i in range(1, nvars + 1))
-
-
-@lru_cache(maxsize=64)
 def _field_bits(nvars, bits):
     """The given bits repeated in every exponent field of a packed key."""
     return sum(bits << (_FIELD_BITS * k) for k in range(nvars))
@@ -383,19 +374,16 @@ class Polynomial:
         den, pairs = self._form
         if not pairs:
             return "0"
-        fields = _var_names(self.nvars)
+        fields = _var_fields(self.nvars).values()
         gcd = math.gcd
         parts = []
         for key, c in pairs:
-            if fields is None:  # one variable: the key is the exponent
-                mono = "" if not key else "t1" if key == 1 else f"t1^{key}"
-            else:
-                mono = ""
-                for shift, name in fields:
-                    e = (key >> shift) & _FIELD_MASK
-                    if e:
-                        factor = name if e == 1 else f"{name}^{e}"
-                        mono = f"{mono}*{factor}" if mono else factor
+            mono = ""
+            for shift, _step, name in fields:
+                e = (key >> shift) & _FIELD_MASK
+                if e:
+                    factor = name if e == 1 else f"{name}^{e}"
+                    mono = f"{mono}*{factor}" if mono else factor
             num = -c if c < 0 else c
             if den == 1:
                 mag = str(num)
@@ -599,12 +587,16 @@ def _int_literal(digits, where=""):
 
 @lru_cache(maxsize=64)
 def _var_fields(nvars):
-    """Digits i of t<i> -> (shift of t<i>'s key field, packed key of t<i>)."""
+    """Digits i of t<i> -> (shift of t<i>'s key field, packed key of t<i>,
+    "t<i>"), in order i = 1..nvars: the one table of the variables that the
+    parser (_scan) and the printer (Polynomial.__str__) read.  A field's
+    exponent is (key >> shift) & _FIELD_MASK, also for one variable, whose
+    key is the exponent, below 2^31."""
     degree = 1 << (_FIELD_BITS * nvars) if nvars > 1 else 0
     fields = {}
     for i in range(1, nvars + 1):
         shift = _FIELD_BITS * (nvars - i)
-        fields[str(i)] = (shift, degree + (1 << shift))
+        fields[str(i)] = (shift, degree + (1 << shift), f"t{i}")
     return fields
 
 
@@ -659,7 +651,7 @@ def _scan(text, nvars):
                     e = int(e) if e else 1
                     if not field or e > MAX_EXPONENT:
                         return prev
-                    shift, step = field
+                    shift, step, _name = field
                     key += e * step
                     if (key >> shift) & _FIELD_MASK > MAX_EXPONENT:
                         return prev

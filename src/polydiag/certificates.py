@@ -657,7 +657,7 @@ class _Writer:
         return trace
 
     def indexset(self, name, idx):
-        self.lines += [f"[indexset {name}]", " ".join(str(k) for k in idx) if idx else "-"]
+        self.lines += [f"[indexset {name}]", _index_line(idx)]
         return idx
 
     def check(self, ok, message):
@@ -766,6 +766,11 @@ def _pivot(line):
     if fields[2] != f"{scale}/1":
         raise ParseError(f"pivot ({i},{j}) has scale {scale}, got {fields[2]}")
     return i, j
+
+
+def _index_line(idx):
+    """The [indexset] line of the indices idx, '-' for none."""
+    return " ".join(str(k) for k in idx) if idx else "-"
 
 
 def _index_set(line):

@@ -24,6 +24,7 @@ from .arith import _decimal_int
 from .certificates import (
     _HEADER,
     _KINDS,
+    _index_line,
     format_bundle_certificate,
     format_diag_certificate,
     parse_certificate,
@@ -36,7 +37,7 @@ from .diagonal import (
     standard_form_diagonalize,
 )
 from .errors import BundleTooLarge, InternalIdentityFailure, ParseError
-from .polymat import format_matrix, parse_matrix
+from .polymat import _matrix_lines, parse_matrix
 from .positivity import GridSpec, check_bundle_equivalence, psd_on_grid
 
 
@@ -266,9 +267,7 @@ def _cmd_gens(args):
     index_sets = tmodule_index_sets(len(mats))
     lines = [_HEADER]
     for idx, product in zip(index_sets, products):
-        label = " ".join(str(k) for k in idx) if idx else "-"
-        lines.append(f"# indexset {label}")
-        lines.append(format_matrix(product).rstrip("\n"))
+        lines += [f"# indexset {_index_line(idx)}", *_matrix_lines(product)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
