@@ -588,10 +588,8 @@ def _int_literal(digits, where=""):
 @lru_cache(maxsize=64)
 def _var_fields(nvars):
     """Digits i of t<i> -> (shift of t<i>'s key field, packed key of t<i>,
-    "t<i>"), in order i = 1..nvars: the one table of the variables that the
-    parser (_scan) and the printer (Polynomial.__str__) read.  A field's
-    exponent is (key >> shift) & _FIELD_MASK, also for one variable, whose
-    key is the exponent, below 2^31."""
+    "t<i>"), i = 1..nvars in order; _scan and Polynomial.__str__ read it.  A
+    field's exponent is (key >> shift) & _FIELD_MASK, for every nvars."""
     degree = 1 << (_FIELD_BITS * nvars) if nvars > 1 else 0
     fields = {}
     for i in range(1, nvars + 1):

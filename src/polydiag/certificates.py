@@ -667,7 +667,8 @@ class _Writer:
 
 class _Reader:
     """Parses each section a layout names, in file order, with its checks;
-    lineno(k) numbers the data line lines[k] for a ParseError."""
+    _read reads a [poly], [trace] or [indexset] body, and lineno(k)
+    numbers the data line lines[k] for a ParseError."""
 
     def __init__(self, text):
         self.lines, self.lineno, self.sections = _split_sections(text)
@@ -743,7 +744,8 @@ class _Reader:
 
 
 def _pivot(line):
-    """(i, j) of a trace line 'i j num/den'."""
+    """(i, j) of a trace line 'i j num/den', whose scale must be written
+    PivotTrace.scale(i, j) over 1; no PivotTrace or Fraction is built."""
     fields = line.split()
     if len(fields) != 3:
         raise ParseError(f"trace lines are 'i j num/den', got {line!r}")

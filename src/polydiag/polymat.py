@@ -333,15 +333,15 @@ class _ImageContext:
     S*p(2^beta) of its entries, row-major, at the context's beta.  symmetric
     is the subject last found symmetric in this context, so that the
     branches of a bundle, or a producer and its check, test it once.  A
-    producer's context is its walk's ring (diagonal._packed): lcm is the lcm
-    L of the subject's denominators, one and zero are ints, or Polynomials
-    at beta 0.
+    producer's context is its walk's ring, beta set by diagonal._packed: lcm
+    is the lcm L of the subject's denominators, one and zero are ints, or
+    Polynomials at beta 0.
     """
 
     __slots__ = ("beta", "factors", "symmetric", "lcm", "one", "zero")
 
-    def __init__(self, beta=0):
-        self.beta = beta
+    def __init__(self):
+        self.beta = 0
         self.factors = {}
         self.symmetric = None
         self.lcm, self.one, self.zero = 1, 1, 0

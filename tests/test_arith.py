@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polydiag import arith
-from polydiag.arith import MAX_EXPONENT, Polynomial, _tokenize, _walk, parse_polynomial
-from polydiag.errors import ParseError
+from polydiag.arith import MAX_EXPONENT, Polynomial, _tokenize, _walk, parse_polynomial, sum_of_products
+from polydiag.errors import ExponentOverflow, ParseError
 
 from helpers import rand_poly
 
@@ -22,6 +22,8 @@ def P(text, nvars=1):
 
 def test_add_cancellation_to_constant():
     assert P("t1^2 + 1") + P("-t1^2") == P("1")
+    # a number is compared as the constant polynomial; anything else is unequal
+    assert P("t1^2 + 1") + P("-t1^2") == 1 and P("t1") != 1 and P("1") != "1"
 
 
 def test_add_zero_identity():
@@ -357,6 +359,12 @@ REFUSALS = {
         lambda: P("t1") - "1", TypeError, "unsupported operand type(s) for -: 'Polynomial' and 'str'"),
     "text minus a polynomial": (
         lambda: "1" - P("t1"), TypeError, "unsupported operand type(s) for -: 'str' and 'Polynomial'"),
+    "a remainder exponent past 2^30 in long division": (
+        lambda: Polynomial(1, {(2**30,): 1}).exact_div(P("t1 + 1")),
+        ExponentOverflow, "remainder exponent (1073741824,) is not below 2^30"),
+    "a product of another variable count in a sum": (
+        lambda: sum_of_products(2, [(P("t1"), P("t1"))]),
+        ValueError, "variable-count mismatch: 1 vs 1, expected 2"),
 }
 
 

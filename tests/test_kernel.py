@@ -433,7 +433,8 @@ def test_seeds_decide_only_identities_all_of_whose_factors_they_hold():
     for beta, unseeded in ((8, None), (40, None), (400, "X_minus"), (400, "w")):
         for part, index in (("D", 0), ("X_plus", 4), ("X_minus", 3), ("w", 0)):
             bad = tampered(GOOD, part, index, f"{2**beta} - t1")
-            images = _ImageContext(beta)
+            images = _ImageContext()
+            images.beta = beta
             for name in ("subject", "X_plus", "X_minus", "D", "w"):
                 f = SUBJECT if name == "subject" else getattr(bad, name)
                 entries = f.entries if isinstance(f, PolyMatrix) else (f,)

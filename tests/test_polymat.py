@@ -289,6 +289,9 @@ def test_symmetry_and_diagonal_predicates():
     assert d.is_diagonal()
     assert d.diagonal_entries() == (P("t1"), P("2"))
     assert not M([["1", "t1"], ["0", "1"]]).is_diagonal()
+    assert not M([["1", "0"]]).is_diagonal()
+    # only a matrix equals a matrix
+    assert PolyMatrix.identity(1, 1) != 1 and PolyMatrix.identity(1, 1) != P("1")
 
 
 def test_dimension_mismatch_rejected():
@@ -323,6 +326,18 @@ REFUSALS = {
     "leading minor of a row": (
         lambda: M([["1", "2"]]).leading_principal_minor(1),
         ValueError, "leading principal minors need a square matrix"),
+    "a matrix plus a number": (
+        lambda: PolyMatrix.identity(1, 1) + 1,
+        TypeError, "unsupported operand type(s) for +: 'PolyMatrix' and 'int'"),
+    "a matrix minus a number": (
+        lambda: PolyMatrix.identity(1, 1) - 1,
+        TypeError, "unsupported operand type(s) for -: 'PolyMatrix' and 'int'"),
+    "a matrix times nothing": (
+        lambda: PolyMatrix.identity(1, 1) * None,
+        TypeError, "unsupported operand type(s) for *: 'PolyMatrix' and 'NoneType'"),
+    "a matrix product with a number": (
+        lambda: PolyMatrix.identity(1, 1) @ 1,
+        TypeError, "unsupported operand type(s) for @: 'PolyMatrix' and 'int'"),
 }
 
 
