@@ -102,8 +102,8 @@ class PivotTrace:
     pivots: (i, j) pairs with i <= j, 1-based into the matrix current at
     each recursion level (after compaction of zero rows/columns).
     scales: per pivot, the factor relating the pivoted (1,1) entry to the
-    averaged pivot value, read off the pivot by scale(i, j), the one
-    statement of the rule: 1 for i = j, 2 for i < j.
+    averaged pivot value, read off the pivot by scale(i, j): 1 for i = j,
+    2 for i < j.
     """
 
     pivots: tuple
@@ -745,7 +745,7 @@ class _Reader:
 
 def _pivot(line):
     """(i, j) of a trace line 'i j num/den', whose scale must be written
-    PivotTrace.scale(i, j) over 1; no PivotTrace or Fraction is built."""
+    PivotTrace.scale(i, j) over 1."""
     fields = line.split()
     if len(fields) != 3:
         raise ParseError(f"trace lines are 'i j num/den', got {line!r}")
