@@ -116,7 +116,6 @@ class PivotTrace:
 
     @staticmethod
     def scale(i, j):
-        """The scale of pivot (i, j), as an int."""
         return 1 if i == j else 2
 
     @property
