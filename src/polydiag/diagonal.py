@@ -215,7 +215,7 @@ def pivot_congruence(a, i, j):
     work = _augmented(a)
     _move(work, [], 0, n, i - 1, j - 1)  # no P^-1 to carry
     a_ij, v = ([row[cols] for row in work] for cols in (slice(n), slice(n, None)))
-    return PolyMatrix.from_rows(a_ij), PolyMatrix.from_rows(v), PivotTrace(((i, j),)).scales[0]
+    return PolyMatrix.from_rows(a_ij), PolyMatrix.from_rows(v), PivotTrace.scale(i, j)
 
 
 def _augmented(a):
