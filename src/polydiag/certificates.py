@@ -674,7 +674,7 @@ class _Reader:
         self.pos = 0
         self.nvars = None
         self.counts = {}
-        self.memo = _LineMemo()  # each distinct header and polynomial line, parsed once
+        self.memo = _LineMemo()  # each distinct header, polynomial and trace line, parsed once
 
     def expect(self, header):
         if self.pos >= len(self.sections):
@@ -732,7 +732,8 @@ class _Reader:
         return self._read(f"[poly {name}]", lambda line: self.memo[self.nvars, line])[0]
 
     def trace(self, name, _trace):
-        return PivotTrace(tuple(self._read(f"[trace {name}]", _pivot, one_line=False)))
+        pivots = self._read(f"[trace {name}]", lambda line: self.memo[_pivot, line], one_line=False)
+        return PivotTrace(tuple(pivots))
 
     def indexset(self, name, _idx):
         return self._read(f"[indexset {name}]", _index_set)[0]

@@ -519,23 +519,25 @@ def _bareiss_step(m, k, prev, symmetric=False):
     polynomials (diagonal._walk), whose exact quotient is the image of the
     polynomials' quotient.  A zero entry
     whose two products are both zero is left as it is."""
-    rows, cols = len(m), len(m[0])
+    rows = len(m)
+    if k + 1 == rows:  # no row below the pivot
+        return
     pivot_row = m[k]
     pivot = pivot_row[k]
+    mirror = rows if symmetric else 0  # below the diagonal, column j < mirror of row i is m[j][i]
     nvars = prev.nvars if isinstance(prev, Polynomial) else None
     for i in range(k + 1, rows):
         row = m[i]
         lead = -pivot_row[i] if symmetric else -row[k]
-        for j in range(i if symmetric else k + 1, cols):
-            if not (row[j] or lead and pivot_row[j]):
-                continue
-            if nvars is None:
-                row[j] = (pivot * row[j] + lead * pivot_row[j]) // prev
-            else:
-                pairs = ((pivot, row[j]), (lead, pivot_row[j]))
-                row[j] = sum_of_products(nvars, pairs).exact_div(prev)
-            if symmetric and j < rows:
-                m[j][i] = row[j]
+        for j in range(i if symmetric else k + 1, len(row)):
+            x = row[j]
+            if x or lead and pivot_row[j]:
+                if nvars is None:
+                    row[j] = x = (pivot * x + lead * pivot_row[j]) // prev
+                else:
+                    row[j] = x = sum_of_products(nvars, ((pivot, x), (lead, pivot_row[j]))).exact_div(prev)
+                if j < mirror:
+                    m[j][i] = x
 
 
 def format_matrix(a):
@@ -574,12 +576,19 @@ def parse_matrix(text):
 
 class _LineMemo(dict):
     """One parse call's parsed lines: header line (a str) -> (rows, cols,
-    nvars), (nvars, line) -> parse_polynomial(line, nvars), parsed at the
-    first lookup.  A line that fails is not stored, so it fails at its first
-    occurrence; Polynomials are immutable, so repeated lines share one."""
+    nvars), (nvars, line) -> parse_polynomial(line, nvars), and (read, line)
+    -> read(line) for another line reader, such as a certificate's trace
+    lines', parsed at the first lookup.  A line that fails is not stored,
+    so it fails at its first occurrence; the values are immutable, so
+    repeated lines share one."""
 
     def __missing__(self, key):
-        value = self[key] = _matrix_shape(key) if type(key) is str else parse_polynomial(key[1], key[0])
+        if type(key) is str:
+            value = _matrix_shape(key)
+        else:
+            how, line = key
+            value = parse_polynomial(line, how) if type(how) is int else how(line)
+        self[key] = value
         return value
 
 

@@ -26,11 +26,12 @@ against that same matrix is not verified again.  The grid sweeps evaluate
 every entry as an integer: A(s) times one positive scalar per point, which
 changes neither the PSD verdict nor any sign.  They walk the grid one line
 at a time, a line being the points that differ in the last coordinate
-only, in generate_grid order: each entry of A is evaluated along a line,
-in blocks of at most _LINE_BLOCK points, and each point then hands its
-upper triangle, zeros below it, to the elimination.  A bundle's diagonal
-entries that equal a triangle entry read its value; the others are
-evaluated per point, so that the test stops at the first negative one.
+only, in generate_grid order: each evaluated entry of A is computed along
+a line, in blocks of at most _LINE_BLOCK points made as the block starts,
+and each point then hands its upper triangle to the elimination.  A
+bundle's diagonal entries that equal an evaluated entry read its value;
+the others are evaluated per point, so that the test stops at the first
+negative one.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, and_, mul
+from operator import add, mul, sub
 
-from .arith import _unpacker
+from .arith import _FIELD_MASK, _unpacker
 from .certificates import bundle_certificate_failures
 from .errors import DimensionCap, NotSymmetric
 from .polymat import _bareiss_step
@@ -101,6 +102,13 @@ class GridSpec:
             if low > high:
                 raise ValueError(f"axis has low {low} > high {high}")
         object.__setattr__(self, "axes", axes)
+
+    @classmethod
+    def _checked(cls, axes):
+        """The spec of (Fraction, Fraction, int >= 1) axes, low <= high, unchecked."""
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "axes", axes)
+        return spec
 
     @classmethod
     def uniform(cls, nvars, low=-10, high=10, count=21):
@@ -196,25 +204,32 @@ def psd_rational(m):
     return _psd_int([ints[k * m.n : (k + 1) * m.n] for k in range(m.n)])
 
 
-def _axis_values(spec):
-    """Per-axis value lists of the grid; raises when the total exceeds the cap.
+def _axes(spec):
+    """Per axis (A, D, E, count): value k of the axis is (A + k*D)/E, with
+    E > 0 and gcd(A, D, E) = 1; raises when the grid exceeds the point cap.
 
-    Axis values low + k*(high - low)/(count - 1) are built from integers:
-    with low = a/d and high = b/d over one denominator d and m = count - 1
+    With low = a/d and high = b/d over one denominator d and m = count - 1
     (1 on a one-point axis, whose one value is then low), value k is
-    (a*m + k*(b - a))/(d*m), one Fraction each.
+    (a*m + k*(b - a))/(d*m); A, D and E are those integers over their gcd.
     """
-    total = spec.total_points()
-    if total > _GRID_CAP:
-        raise ValueError(f"grid has {total} points, exceeding the cap {_GRID_CAP}")
-    axis_values = []
+    total, axes = 1, []
     for low, high, count in spec.axes:
+        total *= count
         d = math.lcm(low.denominator, high.denominator)
         a = low.numerator * (d // low.denominator)
-        b = high.numerator * (d // high.denominator)
         m = max(count - 1, 1)
-        axis_values.append([Fraction(a * m + k * (b - a), d * m) for k in range(count)])
-    return axis_values
+        A, D, E = a * m, high.numerator * (d // high.denominator) - a, d * m
+        h = math.gcd(A, D, E)
+        axes.append((A // h, D // h, E // h, count))
+    if total > _GRID_CAP:
+        raise ValueError(f"grid has {total} points, exceeding the cap {_GRID_CAP}")
+    return axes
+
+
+def _axis_values(spec):
+    """Per-axis value lists of the grid, as Fractions; raises when the total
+    exceeds the cap."""
+    return [[Fraction(A + k * D, E) for k in range(count)] for A, D, E, count in _axes(spec)]
 
 
 def generate_grid(spec):
@@ -233,150 +248,166 @@ def _grid_sweep(a, extra, spec):
     polynomial of ``extra`` is >= 0 at the point.  Raises NotSymmetric at
     the first point where A(point) is not symmetric, after the triples of
     every earlier point, and ValueError before any point when the integers
-    below would be too large (_GRID_BITS_CAP).
+    below would be too large (_check_grid_bits).
 
-    No Fraction is made per point.  With den the lcm of the denominators of
-    every polynomial's integer form, top_v the highest exponent of t_v and
-    the coordinates num_v/q_v in lowest terms, each polynomial p is
-    evaluated as den * prod_v q_v^top_v * p(point), the integer
-    sum over terms of c * prod_v num_v^e_v * q_v^(top_v - e_v): a positive
-    multiple of p(point), the same multiple for every polynomial.  Only the
-    rows of A's upper triangle that _psd_int eliminates are evaluated, and
-    below it the entries whose polynomial differs from their mirror's.
+    Axis v's values are num_v/E_v, num_v = A_v + k*D_v (_axes).  With den
+    the lcm of every polynomial's denominator and top_v the highest
+    exponent of t_v, each polynomial p is evaluated as den * prod_v
+    E_v^top_v * p(point), the sum over p's terms c*t^e of c * den/(p's
+    denominator) * prod_v num_v^e_v * E_v^(top_v - e_v): a positive
+    multiple of p(point), the same for every polynomial.  Set-up reads each
+    entry's integer form once.  Only A's upper triangle is evaluated, and the
+    entries below it whose polynomial differs from their mirror's; an extra
+    equal to one of those reads its value, the others, each once, fewest
+    terms first, are evaluated per point inside all(), which stops at the
+    first negative one (along the line, the benchmark's 64-point
+    equiv-check sweeps ran 19 % slower).
 
-    The grid is walked one line at a time, a line being the points that
-    share every coordinate but the last.  Once per line each monomial's
-    outer factor, the product of its factors on the other axes, is folded
-    into its coefficients; then every evaluated entry of A is computed
-    along the line, in blocks of at most _LINE_BLOCK points (memory stays
-    bounded on a long line), as a sum of coefficient times the last axis's
-    factor column, by C-level map over the block.  Each point takes its
-    triangle rows out of the block's columns.  An extra polynomial with the
-    same scaled terms as a triangle entry reads that entry's value; the
-    others, each once, fewest terms first, are evaluated per point inside
-    all(), which stops at the first negative one.  Evaluating them along the
-    line too would give up that short cut: it made the benchmark's 64-point
-    equiv-check sweeps 19 % slower.
+    The grid is walked one line at a time, the points that share every
+    coordinate but the last.  Per line the other axes' factors are folded
+    into the coefficients; then the entries are evaluated along the line in
+    blocks of at most _LINE_BLOCK points, as sums of coefficient times a
+    column of powers, by C-level map.  A block's coordinates and powers are
+    made from the integers of _axes as it starts (once for a line of one
+    block), so memory is bounded by the block.  Each point hands the rows
+    it reads off the block's columns to _psd_int.
     """
     if spec.nvars != a.nvars:
         raise ValueError(f"grid has {spec.nvars} axes, matrix has {a.nvars} variables")
-    axis_values = _axis_values(spec)
+    axes = _axes(spec)
     if not a.is_square():
         raise ValueError("evaluation target must be square")
-    n = a.rows
-    # A(point) is symmetric iff each (j, i) whose polynomial differs from
-    # that of (i, j) takes the same value there
-    asym = [(i, j) for i in range(n) for j in range(i + 1, n) if a[j, i]._form != a[i, j]._form]
-    polys = [a[i, j] for i in range(n) for j in range(i, n)]
-    polys += [a[j, i] for i, j in asym] + list(extra)
-    den = math.lcm(*(p._form[0] for p in polys))
-    keys, sums = {}, []  # keys: packed monomial -> its index
-    for d, pairs in (p._form for p in polys):
-        sums.append([(c * (den // d), keys.setdefault(k, len(keys))) for k, c in pairs])
-    monos = list(map(_unpacker(a.nvars), keys))
-    tops = [max((m[v] for m in monos), default=0) for v in range(a.nvars)]
-    # each axis as (numerators, denominators) of its values
-    coords = [([x.numerator for x in xs], [x.denominator for x in xs]) for xs in axis_values]
-    _check_grid_bits(sums, tops, coords)
-    width = n * (n + 1) // 2
-    # triangle entry k of row i is column starts[i] + k, and _psd_int gets
-    # it after i zeros; a mirror's column follows the triangle's
-    starts = list(itertools.accumulate(range(n, 0, -1), initial=0))
-    row_slices = [((0,) * i, s, e) for i, (s, e) in enumerate(zip(starts, starts[1:]))]
-    mirrors = [(starts[i] + j - i, width + k) for k, (i, j) in enumerate(asym)]
-    evaluated = sums[: width + len(asym)]
-    # each extra once: a triangle entry's value, or its own terms
-    unique = {tuple(s): s for s in sums[width + len(asym) :]}
-    entry_at = {tuple(s): k for k, s in enumerate(sums[:width])} if unique else {}
-    extra_entries = sorted({entry_at[key] for key in unique if key in entry_at})
-    extra_sums = sorted((s for key, s in unique.items() if key not in entry_at), key=len)
-    # per outer axis value: the factor it puts in each monomial
-    outer_columns = []
-    for v, (nums, dens) in enumerate(coords[:-1]):
-        columns = _factor_columns(nums, dens, tops[v], [m[v] for m in monos])
-        outer_columns.append([[col[x] for col in columns] for x in range(len(nums))])
-    # the last axis: per monomial, its factor at each point of the line, in blocks
-    nums, dens = coords[-1]
-    exps = [m[-1] for m in monos]
-    blocks = []
-    for start in range(0, len(nums), _LINE_BLOCK):
-        part = slice(start, start + _LINE_BLOCK)
-        blocks.append((axis_values[-1][part], _factor_columns(nums[part], dens[part], tops[-1], exps)))
-    for outer, factors in zip(
-        itertools.product(*axis_values[:-1]), itertools.product(*outer_columns)
-    ):
-        entries, extras = evaluated, extra_sums
-        if factors:  # fold the line's outer factors into the coefficients
-            folded = factors[0]
-            for col in factors[1:]:
-                folded = list(map(mul, folded, col))
-            entries = [[(c * folded[m], m) for c, m in s] for s in entries]
-            extras = [[(c * folded[m], m) for c, m in s] for s in extras]
-        for values, columns in blocks:
-            size = len(values)
-            block = [_along(terms, columns, size) for terms in entries]
-            stop = size  # the first point of the block where A is not symmetric
+    n, nvars, entries = a.rows, a.nvars, a.entries
+    # A's upper triangle row by row, then each (j, i) whose polynomial differs from that of (i, j)
+    asym = [(i, j) for i in range(n) for j in range(i + 1, n) if entries[j * n + i]._form != entries[i * n + j]._form]
+    forms = [entries[i * n + j]._form for i in range(n) for j in range(i, n)]
+    forms += [entries[j * n + i]._form for i, j in asym]
+    evaluated, read = len(forms), []
+    if extra:  # each extra once: the value of an evaluated entry, or its own terms
+        unique = {(d, *pairs): (d, pairs) for d, pairs in (p._form for p in extra)}
+        at = {(d, *pairs): k for k, (d, pairs) in enumerate(forms)}
+        read = sorted({at[key] for key in unique if key in at})
+        forms += sorted((f for key, f in unique.items() if key not in at), key=lambda f: len(f[1]))
+    den = math.lcm(*[d for d, _pairs in forms])
+    terms = [pairs if d == den else [(k, c * (den // d)) for k, c in pairs] for d, pairs in forms]
+    bits = max([abs(c) for t in terms for _k, c in t], default=0)
+    if nvars == 1:  # the key is the exponent
+        lasts = {e for t in terms for e, _c in t}
+        tops = [max(lasts, default=0)]
+    else:
+        monos = dict.fromkeys(k for t in terms for k, _c in t)
+        exps = list(map(_unpacker(nvars), monos))
+        tops = list(map(max, zip(*exps))) or [0] * nvars
+    _check_grid_bits(bits.bit_length(), tops, axes)
+    *outer, last = axes
+    outer_values = [[Fraction(A + k * D, E) for k in range(c)] for A, D, E, c in outer]
+    outer_nums = [[A + k * D for k in range(c)] for A, D, _E, c in outer]
+    if nvars > 1:  # terms as (last exponent, coefficient, monomial); per other
+        # axis v, each monomial's exponent e_v and E_v^(top_v - e_v)
+        monos = dict(zip(monos, itertools.count()))
+        terms = [[(k & _FIELD_MASK, c, monos[k]) for k, c in t] for t in terms]
+        lasts = {e[-1] for e in exps}
+        outer_exps = list(zip(*exps))[:-1]
+        outer_scales = [
+            list(map(pow, itertools.repeat(axis[2]), map(sub, itertools.repeat(top), es)))
+            for axis, top, es in zip(outer, tops, outer_exps)
+        ]
+    # row i of the triangle begins at column offsets[i] + i of the block; its
+    # columns before that belong to the previous row and are never read
+    offsets = [i * (2 * n - i - 1) // 2 for i in range(n)]
+    mirrors = [(offsets[i] + j, k) for k, (i, j) in enumerate(asym, n * (n + 1) // 2)]
+    starts = range(0, last[3], _LINE_BLOCK)
+    blocks = [_block(last, tops[-1], lasts, 0)] if len(starts) == 1 else None
+    for line, nums in zip(itertools.product(*outer_values), itertools.product(*outer_nums)):
+        line_terms = terms
+        if nvars > 1:  # the line's factors of the other axes, folded into the coefficients
+            factor = [1] * len(monos)
+            for x, es, scale in zip(nums, outer_exps, outer_scales):
+                factor = list(map(mul, factor, map(mul, map(pow, itertools.repeat(x), es), scale)))
+            line_terms = [[(e, c * factor[m]) for e, c, m in t] for t in terms]
+        for values, powers in blocks or (_block(last, tops[-1], lasts, s) for s in starts):
+            block = [_along(t, powers, len(values)) for t in line_terms[:evaluated]]
+            stop = len(values)  # the first point of the block where A is not symmetric
             for k, m in mirrors:
                 if block[k] != block[m]:
-                    first = next(i for i, (x, y) in enumerate(zip(block[k], block[m])) if x != y)
-                    stop = min(stop, first)
-            # per point, whether the extras that are triangle entries are >= 0
-            entries_ok = [True] * size
-            for k in extra_entries:
-                entries_ok = list(map(and_, entries_ok, map((0).__le__, block[k])))
-            extra_cols = [[(c, columns[m]) for c, m in terms] for terms in extras]
-            for i, (x, vals) in enumerate(zip(values[:stop], zip(*block))):
-                psd = _psd_int([[*pad, *vals[s:e]] for pad, s, e in row_slices])
-                extra_ok = entries_ok[i] and (
-                    not extra_cols
-                    or all(sum([c * col[i] for c, col in terms]) >= 0 for terms in extra_cols)
+                    stop = min(stop, next(i for i, (x, y) in enumerate(zip(block[k], block[m])) if x != y))
+            # per point, whether the extras that are evaluated entries are >= 0
+            ok = map(all, zip(*[map((0).__le__, block[k]) for k in read])) if read else itertools.repeat(True)
+            own = [[(c, powers[e]) for e, c in t] for t in line_terms[evaluated:]]
+            rows = [map(list, zip(*block[o : o + n])) for o in offsets]
+            points = zip(*map(itertools.repeat, line), values[:stop])
+            for i, point, flag, *m in zip(itertools.count(), points, ok, *rows):
+                yield point, _psd_int(m), flag and (
+                    not own or all(sum([c * col[i] for c, col in t]) >= 0 for t in own)
                 )
-                yield (*outer, x), psd, extra_ok
-            if stop < size:
+            if stop < len(values):
                 raise NotSymmetric(_NOT_SYMMETRIC)
 
 
-def _factor_columns(nums, dens, top, exps):
-    """Per exponent e of exps, the column of num^e * q^(top - e) over an
-    axis's points num/q; each distinct e once, by C-level map."""
-    columns = {
-        e: list(map(mul, map(pow, nums, itertools.repeat(e)), map(pow, dens, itertools.repeat(top - e))))
-        for e in set(exps)
-    }
-    return [columns[e] for e in exps]
+def _block(axis, top, exps, start):
+    """(coordinates, powers) of the block of at most _LINE_BLOCK points from
+    value ``start`` of the axis (A, D, E, count), values (A + k*D)/E: powers
+    maps each e of exps to the column of num^e * E^(top - e)."""
+    A, D, E, count = axis
+    stop = min(start + _LINE_BLOCK, count)
+    nums = list(range(A + start * D, A + stop * D, D)) if D else [A] * (stop - start)
+    powers = {}
+    for e in exps:
+        col = map(pow, nums, itertools.repeat(e))
+        powers[e] = list(col if E == 1 else map(mul, col, itertools.repeat(E ** (top - e))))
+    return list(map(Fraction, nums, itertools.repeat(E)) if E != 1 else map(Fraction, nums)), powers
 
 
-def _along(terms, columns, size):
-    """sum of c * columns[m] over the terms (c, m): one polynomial's values
-    at the points of a block."""
-    if not terms:
-        return [0] * size
-    (c, m), *rest = terms
-    acc = columns[m] if c == 1 else list(map(mul, columns[m], itertools.repeat(c)))
-    for c, m in rest:
-        acc = list(map(add, acc, columns[m] if c == 1 else map(mul, columns[m], itertools.repeat(c))))
-    return acc
+def _along(terms, powers, size):
+    """sum of c * powers[e] over the terms (e, c): one polynomial's values at
+    the size points of a block."""
+    acc = None
+    for e, c in terms:
+        col = powers[e] if c == 1 else map(mul, powers[e], itertools.repeat(c))
+        acc = col if acc is None else list(map(add, acc, col))
+    return [0] * size if acc is None else acc if type(acc) is list else list(acc)
 
 
-def _check_grid_bits(sums, tops, coords):
+def _axis_bits(A, D, E, count):
+    """Bits of the largest numerator or denominator among the axis's values
+    (A + k*D)/E in lowest terms: the values are reduced in turn, one gcd
+    each, from the endpoint of larger magnitude on, until one reaches the
+    bound from the endpoints, which none exceeds."""
+    far = abs(A + (count - 1) * D)
+    bound = max(abs(A), far, E).bit_length()
+    best = 0
+    for k in range(count) if abs(A) > far else range(count - 1, -1, -1):
+        num = A + k * D
+        best = max(best, (max(abs(num), E) // math.gcd(num, E)).bit_length())
+        if best == bound:
+            break
+    return best
+
+
+def _check_grid_bits(bits, tops, axes):
     """Raise ValueError when the grid's integers would exceed _GRID_BITS_CAP bits.
 
-    One point's integer has at most about (coefficient bits) +
-    sum_v top_v * (bits of the largest num_v or q_v on axis v) bits; that
-    bound times the point count is estimated before any power is taken.
+    One point's integer has at most about (coefficient bits) + sum_v top_v *
+    (bits of the largest numerator or denominator of axis v's values in
+    lowest terms) bits; that bound times the point count is estimated
+    before any value is made or power taken.  The axes' endpoints bound it
+    first; only when that bound is too large are the values reduced
+    (_axis_bits), so that the estimate a refusal reports is the grid's own.
     """
-    bits = max((abs(c) for terms in sums for c, _m in terms), default=0).bit_length()
-    points = 1
-    for top, (nums, dens) in zip(tops, coords):
-        bits += top * max(max(nums), -min(nums), max(dens)).bit_length()
-        points *= len(nums)
-    if bits * points > _GRID_BITS_CAP:
+    points, total = 1, bits
+    for (A, D, E, count), top in zip(axes, tops):
+        points *= count
+        total += top * max(abs(A), abs(A + (count - 1) * D), E).bit_length()
+    if total * points <= _GRID_BITS_CAP and total <= _POINT_BITS_CAP:
+        return
+    total = bits + sum(top * _axis_bits(*axis) for axis, top in zip(axes, tops) if top)
+    if total * points > _GRID_BITS_CAP:
         raise ValueError(
-            f"grid evaluation needs about {bits * points} integer bits "
-            f"({bits} per point), exceeding the bound {_GRID_BITS_CAP}"
+            f"grid evaluation needs about {total * points} integer bits "
+            f"({total} per point), exceeding the bound {_GRID_BITS_CAP}"
         )
-    if bits > _POINT_BITS_CAP:  # the estimate is linear in bits, big powers are not
-        raise ValueError(f"one grid point needs about {bits} integer bits, exceeding the bound {_POINT_BITS_CAP}")
+    if total > _POINT_BITS_CAP:  # the estimate is linear in bits, big powers are not
+        raise ValueError(f"one grid point needs about {total} integer bits, exceeding the bound {_POINT_BITS_CAP}")
 
 
 def psd_on_grid(a, spec):

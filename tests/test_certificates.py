@@ -830,6 +830,18 @@ def test_parse_certificate_parses_each_distinct_line_once(monkeypatch):
     assert parse_certificate(good)[1].w is not cert.w
 
 
+def test_parse_certificate_reads_each_distinct_trace_line_once(monkeypatch):
+    # a3-bundle.out's 36 trace lines hold six distinct pivots
+    text = (GOLDEN / "a3-bundle.out").read_text()
+    calls = count_calls(monkeypatch, "_pivot", (certificates,))
+    _, bundle = parse_certificate(text)
+    assert sorted(args[0] for args in calls) == [
+        "1 1 1/1", "1 2 2/1", "1 3 2/1", "2 2 1/1", "2 3 2/1", "3 3 1/1",
+    ]
+    assert sum(len(trace.pivots) for _cert, trace in bundle.branches) == 36
+    assert format_bundle_certificate(bundle) == text
+
+
 def test_parse_certificate_reports_a_repeated_bad_line_first():
     def retyped(text, old, new):
         return "\n".join(new if line == old else line for line in text.split("\n"))

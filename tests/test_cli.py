@@ -402,6 +402,53 @@ def test_one_point_hostile_grid_refused_fast(tmp_path, capsys):
     )
 
 
+def test_long_hostile_grid_refused_before_any_value(tmp_path, capsys):
+    # t1^4096 from -1/(10^4299 - 1) to 1 on 100,000 points: the estimate
+    # comes from the axis's integer endpoints, before any of its 4300-digit
+    # values is made, which once took seconds
+    path = put(tmp_path, "big.mat", "1 1 1\nt1^4096\n")
+    cert = str(tmp_path / "big.cert")
+    assert main(["diagonalize", "--mode", "bundle", path, "--out", cert]) == 0
+    grid = [f"--grid-low=-1/{'9' * 4299}", "--grid-high=1", "--grid-count=100000"]
+    for argv in (["psd-grid", path], ["equiv-check", path, cert]):
+        start = time.perf_counter()
+        assert main(argv + grid) == 2
+        assert time.perf_counter() - start < 0.2
+        assert capsys.readouterr() == (
+            "",
+            "error: grid evaluation needs about 5856460900000 integer bits "
+            "(58564609 per point), exceeding the bound 16777216\n",
+        )
+
+
+def test_hostile_grid_of_reducible_values_refused_fast(tmp_path, capsys):
+    # from 0 to 10^4000/7^4700 on 100,000 points: the endpoint bound refuses,
+    # and the values nearest 0 reduce far below it, so the values are reduced
+    # from the far end, where the first one reaches the bound (this took 37 s
+    # when every value was made and reduced first)
+    path = put(tmp_path, "big.mat", "1 1 1\nt1^4096\n")
+    start = time.perf_counter()
+    argv = ["psd-grid", path, f"--grid-high={10**4000}/{7**4700}", "--grid-low=0", "--grid-count=100000"]
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 0.2
+    assert capsys.readouterr() == (
+        "",
+        "error: grid evaluation needs about 5449728100000 integer bits "
+        "(54497281 per point), exceeding the bound 16777216\n",
+    )
+
+
+@pytest.mark.parametrize("flag", ["--grid-low", "--grid-high"])
+@pytest.mark.parametrize("form", ["{}", "1/{}", "{}.5", ".{}", "1.{}"])
+def test_grid_bound_past_the_digit_limit(tmp_path, capsys, flag, form):
+    # a bound whose digits int() refuses is a bad value, as Fraction() found
+    text = form.format("9" * (sys.get_int_max_str_digits() + 1))
+    path = put(tmp_path, "t.mat", "1 1 1\nt1\n")
+    assert main(["psd-grid", path, f"{flag}={text}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: bad {flag} value {text!r}, expected a rational like -10 or 1/2\n"
+
+
 def test_matrix_file_parse_is_looked_up_per_call(tmp_path, monkeypatch, capsys):
     # a wrapper put on cli.parse_matrix, as a tracer puts one, sees the parse
     calls = count_calls(monkeypatch, "parse_matrix", (cli,))

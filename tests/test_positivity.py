@@ -557,6 +557,102 @@ def test_line_sweep_memory_is_bounded():
     assert swept <= 1.7 * baseline, (swept, baseline)
 
 
+def test_line_sweep_memory_is_bounded_by_the_block():
+    """The sweep makes a block's coordinates, powers and values as the block
+    starts, from the axis's integer endpoints: its peak is a few hundred
+    bytes per point of a block (about 0.5 MB at 1024 points, on CPython
+    3.11), and a line ten times longer does not raise it."""
+    a = M([["t1^2 + 1", "t1"], ["t1", "1"]])
+
+    def peak(count):
+        sweep = _grid_sweep(a, (), GridSpec(((-10, 10, count),)))
+        tracemalloc.start()
+        try:
+            deque(islice(sweep, 3 * positivity._LINE_BLOCK), maxlen=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(10_000), peak(100_000)
+    assert long <= 2048 * positivity._LINE_BLOCK, long
+    assert long <= 1.1 * short, (long, short)
+
+
+def test_grid_bits_refused_before_any_value(monkeypatch):
+    """A grid whose integers would be too large is refused from its integer
+    endpoints: no coordinate or power is made first."""
+    a = M([["t1^4096"]])
+    spec = GridSpec(((Fraction(-1, 10**4299 - 1), 1, 100_000),))
+    made = count_calls(monkeypatch, "Fraction", (positivity,))
+    for sweep in _sweeps(a, spec):
+        with pytest.raises(ValueError, match=r"\(58564609 per point\), exceeding the bound 16777216$"):
+            sweep()
+    assert made == []
+
+
+def test_grid_bits_estimate_reads_reduced_values():
+    """The endpoints bound the estimate; a grid that bound refuses is judged
+    on its values in lowest terms.  At 1/(3q) and 1/(2q), q = 2^1021, the
+    values' denominators have 1023 bits but d*m = 6q has 1024: t1^4096 needs
+    1 + 4096*1023 bits per point, under _POINT_BITS_CAP, and is swept."""
+    q = 2**1021
+    low, high = Fraction(1, 3 * q), Fraction(1, 2 * q)
+    a = M([["t1^4096"]])
+    assert 1 + 4096 * 1023 <= positivity._POINT_BITS_CAP < 1 + 4096 * 1024
+    assert list(_grid_sweep(a, [a[0, 0]], GridSpec(((low, high, 2),)))) == [
+        ((low,), True, True),
+        ((high,), True, True),
+    ]
+
+
+def test_line_sweep_blocks_on_two_axes(monkeypatch):
+    """Lines of several blocks on two and three axes, with coordinates over a
+    denominator: every triple equals the pointwise one.  The extras are a
+    triangle entry, a below-diagonal entry that differs from its mirror but
+    not on the grid, a repeat and polynomials of their own."""
+    monkeypatch.setattr(positivity, "_LINE_BLOCK", 4)
+    a = M([["t1^2 + t2 - 1/3", "t1*t2"], ["t1*t2 + t2^2 - t2", "2 - t1*t2^2"]], nvars=2)
+    extra = [a[0, 0], a[1, 0], a[0, 0], P("t1 - t2", 2), P("3/2*t2^3 - t1", 2)]
+    for spec in (
+        GridSpec(((-1, 1, 3), (0, 1, 2))),
+        GridSpec(((-1, 1, 3), (0, 0, 1))),
+        GridSpec(((Fraction(-1, 3), 1, 2), (0, 0, 9))),
+    ):
+        assert list(_grid_sweep(a, extra, spec)) == _pointwise(a, extra, spec)
+    b = M([["t1*t3 + 1", "t2"], ["t2", "t3^2 + t1"]], nvars=3)
+    spec = GridSpec(((0, 1, 2), (-1, 1, 3), (Fraction(-2, 3), 2, 9)))
+    assert list(_grid_sweep(b, [b[1, 1], P("t3", 3)], spec)) == _pointwise(b, [b[1, 1], P("t3", 3)], spec)
+
+
+def test_line_sweep_one_point_axes():
+    """One-point axes anywhere, and an axis of repeated points (low = high),
+    give the pointwise triples."""
+    a = M([["t1^2 + t2^3 - 2", "t1 - t2"], ["t1 - t2", "t2^2 + 1/7"]], nvars=2)
+    extra = [a[1, 1], P("t2 - t1^2", 2)]
+    for axes in (
+        ((Fraction(1, 3), 5, 1), (-2, 2, 5)),
+        ((-2, 2, 5), (Fraction(-1, 4), 3, 1)),
+        ((Fraction(2, 7), 1, 1), (-1, -1, 1)),
+        ((Fraction(1, 2), Fraction(1, 2), 3), (-1, 1, 3)),
+    ):
+        spec = GridSpec(axes)
+        assert list(_grid_sweep(a, extra, spec)) == _pointwise(a, extra, spec)
+
+
+def test_line_sweep_asymmetric_in_a_later_block_of_a_later_line(monkeypatch):
+    """On two axes with lines of three blocks, A(s) is not symmetric at one
+    point of the second block of the second line only."""
+    monkeypatch.setattr(positivity, "_LINE_BLOCK", 4)
+    q = _only_at(6, 10)
+    # t2 at t1 = 1 and t2 = 6, otherwise the first line's mirror value
+    lower = parse_polynomial(str(q).replace("t1", "t2"), 2) * P("t1", 2) + P("t2", 2) * P("1 - t1", 2)
+    a = PolyMatrix.from_rows([[P("1 + t2^2", 2), P("t2", 2)], [lower, P("2", 2)]])
+    spec = GridSpec(((0, 1, 2), (0, 9, 10)))
+    triples, exc = _swept(a, (), spec)
+    assert isinstance(exc, NotSymmetric)
+    assert triples == [(s, psd_rational(eval_matrix(a, s)), True) for s in generate_grid(spec)[:16]]
+
+
 # -- check_bundle_equivalence --------------------------------------------------------
 
 
