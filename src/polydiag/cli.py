@@ -72,25 +72,16 @@ def _format_point(point):
 
 
 # ASCII integers, p/q and decimals; Fraction() alone would also read other
-# scripts' digits, '_' separators and 1e<exp>, building 10^exp however large.
-# Groups: sign, integer digits, denominator, digits after a point (twice).
-_RATIONAL_RE = re.compile(r"([-+]?)(?:([0-9]+)(?:/([0-9]+)|\.([0-9]*))?|\.([0-9]+))")
+# scripts' digits, '_' separators and 1e<exp>, building 10^exp however large
+_RATIONAL_RE = re.compile(r"[-+]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)")
 
 
 def _parse_fraction(text, flag):
-    """The Fraction a grid bound reads, built from its match's digits as
-    Fraction(text) would build it, which refuses the same texts."""
-    m = _RATIONAL_RE.fullmatch(text)
-    if m:
-        sign, whole, over, point, bare = m.groups()
-        decimals = point or bare or ""
-        try:  # int() refuses digit strings past the interpreter's limit
-            num = int(whole or "0") * 10 ** len(decimals) + int(decimals or "0")
-            den = int(over) if over else 10 ** len(decimals)
-        except ValueError:
-            den = 0
-        if den:
-            return Fraction(-num if sign == "-" else num, den)
+    if _RATIONAL_RE.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise _UsageError(f"bad {flag} value {text!r}, expected a rational like -10 or 1/2")
 
 
@@ -116,7 +107,6 @@ def _expand_axis_values(values, nvars, flag):
 
 
 def _grid_spec(args, nvars):
-    """The GridSpec of the grid flags, checked here once."""
     lows = _expand_axis_values(args.grid_low, nvars, "--grid-low") or ["-10"] * nvars
     highs = _expand_axis_values(args.grid_high, nvars, "--grid-high") or ["10"] * nvars
     counts = _expand_axis_values(args.grid_count, nvars, "--grid-count") or [21] * nvars
@@ -129,7 +119,7 @@ def _grid_spec(args, nvars):
         if low > high:
             raise _UsageError(f"--grid-low {low} exceeds --grid-high {high}")
         axes.append((low, high, count))
-    return GridSpec._checked(tuple(axes))
+    return GridSpec(tuple(axes))
 
 
 def _add_grid_flags(parser):

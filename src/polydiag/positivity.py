@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .arith import _FIELD_MASK, _unpacker
+from .arith import _unpacker
 from .certificates import bundle_certificate_failures
 from .errors import DimensionCap, NotSymmetric
 from .polymat import _bareiss_step
@@ -102,13 +102,6 @@ class GridSpec:
             if low > high:
                 raise ValueError(f"axis has low {low} > high {high}")
         object.__setattr__(self, "axes", axes)
-
-    @classmethod
-    def _checked(cls, axes):
-        """The spec of (Fraction, Fraction, int >= 1) axes, low <= high, unchecked."""
-        spec = object.__new__(cls)
-        object.__setattr__(spec, "axes", axes)
-        return spec
 
     @classmethod
     def uniform(cls, nvars, low=-10, high=10, count=21):
@@ -208,13 +201,16 @@ def _axes(spec):
     """Per axis (A, D, E, count): value k of the axis is (A + k*D)/E, with
     E > 0 and gcd(A, D, E) = 1; raises when the grid exceeds the point cap.
 
-    With low = a/d and high = b/d over one denominator d and m = count - 1
-    (1 on a one-point axis, whose one value is then low), value k is
-    (a*m + k*(b - a))/(d*m); A, D and E are those integers over their gcd.
+    With low = a/d and high = b/d over one denominator d and m = count - 1,
+    value k is (a*m + k*(b - a))/(d*m); A, D and E are those integers over
+    their gcd.  A one-point axis is low's (numerator, 0, denominator): high
+    plays no part in it.
     """
     total, axes = 1, []
     for low, high, count in spec.axes:
         total *= count
+        if count == 1:
+            high = low
         d = math.lcm(low.denominator, high.denominator)
         a = low.numerator * (d // low.denominator)
         m = max(count - 1, 1)
@@ -302,10 +298,10 @@ def _grid_sweep(a, extra, spec):
     *outer, last = axes
     outer_values = [[Fraction(A + k * D, E) for k in range(c)] for A, D, E, c in outer]
     outer_nums = [[A + k * D for k in range(c)] for A, D, _E, c in outer]
-    if nvars > 1:  # terms as (last exponent, coefficient, monomial); per other
+    if nvars > 1:  # terms as ((last exponent, monomial), coefficient); per other
         # axis v, each monomial's exponent e_v and E_v^(top_v - e_v)
-        monos = dict(zip(monos, itertools.count()))
-        terms = [[(k & _FIELD_MASK, c, monos[k]) for k, c in t] for t in terms]
+        index = {k: (e[-1], m) for m, (k, e) in enumerate(zip(monos, exps))}
+        terms = [[(index[k], c) for k, c in t] for t in terms]
         lasts = {e[-1] for e in exps}
         outer_exps = list(zip(*exps))[:-1]
         outer_scales = [
@@ -324,7 +320,7 @@ def _grid_sweep(a, extra, spec):
             factor = [1] * len(monos)
             for x, es, scale in zip(nums, outer_exps, outer_scales):
                 factor = list(map(mul, factor, map(mul, map(pow, itertools.repeat(x), es), scale)))
-            line_terms = [[(e, c * factor[m]) for e, c, m in t] for t in terms]
+            line_terms = [[(e, c * factor[m]) for (e, m), c in t] for t in terms]
         for values, powers in blocks or (_block(last, tops[-1], lasts, s) for s in starts):
             block = [_along(t, powers, len(values)) for t in line_terms[:evaluated]]
             stop = len(values)  # the first point of the block where A is not symmetric
@@ -368,39 +364,19 @@ def _along(terms, powers, size):
     return [0] * size if acc is None else acc if type(acc) is list else list(acc)
 
 
-def _axis_bits(A, D, E, count):
-    """Bits of the largest numerator or denominator among the axis's values
-    (A + k*D)/E in lowest terms: the values are reduced in turn, one gcd
-    each, from the endpoint of larger magnitude on, until one reaches the
-    bound from the endpoints, which none exceeds."""
-    far = abs(A + (count - 1) * D)
-    bound = max(abs(A), far, E).bit_length()
-    best = 0
-    for k in range(count) if abs(A) > far else range(count - 1, -1, -1):
-        num = A + k * D
-        best = max(best, (max(abs(num), E) // math.gcd(num, E)).bit_length())
-        if best == bound:
-            break
-    return best
-
-
 def _check_grid_bits(bits, tops, axes):
     """Raise ValueError when the grid's integers would exceed _GRID_BITS_CAP bits.
 
     One point's integer has at most about (coefficient bits) + sum_v top_v *
-    (bits of the largest numerator or denominator of axis v's values in
-    lowest terms) bits; that bound times the point count is estimated
-    before any value is made or power taken.  The axes' endpoints bound it
-    first; only when that bound is too large are the values reduced
-    (_axis_bits), so that the estimate a refusal reports is the grid's own.
+    (bits of the largest |A_v + k*D_v| or E_v) bits, the integers that
+    _block and the line factors raise to powers (_axes); that bound times
+    the point count is estimated from the axes' endpoints, before any value
+    is made or power taken.
     """
     points, total = 1, bits
     for (A, D, E, count), top in zip(axes, tops):
         points *= count
         total += top * max(abs(A), abs(A + (count - 1) * D), E).bit_length()
-    if total * points <= _GRID_BITS_CAP and total <= _POINT_BITS_CAP:
-        return
-    total = bits + sum(top * _axis_bits(*axis) for axis, top in zip(axes, tops) if top)
     if total * points > _GRID_BITS_CAP:
         raise ValueError(
             f"grid evaluation needs about {total * points} integer bits "

@@ -422,10 +422,9 @@ def test_long_hostile_grid_refused_before_any_value(tmp_path, capsys):
 
 
 def test_hostile_grid_of_reducible_values_refused_fast(tmp_path, capsys):
-    # from 0 to 10^4000/7^4700 on 100,000 points: the endpoint bound refuses,
-    # and the values nearest 0 reduce far below it, so the values are reduced
-    # from the far end, where the first one reaches the bound (this took 37 s
-    # when every value was made and reduced first)
+    # from 0 to 10^4000/7^4700 on 100,000 points: refused from the axis's
+    # integer endpoints (this took 37 s when every value was made and reduced
+    # first, and 0.2 s when they were reduced from the far end)
     path = put(tmp_path, "big.mat", "1 1 1\nt1^4096\n")
     start = time.perf_counter()
     argv = ["psd-grid", path, f"--grid-high={10**4000}/{7**4700}", "--grid-low=0", "--grid-count=100000"]
@@ -436,6 +435,16 @@ def test_hostile_grid_of_reducible_values_refused_fast(tmp_path, capsys):
         "error: grid evaluation needs about 5449728100000 integer bits "
         "(54497281 per point), exceeding the bound 16777216\n",
     )
+
+
+def test_one_point_grid_ignores_a_huge_high_end(tmp_path, capsys):
+    # a one-point axis is its low end: a 1205-digit denominator on --grid-high
+    # must not enter the powers, as (10^1204)^4096 once did for 4.5 s
+    path = put(tmp_path, "big.mat", "1 1 1\nt1^4096 + 1\n")
+    start = time.perf_counter()
+    assert main(["psd-grid", path, "--grid-low=0", f"--grid-high=1/1{'0' * 1204}", "--grid-count=1"]) == 0
+    assert time.perf_counter() - start < 0.2
+    assert capsys.readouterr() == ("points=1 psd=1 non_psd=0\n", "")
 
 
 @pytest.mark.parametrize("flag", ["--grid-low", "--grid-high"])

@@ -590,19 +590,21 @@ def test_grid_bits_refused_before_any_value(monkeypatch):
     assert made == []
 
 
-def test_grid_bits_estimate_reads_reduced_values():
-    """The endpoints bound the estimate; a grid that bound refuses is judged
-    on its values in lowest terms.  At 1/(3q) and 1/(2q), q = 2^1021, the
-    values' denominators have 1023 bits but d*m = 6q has 1024: t1^4096 needs
-    1 + 4096*1023 bits per point, under _POINT_BITS_CAP, and is swept."""
+def test_grid_bits_estimate_bounds_the_integers_raised():
+    """The estimate bounds the integers the sweep raises to powers, the
+    axis's common denominator E among them.  At 1/(3q) and 1/(2q), q =
+    2^1021, the values' own denominators have 1023 bits but E = 6q has 1024:
+    t1^4096 needs 1 + 4096*1024 bits per point, over _POINT_BITS_CAP, and is
+    refused.  A one-point axis at 1/(3q) has E = 3q whatever its high end,
+    so it needs 1 + 4096*1023 bits and is swept."""
     q = 2**1021
     low, high = Fraction(1, 3 * q), Fraction(1, 2 * q)
     a = M([["t1^4096"]])
     assert 1 + 4096 * 1023 <= positivity._POINT_BITS_CAP < 1 + 4096 * 1024
-    assert list(_grid_sweep(a, [a[0, 0]], GridSpec(((low, high, 2),)))) == [
-        ((low,), True, True),
-        ((high,), True, True),
-    ]
+    for sweep in _sweeps(a, GridSpec(((low, high, 2),))):
+        with pytest.raises(ValueError, match=r"^one grid point needs about 4194305 integer bits"):
+            sweep()
+    assert list(_grid_sweep(a, [a[0, 0]], GridSpec(((low, high, 1),)))) == [((low,), True, True)]
 
 
 def test_line_sweep_blocks_on_two_axes(monkeypatch):
