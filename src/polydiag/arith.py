@@ -22,9 +22,9 @@ constructed polynomial may hold exponents below 2^31, the guard bit that
 exact_div borrows against.  sum_of_products accumulates a whole sum of
 products on plain integers over one common denominator; a single product is
 its one-pair case.  _images maps one-variable polynomials to integers at
-t1 = 2^beta, and _from_image maps such an integer back: every integer is
-the image of exactly one integer polynomial with balanced base-2^beta
-digits (_digits), so the two are inverse on those polynomials.
+t1 = 2^beta, and polymat._ImageContext.from_walk maps such an integer back:
+every integer is the image of exactly one integer polynomial with balanced
+base-2^beta digits (_digits), so the two are inverse on those polynomials.
 
 The text syntax (used by the file formats and the CLI) is
 
@@ -517,15 +517,6 @@ def _images(forms, lcm, beta):
             prev = k
         out.append((value << beta * prev) * (lcm // den))
     return out
-
-
-def _from_image(value, beta, den):
-    """N/den, for den > 0 and N the one-variable integer polynomial whose
-    coefficients are value's balanced base-2^beta digits (_digits).  Its
-    image N(2^beta) is value for every integer value, so this inverts
-    _images on every polynomial whose coefficients, times den, lie in
-    [-2^(beta-1), 2^(beta-1)): those digits are unique."""
-    return _reduced(1, den, _digits(value, beta)[0])
 
 
 def _digits(value, beta):

@@ -101,9 +101,8 @@ def _expand_axis_values(values, nvars, flag):
         return values * nvars
     if len(values) == nvars:
         return list(values)
-    raise _UsageError(
-        f"{flag} given {len(values)} times, expected once or {nvars} times (one per variable)"
-    )
+    expected = "once (one variable)" if nvars == 1 else f"once or {nvars} times (one per variable)"
+    raise _UsageError(f"{flag} given {len(values)} times, expected {expected}")
 
 
 def _grid_spec(args, nvars):

@@ -6,7 +6,7 @@ Each route checks every certificate it returns once, against its subject,
 with diag_certificate_failures (the bundle through
 bundle_certificate_failures, so it records that subject), in the walk's
 ring: one polymat._ImageContext per call, which holds _walk's symmetry
-test and, on integer images, the walk's integers (see the last paragraph):
+test and, on integer images, the walk's seeds (see its docstring):
 
 - standard_form_diagonalize: one closed-form certificate for matrices in
   standard form (rank r with M_1, ..., M_r all nonzero), pivoting on the
@@ -47,12 +47,12 @@ only: that leaves [B | X_minus], B = P*A*P^t, and X_plus = P^-1*X_plus'.
 The walk runs on one of two rings, with the same code.  In two or more
 variables its entries are Polynomials.  In one variable it packs L*[A | I]
 once, L the lcm of A's denominators, into the integers N(2^beta) of its
-integer polynomial entries N (arith._images); products, exact divisions,
-zero tests and compactions then act on Python ints, since evaluation at
-t1 = 2^beta is a ring homomorphism, and _finish unpacks each certificate
-entry once (arith._from_image).  Each step's numerator carries one more
-factor L than its divisor, so an entry of row p after s steps is
-L^(s+1) times the rational one.  beta comes from an a-priori bound.  Every
+integer polynomial entries N (_ImageContext.image_subject); products,
+exact divisions, zero tests and compactions then act on Python ints, since
+evaluation at t1 = 2^beta is a ring homomorphism, and _finish unpacks each
+certificate entry once (_ImageContext.from_walk).  Each step's numerator
+carries one more factor L than its divisor, so an entry of row p after s
+steps is L^(s+1) times the rational one.  beta comes from an a-priori bound.  Every
 value the walk tests for zero or unpacks is a minor of size at most n of
 some P*L*[A | I]*(P^t (+) I), or a product of such minors of total size at
 most E, combined by the rows of P^-1.  A row of L*[A | I] has l1 norm at
@@ -72,22 +72,6 @@ the big-integer products cost more than the sparse ones.  Images of
 polynomials in several variables would be dense and far larger than their
 terms, so those walks stay sparse.
 
-The check of a walk on images runs in the walk's ring, on its integers at
-its beta_w.  _packed seeds the ring with the subject's images
-L*A(2^beta_w); _emit, as it unpacks each distinct certificate entry once
-per leaf, seeds X_plus, X_minus, D and w with the integers it unpacked
-them from, an entry over L^e lifted by L^(top - e) under the factor scale
-L^top, top the factor's largest power, and with each factor's l1 bound and
-degree read off the balanced digits.  Every integer is the image at
-2^beta_w of the one polynomial with its balanced base-2^beta_w digits
-(arith._from_image), so each seed is exactly the image of the entry
-emitted from it, whatever the walk computed.  So when an identity's own
-bound, from those digits, gives a beta no larger than beta_w, its seeded
-images decide it exactly: the difference of its sides has coefficients
-below 2^(beta-1) <= 2^(beta_w-1).  An identity whose bound needs more, or
-one with a factor that has no seed, has every factor imaged afresh at its
-own beta, as a verification of parsed text has.  The seeds die with the
-producer call.
 """
 
 from __future__ import annotations
@@ -95,7 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import Polynomial, _digits, _image_bounds, _images, _reduced
+from .arith import Polynomial, _image_bounds
 from .certificates import (
     DiagBundle, DiagCertificate, PivotTrace, _require, bundle_certificate_failures, diag_certificate_failures
 )
@@ -140,7 +124,7 @@ def standard_form_check(a):
     """Rank and leading minors, or NotStandardForm naming the first zero minor."""
     ring, work, _p_inv, level, _pivots, _vacuous = _standard_form(a)
     rank = level + bool(work[level][level])
-    return StandardFormData([ring.poly(work[p][p], p + 1) for p in range(rank)])
+    return StandardFormData([ring.from_walk({}, None, [work[p][p]], [p + 1]) for p in range(rank)])
 
 
 def standard_form_diagonalize(a):
@@ -330,9 +314,7 @@ def _packed(a, route):
         g = (n * bound + lcm) << 2 * moves
         beta = (4 * n * g**e << moves).bit_length() + 2
         if beta * (e * degree + 1) <= _WALK_BITS_CAP:
-            images = _images(forms, lcm, beta)
-            ring.beta, ring.lcm = beta, lcm
-            ring.seed(a, lcm, bound, degree, images)
+            images = ring.image_subject(a, beta, lcm, bound, degree, forms)
             rows = [images[r * n : (r + 1) * n] + [lcm * (r == c) for c in range(n)] for r in range(n)]
             return ring, rows
     ring.one, ring.zero = Polynomial.one(nvars), Polynomial.zero(nvars)
@@ -397,10 +379,9 @@ def _finish(ring, work, p_inv, level, pivots, vacuous, jacobi=True):
     X_plus and w are zero.
 
     Both rings compute alike.  On the image ring, whose entry of row p is
-    L^(min(p,k)+1) times the rational one, _emit unpacks each distinct
-    certificate entry once, over the power of L that its product of minors
-    carries, and seeds the check with its integer:
-    with S = k(k+1)/2, X_plus over L^S, X_minus over L^(S+1), D over
+    L^(min(p,k)+1) times the rational one, ring.from_walk unpacks each
+    distinct certificate entry once, over the power of L that its product
+    of minors carries, and seeds the check with its integer: with S = k(k+1)/2, X_plus over L^S, X_minus over L^(S+1), D over
     L^(2S+1) and w over L^(2S) when jacobi is false; otherwise X_plus's
     column j over L^(S-min(j,k)), X_minus's row p over L^(min(p,k)+1), D_p
     over L^(2p+1) and w over L^S.
@@ -443,48 +424,11 @@ def _finish(ring, work, p_inv, level, pivots, vacuous, jacobi=True):
     d += [zero] * (n - rank)
     memo = {}
     cert = DiagCertificate(
-        _emit(ring, memo, n, [x for row in _combine(p_inv, x_plus) for x in row], xp_over * n),
-        _emit(ring, memo, n, [x for row in x_minus for x in row], [e for e in xm_over for _ in range(n)]),
-        _emit(ring, memo, n, [d[p] if p == q else zero for p in range(n) for q in range(n)],
-              [e for e in d_over for _ in range(n)]),
-        _emit(ring, memo, None, [w], [w_over]),
+        ring.from_walk(memo, n, [x for row in _combine(p_inv, x_plus) for x in row], xp_over * n),
+        ring.from_walk(memo, n, [x for row in x_minus for x in row], [e for e in xm_over for _ in range(n)]),
+        ring.from_walk(memo, n, [d[p] if p == q else zero for p in range(n) for q in range(n)],
+                       [e for e in d_over for _ in range(n)]),
+        ring.from_walk(memo, None, [w], [w_over]),
     )
     return cert, PivotTrace(pivots)
 
-
-def _emit(ring, memo, n, values, powers):
-    """The n x n PolyMatrix, or for n None the Polynomial, whose entries,
-    row-major, are values, the entry at k over L^powers[k].
-
-    On the image ring, each distinct entry is unpacked once per leaf (memo
-    maps (value, power) to its Polynomial, l1 norm and degree), and the
-    factor is seeded in the ring: under the scale L^top, top the largest
-    power, its images are value*L^(top - power) at the walk's beta, and its
-    bound the largest l1 norm of an entry times L^(top - power), both read
-    off the balanced digits.
-    """
-    if not ring.beta:
-        return PolyMatrix(n, n, values) if n else values[0]
-    beta, lcm, top = ring.beta, ring.lcm, max(powers)
-    lifts = None if lcm == 1 else [lcm ** (top - e) for e in range(top + 1)]
-    zero = Polynomial.zero(1)
-    polys = []
-    bound = degree = 0
-    for x, e in zip(values, powers):
-        if not x:
-            polys.append(zero)
-            continue
-        known = memo.get((x, e))
-        if known is None:
-            pairs, l1 = _digits(x, beta)
-            known = memo[x, e] = (_reduced(1, lcm**e, pairs), l1, pairs[0][0])
-        polys.append(known[0])
-        l1 = known[1] if lifts is None else known[1] * lifts[e]
-        if l1 > bound:
-            bound = l1
-        if known[2] > degree:
-            degree = known[2]
-    image = values if lifts is None else [x * lifts[e] for x, e in zip(values, powers)]
-    f = PolyMatrix(n, n, polys) if n else polys[0]
-    ring.seed(f, lcm**top, bound, degree, image)
-    return f

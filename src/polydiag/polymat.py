@@ -20,7 +20,8 @@ sums X*M*X^t and @ multiplies two matrices, with one product routine,
 _sum_of_terms, on one of two rings: integer (Kronecker) images at
 t1 = 2^beta in one variable, otherwise Polynomials.  An _ImageContext
 carries each factor's bounds, and the producers' seeded images, across the
-identities of one verification.
+identities of one verification; it holds the walks' image format too,
+imaging a one-variable subject and unpacking a walk's integers.
 
 Matrix file format: a header line ``rows cols nvars`` (nvars at most
 MAX_NVARS) followed by rows*cols polynomial lines in row-major order.
@@ -37,7 +38,7 @@ from itertools import chain, repeat
 from operator import add, mul
 
 from .arith import (
-    MAX_NVARS, Polynomial, _decimal_int, _from_image, _image_bounds, _images, parse_polynomial, sum_of_products
+    MAX_NVARS, Polynomial, _decimal_int, _digits, _image_bounds, _images, _reduced, parse_polynomial, sum_of_products
 )
 from .errors import ParseError
 
@@ -333,9 +334,28 @@ class _ImageContext:
     S*p(2^beta) of its entries, row-major, at the context's beta.  symmetric
     is the subject last found symmetric in this context, so that the
     branches of a bundle, or a producer and its check, test it once.  A
-    producer's context is its walk's ring, beta set by diagonal._packed: lcm
+    producer's context is its walk's ring, beta set by image_subject: lcm
     is the lcm L of the subject's denominators, one and zero are ints, or
     Polynomials at beta 0.
+
+    The check of a walk on images runs in the walk's ring, on its integers
+    at its beta_w.  image_subject seeds the ring with the subject's images
+    L*A(2^beta_w); from_walk, as it unpacks each distinct certificate entry
+    once per leaf, seeds X_plus, X_minus, D and w with the integers it
+    unpacked them from, an entry over L^e lifted by L^(top - e) under the
+    factor scale L^top, top the factor's largest power, and with each
+    factor's l1 bound and degree read off the balanced digits.  Every
+    integer is the image at 2^beta_w of the one polynomial with its
+    balanced base-2^beta_w digits (arith._digits), the one from_walk reads
+    off it: so each seed is exactly the image of the entry emitted from it,
+    whatever the walk computed, and from_walk inverts _images wherever
+    those digits are the coefficients.  So when an identity's own bound,
+    from those digits, gives a beta no larger than beta_w, its seeded
+    images decide it exactly: the difference of its sides has coefficients
+    below 2^(beta-1) <= 2^(beta_w-1).  An identity whose bound needs more,
+    or one with a factor that has no seed, has every factor imaged afresh
+    at its own beta, as a verification of parsed text has.  The seeds die
+    with the producer call.
     """
 
     __slots__ = ("beta", "factors", "symmetric", "lcm", "one", "zero")
@@ -346,14 +366,51 @@ class _ImageContext:
         self.symmetric = None
         self.lcm, self.one, self.zero = 1, 1, 0
 
-    def poly(self, value, power):
-        """The Polynomial of a walk's entry over L^power."""
-        if not self.beta:
-            return value
-        return _from_image(value, self.beta, self.lcm**power)
-
     def seed(self, f, scale, bound, degree, image):
         self.factors[id(f)] = (f, scale, bound, degree, None, image)
+
+    def image_subject(self, a, beta, lcm, bound, degree, forms):
+        """Set the context's beta and L = lcm for a walk on a, seed a with
+        the integers L*p(2^beta) of its entries p, row-major, and return
+        them; lcm, bound, degree and forms are _image_bounds(a.entries)."""
+        images = _images(forms, lcm, beta)
+        self.beta, self.lcm = beta, lcm
+        self.seed(a, lcm, bound, degree, images)
+        return images
+
+    def from_walk(self, memo, n, values, powers):
+        """The n x n PolyMatrix, or for n None the Polynomial, whose entries,
+        row-major, are a walk's values, the entry at k over L^powers[k].
+
+        On integer images each distinct entry is unpacked once per memo,
+        which maps (value, power) to its Polynomial, l1 norm and degree, and
+        the factor is seeded under the scale L^top, top the largest power.
+        """
+        if not self.beta:
+            return PolyMatrix(n, n, values) if n else values[0]
+        beta, lcm, top = self.beta, self.lcm, max(powers)
+        lifts = None if lcm == 1 else [lcm ** (top - e) for e in range(top + 1)]
+        zero = Polynomial.zero(1)
+        polys = []
+        bound = degree = 0
+        for x, e in zip(values, powers):
+            if not x:
+                polys.append(zero)
+                continue
+            known = memo.get((x, e))
+            if known is None:
+                pairs, l1 = _digits(x, beta)
+                known = memo[x, e] = (_reduced(1, lcm**e, pairs), l1, pairs[0][0])
+            polys.append(known[0])
+            l1 = known[1] if lifts is None else known[1] * lifts[e]
+            if l1 > bound:
+                bound = l1
+            if known[2] > degree:
+                degree = known[2]
+        image = values if lifts is None else [x * lifts[e] for x, e in zip(values, powers)]
+        f = PolyMatrix(n, n, polys) if n else polys[0]
+        self.seed(f, lcm**top, bound, degree, image)
+        return f
 
     def diagonal(self, scalar, n):
         """PolyMatrix.diagonal([scalar] * n), seeded when scalar is."""

@@ -206,9 +206,10 @@ def _axes(spec):
     their gcd.  A one-point axis is low's (numerator, 0, denominator): high
     plays no part in it.
     """
-    total, axes = 1, []
+    if spec.total_points() > _GRID_CAP:
+        raise ValueError(f"grid has {spec.total_points()} points, exceeding the cap {_GRID_CAP}")
+    axes = []
     for low, high, count in spec.axes:
-        total *= count
         if count == 1:
             high = low
         d = math.lcm(low.denominator, high.denominator)
@@ -217,15 +218,7 @@ def _axes(spec):
         A, D, E = a * m, high.numerator * (d // high.denominator) - a, d * m
         h = math.gcd(A, D, E)
         axes.append((A // h, D // h, E // h, count))
-    if total > _GRID_CAP:
-        raise ValueError(f"grid has {total} points, exceeding the cap {_GRID_CAP}")
     return axes
-
-
-def _axis_values(spec):
-    """Per-axis value lists of the grid, as Fractions; raises when the total
-    exceeds the cap."""
-    return [[Fraction(A + k * D, E) for k in range(count)] for A, D, E, count in _axes(spec)]
 
 
 def generate_grid(spec):
@@ -234,7 +227,8 @@ def generate_grid(spec):
     Axis values are low + k*(high - low)/(count - 1); a one-point axis
     yields its low endpoint.  Raises when the total exceeds the cap.
     """
-    return tuple(itertools.product(*_axis_values(spec)))
+    values = [[Fraction(A + k * D, E) for k in range(count)] for A, D, E, count in _axes(spec)]
+    return tuple(itertools.product(*values))
 
 
 def _grid_sweep(a, extra, spec):

@@ -297,6 +297,8 @@ def test_psd_grid_flag_validation(tmp_path, capsys):
     assert main(["psd-grid", bivar, "--grid-count", "3", "--grid-count", "3",
                  "--grid-count", "3"]) == 1
     assert "expected once or 2 times" in capsys.readouterr().err
+    assert main(["psd-grid", path, "--grid-low", "1", "--grid-low", "2"]) == 1
+    assert capsys.readouterr().err == "error: --grid-low given 2 times, expected once (one variable)\n"
 
 
 @pytest.mark.parametrize("command", ["psd-grid", "equiv-check"])

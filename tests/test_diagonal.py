@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polydiag import certificates, diagonal, polymat
-from polydiag.arith import Polynomial, parse_polynomial
+from polydiag.arith import Polynomial, _images, parse_polynomial
 from polydiag.certificates import (
     diag_certificate_failures,
     format_bundle_certificate,
@@ -161,10 +161,11 @@ def test_one_elimination_matches_reference_minors(seed, n, nvars, shape):
         assert data.minors == tuple(leading[:rank])
         # column j's entries are (j+1)-minors: over L^(j+1) on the image ring
         for j in range(rank):
-            assert ring.poly(work[j][j], j + 1) == a.leading_principal_minor(j + 1)
+            minor = lambda value: ring.from_walk({}, None, [value], [j + 1])
+            assert minor(work[j][j]) == a.leading_principal_minor(j + 1)
             for i in range(j + 1, n):
                 lead = tuple(range(1, j + 1))
-                assert ring.poly(work[i][j], j + 1) == a.minor(lead + (i + 1,), lead + (j + 1,))
+                assert minor(work[i][j]) == a.minor(lead + (i + 1,), lead + (j + 1,))
 
 
 # -- standard_form_diagonalize ----------------------------------------------
@@ -708,7 +709,7 @@ def test_walk_ring_follows_the_image_cap():
         for a in (ten, two, big):
             assert isinstance(diagonal._packed(a, route)[0].one, Polynomial)
     with pytest.MonkeyPatch.context() as mp:
-        images = count_calls(mp, "_images", (diagonal,))
+        images = count_calls(mp, "image_subject", (polymat._ImageContext,))
         single_path_diagonalize(small)
         assert len(images) == 1
         for a in (ten, big):
@@ -816,6 +817,34 @@ def test_seeded_checks_match_parsed_certificates(seed, n, shape, rational):
     for route in PRODUCERS:
         _out, checks = _produce_recording(route, a)
         _assert_checks_match_parsed(checks, seeded=True)
+
+
+@BOUNDED
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    shape=st.sampled_from(("random", "zero row", "zero corner")),
+    rational=st.booleans(),
+)
+def test_every_seed_is_the_image_of_its_factor(seed, n, shape, rational):
+    """Every record a producer seeds (the subject, X_plus, X_minus, D, w
+    and diag(w, n) of each certificate it checks) holds exactly the images
+    of its factor's entries under its scale at the walk's beta, with an l1
+    bound no smaller than any scaled entry's and their largest degree."""
+    a = _ring_subject(seed, n, shape, rational)
+    for route in PRODUCERS:
+        _out, checks = _produce_recording(route, a)
+        for subject, cert, images, _betas, _failures in checks:
+            seeded = {key: r for key, r in images.factors.items() if r[5] is not None}
+            for f, scale, bound, degree, _forms, image in seeded.values():
+                forms = [p._form for p in (f.entries if isinstance(f, PolyMatrix) else (f,))]
+                assert all(scale % den == 0 for den, _pairs in forms)
+                assert image == _images(forms, scale, images.beta)
+                assert bound >= max(scale // den * sum(abs(c) for _k, c in pairs) for den, pairs in forms)
+                assert degree == max((pairs[0][0] for _den, pairs in forms if pairs), default=0)
+            assert {id(f) for f in (subject, cert.X_plus, cert.X_minus, cert.D, cert.w)} <= seeded.keys()
+            w_diag = PolyMatrix.diagonal([cert.w] * n)
+            assert any(r[0] == w_diag for r in seeded.values())
 
 
 def _bent_step(rows, k, prev, symmetric=False):

@@ -19,7 +19,6 @@ from polydiag.arith import (
     MAX_EXPONENT,
     Polynomial,
     _digits,
-    _from_image,
     _image_bounds,
     _images,
     _pack,
@@ -158,6 +157,14 @@ def test_constant_division_rescales():
         r.exact_div("t1")
 
 
+def _from_walk(value, beta, den):
+    """The Polynomial that _ImageContext.from_walk, the producers' unpacking,
+    reads off one walk integer at beta over den."""
+    ring = _ImageContext()
+    ring.beta, ring.lcm = beta, den
+    return ring.from_walk({}, None, [value], [1])
+
+
 def test_from_image_inverts_images():
     """Balanced base-2^beta digits give back every one-variable polynomial
     whose scaled coefficients stay below 2^(beta-1), the least such beta
@@ -172,8 +179,8 @@ def test_from_image_inverts_images():
         lcm, bound, _degree, forms = _image_bounds([p])
         beta = bound.bit_length() + 1
         for b in (beta, beta + 7):
-            assert _from_image(_images(forms, lcm, b)[0], b, lcm) == p
-            assert _from_image(-_images(forms, lcm, b)[0], b, lcm) == -p
+            assert _from_walk(_images(forms, lcm, b)[0], b, lcm) == p
+            assert _from_walk(-_images(forms, lcm, b)[0], b, lcm) == -p
 
 
 def _edge_integer(rng, beta, shape):
@@ -195,11 +202,11 @@ def _edge_integer(rng, beta, shape):
 
 def test_from_image_inverts_images_on_every_integer():
     """Every integer is the image at 2^beta of the one polynomial that
-    _from_image reads off it, whatever its size: den times that polynomial
-    has value's balanced digits, each in [-2^(beta-1), 2^(beta-1)), as
-    coefficients, and _digits' l1 is their absolute sum.  The producers'
-    seeded checks rest on this: a walk integer is the image of the
-    polynomial emitted from it."""
+    _ImageContext.from_walk reads off it, whatever its size: den times that
+    polynomial has value's balanced digits, each in [-2^(beta-1),
+    2^(beta-1)), as coefficients, and _digits' l1 is their absolute sum.
+    The producers' seeded checks rest on this: a walk integer is the image
+    of the polynomial emitted from it."""
     rng = random.Random(23)
     shapes = ("random", "top", "sparse", "small")
     for k in range(400):
@@ -207,7 +214,7 @@ def test_from_image_inverts_images_on_every_integer():
         den = 1 if k % 2 else rng.randint(2, 10**9)
         value = _edge_integer(rng, beta, shapes[k % 4])
         for v in (value, -value, 0):
-            p = _from_image(v, beta, den)
+            p = _from_walk(v, beta, den)
             assert _images([p._form], den, beta) == [v]
             pairs, l1 = _digits(v, beta)
             assert p * den == Polynomial(1, {(e,): c for e, c in pairs})

@@ -22,7 +22,6 @@ from polydiag.polymat import PolyMatrix
 from polydiag.positivity import (
     GridSpec,
     RationalMatrix,
-    _axis_values,
     _grid_sweep,
     _psd_int,
     check_bundle_equivalence,
@@ -258,7 +257,7 @@ def test_grid_fractional_steps():
 )
 def test_axis_values_equal_rational_steps(low, width, count):
     high = low + width
-    (values,) = _axis_values(GridSpec(((low, high, count),)))
+    values = [x for (x,) in generate_grid(GridSpec(((low, high, count),)))]
     if count == 1:
         assert values == [low]
     else:
