@@ -10,6 +10,14 @@ Subcommands:
 Exit codes: 0 success, 1 parse or usage error, 2 algorithm precondition
 violated, 3 verification failure, 4 grid positivity failure, 5 equivalence
 disagreement.  Outputs are byte-deterministic for fixed inputs and flags.
+
+Each subcommand's grammar (positionals, and each flag's name, dest, type,
+choices, default, metavar and help) is stated once, in _COMMANDS.  The
+argparse parser is built from it, and _read_plain reads plain command lines
+from it directly: exact flag names, values that do not start with '-' but
+negative grid bounds, and the right positional count.  Every other command
+line goes through argparse, so help, abbreviations and usage errors read,
+and exit, as argparse makes them.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
@@ -121,80 +130,6 @@ def _grid_spec(args, nvars):
     return GridSpec(tuple(axes))
 
 
-def _add_grid_flags(parser):
-    parser.add_argument(
-        "--grid-low",
-        action="append",
-        metavar="Q",
-        help="axis lower bound, rational; repeat per variable (default -10)",
-    )
-    parser.add_argument(
-        "--grid-high",
-        action="append",
-        metavar="Q",
-        help="axis upper bound, rational; repeat per variable (default 10)",
-    )
-    parser.add_argument(
-        "--grid-count",
-        action="append",
-        type=_int_flag,
-        metavar="N",
-        help="points per axis; repeat per variable (default 21)",
-    )
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="polydiag",
-        description="Exact congruence diagonalization of symmetric polynomial "
-        "matrices, with machine-checkable positivity certificates.",
-    )
-    parser.add_argument("--version", action="version", version=f"polydiag {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("diagonalize", help="diagonalize a symmetric matrix file")
-    p.add_argument("matrix_file")
-    p.add_argument(
-        "--mode",
-        choices=("standard", "single", "bundle"),
-        default="single",
-        help="standard: minor-based closed form; single: one pivot path; "
-        "bundle: every pivot path (default: single)",
-    )
-    p.add_argument("--out", metavar="PATH", help="write the certificate here instead of stdout")
-    p.add_argument(
-        "--cap-branches",
-        type=_int_flag,
-        default=10_000,
-        metavar="N",
-        help="abort bundle mode past this many branches (default 10000)",
-    )
-    p.set_defaults(func=_cmd_diagonalize)
-
-    p = sub.add_parser("verify", help="verify a certificate against a subject matrix")
-    p.add_argument("matrix_file")
-    p.add_argument("certificate_file")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("psd-grid", help="test pointwise PSD-ness on a rational grid")
-    p.add_argument("matrix_file")
-    _add_grid_flags(p)
-    p.set_defaults(func=_cmd_psd_grid)
-
-    p = sub.add_parser("equiv-check", help="compare a bundle with the PSD oracle on a grid")
-    p.add_argument("matrix_file")
-    p.add_argument("certificate_file")
-    _add_grid_flags(p)
-    p.set_defaults(func=_cmd_equiv_check)
-
-    p = sub.add_parser("gens", help="print ascending products of diagonal generators")
-    p.add_argument("matrix_files", nargs="+")
-    p.add_argument("--out", metavar="PATH", help="write the listing here instead of stdout")
-    p.set_defaults(func=_cmd_gens)
-
-    return parser, sub.choices
-
-
 def _cmd_diagonalize(args):
     a = _read(args.matrix_file)
     if args.mode == "standard":
@@ -209,10 +144,9 @@ def _cmd_diagonalize(args):
     return 0
 
 
-def _checked_certificate(args, only=None):
-    """(subject, kind, payload, failures) for the matrix and certificate files
-    of ``args``; each failed identity is printed."""
-    a = _read(args.matrix_file)
+def _checked_certificate(args, a, only=None):
+    """(kind, payload, failures) for the certificate file of ``args`` and its
+    subject ``a``; each failed identity is printed."""
     kind, payload = _read(args.certificate_file, parse_certificate)
     if only and kind != only:
         raise _UsageError(f"{args.command} needs a {only} certificate, got kind {kind!r}")
@@ -221,11 +155,11 @@ def _checked_certificate(args, only=None):
     failures = _KINDS[kind].failures(a, payload)
     for f in failures:
         print(f"identity failed: {f}")
-    return a, kind, payload, failures
+    return kind, payload, failures
 
 
 def _cmd_verify(args):
-    _a, kind, _payload, failures = _checked_certificate(args)
+    kind, _payload, failures = _checked_certificate(args, _read(args.matrix_file))
     if failures:
         return 3
     print(f"ok: {kind} certificate verifies")
@@ -247,10 +181,12 @@ def _cmd_psd_grid(args):
 
 
 def _cmd_equiv_check(args):
-    a, _kind, bundle, failures = _checked_certificate(args, only="bundle")
+    a = _read(args.matrix_file)
+    grid = _grid_spec(args, a.nvars)  # bad grid flags are refused before the bundle is read
+    _kind, bundle, failures = _checked_certificate(args, a, only="bundle")
     if failures:
         return 3
-    report = check_bundle_equivalence(a, bundle, _grid_spec(args, a.nvars))
+    report = check_bundle_equivalence(a, bundle, grid)
     for point, oracle, bundle_flag in report.disagreements:
         print(f"{_format_point(point)}; oracle={int(oracle)}; bundle={int(bundle_flag)}")
     print(
@@ -271,9 +207,84 @@ def _cmd_gens(args):
     return 0
 
 
-_PARSER, _SUBPARSERS = _build_parser()
+# A flag of the grammar below: dest names its value in the namespace,
+# append collects every value given into a list, the rest is argparse's
+_Flag = namedtuple(
+    "_Flag", "name dest help metavar type choices default append", defaults=(None,) * 4 + (False,)
+)
 
-# --grid-low and --grid-high as argparse's abbreviations reach them
+
+def _out_flag(what):
+    return _Flag("--out", "out", f"write {what} here instead of stdout", "PATH")
+
+
+_GRID_FLAGS = (
+    _Flag("--grid-low", "grid_low",
+          "axis lower bound, rational; repeat per variable (default -10)", "Q", append=True),
+    _Flag("--grid-high", "grid_high",
+          "axis upper bound, rational; repeat per variable (default 10)", "Q", append=True),
+    _Flag("--grid-count", "grid_count",
+          "points per axis; repeat per variable (default 21)", "N", type=_int_flag, append=True),
+)
+
+# Each subcommand's grammar: its help line, its positionals as (dest,
+# nargs), nargs "+" only for a lone one, its flags by name, and the function
+# that runs it.  _build_parser makes the argparse parser from it and
+# _read_plain reads plain argv by it.
+_COMMANDS = {
+    name: (help, positionals, {f.name: f for f in flags}, func)
+    for name, help, positionals, flags, func in (
+        ("diagonalize", "diagonalize a symmetric matrix file", (("matrix_file", None),), (
+            _Flag("--mode", "mode", "standard: minor-based closed form; single: one pivot path; "
+                  "bundle: every pivot path (default: single)",
+                  choices=("standard", "single", "bundle"), default="single"),
+            _out_flag("the certificate"),
+            _Flag("--cap-branches", "cap_branches",
+                  "abort bundle mode past this many branches (default 10000)", "N",
+                  type=_int_flag, default=10_000),
+        ), _cmd_diagonalize),
+        ("verify", "verify a certificate against a subject matrix",
+         (("matrix_file", None), ("certificate_file", None)), (), _cmd_verify),
+        ("psd-grid", "test pointwise PSD-ness on a rational grid", (("matrix_file", None),),
+         _GRID_FLAGS, _cmd_psd_grid),
+        ("equiv-check", "compare a bundle with the PSD oracle on a grid",
+         (("matrix_file", None), ("certificate_file", None)), _GRID_FLAGS, _cmd_equiv_check),
+        ("gens", "print ascending products of diagonal generators", (("matrix_files", "+"),),
+         (_out_flag("the listing"),), _cmd_gens),
+    )
+}
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="polydiag",
+        description="Exact congruence diagonalization of symmetric polynomial "
+        "matrices, with machine-checkable positivity certificates.",
+    )
+    parser.add_argument("--version", action="version", version=f"polydiag {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help, positionals, flags, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        for dest, nargs in positionals:
+            p.add_argument(dest, nargs=nargs)
+        for f in flags.values():
+            p.add_argument(
+                f.name,
+                action="append" if f.append else "store",
+                dest=f.dest,
+                type=f.type,
+                choices=f.choices,
+                default=f.default,
+                metavar=f.metavar,
+                help=f.help,
+            )
+        p.set_defaults(func=func)
+    return parser
+
+
+_PARSER = _build_parser()
+
+# --grid-low and --grid-high, and argparse's abbreviations of them
 _GRID_BOUND_FLAG_RE = re.compile(r"--grid-(?:l(?:ow?)?|h(?:i(?:gh?)?)?)")
 
 
@@ -300,21 +311,76 @@ def _join_negative_bounds(argv):
     return out
 
 
+def _read_plain(argv):
+    """The namespace _PARSER gives a plain argv, read from _COMMANDS alone;
+    None for any other argv.
+
+    Plain: argv[0] names a subcommand; each word that starts with '-' is one
+    of its flags, by its exact name, as --flag value or --flag=value; no
+    value starts with '-' but a negative rational after --grid-low or
+    --grid-high; each value passes its flag's type and choices; and the
+    positionals number as the subcommand takes them, in one run when one
+    takes several, as argparse reads a run.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    _help, positionals, flags, func = command
+    values = {f.dest: f.default for f in flags.values()}
+    words, gap = [], False
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            if gap and words and positionals[-1][1]:
+                return None  # argparse ends a run of several at a flag
+            words.append(arg)
+            gap = False
+            continue
+        name, eq, value = arg.partition("=")
+        f = flags.get(name)
+        if f is None:
+            return None
+        if not eq:
+            value = next(rest, None)
+            if value is None:
+                return None
+        if value.startswith("-") and not (
+            _RATIONAL_RE.fullmatch(value) and _GRID_BOUND_FLAG_RE.fullmatch(name)
+        ):
+            return None
+        if f.type is not None:
+            try:
+                value = f.type(value)
+            except ValueError:
+                return None
+        if f.choices is not None and value not in f.choices:
+            return None
+        values[f.dest] = (values[f.dest] or []) + [value] if f.append else value
+        gap = True
+    if positionals[-1][1]:
+        if not words:
+            return None
+        values[positionals[0][0]] = words
+    elif len(words) == len(positionals):
+        values.update(zip((dest for dest, _nargs in positionals), words))
+    else:
+        return None
+    return argparse.Namespace(command=argv[0], **values, func=func)
+
+
 def _parse_args(argv):
     """The namespace of argv, as _PARSER.parse_args(argv) gives it.
 
-    When argv[0] names a subcommand, that subcommand's parser reads the rest
-    alone.  Any other argv, or one that leaves arguments over, goes through
-    _PARSER, so every usage text and exit code is the full parser's.
+    A plain argv is read by _read_plain, with no argparse parser.  Any other
+    goes through _PARSER, after _join_negative_bounds for the grid commands,
+    so every help and usage text and exit code is argparse's.
     """
-    sub = _SUBPARSERS.get(argv[0]) if argv else None
-    if sub is not None:
-        if argv[0] in ("psd-grid", "equiv-check"):
+    args = _read_plain(argv)
+    if args is None:
+        if argv[:1] in (["psd-grid"], ["equiv-check"]):
             argv = _join_negative_bounds(argv)
-        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extras:
-            return args
-    return _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(argv)
+    return args
 
 
 def main(argv=None):

@@ -4,6 +4,8 @@ Each test drives main() with an argv list and checks the exit code plus
 the captured output, the same way a shell user would see it.
 """
 
+import argparse
+import random
 import sys
 import time
 from pathlib import Path
@@ -16,6 +18,7 @@ from polydiag.certificates import MAX_GENERATORS, SosMatrixCertificate, format_s
 from polydiag.cli import main
 from polydiag.polymat import PolyMatrix
 
+import argv_differential
 from helpers import DIAG_BUNDLE, DIAG_SINGLE, EQUIV, count_calls
 
 SUBJECT = "2 2 1\nt1\n1\n1\nt1\n"
@@ -527,6 +530,28 @@ def test_equiv_check_needs_bundle(tmp_path, capsys):
     assert "needs a bundle certificate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,err", [
+    (["--grid-low", "abc"], "error: bad --grid-low value 'abc', expected a rational like -10 or 1/2\n"),
+    (["--grid-count", "0"], "error: --grid-count must be at least 1, got 0\n"),
+    (["--grid-low", "5", "--grid-high", "1"], "error: --grid-low 5 exceeds --grid-high 1\n"),
+])
+@pytest.mark.parametrize("bundle", ["honest", "tampered"])
+def test_equiv_check_refuses_grid_flags_before_reading_the_bundle(
+    tmp_path, monkeypatch, capsys, flags, err, bundle
+):
+    # a bad grid flag is reported before the bundle is read or verified, so
+    # a bundle that fails verification (exit 3) does not hide it
+    mat = put(tmp_path, "a.mat", SUBJECT)
+    text = DIAG_BUNDLE if bundle == "honest" else DIAG_BUNDLE.replace("t1^2", "t1^3", 1)
+    cert = put(tmp_path, "b.cert", text)
+    assert main(["equiv-check", mat, cert]) == (0 if bundle == "honest" else 3)
+    capsys.readouterr()
+    parsed = count_calls(monkeypatch, "parse_certificate", (cli,))
+    assert main(["equiv-check", mat, cert, *flags]) == 1
+    assert capsys.readouterr() == ("", err)
+    assert parsed == []
+
+
 # -- gens ----------------------------------------------------------------------
 
 
@@ -669,15 +694,47 @@ def test_dispatch_matches_full_parser(argv, capsys):
 
 
 def test_subcommand_argv_skips_the_full_parser(tmp_path, monkeypatch, capsys):
-    calls = count_calls(monkeypatch, "parse_args", (cli._PARSER,))
-    assert main(["psd-grid", put(tmp_path, "i.mat", IDENTITY2), "--grid-c", "3"]) == 0
+    # plain argv, exact flag names as --flag value or --flag=value, reach no
+    # argparse parser at all; any other goes through the full parser
+    calls = count_calls(monkeypatch, "parse_known_args", (argparse.ArgumentParser,))
+    mat = put(tmp_path, "a.mat", SUBJECT)
+    identity = put(tmp_path, "i.mat", IDENTITY2)
+    bundle = put(tmp_path, "b.cert", DIAG_BUNDLE)
+    cert = tmp_path / "c.cert"
+    for argv, code, out in (
+        (["psd-grid", identity, "--grid-count", "3"], 0, "points=3 psd=3 non_psd=0\n"),
+        (["psd-grid", "--grid-low", "-1/2", identity, "--grid-high=1/2", "--grid-count=2"], 0,
+         "points=2 psd=2 non_psd=0\n"),
+        (["equiv-check", mat, bundle, "--grid-low=-2", "--grid-high", "2", "--grid-count", "3"], 0,
+         "points=3 agree=3 disagree=0\n"),
+        (["diagonalize", mat, "--mode", "bundle", "--cap-branches=5", "--out", str(cert)], 0, ""),
+        (["verify", mat, str(cert)], 0, "ok: bundle certificate verifies\n"),
+        (["gens", "--out", str(tmp_path / "g.txt"), identity, identity], 0, ""),
+    ):
+        assert main(argv) == code
+        assert capsys.readouterr() == (out, "")
+    assert calls == []
+    assert main(["psd-grid", identity, "--grid-c", "3"]) == 0  # an abbreviation
     assert capsys.readouterr().out == "points=3 psd=3 non_psd=0\n"
-    assert calls == []
-    assert main(["psd-grid"]) == 1
-    assert calls == []
+    assert calls
+    calls.clear()
     assert main(["psd-grid", "i.mat", "extra"]) == 1  # the full parser reports it
-    assert len(calls) == 1
+    assert calls
     assert capsys.readouterr().err.endswith("polydiag: error: unrecognized arguments: extra\n")
+
+
+@pytest.mark.parametrize("stratum", ["plain", "other"])
+def test_plain_reader_matches_full_parser(stratum):
+    # a fixed sample of tests/argv_differential.py's enumeration: 1,000 argv
+    # that cli._read_plain reads (the only ones where the two can differ)
+    # and 1,000 that it leaves to argparse
+    argvs = [
+        argv
+        for argv in argv_differential.argv_enumeration()
+        if (cli._read_plain(list(argv)) is not None) == (stratum == "plain")
+    ]
+    sample = random.Random(0).sample(argvs, 1000)
+    assert argv_differential.mismatches(sample) == (1000, 1000 if stratum == "plain" else 0, [])
 
 
 def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys):

@@ -884,17 +884,20 @@ def test_seeds_below_the_bound_fall_back_to_fresh_images(route, rational):
     a = _ring_subject(5, 3, "random", rational)  # in standard form, 12 branches
     honest, _checks = _produce_recording(route, a)
     holds = certificates.identity_holds
+    fresh = []  # the _images calls made inside each identity_holds
 
     def low_seeds(lhs, rhs, images=None):
         saved, images.beta = images.beta, 2
+        before = len(calls)
         try:
             return holds(lhs, rhs, images)
         finally:
             images.beta = saved
+            fresh.append(len(calls) - before)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(certificates, "identity_holds", low_seeds)
-        fresh = count_calls(mp, "_images", (polymat,))
+        calls = count_calls(mp, "_images", (polymat,))
         assert _produce_recording(route, a)[0] == honest
-    assert fresh
+    assert any(fresh)
     assert not honest.startswith(("NotStandardForm", "InternalIdentityFailure"))
